@@ -1,4 +1,4 @@
-"""Content-addressed result cache and experiment records.
+"""Content-addressed result cache.
 
 Layout: <cache_dir>/<kind>/<sha256>.json holds the canonical JSON outputs
 of one experiment; a .meta.json sidecar holds timestamps and tool version
@@ -9,16 +9,22 @@ DILATES_CACHE_DIR environment variable.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
 import subprocess
+import tempfile
 import time
-from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 
 ENV_CACHE_DIR = "DILATES_CACHE_DIR"
 KINDS = ("construct", "verify", "search", "sweep", "gap", "pipeline")
+
+# os.umask can only be read by setting it; do that once, at import.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 def default_cache_dir() -> Path:
@@ -35,70 +41,56 @@ def digest_of(obj) -> str:
 
 
 def atomic_write(path: Path, data: bytes) -> None:
+    """Write to a fresh temp file in the target's directory, then rename.
+
+    Each writer gets its own temp name (ending in .tmp, so never *.json),
+    so concurrent writers of one path never share a temp file; the last
+    rename wins.  The file gets the mode a plain write would: 0o666 less
+    the process umask.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
+@functools.cache
 def git_describe() -> str:
+    """`git describe` of the package's checkout, resolved once per process."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5)
+                             capture_output=True, text=True, timeout=5,
+                             cwd=Path(__file__).resolve().parent)
         return out.stdout.strip() or "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One cached experiment: byte-stable outputs plus run metadata.
-
-    `outputs` is what reruns must reproduce byte-identically; the
-    metadata (timestamps, versions) goes to the sidecar only.
-    """
-
-    kind: str
-    inputs_digest: str
-    outputs: object
-    created_at: str
-    tool_version: str
-    git_describe: str
-
-    @classmethod
-    def create(cls, kind: str, inputs_digest: str, outputs) -> "ExperimentRecord":
-        if kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {kind!r}")
-        from . import __version__
-        return cls(
-            kind=kind,
-            inputs_digest=inputs_digest,
-            outputs=outputs,
-            created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            tool_version=__version__,
-            git_describe=git_describe(),
-        )
-
-    def store(self, cache_dir) -> Path:
-        cache_dir = Path(cache_dir)
-        out_path = cache_dir / self.kind / f"{self.inputs_digest}.json"
-        atomic_write(out_path, canonical_json(self.outputs))
-        meta = {
-            "kind": self.kind,
-            "inputs_digest": self.inputs_digest,
-            "created_at": self.created_at,
-            "tool_version": self.tool_version,
-            "git_describe": self.git_describe,
-        }
-        atomic_write(cache_dir / self.kind / f"{self.inputs_digest}.meta.json",
-                     canonical_json(meta))
-        return out_path
-
-
 def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
-    """Write outputs (byte-stable) plus a metadata sidecar; returns the
-    outputs path."""
-    return ExperimentRecord.create(kind, inputs_digest, outputs).store(cache_dir)
+    """Write outputs (byte-stable) plus a metadata sidecar with timestamps
+    and versions; returns the outputs path."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    from . import __version__
+    root = Path(cache_dir) / kind
+    out_path = root / f"{inputs_digest}.json"
+    atomic_write(out_path, canonical_json(outputs))
+    meta = {
+        "kind": kind,
+        "inputs_digest": inputs_digest,
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "tool_version": __version__,
+        "git_describe": git_describe(),
+    }
+    atomic_write(root / f"{inputs_digest}.meta.json", canonical_json(meta))
+    return out_path
 
 
 def load_outputs(cache_dir, kind: str, inputs_digest: str):
@@ -116,7 +108,7 @@ def list_outputs(cache_dir, kind: str) -> list[tuple[str, dict]]:
         return []
     pairs = []
     for path in sorted(root.glob("*.json")):
-        if path.name.endswith(".meta.json") or path.name.endswith(".tmp"):
+        if path.name.endswith(".meta.json"):
             continue
         pairs.append((path.stem, json.loads(path.read_text())))
     return pairs

@@ -24,7 +24,8 @@ from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
 from .residues import ResidueSet
-from .search import SearchTask, run_task, sweep, sweep_csv, sweep_rows
+from .search import (CSV_HEADER, SearchTask, csv_row, run_task, sweep, sweep_csv,
+                     sweep_rows)
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -206,16 +207,11 @@ def _cmd_report(args) -> int:
         rows.append((task["p"], task["lambda"], task["m"], outputs))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out_dir = Path(args.out)
-    lines = ["p,lambda,m,alpha,min_size,min_over_p,exact,witness"]
+    lines = [CSV_HEADER]
     by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
     by_cell: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for p, lam, m, outputs in rows:
-        lines.append(",".join([
-            str(p), str(lam), str(m), outputs["alpha"],
-            str(outputs["min_size"]), outputs["min_over_p"],
-            "true" if outputs["exact"] else "false",
-            '"' + outputs["witness"] + '"',
-        ]))
+        lines.append(csv_row(outputs))
         alpha = Fraction(outputs["alpha"])
         ratio = Fraction(outputs["min_over_p"])
         by_lam.setdefault(lam, []).append((alpha, ratio))

@@ -16,6 +16,7 @@ from math import comb, factorial, floor
 import numpy as np
 
 from .errors import ScaleCapError
+from .residues import cyclic_support_fft
 
 __all__ = [
     "GridSet",
@@ -166,22 +167,16 @@ def _cyclic_minkowski_mask(a: np.ndarray, b: np.ndarray, na: int, nb: int) -> np
     if min(na, nb) == 0:
         return np.zeros_like(a)
     small, big, ns = (a, b, na) if na <= nb else (b, a, nb)
-    if ns <= 64 or small.size < 1 << 12:
-        out = np.zeros_like(big)
-        axes = tuple(range(big.ndim))
-        for idx in np.argwhere(small):
-            out |= np.roll(big, tuple(int(i) for i in idx), axis=axes)
-        return out
-    axes = tuple(range(a.ndim))
-    counts = np.fft.irfftn(np.fft.rfftn(a.astype(np.float64)) * np.fft.rfftn(b.astype(np.float64)),
-                           s=a.shape, axes=axes)
-    if np.max(np.abs(counts - np.rint(counts))) > 0.25:
-        # counts failed to round safely; redo with exact shifts
-        out = np.zeros_like(big)
-        for idx in np.argwhere(small):
-            out |= np.roll(big, tuple(int(i) for i in idx), axis=axes)
-        return out
-    return counts > 0.5
+    if ns > 64 and small.size >= 1 << 12:
+        support = cyclic_support_fft(a, b)
+        if support is not None:
+            return support
+    # small operand, or FFT counts failed to round safely: exact shifts
+    out = np.zeros_like(big)
+    axes = tuple(range(big.ndim))
+    for idx in np.argwhere(small):
+        out |= np.roll(big, tuple(int(i) for i in idx), axis=axes)
+    return out
 
 
 def grid_projection_sumset(s: GridSet) -> GridSet:

@@ -193,10 +193,10 @@ def discretize_to_zp(a: TorusIntervalSet, p: int, check_prime: bool = True) -> R
     d = a.denominator
     bits = 0
     for x, y in a.intervals:
-        lo = -((-x * p) // d)          # ceil(x*p/d)
-        hi = (y * p) // d - 1           # largest r with (r+1)*d <= y*p
-        for r in range(max(lo, 0), min(hi, p - 1) + 1):
-            bits |= 1 << r
+        lo = max(-((-x * p) // d), 0)         # ceil(x*p/d)
+        hi = min((y * p) // d - 1, p - 1)     # largest r with (r+1)*d <= y*p
+        if lo <= hi:
+            bits |= ((1 << (hi - lo + 1)) - 1) << lo
     return ResidueSet(p, bits)
 
 

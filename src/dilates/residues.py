@@ -14,6 +14,7 @@ reachable sum; callers that rely on this validate the headroom themselves.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -131,7 +132,18 @@ class ResidueSet:
         return f"p={self.modulus};{{{','.join(map(str, self.elements()))}}}"
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.modulus) if self.bits >> i & 1)
+        """Members in ascending order; the one place bits become residues.
+
+        Scans the binary digits least significant first with str.find,
+        which is linear in the modulus.
+        """
+        digits = bin(self.bits)[:1:-1]
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return tuple(out)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -189,16 +201,29 @@ def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
     return _shift_accumulate(n, a.bits, b.elements())
 
 
-def _sumset_bits_convolution(n: int, a: ResidueSet, b: ResidueSet) -> int:
-    if min(len(a), len(b)) >= 1 << _SAFE_COUNT_BITS:
-        # pair counts could defeat float rounding; exactness wins
-        return _sumset_bits_bitshift(n, a, b)
-    ma = _bits_to_mask(n, a.bits).astype(np.float64)
-    mb = _bits_to_mask(n, b.bits).astype(np.float64)
-    counts = np.fft.irfft(np.fft.rfft(ma) * np.fft.rfft(mb), n)
+def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Support of the cyclic convolution of two same-shape 0/1 arrays.
+
+    Works over any number of axes.  Returns None ("unsafe") when the
+    float64 pair counts cannot be trusted to round: a count could reach
+    2^26, or some count lies more than 0.25 from an integer.  Callers then
+    take their exact path.
+    """
+    if min(np.count_nonzero(a), np.count_nonzero(b)) >= 1 << _SAFE_COUNT_BITS:
+        return None
+    axes = tuple(range(a.ndim))
+    counts = np.fft.irfftn(np.fft.rfftn(a.astype(np.float64)) * np.fft.rfftn(b.astype(np.float64)),
+                           s=a.shape, axes=axes)
     if np.max(np.abs(counts - np.rint(counts))) > 0.25:
+        return None
+    return counts > 0.5
+
+
+def _sumset_bits_convolution(n: int, a: ResidueSet, b: ResidueSet) -> int:
+    support = cyclic_support_fft(_bits_to_mask(n, a.bits), _bits_to_mask(n, b.bits))
+    if support is None:
         return _sumset_bits_bitshift(n, a, b)
-    return _mask_to_bits(counts > 0.5)
+    return _mask_to_bits(support)
 
 
 def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
@@ -236,10 +261,7 @@ def dilate(a: ResidueSet, lam: int) -> ResidueSet:
     lam %= n
     if lam == 1:
         return a
-    bits = 0
-    for x in a.elements():
-        bits |= 1 << (x * lam % n)
-    return ResidueSet(n, bits)
+    return _relabel(a, lam, 0)
 
 
 def dilate_sum(a: ResidueSet, lam: int, kernel: Kernel | None = None) -> ResidueSet:
@@ -289,29 +311,29 @@ def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:
     n = a.modulus
     if gcd(u, n) != 1:
         raise ValueError(f"u={u} is not a unit mod {n}")
-    u %= n
-    v %= n
-    bits = 0
-    for x in a.elements():
-        bits |= 1 << ((u * x + v) % n)
-    return ResidueSet(n, bits)
+    return _relabel(a, u, v)
 
 
-def _min_rotation(n: int, srt: list[int], best) -> tuple[int, ...] | None:
-    """Fold the shifts of srt into the running minimum `best`.
+def _relabel(a: ResidueSet, u: int, v: int) -> ResidueSet:
+    """{u*a + v mod N}, the shared body of dilate and affine_image."""
+    return ResidueSet.from_elements(a.modulus, (u * x + v for x in a.elements()))
 
-    Only shifts mapping a member to 0 are candidates: a nonempty minimum
-    sorted tuple must start at 0.
+
+def _rotations(n: int, elems) -> Iterator[list[int]]:
+    """For every u in [1, n), every shift of sorted(u*A) that maps a member
+    to 0, as an ascending list.
+
+    A nonempty minimum sorted tuple must start at 0, so these are the only
+    candidates for the canonical form.  Lazy, so is_canonical can stop at
+    the first candidate below its own elements.
     """
-    m = len(srt)
-    for i in range(m):
-        pivot = srt[i]
-        cand = tuple(srt[j] - pivot for j in range(i, m)) + tuple(
-            srt[j] - pivot + n for j in range(i)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    m = len(elems)
+    for u in range(1, n):
+        srt = sorted(x * u % n for x in elems)
+        doubled = srt + [x + n for x in srt]
+        for i in range(m):
+            pivot = srt[i]
+            yield [x - pivot for x in doubled[i:i + m]]
 
 
 def canonical_form(a: ResidueSet) -> ResidueSet:
@@ -325,11 +347,7 @@ def canonical_form(a: ResidueSet) -> ResidueSet:
     require_prime(n)
     if a.bits == 0 or a.bits == (1 << n) - 1:
         return a
-    best = None
-    for u in range(1, n):
-        srt = sorted(x * u % n for x in a.elements())
-        best = _min_rotation(n, srt, best)
-    return ResidueSet.from_elements(n, best)
+    return ResidueSet.from_elements(n, min(_rotations(n, a.elements())))
 
 
 def is_canonical(a: ResidueSet) -> bool:
@@ -338,17 +356,7 @@ def is_canonical(a: ResidueSet) -> bool:
     require_prime(n)
     if a.bits == 0 or a.bits == (1 << n) - 1:
         return True
-    own = a.elements()
+    own = list(a.elements())
     if own[0] != 0:
         return False
-    m = len(own)
-    for u in range(1, n):
-        srt = sorted(x * u % n for x in own)
-        for i in range(m):
-            pivot = srt[i]
-            cand = tuple(srt[j] - pivot for j in range(i, m)) + tuple(
-                srt[j] - pivot + n for j in range(i)
-            )
-            if cand < own:
-                return False
-    return True
+    return not any(cand < own for cand in _rotations(n, own))

@@ -35,6 +35,7 @@ __all__ = [
     "SweepReport",
     "sweep_rows",
     "sweep_csv",
+    "csv_row",
     "CSV_HEADER",
 ]
 
@@ -333,15 +334,17 @@ def sweep_rows(report: SweepReport) -> list[dict]:
     return [r.to_json_dict(t) for t, r in zip(report.tasks, report.results)]
 
 
+def csv_row(row: dict) -> str:
+    """One CSV line (CSV_HEADER order) for a search-result JSON dict, as
+    built by SearchResult.to_json_dict."""
+    task = row["task"]
+    return ",".join([
+        str(task["p"]), str(task["lambda"]), str(task["m"]), row["alpha"],
+        str(row["min_size"]), row["min_over_p"],
+        "true" if row["exact"] else "false", '"' + row["witness"] + '"',
+    ])
+
+
 def sweep_csv(report: SweepReport) -> str:
     """Render a sweep as CSV (fixed header, LF newlines, exact rationals)."""
-    lines = [CSV_HEADER]
-    for task, result in zip(report.tasks, report.results):
-        row = result.to_json_dict(task)
-        witness = '"' + row["witness"] + '"'
-        lines.append(",".join([
-            str(task.p), str(task.lam), str(task.m), row["alpha"],
-            str(result.min_size), row["min_over_p"],
-            "true" if result.exact else "false", witness,
-        ]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *map(csv_row, sweep_rows(report))]) + "\n"

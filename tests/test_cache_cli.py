@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,11 +40,46 @@ def test_store_and_load_outputs(tmp_path):
     assert cache_mod.load_outputs(tmp_path, "search", "cd" * 32) is None
     meta = json.loads((tmp_path / "search" / ("ab" * 32 + ".meta.json")).read_text())
     assert meta["kind"] == "search" and "created_at" in meta
+    assert set(meta) == {"kind", "inputs_digest", "created_at", "tool_version",
+                         "git_describe"}
     # byte-identical outputs on rerun even though metadata may differ
     again = cache_mod.store_experiment(tmp_path, "search", "ab" * 32, payload)
     assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError):
         cache_mod.store_experiment(tmp_path, "bogus", "x", {})
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    target = tmp_path / "search" / ("ab" * 32 + ".json")
+    payloads = [cache_mod.canonical_json({"writer": i}) for i in range(8)]
+    barrier = threading.Barrier(len(payloads))
+    errors = []
+
+    def writer(data):
+        barrier.wait()
+        try:
+            for _ in range(50):
+                cache_mod.atomic_write(target, data)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(d,)) for d in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert target.read_bytes() in payloads
+    assert [p.name for p in target.parent.iterdir()] == [target.name]  # no temp left
+    plain = tmp_path / "plain.json"
+    plain.write_bytes(b"{}")
+    assert target.stat().st_mode == plain.stat().st_mode
 
 
 def test_list_outputs_sorted(tmp_path):
@@ -135,7 +172,7 @@ def test_cli_sweep_and_report(tmp_path):
     assert len(csv_text.splitlines()) == 5
     assert run_cli(tmp_path, "--cache-dir", "cache", "report", "--out", "plots") == 0
     results = (tmp_path / "plots" / "results.csv").read_text()
-    assert len(results.splitlines()) == 5
+    assert results == csv_text  # same cells, same renderer
     dat = (tmp_path / "plots" / "min_density_lambda2.dat").read_text()
     assert dat.splitlines()[0] == "# alpha min_over_p"
     env = (tmp_path / "plots" / "envelope_lambda2.dat").read_text()

@@ -8,6 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from dilates import grids
 from dilates.errors import ScaleCapError
 from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                            equal_box_sides, grid_projection_sumset,
@@ -16,6 +17,7 @@ from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                            project_drop_last, simplex_construction,
                            simplex_grid_set)
 from dilates.grids import _cyclic_minkowski_mask
+from dilates.residues import cyclic_support_fft
 
 F = Fraction
 
@@ -115,18 +117,28 @@ def test_projection_sumset_factorizes_for_boxes():
     assert set(sp.tuples()) == set(product(*per_axis))
 
 
-def test_minkowski_mask_roll_and_fft_agree():
+def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
     rng = random.Random(13)
-    for shape in [(16,), (8, 8), (4, 4, 4)]:
+    cases = []
+    for shape in [(16,), (8, 8), (4, 4, 4), (4096,), (64, 64), (16, 16, 16)]:
         a = np.zeros(shape, dtype=bool)
         b = np.zeros(shape, dtype=bool)
         a.reshape(-1)[rng.sample(range(a.size), rng.randint(1, a.size))] = True
         b.reshape(-1)[rng.sample(range(b.size), rng.randint(1, b.size))] = True
         na, nb = int(a.sum()), int(b.sum())
         rolled = _cyclic_minkowski_mask(a, b, 1, 1)     # forces the roll path
-        fft = _cyclic_minkowski_mask(a, b, 10**6, 10**6)  # forces the FFT path
-        assert np.array_equal(rolled, fft)
+        fft = cyclic_support_fft(a, b)                  # the FFT path
+        assert fft is not None and np.array_equal(rolled, fft)
+        assert np.array_equal(_cyclic_minkowski_mask(a, b, na, nb), rolled)
         assert na <= rolled.sum() <= na * nb or rolled.sum() == a.size
+        cases.append((a, b, na, nb, rolled))
+    # FFT counts declared unsafe: the roll fallback answers
+    calls = []
+    monkeypatch.setattr(grids, "cyclic_support_fft", lambda x, y: calls.append(x.shape))
+    for a, b, na, nb, rolled in cases:
+        assert np.array_equal(_cyclic_minkowski_mask(a, b, na, nb), rolled)
+    assert calls == [c[0].shape for c in cases if min(c[2], c[3]) > 64 and c[0].size >= 1 << 12]
+    assert calls
 
 
 # ---------------------------------------------------------------- boxes

@@ -148,6 +148,28 @@ def test_discretize_examples():
         discretize_to_zp(third, 9)
 
 
+def test_discretize_matches_per_residue_definition():
+    def oracle(a, p):
+        d = a.denominator
+        return {r for r in range(p) for x, y in a.intervals
+                if r * d >= x * p and (r + 1) * d <= y * p}
+
+    rng = random.Random(25)
+    cases = [
+        tis(9, [(0, 1)]), tis(9, [(8, 9)]), tis(9, [(8, 10)]),  # touch 0 / p-1 / wrap
+        tis(1000, [(0, 10), (990, 1000)]),
+        tis(1000, [(5, 6), (500, 503), (700, 800)]),            # shorter than 1/p
+        TorusIntervalSet.full(7), TorusIntervalSet.empty(7),
+    ]
+    for _ in range(20):
+        d = rng.choice([9, 64, 1000])
+        cases.append(tis(d, [(x, x + rng.randint(1, d // 3))
+                             for x in rng.sample(range(d), 4)]))
+    for a in cases:
+        for p in (2, 7, 101, 1009):
+            assert set(discretize_to_zp(a, p).elements()) == oracle(a, p)
+
+
 def test_discretize_density_below_measure_and_converges():
     rng = random.Random(24)
     for _ in range(20):

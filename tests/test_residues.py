@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from dilates import residues
 from dilates.residues import (Kernel, ResidueSet, affine_image, canonical_form,
                               difference_set, dilate, dilate_sum, is_canonical,
                               is_prime, iterated_sumset, kfold_dilate_sum,
@@ -57,12 +58,31 @@ def test_kernel_agreement_random():
             assert sumset(a, b) == expected  # auto kernel
 
 
-def test_convolution_large_modulus():
+def test_convolution_large_modulus(monkeypatch):
     rng = random.Random(7)
     n = 1 << 14  # above the auto-kernel convolution floor
     a = rs(n, rng.sample(range(n), 300))
     b = rs(n, rng.sample(range(n), 300))
-    assert sumset(a, b, Kernel.CONVOLUTION) == sumset(a, b, Kernel.BITSHIFT)
+    expected = sumset(a, b, Kernel.BITSHIFT)
+    assert sumset(a, b, Kernel.CONVOLUTION) == expected
+    # FFT counts declared unsafe: the exact BITSHIFT fallback answers
+    calls = []
+    monkeypatch.setattr(residues, "cyclic_support_fft", lambda x, y: calls.append(x.shape))
+    assert sumset(a, b, Kernel.CONVOLUTION) == expected
+    assert calls == [(n,)]
+
+
+def test_elements_from_elements_roundtrip():
+    rng = random.Random(5)
+    for n in (1, 2, 63, 64, 65, 12568, 10**5):
+        dense = [x for x in range(n) if rng.random() < 0.5]
+        for elems in ([], range(n), [n - 1], [0, n - 1], dense,
+                      rng.sample(range(n), min(n, 40))):
+            a = rs(n, elems)
+            assert a.elements() == tuple(sorted(set(elems)))
+            assert rs(n, a.elements()) == a
+    assert ResidueSet.full(65).elements() == tuple(range(65))
+    assert ResidueSet.empty(65).elements() == ()
 
 
 # ---------------------------------------------------------------- dilate

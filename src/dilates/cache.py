@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import subprocess
+import sys
 import tempfile
 import time
 from hashlib import sha256
@@ -93,16 +94,27 @@ def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
     return out_path
 
 
+def _read_entry(path: Path):
+    """Decoded outputs file, or None (with a line on stderr) if it does not
+    decode, e.g. a file truncated by a crash or a full disk."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError:
+        print(f"cache: ignoring undecodable entry {path}", file=sys.stderr)
+        return None
+
+
 def load_outputs(cache_dir, kind: str, inputs_digest: str):
-    """Cached outputs for a digest, or None on a miss."""
+    """Cached outputs for a digest, or None on a miss.  An undecodable
+    entry is a miss too; the caller's next store overwrites it."""
     path = Path(cache_dir) / kind / f"{inputs_digest}.json"
     if not path.is_file():
         return None
-    return json.loads(path.read_text())
+    return _read_entry(path)
 
 
 def list_outputs(cache_dir, kind: str) -> list[tuple[str, dict]]:
-    """All (digest, outputs) pairs of one kind, sorted by digest."""
+    """All decodable (digest, outputs) pairs of one kind, sorted by digest."""
     root = Path(cache_dir) / kind
     if not root.is_dir():
         return []
@@ -110,5 +122,7 @@ def list_outputs(cache_dir, kind: str) -> list[tuple[str, dict]]:
     for path in sorted(root.glob("*.json")):
         if path.name.endswith(".meta.json"):
             continue
-        pairs.append((path.stem, json.loads(path.read_text())))
+        outputs = _read_entry(path)
+        if outputs is not None:
+            pairs.append((path.stem, outputs))
     return pairs

@@ -319,21 +319,21 @@ def _relabel(a: ResidueSet, u: int, v: int) -> ResidueSet:
     return ResidueSet.from_elements(a.modulus, (u * x + v for x in a.elements()))
 
 
-def _rotations(n: int, elems) -> Iterator[list[int]]:
-    """For every u in [1, n), every shift of sorted(u*A) that maps a member
-    to 0, as an ascending list.
+def _pair_images(n: int, elems) -> Iterator[list[int]]:
+    """For every ordered pair x != y of members, sorted((A - x) / (y - x)),
+    the image of A under the affine map sending x to 0 and y to 1.
 
-    A nonempty minimum sorted tuple must start at 0, so these are the only
-    candidates for the canonical form.  Lazy, so is_canonical can stop at
-    the first candidate below its own elements.
+    For |A| >= 2 the least image contains 0 and 1 (any pair maps there), so
+    it starts [0, 1]; and an image starting [0, 1] is fixed by the pair
+    sent to 0 and 1.  These m(m-1) images are therefore the only candidates
+    for the canonical form.  Lazy, so is_canonical can stop at the first
+    candidate below its own elements.
     """
-    m = len(elems)
-    for u in range(1, n):
-        srt = sorted(x * u % n for x in elems)
-        doubled = srt + [x + n for x in srt]
-        for i in range(m):
-            pivot = srt[i]
-            yield [x - pivot for x in doubled[i:i + m]]
+    for x in elems:
+        for y in elems:
+            if y != x:
+                u = pow(y - x, -1, n)
+                yield sorted([(z - x) * u % n for z in elems])
 
 
 def canonical_form(a: ResidueSet) -> ResidueSet:
@@ -347,7 +347,8 @@ def canonical_form(a: ResidueSet) -> ResidueSet:
     require_prime(n)
     if a.bits == 0 or a.bits == (1 << n) - 1:
         return a
-    return ResidueSet.from_elements(n, min(_rotations(n, a.elements())))
+    # only a singleton has no pair images; its canonical form is {0}
+    return ResidueSet.from_elements(n, min(_pair_images(n, a.elements()), default=[0]))
 
 
 def is_canonical(a: ResidueSet) -> bool:
@@ -357,6 +358,7 @@ def is_canonical(a: ResidueSet) -> bool:
     if a.bits == 0 or a.bits == (1 << n) - 1:
         return True
     own = list(a.elements())
-    if own[0] != 0:
+    # a canonical form starts [0, 1], or is [0] for a singleton
+    if own[:2] != [0, 1][:len(own)]:
         return False
-    return not any(cand < own for cand in _rotations(n, own))
+    return not any(cand < own for cand in _pair_images(n, own))

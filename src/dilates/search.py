@@ -1,10 +1,17 @@
 """Minimization of |A + lam*A| over m-element subsets of Z/pZ.
 
-Exact mode enumerates one representative per affine orbit {u*A + v}: the
+Exact mode scores one representative per affine orbit {u*A + v}: the
 objective is affine-invariant, so it suffices to score sets that equal
-their own canonical form.  The subset space is split into contiguous
-lexicographic rank ranges, which makes parallel runs reduce to the same
-(min, lexicographically-least-witness) answer for any worker count.
+their own canonical form (the image with the lexicographically least
+sorted tuple).  For m >= 2 that form starts (0, 1): for members x != y
+the map z -> (z - x) / (y - x) sends A to an image containing 0 and 1.
+So the scan visits only the C(p-2, m-2) sets {0, 1} + (an (m-2)-subset
+of 2..p-1), and {0} alone for m = 1.  is_canonical compares a visited set
+with its m(m-1) pair images, because every image starting (0, 1) is the
+image of the pair sent to 0 and 1.  The anchored sets are split into
+contiguous lexicographic rank ranges, which makes parallel runs reduce to
+the same (min, lexicographically-least-witness) answer for any worker
+count.
 
 Heuristic mode is plain seeded simulated annealing over single-element
 swaps and only ever reports an upper bound.
@@ -138,10 +145,15 @@ def _next_combination(combo: list[int], p: int) -> bool:
 
 
 def _scan_chunk(args: tuple[int, int, int, int, int]) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """Scan `count` combinations starting at `start` rank; score canonical
-    representatives only.  Returns (local min, local witness, classes)."""
+    """Scan `count` sets through the anchor {0, 1}[:k], k = min(m, 2),
+    starting at the `start`-th in lexicographic order; score canonical
+    representatives only.  Returns (local min, local witness, classes).
+
+    The lexicographic successor of an anchored set that is not the last
+    one is anchored too, and `count` ends the scan at the last one."""
     p, lam, m, start, count = args
-    combo = _combination_unrank(p, m, start)
+    k = min(m, 2)
+    combo = list(range(k)) + [x + k for x in _combination_unrank(p - k, m - k, start)]
     best_size = None
     best_witness = None
     classes = 0
@@ -162,20 +174,22 @@ def exact_min_dilate_sumset(task: SearchTask, workers: int = 1,
                             class_cap: int = _CLASS_CAP) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
-    Deterministic for any worker count: chunk minima merge by (size,
-    lexicographic witness).  Estimated canonical class count must stay
-    under class_cap.
+    Visits only the C(p - k, m - k) sets through the anchor {0, 1}[:k],
+    k = min(m, 2), in lexicographic order.  Deterministic for any worker
+    count: chunk minima merge by (size, lexicographic witness).  Estimated
+    canonical class count must stay under class_cap.
     """
     if task.mode != "exact":
         raise ValueError("task.mode must be 'exact'")
     p, m = task.p, task.m
-    total = comb(p, m)
-    est_classes = max(total // (p * (p - 1)), 1)
+    est_classes = max(comb(p, m) // (p * (p - 1)), 1)
     if est_classes > class_cap:
         raise ScaleCapError(
             f"~{est_classes} canonical classes exceed cap {class_cap}; "
             "use heuristic mode")
 
+    k = min(m, 2)
+    total = comb(p - k, m - k)
     chunks = []
     if workers > 1 and total > 1024:
         n_chunks = min(_CHUNK_TARGET, total)
@@ -196,7 +210,7 @@ def exact_min_dilate_sumset(task: SearchTask, workers: int = 1,
             continue
         if best_size is None or (size, witness) < (best_size, best_witness):
             best_size, best_witness = size, witness
-    assert best_witness is not None  # the lex-first m-subset is canonical
+    assert best_witness is not None  # {0, 1, ..., m-1} is canonical
     return SearchResult(
         min_size=best_size,
         witness=ResidueSet.from_elements(p, best_witness),

@@ -180,6 +180,27 @@ def test_cli_sweep_and_report(tmp_path):
     assert len(env.splitlines()) == 5
 
 
+def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
+    argv = ("--cache-dir", "cache", "sweep", "--p", "5,7", "--lambda", "2",
+            "--m-range", "1..2", "--out", "sw")
+    assert run_cli(tmp_path, *argv) == 0
+    csv_bytes = (tmp_path / "sw" / "sweep.csv").read_bytes()
+    entries = sorted(p for p in (tmp_path / "cache" / "search").glob("*.json")
+                     if not p.name.endswith(".meta.json"))
+    victim = entries[0]
+    good = victim.read_bytes()
+    victim.write_bytes(good[:len(good) // 2])
+    assert [d for d, _ in cache_mod.list_outputs(tmp_path / "cache", "search")] == \
+        [p.stem for p in entries[1:]]
+    capsys.readouterr()
+    assert run_cli(tmp_path, *argv) == 0
+    out, err = capsys.readouterr()
+    assert "(1 computed, 3 cached)" in out
+    assert err.count("undecodable") == 1 and victim.name in err
+    assert (tmp_path / "sw" / "sweep.csv").read_bytes() == csv_bytes
+    assert victim.read_bytes() == good  # rewritten
+
+
 def test_cli_report_empty_cache(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "empty-cache", "report",
                    "--out", "plots") == 0

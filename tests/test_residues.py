@@ -2,6 +2,7 @@
 seeded property loops."""
 
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from dilates.residues import (Kernel, ResidueSet, affine_image, canonical_form,
                               difference_set, dilate, dilate_sum, is_canonical,
                               is_prime, iterated_sumset, kfold_dilate_sum,
                               sumset)
+from dilates.search import SearchTask, exact_min_dilate_sumset
 
 KERNELS = [Kernel.NAIVE, Kernel.BITSHIFT, Kernel.CONVOLUTION]
 
@@ -229,12 +231,24 @@ def test_canonical_form_examples():
 
 
 def test_canonical_form_matches_oracle():
+    # every subset for p <= 11, and the exact search enumerates one class
+    # per affine orbit
+    for p in (5, 7, 11):
+        for m in range(p + 1):
+            forms = set()
+            for members in combinations(range(p), m):
+                a = rs(p, members)
+                oracle = oracle_canonical(a)
+                forms.add(oracle)
+                assert canonical_form(a) == oracle
+                assert is_canonical(a) == (a == oracle)
+            if m >= 1:
+                task = SearchTask(p=p, lam=2, m=m)
+                assert exact_min_dilate_sumset(task).classes_enumerated == len(forms)
     rng = random.Random(8)
-    for p in (5, 7, 11, 13):
-        for _ in range(25):
-            a = rs(p, rng.sample(range(p), rng.randint(1, p)))
-            assert canonical_form(a) == oracle_canonical(a)
-    assert canonical_form(rs(7, [])) == rs(7, [])
+    for _ in range(25):
+        a = rs(13, rng.sample(range(13), rng.randint(1, 13)))
+        assert canonical_form(a) == oracle_canonical(a)
 
 
 def test_canonical_form_constant_on_orbit():

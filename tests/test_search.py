@@ -2,11 +2,13 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from dilates import search
 from dilates.errors import ScaleCapError
-from dilates.residues import ResidueSet, canonical_form, dilate_sum
+from dilates.residues import ResidueSet, canonical_form, dilate_sum, is_canonical
 from dilates.search import (SearchTask, exact_min_dilate_sumset,
                             exact_min_reference, heuristic_min_dilate_sumset,
                             sweep, sweep_csv)
@@ -81,11 +83,45 @@ def is_valid_result(result, p, lam):
             and result.witness == canonical_form(result.witness))
 
 
-def test_exact_parallel_matches_serial():
-    task = SearchTask(p=13, lam=2, m=5)
+def test_exact_parallel_matches_serial(monkeypatch):
+    # C(17, 4) = 2380 anchored sets: above the serial threshold of 1024
+    pools = []
+
+    class SpyPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SpyPool)
+    task = SearchTask(p=19, lam=2, m=6)
     serial = exact_min_dilate_sumset(task, workers=1)
+    assert pools == []
     for workers in (2, 4):
         assert exact_min_dilate_sumset(task, workers=workers) == serial
+    assert pools == [2, 4]
+    # m in {1, 2, p-1, p}: the affine group acts transitively, one orbit
+    for m in (1, 2, 18, 19):
+        task = SearchTask(p=19, lam=3, m=m)
+        serial = exact_min_dilate_sumset(task, workers=1)
+        assert exact_min_dilate_sumset(task, workers=2) == serial
+        assert serial.classes_enumerated == 1
+        assert serial.witness == ResidueSet.from_elements(19, range(m))
+        assert serial.min_size == exact_min_reference(19, 3, m)
+
+
+def test_exact_visits_only_anchored_sets(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return is_canonical(a)
+
+    monkeypatch.setattr(search, "is_canonical", counting)
+    for p, m in ((2, 1), (2, 2), (7, 1), (7, 2), (7, 4), (11, 5), (13, 12), (13, 13)):
+        calls.clear()
+        exact_min_dilate_sumset(SearchTask(p=p, lam=2, m=m))
+        assert len(calls) == (comb(p - 2, m - 2) if m >= 2 else 1)
+        assert all(0 in a and (m == 1 or 1 in a) for a in calls)
 
 
 def test_exact_class_cap():

@@ -3,7 +3,7 @@
 Subcommands: construct (box/simplex pipelines), verify (property suites),
 search / sweep (minimization), gap (progression tools), report (render the
 cache into CSV and plot data).  Exit codes: 0 success, 2 usage error,
-3 mathematical assertion failure, 4 scale cap exceeded.
+3 mathematical assertion failure, 4 scale cap exceeded, 5 I/O error.
 
 Output files are byte-identical across reruns with the same arguments and
 cache state; timestamps live only in .meta.json sidecars.
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MATH = 3
 EXIT_SCALE = 4
+EXIT_IO = 5
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -335,9 +336,12 @@ def main(argv=None) -> int:
     except ScaleCapError as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
         return EXIT_SCALE
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

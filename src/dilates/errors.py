@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Plain ValueError is used for precondition violations (bad arguments,
-modulus mismatches, composite moduli where a prime is required).  The two
-classes below mark conditions the command-line tool maps to dedicated
-exit codes.
+modulus mismatches, composite moduli where a prime is required); the
+command-line tool maps it to exit code 2.  The two classes below mark
+conditions it maps to dedicated exit codes 4 and 3.  A failed read or write
+(OSError) is exit code 5, kept apart from usage errors.
 """
 
 

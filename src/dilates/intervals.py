@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from .errors import MathAssertionError, ScaleCapError
 from .grids import GridSet, grid_projection_sumset
 from .residues import Kernel, ResidueSet, dilate_sum, require_prime
@@ -35,17 +37,34 @@ _ENCODE_CAP = 1 << 30   # largest denominator lam**n we will materialize
 _PAIR_CAP = 10**6       # pairwise interval sums per Minkowski product
 
 
-def _normalize(denominator: int, raw) -> tuple[tuple[int, int], ...]:
-    """Sort/merge raw [a, b) pairs (integers over the denominator, already
-    reduced into [0, D]) into the canonical disjoint non-adjacent form."""
-    pairs = sorted(p for p in raw if p[0] < p[1])
-    merged: list[list[int]] = []
-    for a, b in pairs:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
+def _endpoint_dtype(bound: int):
+    """int64 while every number the normalization forms (at most 2*bound in
+    magnitude) fits in it; exact Python ints (dtype=object) beyond that."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Canonical interval tuple of the union of the arcs [starts[i], ends[i])
+    mod d: empty arcs are dropped, an arc of length >= d makes the full
+    circle, the rest are reduced into [0, d), split at 0, sorted on their
+    starts and merged (touching arcs too) by running maximum of the ends."""
+    lengths = ends - starts
+    keep = lengths > 0
+    starts, lengths = starts[keep], lengths[keep]
+    if not len(starts):
+        return ()
+    if np.any(lengths >= d):
+        return ((0, d),)
+    starts = starts % d
+    ends = starts + lengths
+    wrap = ends > d
+    starts = np.concatenate((starts, np.zeros(np.count_nonzero(wrap), dtype=starts.dtype)))
+    ends = np.concatenate((np.minimum(ends, d), ends[wrap] - d))
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], np.maximum.accumulate(ends[order])
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] > ends[:-1])))
+    last = np.append(first[1:] - 1, len(starts) - 1)
+    return tuple(zip(starts[first].tolist(), ends[last].tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,24 +92,13 @@ class TorusIntervalSet:
 
     @classmethod
     def from_raw(cls, denominator: int, raw_pairs) -> "TorusIntervalSet":
-        """Build from arbitrary integer pairs (a, b), a < b, reducing mod
-        the denominator and splitting arcs that cross 0."""
-        d = denominator
-        reduced = []
-        for a, b in raw_pairs:
-            length = b - a
-            if length <= 0:
-                continue
-            if length >= d:
-                return cls.full(d)
-            a %= d
-            end = a + length
-            if end <= d:
-                reduced.append((a, end))
-            else:
-                reduced.append((a, d))
-                reduced.append((0, end - d))
-        return cls(d, _normalize(d, reduced))
+        """Build from arbitrary integer pairs (a, b), reducing mod the
+        denominator and splitting arcs that cross 0; pairs with b <= a are
+        dropped."""
+        pairs = list(raw_pairs)
+        dtype = _endpoint_dtype(max([denominator, *(abs(v) for pair in pairs for v in pair)]))
+        arr = np.array(pairs, dtype=dtype).reshape(-1, 2)
+        return cls(denominator, _normalize(denominator, arr[:, 0], arr[:, 1]))
 
     @classmethod
     def empty(cls, denominator: int) -> "TorusIntervalSet":
@@ -115,13 +123,22 @@ class TorusIntervalSet:
                                 tuple((a * q, b * q) for a, b in self.intervals))
 
     def contains_set(self, other: "TorusIntervalSet") -> bool:
-        """True iff other is a subset of self (exact, via common denominator)."""
+        """True iff other is a subset of self, exact over the common denominator.
+
+        One merge over both sorted lists, endpoints scaled on the fly.  Both
+        are normalized (disjoint, non-adjacent), so each interval of other
+        must sit inside a single interval of self; an interval of self that
+        ends before the current one of other ends cannot hold it or any
+        later one.
+        """
         d = lcm(self.denominator, other.denominator)
-        mine = self.rescale(d).intervals
-        for a, b in other.rescale(d).intervals:
-            # non-adjacent normalization means a covered interval sits inside
-            # a single interval of mine
-            if not any(x <= a and b <= y for x, y in mine):
+        qs, qo = d // self.denominator, d // other.denominator
+        mine = self.intervals
+        i = 0
+        for a, b in other.intervals:
+            while i < len(mine) and mine[i][1] * qs < b * qo:
+                i += 1
+            if i == len(mine) or mine[i][0] * qs > a * qo:
                 return False
         return True
 
@@ -154,7 +171,8 @@ def encode_grid_to_intervals(s: GridSet, size_cap: int = _ENCODE_CAP) -> TorusIn
     d = s.lam**s.dim
     if d > size_cap:
         raise ScaleCapError(f"lam^n = {d} exceeds encode cap {size_cap}")
-    return TorusIntervalSet(d, _normalize(d, [(c, c + 1) for c in s.cells]))
+    cells = np.fromiter(s.cells, dtype=_endpoint_dtype(d), count=len(s.cells))
+    return TorusIntervalSet(d, _normalize(d, cells, cells + 1))
 
 
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
@@ -172,14 +190,25 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet,
         return TorusIntervalSet.empty(a.denominator)
     if len(a.intervals) * len(b.intervals) > pair_cap:
         raise ScaleCapError("interval Minkowski sum exceeds pair cap")
-    raw = [(x1 + x2, y1 + y2)
-           for x1, y1 in a.intervals for x2, y2 in b.intervals]
-    return TorusIntervalSet.from_raw(a.denominator, raw)
+    d = a.denominator
+    dtype = _endpoint_dtype(d)  # pair sums reach 2*d
+    ea = np.array(a.intervals, dtype=dtype)
+    eb = np.array(b.intervals, dtype=dtype)
+    starts = (ea[:, :1] + eb[:, 0]).ravel()
+    ends = (ea[:, 1:] + eb[:, 1]).ravel()
+    return TorusIntervalSet(d, _normalize(d, starts, ends))
 
 
 def interval_dilate_sum(a: TorusIntervalSet, lam: int,
                         pair_cap: int = _PAIR_CAP) -> TorusIntervalSet:
-    """Exact A + lam*A on the circle."""
+    """Exact A + lam*A on the circle.
+
+    Every pair of intervals [x1, y1) of A and [x2, y2) of lam*A gives the
+    arc [x1 + x2, y1 + y2); the |A|*|lam*A| pair sums (at most pair_cap,
+    else ScaleCapError) are formed as arrays and normalized by one sort and
+    a running-maximum merge.  Endpoints are int64 while twice the
+    denominator fits, exact Python ints otherwise.
+    """
     if lam < 2:
         raise ValueError("need lam >= 2")
     return _minkowski(a, scale_intervals(a, lam), pair_cap)

@@ -201,6 +201,19 @@ def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
     assert victim.read_bytes() == good  # rewritten
 
 
+def test_cli_io_error_exit_code(tmp_path, capsys):
+    # an output path that cannot be created is an I/O error (5), not a usage
+    # error (2); the cells computed before the failed write stay cached
+    (tmp_path / "taken").write_text("a file, not a directory")
+    argv = ("--cache-dir", "cache", "sweep", "--p", "5", "--lambda", "2",
+            "--m-range", "1..2")
+    assert run_cli(tmp_path, *argv, "--out", "taken") == 5
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    assert len(cache_mod.list_outputs(tmp_path / "cache", "search")) == 2
+    assert run_cli(tmp_path, *argv, "--out", "sw") == 0
+    assert "(0 computed, 2 cached)" in capsys.readouterr().out
+
+
 def test_cli_report_empty_cache(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "empty-cache", "report",
                    "--out", "plots") == 0

@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
+from dilates import intervals
+from dilates.errors import ScaleCapError
 from dilates.grids import GridSet, box_grid_set
 from dilates.intervals import (TorusIntervalSet, check_overflow_containment,
                                discretize_to_zp, encode_grid_to_intervals,
@@ -59,7 +63,6 @@ def test_rescale_and_caps():
     assert s.rescale(9).intervals == ((3, 6),)
     with pytest.raises(ValueError):
         s.rescale(7)
-    from dilates.errors import ScaleCapError
     with pytest.raises(ScaleCapError):
         encode_grid_to_intervals(GridSet.from_tuples(2, 9, [(1, 1)]), size_cap=10)
 
@@ -70,6 +73,31 @@ def test_contains_set_across_denominators():
     assert big.contains_set(small)
     assert not small.contains_set(big)
     assert big.contains_set(TorusIntervalSet.empty(7))
+
+
+def test_contains_set_matches_cell_membership():
+    # over D, a normalized set is exactly a set of unit cells [k, k+1): its
+    # maximal runs, with a run through 0 split there.  Every such set for
+    # D <= 6 against every other, at the lcm resolution.
+    def runs(d, cells):
+        out, k = [], 0
+        while k < d:
+            if cells[k]:
+                j = k
+                while j < d and cells[j]:
+                    j += 1
+                out.append((k, j))
+                k = j
+            else:
+                k += 1
+        return TorusIntervalSet(d, tuple(out))
+
+    sets = [(d, cells, runs(d, cells))
+            for d in range(1, 7) for cells in product((False, True), repeat=d)]
+    for (d1, c1, s1), (d2, c2, s2) in product(sets, repeat=2):
+        q = lcm(d1, d2)
+        inside = all(c1[j * d1 // q] for j in range(q) if c2[j * d2 // q])
+        assert s1.contains_set(s2) == inside, (s1, s2)
 
 
 # ---------------------------------------------------------------- encode
@@ -115,6 +143,80 @@ def test_interval_dilate_sum_examples():
     assert interval_dilate_sum(TorusIntervalSet.empty(9), 3).is_empty()
     with pytest.raises(ValueError):
         interval_dilate_sum(a, 1)
+    # the pair cap: 1001 * 1000 pairs > _PAIR_CAP, and a caller's own cap
+    with pytest.raises(ScaleCapError, match="pair cap"):
+        intervals._minkowski(tis(10**4, [(2 * i, 2 * i + 1) for i in range(1001)]),
+                             tis(10**4, [(2 * i, 2 * i + 1) for i in range(1000)]))
+    with pytest.raises(ScaleCapError, match="pair cap"):
+        interval_dilate_sum(tis(9, [(0, 1), (3, 4)]), 2, pair_cap=3)
+    assert interval_dilate_sum(tis(9, [(0, 1), (3, 4)]), 2, pair_cap=4).measure() > 0
+
+
+def reference_from_raw(d, raw):
+    """The scalar reduce/split/sort/merge the library used before it
+    normalized with arrays; kept as the oracle for the array path."""
+    reduced = []
+    for a, b in raw:
+        length = b - a
+        if length <= 0:
+            continue
+        if length >= d:
+            return ((0, d),)
+        a %= d
+        end = a + length
+        if end <= d:
+            reduced.append((a, end))
+        else:
+            reduced.append((a, d))
+            reduced.append((0, end - d))
+    merged = []
+    for a, b in sorted(reduced):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
+def reference_minkowski(a, b):
+    d = a.denominator
+    if a.is_empty() or b.is_empty():
+        return ()
+    return reference_from_raw(d, [(x1 + x2, y1 + y2)
+                                  for x1, y1 in a.intervals for x2, y2 in b.intervals])
+
+
+def test_minkowski_and_from_raw_match_reference():
+    rng = random.Random(27)
+    cases = [(9, [], []), (9, [(0, 9)], [(3, 4)]), (12, [(11, 12), (0, 1)], [(0, 12)])]
+    for d in (1, 2, 7, 64, 1000, 3**40, 2**61 - 1, 2**62, 2**63 + 9, 2**70):
+        for _ in range(12):
+            k = rng.randint(0, 6)
+            width = rng.choice([d // 50 + 1, d // 5 + 1, d])  # sparse .. covering
+            cases.append((d, *[[(x, x + rng.randint(1, width)) for x in
+                                (rng.randrange(-d, 2 * d) for _ in range(k))]
+                               for _ in range(2)]))
+    for d, raw_a, raw_b in cases:
+        for raw in (raw_a, raw_b, raw_a + [(y, x) for x, y in raw_b]):  # reversed: dropped
+            got = TorusIntervalSet.from_raw(d, raw).intervals
+            assert got == reference_from_raw(d, raw)
+            assert all(type(v) is int for pair in got for v in pair)
+        a, b = tis(d, raw_a), tis(d, raw_b)
+        got = intervals._minkowski(a, b)
+        assert got.intervals == reference_minkowski(a, b), (d, raw_a, raw_b)
+        assert all(type(v) is int for pair in got.intervals for v in pair)
+        if not a.is_empty():
+            lam = rng.randint(2, 9)
+            ref_scaled = TorusIntervalSet(d, reference_from_raw(
+                d, [(lam * x, lam * y) for x, y in a.intervals]))
+            assert scale_intervals(a, lam) == ref_scaled
+            assert interval_dilate_sum(a, lam).intervals == reference_minkowski(a, ref_scaled)
+    # full-circle shortcut, wrap split, touching arcs merged
+    assert intervals._minkowski(tis(10, [(0, 6)]), tis(10, [(0, 5)])).intervals == ((0, 10),)
+    assert intervals._minkowski(tis(10, [(7, 9)]), tis(10, [(2, 4)])).intervals == \
+        ((0, 3), (9, 10))
+    assert intervals._minkowski(tis(10, [(1, 2), (4, 5)]), tis(10, [(0, 2)])).intervals == \
+        ((1, 7),)
 
 
 def test_interval_dilate_sum_against_residue_model():

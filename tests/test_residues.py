@@ -74,6 +74,38 @@ def test_convolution_large_modulus(monkeypatch):
     assert calls == [(n,)]
 
 
+def test_fft_support_on_non_smooth_lengths(monkeypatch):
+    # lengths with a prime factor above 11 are transformed at a power of two
+    # >= 2n - 1 and folded back mod n; smooth lengths at their own length
+    assert [residues._fft_length(n) for n in (1, 64, 693, 13, 16411, 1000003)] == \
+        [1, 64, 693, 32, 1 << 16, 1 << 21]
+    rng = random.Random(11)
+    cases = []
+    for n, ka, kb in ((16411, 100, 80), (65537, 300, 150), (1000003, 1000, 500)):
+        # random sets with sums past n, and long runs (large pair counts)
+        cases.append((rs(n, rng.sample(range(n), ka)), rs(n, rng.sample(range(n), kb) + [n - 1])))
+        cases.append((rs(n, range(n // 3, n // 2)), rs(n, range(n - 50, n))))
+    for a, b in cases:
+        n = a.modulus
+        expected = sumset(a, b, Kernel.BITSHIFT)
+        assert 0 < len(expected) < n
+        support = residues.cyclic_support_fft(residues._bits_to_mask(n, a.bits),
+                                              residues._bits_to_mask(n, b.bits))
+        assert support is not None and residues._mask_to_bits(support) == expected.bits
+    # unsafe counts (count guard, then the rounding test): BITSHIFT answers
+    a, b = cases[0]
+    expected = sumset(a, b, Kernel.BITSHIFT)
+    masks = (residues._bits_to_mask(a.modulus, a.bits), residues._bits_to_mask(a.modulus, b.bits))
+    with monkeypatch.context() as m:
+        m.setattr(residues, "_SAFE_COUNT_BITS", 6)
+        assert residues.cyclic_support_fft(*masks) is None
+        assert sumset(a, b, Kernel.CONVOLUTION) == expected
+    irfftn = residues.np.fft.irfftn
+    monkeypatch.setattr(residues.np.fft, "irfftn", lambda *x, **k: irfftn(*x, **k) + 0.3)
+    assert residues.cyclic_support_fft(*masks) is None
+    assert sumset(a, b, Kernel.CONVOLUTION) == expected
+
+
 def test_elements_from_elements_roundtrip():
     rng = random.Random(5)
     for n in (1, 2, 63, 64, 65, 12568, 10**5):

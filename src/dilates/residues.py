@@ -202,23 +202,29 @@ def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
 
 
 def _fft_length(n: int) -> int:
-    """FFT length for a cyclic axis of length n: n itself when its prime
-    factors are all at most 11 (the lengths pocketfft transforms directly),
-    otherwise the power of two >= 2n - 1, which holds the linear convolution
-    that is then folded back mod n (numpy would take Bluestein's detour)."""
-    m = n
-    for q in (2, 3, 5, 7, 11):
-        while m % q == 0:
+    """FFT length for a one-dimensional cyclic axis of length n: n itself
+    unless its largest prime factor q has q^2 > n (the lengths numpy may
+    send to Bluestein's algorithm), then the power of two >= 2n - 1, which
+    holds the linear convolution that is folded back mod n."""
+    m, q = n, 2
+    while q * q <= m:
+        if m % q:
+            q += 1
+        else:
             m //= q
-    return n if m == 1 else 1 << (2 * n - 2).bit_length()
+    # m is now the largest prime factor of n (1 for n = 1)
+    return n if m * m <= n else 1 << (2 * n - 2).bit_length()
 
 
 def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Support of the cyclic convolution of two same-shape 0/1 arrays.
 
-    Works over any number of axes.  An axis whose length has a prime factor
-    above 11 is transformed at a padded power-of-two length and folded back
-    mod its length (see _fft_length); the others at their own length.
+    Works over any number of axes.  A one-dimensional array is transformed
+    at _fft_length and folded back mod its length: for prime-heavy lengths
+    from 257 up to 10^6 that measured 1.4-5x faster than numpy's own
+    transform on 2 CPUs.  Arrays of two or more axes keep their shape,
+    because padding every axis multiplies the array (17^3 cells padded to
+    64^3 ran 30x slower).
     Returns None ("unsafe") when the float64 pair counts cannot be trusted
     to round: a count could reach 2^26, or some folded count lies more than
     0.25 from an integer.  Callers then take their exact path.
@@ -226,15 +232,14 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if min(np.count_nonzero(a), np.count_nonzero(b)) >= 1 << _SAFE_COUNT_BITS:
         return None
     axes = tuple(range(a.ndim))
-    lengths = tuple(_fft_length(n) for n in a.shape)
-    counts = np.fft.irfftn(np.fft.rfftn(a.astype(np.float64), s=lengths, axes=axes)
-                           * np.fft.rfftn(b.astype(np.float64), s=lengths, axes=axes),
-                           s=lengths, axes=axes)
-    for axis, (n, m) in enumerate(zip(a.shape, lengths)):
-        if m != n:
-            counts = np.moveaxis(counts, axis, 0)
-            counts[:n - 1] += counts[n:2 * n - 1]
-            counts = np.moveaxis(counts[:n], 0, axis)
+    shape = (_fft_length(a.size),) if a.ndim == 1 else a.shape
+    counts = np.fft.irfftn(np.fft.rfftn(a.astype(np.float64), s=shape, axes=axes)
+                           * np.fft.rfftn(b.astype(np.float64), s=shape, axes=axes),
+                           s=shape, axes=axes)
+    if counts.shape != a.shape:
+        n = a.size
+        counts[:n - 1] += counts[n:2 * n - 1]
+        counts = counts[:n]
     if np.max(np.abs(counts - np.rint(counts))) > 0.25:
         return None
     return counts > 0.5

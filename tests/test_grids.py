@@ -121,7 +121,7 @@ def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
     rng = random.Random(13)
     cases = []
     for shape in [(16,), (8, 8), (4, 4, 4), (4096,), (64, 64), (16, 16, 16),
-                  (67, 64), (4099,)]:  # a prime axis: padded FFT, folded back
+                  (67, 64), (4099,)]:  # prime axes; 1-D: padded FFT, folded back
         a = np.zeros(shape, dtype=bool)
         b = np.zeros(shape, dtype=bool)
         a.reshape(-1)[rng.sample(range(a.size), rng.randint(1, a.size))] = True

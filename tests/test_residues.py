@@ -75,10 +75,17 @@ def test_convolution_large_modulus(monkeypatch):
 
 
 def test_fft_support_on_non_smooth_lengths(monkeypatch):
-    # lengths with a prime factor above 11 are transformed at a power of two
-    # >= 2n - 1 and folded back mod n; smooth lengths at their own length
-    assert [residues._fft_length(n) for n in (1, 64, 693, 13, 16411, 1000003)] == \
-        [1, 64, 693, 32, 1 << 16, 1 << 21]
+    # a length whose largest prime factor q has q^2 > n is transformed at a
+    # power of two >= 2n - 1 and folded back mod n; others at their own length
+    assert [residues._fft_length(n) for n in (1, 64, 693, 13312, 13, 16411, 6 * 16411, 1000003)] == \
+        [1, 64, 693, 13312, 32, 1 << 16, 1 << 18, 1 << 21]
+    # only one-dimensional arrays are padded: grid masks keep their shape
+    rfftn, sizes = residues.np.fft.rfftn, []
+    with monkeypatch.context() as m:
+        m.setattr(residues.np.fft, "rfftn", lambda x, s, axes: sizes.append(s) or rfftn(x, s, axes))
+        for shape in ((17, 17, 17), (67, 67), (4099,)):
+            residues.cyclic_support_fft(*[residues.np.ones(shape, bool)] * 2)
+    assert sizes == [(17, 17, 17)] * 2 + [(67, 67)] * 2 + [(1 << 14,)] * 2
     rng = random.Random(11)
     cases = []
     for n, ka, kb in ((16411, 100, 80), (65537, 300, 150), (1000003, 1000, 500)):

@@ -6,11 +6,18 @@ expansion and properness this module provides the large-step truncation
 P' (keep only generators with k_i >= lam), the lambda-power span
 containment check, and a small-scale exhaustive finder for the largest
 proper progression inside a given set.
+
+The finder (p <= 101, dimension <= 2) tests properness of a 2-dim
+candidate (v1, v2; k1, k2) without expanding it: with r = v2/v1 mod p and
+||x|| = min(x mod p, p - x mod p), it is proper iff ||j*r|| >= k1 for
+every 1 <= j < k2, because a collision is (i-i')*v1 == J*v2 with
+|i-i'| < k1 < p and 0 < |J| < k2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .checks import IneqReport, _digest
@@ -164,25 +171,47 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int,
     )
 
 
-def _run_table(members: int, p: int, v: int) -> list[int]:
-    """run[x] = number of consecutive members x, x+v, ... (capped at p)."""
-    run = [0] * p
-    # walk the single p-cycle generated by v twice, propagating run lengths
-    order = [0] * p
-    x = 0
-    for i in range(p):
-        order[i] = x
-        x = (x + v) % p
-    nxt = 0
-    for i in range(2 * p - 1, -1, -1):
-        x = order[i % p]
-        if members >> x & 1:
-            nxt = min(nxt + 1, p)
-        else:
-            nxt = 0
-        if i < p:
-            run[x] = nxt
-    return run
+def _run_tables(s: ResidueSet, half: int) -> list[bytes]:
+    """runs[v][x] = number of consecutive members x, x+v, ... of s (capped
+    at p), for every generator 1 <= v <= half (row 0 is unused)."""
+    p = s.modulus
+    if len(s) == p:
+        return [bytes([p]) * p] * (half + 1)
+    inside = [s.bits >> x & 1 for x in range(p)]
+    z = inside.index(0)
+    runs = [b""]
+    for v in range(1, half + 1):
+        # v generates one p-cycle; walk it backwards from the non-member z
+        run = bytearray(p)
+        nxt = 0
+        for x in [y % p for y in range(z + (p - 1) * v, z, -v)]:
+            if inside[x]:
+                nxt += 1
+                run[x] = nxt
+            else:
+                nxt = 0
+        runs.append(bytes(run))
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _ratio_table(p: int) -> tuple[bytes, ...]:
+    """table[r][k1] = the least j >= 1 with ||j*r|| < k1, for 1 <= r < p and
+    1 <= k1 <= p: by the rule in the module docstring, the largest k2 with
+    Gap(p, a, (v1, r*v1), (k1, k2)) proper.  Entries are at most p <= 101,
+    so each row is a bytes object."""
+    table = [b""]
+    for r in range(1, p):
+        row = bytearray(p + 1)
+        low = p  # min ||i*r|| over 1 <= i < j; rows k1 <= low are unresolved
+        for j in range(1, p + 1):
+            x = j * r % p
+            norm = min(x, p - x)
+            if norm < low:
+                row[norm + 1:low + 1] = bytes([j]) * (low - norm)
+                low = norm
+        table.append(bytes(row))
+    return tuple(table)
 
 
 def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
@@ -192,6 +221,16 @@ def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
     normalized to 1 <= v <= (p-1)/2 (sign flips preserve the represented
     set) and 2-dim candidates to k_1 >= k_2; ties between maximizers are
     broken by smaller dimension, then lexicographically least (a, v, k).
+
+    Every candidate is accounted for.  One run table per generator serves
+    both dimensions.  Properness of (v1, v2; k1, k2) is read from
+    ``_ratio_table`` for r = v2/v1 mod p: it holds iff
+    min_{1 <= j < k2} ||j*r|| >= k1, with ||x|| = min(x mod p, p - x mod p),
+    since a collision is (i-i')*v1 == J*v2 with |i-i'| < k1 < p and
+    0 < |J| < k2.  Properness is monotone in k2 and a larger k2 is strictly
+    better, so only the largest proper k2 is offered per (a, v1, v2, k1);
+    a (v1, a, k1) whose best possible key cannot beat the incumbent is
+    skipped, as none of its candidates could win.
     """
     p = s.modulus
     require_prime(p)
@@ -201,53 +240,41 @@ def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
         raise ValueError("need d_max >= 1")
     if s.bits == 0:
         raise ValueError("empty set contains no progression")
-    members = s.bits
     elements = s.elements()
     size = len(elements)
-
-    best_key = None
-    best = None
-
-    def offer(nominal: int, a: int, vs: tuple[int, ...], ks: tuple[int, ...]):
-        nonlocal best_key, best
-        key = (-nominal, len(vs), a, vs, ks)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = Gap(p, a, vs, ks)
-
     if size == 1:
-        offer(1, elements[0], (0,), (1,))
-        return best
+        return Gap(p, elements[0], (0,), (1,))
 
     half = 1 if p == 2 else (p - 1) // 2
+    gens = range(1, half + 1)
+    runs = _run_tables(s, half)
     # dimension 1: for a prime modulus any v != 0, k <= p progression is proper
-    for v in range(1, half + 1):
-        run = _run_table(members, p, v)
-        for a in elements:
-            offer(run[a], a, (v,), (run[a],))
-    if best_key is not None and -best_key[0] >= size:
-        return best  # a proper progression already covers all of s
-
-    if d_max >= 2:
-        for v1 in range(1, half + 1):
-            run1 = _run_table(members, p, v1)
+    best_key = min((-runs[v][a], 1, a, (v,), (runs[v][a],))
+                   for v in gens for a in elements)
+    # dimension 2, unless a progression found above already covers all of s
+    if -best_key[0] < size and d_max >= 2:
+        ratios = _ratio_table(p)
+        for v1 in gens:
+            run1 = runs[v1]
+            inv = pow(v1, -1, p)
+            limits = [(v2, ratios[v2 * inv % p]) for v2 in gens]
             for a in elements:
-                r1 = run1[a]
-                for k1 in range(2, r1 + 1):
+                for k1 in range(2, run1[a] + 1):
                     cap2 = min(k1, size // k1, p // k1)
-                    if cap2 < 2:
+                    if cap2 < 2 or (-k1 * cap2, 2, a, (v1, 1), (k1, cap2)) >= best_key:
                         continue
-                    for v2 in range(1, half + 1):
-                        # extend rows a + j*v2 while each supports a k1-run
+                    for v2, limit in limits:
+                        # the largest k2 <= cap2 that is proper and whose rows
+                        # a + j*v2 (j < k2) each support a k1-run
+                        cap = limit[k1]
+                        if cap > cap2:
+                            cap = cap2
                         k2 = 1
-                        while k2 < cap2 and run1[(a + k2 * v2) % p] >= k1:
+                        while k2 < cap and run1[(a + k2 * v2) % p] >= k1:
                             k2 += 1
-                        for kk in range(2, k2 + 1):
-                            nominal = k1 * kk
-                            cand_key = (-nominal, 2, a, (v1, v2), (k1, kk))
-                            if best_key is not None and cand_key >= best_key:
-                                continue
-                            cand = Gap(p, a, (v1, v2), (k1, kk))
-                            if is_proper(cand):
-                                offer(nominal, a, (v1, v2), (k1, kk))
-    return best
+                        if k2 >= 2:
+                            key = (-k1 * k2, 2, a, (v1, v2), (k1, k2))
+                            if key < best_key:
+                                best_key = key
+    _, _, a, vs, ks = best_key
+    return Gap(p, a, vs, ks)

@@ -71,7 +71,7 @@ class GridSet:
         if self.lam < 2:
             raise ValueError(f"resolution must be >= 2, got {self.lam}")
         size = self.lam**self.dim
-        if self.cells and not all(0 <= c < size for c in self.cells):
+        if self.cells and not (min(self.cells) >= 0 and max(self.cells) < size):
             raise ValueError("cell index out of range")
 
     @classmethod
@@ -120,7 +120,7 @@ class GridSet:
     @classmethod
     def from_mask(cls, lam: int, mask: np.ndarray) -> "GridSet":
         flat = np.flatnonzero(mask.reshape(-1))
-        return cls(mask.ndim, lam, frozenset(int(i) for i in flat))
+        return cls(mask.ndim, lam, frozenset(flat.tolist()))
 
     @classmethod
     def parse(cls, text: str) -> "GridSet":

@@ -9,6 +9,7 @@ import pytest
 from dilates.errors import ScaleCapError
 from dilates.gaps import (Gap, expand, find_max_proper_gap, is_proper,
                           lambda_span_check, truncate_to_large_steps)
+from dilates.gaps import _ratio_table, _run_tables
 from dilates.residues import ResidueSet, iterated_sumset
 
 
@@ -293,3 +294,127 @@ def test_finder_beats_or_ties_exhaustive_reference():
         p = 13
         s = rs(p, rng.sample(range(p), rng.randint(2, p)))
         assert find_max_proper_gap(s, 2).nominal_size == reference_best_nominal(s, 2)
+
+
+def reference_find_max_proper_gap(s, d_max):
+    """The direct finder: run tables rebuilt per dimension, every (k1, kk)
+    below the row-extension bound tested by expanding it with is_proper."""
+    def run_table(members, p, v):
+        run = [0] * p
+        order = [0] * p
+        x = 0
+        for i in range(p):
+            order[i] = x
+            x = (x + v) % p
+        nxt = 0
+        for i in range(2 * p - 1, -1, -1):
+            x = order[i % p]
+            if members >> x & 1:
+                nxt = min(nxt + 1, p)
+            else:
+                nxt = 0
+            if i < p:
+                run[x] = nxt
+        return run
+
+    p = s.modulus
+    members = s.bits
+    elements = s.elements()
+    size = len(elements)
+    best_key = None
+    best = None
+
+    def offer(nominal, a, vs, ks):
+        nonlocal best_key, best
+        key = (-nominal, len(vs), a, vs, ks)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = Gap(p, a, vs, ks)
+
+    if size == 1:
+        offer(1, elements[0], (0,), (1,))
+        return best
+    half = 1 if p == 2 else (p - 1) // 2
+    for v in range(1, half + 1):
+        run = run_table(members, p, v)
+        for a in elements:
+            offer(run[a], a, (v,), (run[a],))
+    if -best_key[0] >= size:
+        return best
+    if d_max >= 2:
+        for v1 in range(1, half + 1):
+            run1 = run_table(members, p, v1)
+            for a in elements:
+                for k1 in range(2, run1[a] + 1):
+                    cap2 = min(k1, size // k1, p // k1)
+                    if cap2 < 2:
+                        continue
+                    for v2 in range(1, half + 1):
+                        k2 = 1
+                        while k2 < cap2 and run1[(a + k2 * v2) % p] >= k1:
+                            k2 += 1
+                        for kk in range(2, k2 + 1):
+                            cand_key = (-k1 * kk, 2, a, (v1, v2), (k1, kk))
+                            if cand_key >= best_key:
+                                continue
+                            if is_proper(Gap(p, a, (v1, v2), (k1, kk))):
+                                offer(k1 * kk, a, (v1, v2), (k1, kk))
+    return best
+
+
+def assert_finder_matches_reference(s):
+    for d_max in (1, 2):
+        got = find_max_proper_gap(s, d_max).format()
+        assert got == reference_find_max_proper_gap(s, d_max).format(), (s.format(), d_max)
+
+
+def test_finder_matches_reference_on_random_sets():
+    rng = random.Random(50)
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        for _ in range(8):
+            assert_finder_matches_reference(rs(p, rng.sample(range(p), rng.randint(1, p))))
+    for p in (61, 101):  # densities 1/4 .. 2/3, as in the oracles benchmark
+        for size in (p // 4, p // 2, 2 * p // 3):
+            assert_finder_matches_reference(rs(p, rng.sample(range(p), size)))
+
+
+def test_finder_matches_reference_on_edge_sets():
+    rng = random.Random(51)
+    for p in (2, 3, 5, 7, 11, 13, 31, 61, 101):
+        assert_finder_matches_reference(ResidueSet.full(p))
+        assert_finder_matches_reference(rs(p, [rng.randrange(p)]))
+        assert_finder_matches_reference(rs(p, rng.sample(range(p), min(2, p))))
+
+
+def test_finder_matches_reference_on_planted_progressions():
+    rng = random.Random(52)
+    for _ in range(12):
+        p = rng.choice([31, 61, 101])
+        planted = Gap(p, rng.randrange(p), (rng.randint(1, p - 1), rng.randint(1, p - 1)),
+                      (rng.randint(2, 6), rng.randint(2, 5)))
+        noise = rng.sample(range(p), rng.randint(0, 4))
+        assert_finder_matches_reference(rs(p, list(expand(planted).elements()) + noise))
+
+
+def test_ratio_table_decides_properness():
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        table = _ratio_table(p)
+        for v1, v2 in product(range(1, (p - 1) // 2 + 1), repeat=2):
+            limit = table[v2 * pow(v1, -1, p) % p]
+            for k1 in range(2, p // 2 + 1):
+                for k2 in range(2, min(k1, p // k1) + 1):
+                    gap = Gap(p, 0, (v1, v2), (k1, k2))
+                    assert (k2 <= limit[k1]) == is_proper(gap), gap.format()
+
+
+def test_run_tables_count_runs():
+    rng = random.Random(53)
+    for p in (2, 3, 7, 13, 31):
+        for s in (rs(p, rng.sample(range(p), rng.randint(1, p))), ResidueSet.full(p)):
+            half = 1 if p == 2 else (p - 1) // 2
+            runs = _run_tables(s, half)
+            for v, x in product(range(1, half + 1), range(p)):
+                k = 0
+                while k < p and (x + k * v) % p in s:
+                    k += 1
+                assert runs[v][x] == k

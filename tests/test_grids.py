@@ -36,6 +36,27 @@ def test_gridset_roundtrip_and_measure():
         GridSet.from_tuples(2, 3, [(1,)])
 
 
+def test_gridset_rejects_out_of_range_cells():
+    for cells in ([-1], [0, 9], [3, -2, 8], [100]):
+        with pytest.raises(ValueError, match="cell index out of range"):
+            GridSet(2, 3, frozenset(cells))
+    assert GridSet(2, 3, frozenset([0, 8])).cells == {0, 8}
+    assert GridSet(2, 3, frozenset()).cells == frozenset()
+
+
+def test_from_mask_matches_from_tuples():
+    rng = np.random.default_rng(7)
+    for dim in range(1, 5):
+        for lam in (2, 3, 5):
+            for density in (0.0, 0.3, 1.0):
+                mask = rng.random((lam,) * dim) < density
+                s = GridSet.from_mask(lam, mask)
+                expected = GridSet.from_tuples(dim, lam, map(tuple, np.argwhere(mask).tolist()))
+                assert s == expected
+                assert all(type(c) is int for c in s.cells)
+                assert np.array_equal(s.to_mask(), mask)
+
+
 def test_projections_examples():
     s = GridSet.from_tuples(2, 3, [(1, 2)])
     assert project_drop_first(s).tuples() == ((2,),)

@@ -14,9 +14,9 @@ from .grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                     irwin_hall_volume, optimized_box_sides_3d,
                     project_drop_first, project_drop_last, simplex_construction,
                     simplex_grid_set)
-from .intervals import (ChainReport, TorusIntervalSet, check_overflow_containment,
-                        discretize_to_zp, encode_grid_to_intervals,
-                        interval_dilate_sum, pipeline_check, scale_intervals)
+from .intervals import (ChainReport, TorusIntervalSet, discretize_to_zp,
+                        encode_grid_to_intervals, interval_dilate_sum,
+                        pipeline_check, scale_intervals)
 from .residues import (Kernel, ResidueSet, affine_image, canonical_form,
                        difference_set, dilate, dilate_sum, is_canonical,
                        is_prime, iterated_sumset, kfold_dilate_sum, sumset)

@@ -21,7 +21,7 @@ from hashlib import sha256
 from pathlib import Path
 
 ENV_CACHE_DIR = "DILATES_CACHE_DIR"
-KINDS = ("construct", "verify", "search", "sweep", "gap", "pipeline")
+KINDS = ("construct", "verify", "search", "sweep", "gap")
 
 # os.umask can only be read by setting it; do that once, at import.
 _UMASK = os.umask(0)

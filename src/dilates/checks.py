@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .residues import (Kernel, ResidueSet, dilate, dilate_sum, iterated_sumset,
+from .residues import (ResidueSet, dilate, dilate_sum, iterated_sumset,
                        kfold_dilate_sum, require_prime, sumset)
 
 __all__ = [
@@ -79,8 +79,7 @@ def _require_nonempty(*sets: ResidueSet) -> None:
             raise ValueError("inequality checks need nonempty sets")
 
 
-def check_cauchy_davenport(a: ResidueSet, b: ResidueSet,
-                           kernel: Kernel | None = None) -> IneqReport:
+def check_cauchy_davenport(a: ResidueSet, b: ResidueSet) -> IneqReport:
     """|A + B| >= min(|A| + |B| - 1, p) over a prime modulus.
 
     slack = lhs - rhs >= 0 when the theorem holds; slack 0 occurs e.g. for
@@ -88,7 +87,7 @@ def check_cauchy_davenport(a: ResidueSet, b: ResidueSet,
     """
     require_prime(a.modulus)
     _require_nonempty(a, b)
-    lhs = len(sumset(a, b, kernel))
+    lhs = len(sumset(a, b))
     rhs = min(len(a) + len(b) - 1, a.modulus)
     return IneqReport(
         inequality="cauchy-davenport",
@@ -97,13 +96,12 @@ def check_cauchy_davenport(a: ResidueSet, b: ResidueSet,
     )
 
 
-def check_ruzsa_triangle(x: ResidueSet, y: ResidueSet, z: ResidueSet,
-                         kernel: Kernel | None = None) -> IneqReport:
+def check_ruzsa_triangle(x: ResidueSet, y: ResidueSet, z: ResidueSet) -> IneqReport:
     """|X| * |Y + Z| <= |X + Y| * |X + Z| (sum form of the triangle
     inequality; valid in any Z/NZ).  slack = rhs - lhs."""
     _require_nonempty(x, y, z)
-    lhs = len(x) * len(sumset(y, z, kernel))
-    rhs = len(sumset(x, y, kernel)) * len(sumset(x, z, kernel))
+    lhs = len(x) * len(sumset(y, z))
+    rhs = len(sumset(x, y)) * len(sumset(x, z))
     return IneqReport(
         inequality="ruzsa-triangle",
         lhs=lhs, rhs=rhs, holds=lhs <= rhs, slack=rhs - lhs,
@@ -111,19 +109,18 @@ def check_ruzsa_triangle(x: ResidueSet, y: ResidueSet, z: ResidueSet,
     )
 
 
-def _fold(b: ResidueSet, m: int, kernel: Kernel | None) -> ResidueSet:
+def _fold(b: ResidueSet, m: int) -> ResidueSet:
     """m-fold sumset with the 0-fold convention {0}."""
     if m == 0:
         return ResidueSet.from_elements(b.modulus, [0])
-    return iterated_sumset(b, m, kernel)
+    return iterated_sumset(b, m)
 
 
 def _max_element(s: ResidueSet) -> int:
     return s.bits.bit_length() - 1
 
 
-def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int,
-                    kernel: Kernel | None = None) -> IneqReport:
+def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int) -> IneqReport:
     """|mB - nB| <= K^(m+n) |A| where K = |A+B|/|A| (minimal admissible).
 
     Z-emulation: requires modulus > (m+n)*max(B) and > max(A)+max(B) so no
@@ -136,10 +133,10 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int,
     needed = max((m + n) * _max_element(b), _max_element(a) + _max_element(b))
     if modulus <= needed:
         raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
-    k = Fraction(len(sumset(a, b, kernel)), len(a))
-    mb = _fold(b, m, kernel)
-    nb = dilate(_fold(b, n, kernel), -1)
-    lhs = len(sumset(mb, nb, kernel))
+    k = Fraction(len(sumset(a, b)), len(a))
+    mb = _fold(b, m)
+    nb = dilate(_fold(b, n), -1)
+    lhs = len(sumset(mb, nb))
     rhs = k ** (m + n) * len(a)
     return IneqReport(
         inequality="plunnecke-ruzsa",
@@ -148,8 +145,7 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int,
     )
 
 
-def check_dilate_chain(b: ResidueSet, lam: int, l: int,
-                       kernel: Kernel | None = None) -> IneqReport:
+def check_dilate_chain(b: ResidueSet, lam: int, l: int) -> IneqReport:
     """|B + lam*B + ... + lam^l * B| <= K^(7l-6) |B| with K = |B+lam*B|/|B|.
 
     Also evaluates the intermediate bounds |B+B| <= K^2 |B| and
@@ -165,16 +161,16 @@ def check_dilate_chain(b: ResidueSet, lam: int, l: int,
         raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
 
     size = len(b)
-    k = Fraction(len(dilate_sum(b, lam, kernel)), size)
+    k = Fraction(len(dilate_sum(b, lam)), size)
     chain = b
     for i in range(1, l + 1):
-        chain = sumset(chain, dilate(b, lam**i), kernel)
+        chain = sumset(chain, dilate(b, lam**i))
     lhs = len(chain)
     rhs = k ** (7 * l - 6) * size
 
-    double = sumset(b, b, kernel)
+    double = sumset(b, b)
     bb = len(double)
-    bb_lam = len(sumset(double, dilate(b, lam), kernel))
+    bb_lam = len(sumset(double, dilate(b, lam)))
     details = (
         ("double_sum", str(bb)),
         ("double_sum_bound", _num(k**2 * size)),
@@ -192,8 +188,7 @@ def check_dilate_chain(b: ResidueSet, lam: int, l: int,
     )
 
 
-def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int,
-                         kernel: Kernel | None = None) -> IneqReport:
+def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int) -> IneqReport:
     """|A + ... + A + lam*A| >= min(p, |A + lam*A| + (k-2)(|A| - 1)),
     by chaining Cauchy-Davenport across the k-1 plain summands.
     slack = lhs - rhs."""
@@ -201,9 +196,9 @@ def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int,
     if k < 2:
         raise ValueError("need k >= 2")
     _require_nonempty(a)
-    lhs = len(kfold_dilate_sum(a, k, lam, kernel))
+    lhs = len(kfold_dilate_sum(a, k, lam))
     rhs = min(a.modulus,
-              len(dilate_sum(a, lam, kernel)) + (k - 2) * (len(a) - 1))
+              len(dilate_sum(a, lam)) + (k - 2) * (len(a) - 1))
     return IneqReport(
         inequality="kfold-cd-chain",
         lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs,

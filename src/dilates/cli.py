@@ -24,8 +24,7 @@ from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
 from .residues import ResidueSet
-from .search import (CSV_HEADER, SearchTask, csv_row, run_task, sweep, sweep_csv,
-                     sweep_rows)
+from .search import SearchTask, rows_csv, run_task, sweep, sweep_csv, sweep_rows
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -55,6 +54,13 @@ def _write(path: Path, data: bytes, quiet: bool = False) -> None:
     cache_mod.atomic_write(path, data)
     if not quiet:
         print(f"wrote {path}")
+
+
+def _write_dat(path: Path, column: str, points) -> None:
+    """Plot data: a `# alpha <column>` header, then one sorted point per line."""
+    lines = [f"# alpha {column}"]
+    lines += [f"{float(x):.12g} {float(y):.12g}" for x, y in sorted(points)]
+    _write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _frac_str(f: Fraction) -> str:
@@ -208,22 +214,16 @@ def _cmd_report(args) -> int:
         rows.append((task["p"], task["lambda"], task["m"], outputs))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out_dir = Path(args.out)
-    lines = [CSV_HEADER]
     by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
     by_cell: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for p, lam, m, outputs in rows:
-        lines.append(csv_row(outputs))
         alpha = Fraction(outputs["alpha"])
         ratio = Fraction(outputs["min_over_p"])
         by_lam.setdefault(lam, []).append((alpha, ratio))
         by_cell.setdefault((lam, p), []).append((m, ratio))
-    _write(out_dir / "results.csv", ("\n".join(lines) + "\n").encode())
+    _write(out_dir / "results.csv", rows_csv([outputs for *_, outputs in rows]).encode())
     for lam in sorted(by_lam):
-        data_lines = ["# alpha min_over_p"]
-        for alpha, ratio in sorted(by_lam[lam]):
-            data_lines.append(f"{float(alpha):.12g} {float(ratio):.12g}")
-        _write(out_dir / f"min_density_lambda{lam}.dat",
-               ("\n".join(data_lines) + "\n").encode())
+        _write_dat(out_dir / f"min_density_lambda{lam}.dat", "min_over_p", by_lam[lam])
     # envelope: the minimum over all sizes >= m, reported without assuming
     # the per-m minimum is monotone
     env_by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
@@ -234,11 +234,8 @@ def _cmd_report(args) -> int:
             running = ratio if running is None else min(running, ratio)
             env_by_lam.setdefault(lam, []).append((Fraction(m, p), running))
     for lam in sorted(env_by_lam):
-        data_lines = ["# alpha envelope_min_over_p"]
-        for alpha, ratio in sorted(env_by_lam[lam]):
-            data_lines.append(f"{float(alpha):.12g} {float(ratio):.12g}")
-        _write(out_dir / f"envelope_lambda{lam}.dat",
-               ("\n".join(data_lines) + "\n").encode())
+        _write_dat(out_dir / f"envelope_lambda{lam}.dat", "envelope_min_over_p",
+                   env_by_lam[lam])
     print(f"rendered {len(rows)} cached results")
     return EXIT_OK
 

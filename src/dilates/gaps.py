@@ -100,10 +100,10 @@ class Gap:
         return f"p={self.modulus};a={self.base};v=[{v}];k=[{k}]"
 
 
-def expand(gap: Gap, cap: int = _EXPAND_CAP) -> ResidueSet:
+def expand(gap: Gap) -> ResidueSet:
     """All residues the progression represents (with multiplicity collapsed)."""
-    if gap.nominal_size > cap:
-        raise ScaleCapError(f"nominal size {gap.nominal_size} exceeds cap {cap}")
+    if gap.nominal_size > _EXPAND_CAP:
+        raise ScaleCapError(f"nominal size {gap.nominal_size} exceeds cap {_EXPAND_CAP}")
     p = gap.modulus
     values = {gap.base}
     for v, k in zip(gap.generators, gap.lengths):
@@ -111,11 +111,11 @@ def expand(gap: Gap, cap: int = _EXPAND_CAP) -> ResidueSet:
     return ResidueSet.from_elements(p, values)
 
 
-def is_proper(gap: Gap, cap: int = _EXPAND_CAP) -> bool:
+def is_proper(gap: Gap) -> bool:
     """True iff all nominal_size combinations are distinct residues."""
     if gap.nominal_size > gap.modulus:
         return False
-    return len(expand(gap, cap)) == gap.nominal_size
+    return len(expand(gap)) == gap.nominal_size
 
 
 def truncate_to_large_steps(gap: Gap, lam: int) -> Gap:
@@ -136,8 +136,7 @@ def truncate_to_large_steps(gap: Gap, lam: int) -> Gap:
                tuple(gap.lengths[i] for i in kept))
 
 
-def lambda_span_check(gap: Gap, lam: int, exponent: int,
-                      cap: int = _EXPAND_CAP) -> IneqReport:
+def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
     """Verify P' + lam*P' + ... + lam^d*P' contains the lam^d-fold sumset
     of P', for a truncation P' whose lengths all satisfy k_i >= lam.
 
@@ -149,10 +148,10 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int,
         raise ValueError("need lam >= 2 and exponent >= 0")
     if any(k < lam for k in gap.lengths):
         raise ValueError("span check requires every length >= lam")
-    if lam**exponent * gap.nominal_size > cap:
+    if lam**exponent * gap.nominal_size > _EXPAND_CAP:
         raise ScaleCapError("span check exceeds enumeration cap")
     p = gap.modulus
-    base = expand(gap, cap)
+    base = expand(gap)
     lhs_set = base
     for j in range(1, exponent + 1):
         lhs_set = sumset(lhs_set, dilate(base, pow(lam, j, p)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import MathAssertionError, ScaleCapError
 from .grids import GridSet, grid_projection_sumset
-from .residues import Kernel, ResidueSet, dilate_sum, require_prime
+from .residues import ResidueSet, dilate_sum, require_prime
 
 __all__ = [
     "TorusIntervalSet",
@@ -30,7 +30,6 @@ __all__ = [
     "discretize_to_zp",
     "ChainReport",
     "pipeline_check",
-    "check_overflow_containment",
 ]
 
 _ENCODE_CAP = 1 << 30   # largest denominator lam**n we will materialize
@@ -114,14 +113,6 @@ class TorusIntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def rescale(self, new_denominator: int) -> "TorusIntervalSet":
-        """Re-express over a denominator that is a multiple of the current one."""
-        q, r = divmod(new_denominator, self.denominator)
-        if r != 0 or q < 1:
-            raise ValueError("new denominator must be a positive multiple")
-        return TorusIntervalSet(new_denominator,
-                                tuple((a * q, b * q) for a, b in self.intervals))
-
     def contains_set(self, other: "TorusIntervalSet") -> bool:
         """True iff other is a subset of self, exact over the common denominator.
 
@@ -165,12 +156,12 @@ class TorusIntervalSet:
         return f"D={self.denominator};{body}" if body else f"D={self.denominator};"
 
 
-def encode_grid_to_intervals(s: GridSet, size_cap: int = _ENCODE_CAP) -> TorusIntervalSet:
+def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
     """Map each grid cell x to the interval [y, y + lam^-n) with
     y = sum x_i lam^-i; the flattened cell index is exactly y * lam^n."""
     d = s.lam**s.dim
-    if d > size_cap:
-        raise ScaleCapError(f"lam^n = {d} exceeds encode cap {size_cap}")
+    if d > _ENCODE_CAP:
+        raise ScaleCapError(f"lam^n = {d} exceeds encode cap {_ENCODE_CAP}")
     cells = np.fromiter(s.cells, dtype=_endpoint_dtype(d), count=len(s.cells))
     return TorusIntervalSet(d, _normalize(d, cells, cells + 1))
 
@@ -184,11 +175,10 @@ def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     return TorusIntervalSet.from_raw(d, [(lam * x, lam * y) for x, y in a.intervals])
 
 
-def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet,
-               pair_cap: int = _PAIR_CAP) -> TorusIntervalSet:
+def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     if a.is_empty() or b.is_empty():
         return TorusIntervalSet.empty(a.denominator)
-    if len(a.intervals) * len(b.intervals) > pair_cap:
+    if len(a.intervals) * len(b.intervals) > _PAIR_CAP:
         raise ScaleCapError("interval Minkowski sum exceeds pair cap")
     d = a.denominator
     dtype = _endpoint_dtype(d)  # pair sums reach 2*d
@@ -199,19 +189,18 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet,
     return TorusIntervalSet(d, _normalize(d, starts, ends))
 
 
-def interval_dilate_sum(a: TorusIntervalSet, lam: int,
-                        pair_cap: int = _PAIR_CAP) -> TorusIntervalSet:
+def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     """Exact A + lam*A on the circle.
 
     Every pair of intervals [x1, y1) of A and [x2, y2) of lam*A gives the
-    arc [x1 + x2, y1 + y2); the |A|*|lam*A| pair sums (at most pair_cap,
+    arc [x1 + x2, y1 + y2); the |A|*|lam*A| pair sums (at most _PAIR_CAP,
     else ScaleCapError) are formed as arrays and normalized by one sort and
     a running-maximum merge.  Endpoints are int64 while twice the
     denominator fits, exact Python ints otherwise.
     """
     if lam < 2:
         raise ValueError("need lam >= 2")
-    return _minkowski(a, scale_intervals(a, lam), pair_cap)
+    return _minkowski(a, scale_intervals(a, lam))
 
 
 def discretize_to_zp(a: TorusIntervalSet, p: int, check_prime: bool = True) -> ResidueSet:
@@ -279,17 +268,7 @@ class ChainReport:
         }
 
 
-def check_overflow_containment(s: GridSet) -> bool:
-    """Carry soundness: A + lam*A stays inside the cells predicted by the
-    projection sumset, as interval sets over denominator lam^(n-1)."""
-    a = encode_grid_to_intervals(s)
-    summed = interval_dilate_sum(a, s.lam)
-    prediction = encode_grid_to_intervals(grid_projection_sumset(s))
-    return prediction.contains_set(summed)
-
-
-def pipeline_check(s: GridSet, p: int, kernel: Kernel | None = None,
-                   strict: bool = True) -> ChainReport:
+def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
     """Run the full chain for one grid set and verify both inequalities.
 
     With strict=True (default) a violated inequality raises
@@ -300,7 +279,7 @@ def pipeline_check(s: GridSet, p: int, kernel: Kernel | None = None,
     a = encode_grid_to_intervals(s)
     a_sum = interval_dilate_sum(a, s.lam)
     a_p = discretize_to_zp(a, p)
-    a_p_sum = dilate_sum(a_p, s.lam, kernel)
+    a_p_sum = dilate_sum(a_p, s.lam)
     s_prime = grid_projection_sumset(s)
 
     report = ChainReport(

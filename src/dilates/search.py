@@ -8,10 +8,11 @@ the map z -> (z - x) / (y - x) sends A to an image containing 0 and 1.
 So the scan visits only the C(p-2, m-2) sets {0, 1} + (an (m-2)-subset
 of 2..p-1), and {0} alone for m = 1.  is_canonical compares a visited set
 with its m(m-1) pair images, because every image starting (0, 1) is the
-image of the pair sent to 0 and 1.  The anchored sets are split into
-contiguous lexicographic rank ranges, which makes parallel runs reduce to
-the same (min, lexicographically-least-witness) answer for any worker
-count.
+image of the pair sent to 0 and 1.  A parallel run splits the anchored
+sets at their third element: each chunk is the lexicographically
+contiguous run {0, 1, x} + (an (m-3)-subset of x+1..p-1), which makes
+parallel runs reduce to the same (min, lexicographically-least-witness)
+answer for any worker count.
 
 Heuristic mode is plain seeded simulated annealing over single-element
 swaps and only ever reports an upper bound.
@@ -26,11 +27,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
+from itertools import combinations
 from math import comb
 
 from .errors import ScaleCapError
-from .residues import (Kernel, ResidueSet, canonical_form, dilate_sum,
-                       is_canonical, require_prime)
+from .residues import (ResidueSet, canonical_form, dilate_sum, is_canonical,
+                       require_prime)
 
 __all__ = [
     "SearchTask",
@@ -42,12 +44,11 @@ __all__ = [
     "SweepReport",
     "sweep_rows",
     "sweep_csv",
-    "csv_row",
+    "rows_csv",
     "CSV_HEADER",
 ]
 
 _CLASS_CAP = 10**8
-_CHUNK_TARGET = 64  # chunks per parallel exact search
 
 
 @dataclass(frozen=True)
@@ -114,94 +115,50 @@ class SearchResult:
         )
 
 
-def _combination_unrank(p: int, m: int, rank: int) -> list[int]:
-    """The rank-th m-combination of range(p) in lexicographic order."""
-    combo = []
-    c = 0
-    for slot in range(m):
-        while True:
-            below = comb(p - c - 1, m - slot - 1)
-            if rank < below:
-                combo.append(c)
-                c += 1
-                break
-            rank -= below
-            c += 1
-    return combo
-
-
-def _next_combination(combo: list[int], p: int) -> bool:
-    """Advance to the lexicographic successor in place; False when done."""
-    m = len(combo)
-    i = m - 1
-    while i >= 0 and combo[i] == p - m + i:
-        i -= 1
-    if i < 0:
-        return False
-    combo[i] += 1
-    for j in range(i + 1, m):
-        combo[j] = combo[j - 1] + 1
-    return True
-
-
-def _scan_chunk(args: tuple[int, int, int, int, int]) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """Scan `count` sets through the anchor {0, 1}[:k], k = min(m, 2),
-    starting at the `start`-th in lexicographic order; score canonical
-    representatives only.  Returns (local min, local witness, classes).
-
-    The lexicographic successor of an anchored set that is not the last
-    one is anchored too, and `count` ends the scan at the last one."""
-    p, lam, m, start, count = args
-    k = min(m, 2)
-    combo = list(range(k)) + [x + k for x in _combination_unrank(p - k, m - k, start)]
+def _scan_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """Scan the sets head + c, c an (m - len(head))-combination of
+    head[-1] + 1 .. p - 1, in lexicographic order; score canonical
+    representatives only.  Returns (local min, local witness, classes)."""
+    p, lam, m, head = args
     best_size = None
     best_witness = None
     classes = 0
-    for _ in range(count):
+    for tail in combinations(range(head[-1] + 1, p), m - len(head)):
+        combo = head + tail
         a = ResidueSet.from_elements(p, combo)
         if is_canonical(a):
             classes += 1
             size = len(dilate_sum(a, lam))
             if best_size is None or size < best_size:
                 best_size = size
-                best_witness = tuple(combo)
-        if not _next_combination(combo, p):
-            break
+                best_witness = combo
     return best_size, best_witness, classes
 
 
-def exact_min_dilate_sumset(task: SearchTask, workers: int = 1,
-                            class_cap: int = _CLASS_CAP) -> SearchResult:
+def exact_min_dilate_sumset(task: SearchTask, workers: int = 1) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
     Visits only the C(p - k, m - k) sets through the anchor {0, 1}[:k],
     k = min(m, 2), in lexicographic order.  Deterministic for any worker
     count: chunk minima merge by (size, lexicographic witness).  Estimated
-    canonical class count must stay under class_cap.
+    canonical class count must stay under _CLASS_CAP.
     """
     if task.mode != "exact":
         raise ValueError("task.mode must be 'exact'")
     p, m = task.p, task.m
     est_classes = max(comb(p, m) // (p * (p - 1)), 1)
-    if est_classes > class_cap:
+    if est_classes > _CLASS_CAP:
         raise ScaleCapError(
-            f"~{est_classes} canonical classes exceed cap {class_cap}; "
+            f"~{est_classes} canonical classes exceed cap {_CLASS_CAP}; "
             "use heuristic mode")
 
     k = min(m, 2)
-    total = comb(p - k, m - k)
-    chunks = []
-    if workers > 1 and total > 1024:
-        n_chunks = min(_CHUNK_TARGET, total)
-        bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-        chunks = [(p, task.lam, m, lo, hi - lo)
-                  for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-    if chunks:
+    if workers > 1 and comb(p - k, m - k) > 1024:
+        chunks = [(p, task.lam, m, (0, 1, x)) for x in range(2, p - m + 3)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_chunk, chunks))
     else:
-        parts = [_scan_chunk((p, task.lam, m, 0, total))]
+        parts = [_scan_chunk((p, task.lam, m, (0, 1)[:k]))]
 
     best_size, best_witness, classes = None, None, 0
     for size, witness, count in parts:
@@ -220,18 +177,11 @@ def exact_min_dilate_sumset(task: SearchTask, workers: int = 1,
     )
 
 
-def exact_min_reference(p: int, lam: int, m: int,
-                        kernel: Kernel | None = None) -> int:
+def exact_min_reference(p: int, lam: int, m: int) -> int:
     """No-pruning oracle: scan every one of the C(p, m) subsets."""
     require_prime(p)
-    combo = list(range(m))
-    best = p + 1
-    while True:
-        size = len(dilate_sum(ResidueSet.from_elements(p, combo), lam, kernel))
-        if size < best:
-            best = size
-        if not _next_combination(combo, p):
-            return best
+    return min(len(dilate_sum(ResidueSet.from_elements(p, combo), lam))
+               for combo in combinations(range(p), m))
 
 
 def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
@@ -348,9 +298,7 @@ def sweep_rows(report: SweepReport) -> list[dict]:
     return [r.to_json_dict(t) for t, r in zip(report.tasks, report.results)]
 
 
-def csv_row(row: dict) -> str:
-    """One CSV line (CSV_HEADER order) for a search-result JSON dict, as
-    built by SearchResult.to_json_dict."""
+def _csv_row(row: dict) -> str:
     task = row["task"]
     return ",".join([
         str(task["p"]), str(task["lambda"]), str(task["m"]), row["alpha"],
@@ -359,6 +307,12 @@ def csv_row(row: dict) -> str:
     ])
 
 
+def rows_csv(rows: list[dict]) -> str:
+    """Render search-result JSON dicts, as built by SearchResult.to_json_dict,
+    as CSV (fixed header, LF newlines, exact rationals)."""
+    return "\n".join([CSV_HEADER, *map(_csv_row, rows)]) + "\n"
+
+
 def sweep_csv(report: SweepReport) -> str:
-    """Render a sweep as CSV (fixed header, LF newlines, exact rationals)."""
-    return "\n".join([CSV_HEADER, *map(csv_row, sweep_rows(report))]) + "\n"
+    """Render a sweep as CSV, one row per cell in sweep order."""
+    return rows_csv(sweep_rows(report))

@@ -103,8 +103,9 @@ def test_gap_validation_and_literals():
     assert Gap.parse(g.format()) == g
     assert g.is_degenerate  # a k=1 term
     assert not Gap(11, 0, (2,), (3,)).is_degenerate
-    with pytest.raises(ScaleCapError):
-        expand(Gap(101, 0, (1, 2), (101, 101)), cap=100)
+    # 101^4 > 2^26: refused before any residue is enumerated
+    with pytest.raises(ScaleCapError, match="exceeds cap"):
+        expand(Gap(101, 0, (1, 2, 3, 4), (101,) * 4))
 
 
 # ---------------------------------------------------------------- truncation

@@ -10,10 +10,9 @@ import pytest
 from dilates import intervals
 from dilates.errors import ScaleCapError
 from dilates.grids import GridSet, box_grid_set
-from dilates.intervals import (TorusIntervalSet, check_overflow_containment,
-                               discretize_to_zp, encode_grid_to_intervals,
-                               interval_dilate_sum, pipeline_check,
-                               scale_intervals)
+from dilates.intervals import (TorusIntervalSet, discretize_to_zp,
+                               encode_grid_to_intervals, interval_dilate_sum,
+                               pipeline_check, scale_intervals)
 
 F = Fraction
 
@@ -58,13 +57,10 @@ def test_parse_format_roundtrip():
         TorusIntervalSet.parse("9;[1,2)")
 
 
-def test_rescale_and_caps():
-    s = tis(3, [(1, 2)])
-    assert s.rescale(9).intervals == ((3, 6),)
-    with pytest.raises(ValueError):
-        s.rescale(7)
-    with pytest.raises(ScaleCapError):
-        encode_grid_to_intervals(GridSet.from_tuples(2, 9, [(1, 1)]), size_cap=10)
+def test_encode_cap():
+    # 200^4 > 2^30: refused before the one cell is encoded
+    with pytest.raises(ScaleCapError, match="encode cap"):
+        encode_grid_to_intervals(GridSet.from_tuples(4, 200, [(1, 1, 1, 1)]))
 
 
 def test_contains_set_across_denominators():
@@ -143,13 +139,12 @@ def test_interval_dilate_sum_examples():
     assert interval_dilate_sum(TorusIntervalSet.empty(9), 3).is_empty()
     with pytest.raises(ValueError):
         interval_dilate_sum(a, 1)
-    # the pair cap: 1001 * 1000 pairs > _PAIR_CAP, and a caller's own cap
+    # the pair cap: 1001 * 1000 pairs > 10^6 is refused, exactly 10^6 runs
+    thousand = tis(10**4, [(2 * i, 2 * i + 1) for i in range(1000)])
     with pytest.raises(ScaleCapError, match="pair cap"):
         intervals._minkowski(tis(10**4, [(2 * i, 2 * i + 1) for i in range(1001)]),
-                             tis(10**4, [(2 * i, 2 * i + 1) for i in range(1000)]))
-    with pytest.raises(ScaleCapError, match="pair cap"):
-        interval_dilate_sum(tis(9, [(0, 1), (3, 4)]), 2, pair_cap=3)
-    assert interval_dilate_sum(tis(9, [(0, 1), (3, 4)]), 2, pair_cap=4).measure() > 0
+                             thousand)
+    assert intervals._minkowski(thousand, thousand) == tis(10**4, [(0, 3998)])
 
 
 def reference_from_raw(d, raw):
@@ -332,12 +327,15 @@ def test_pipeline_requires_prime_and_dim2():
 
 
 def test_overflow_containment_random_grids():
+    # carry soundness: A + lam*A stays inside the cells the projection
+    # sumset predicts
     rng = random.Random(25)
     for _ in range(40):
         dim = rng.choice([2, 3])
         lam = rng.choice([2, 3, 4])
         cells = frozenset(rng.sample(range(lam**dim), rng.randint(0, min(20, lam**dim))))
-        assert check_overflow_containment(GridSet(dim, lam, cells))
+        grid = GridSet(dim, lam, cells)
+        assert pipeline_check(grid, 101).interval_inside_grid_prediction
 
 
 def test_chain_holds_on_random_grids():

@@ -12,7 +12,6 @@ from dilates.residues import ResidueSet, canonical_form, dilate_sum, is_canonica
 from dilates.search import (SearchTask, exact_min_dilate_sumset,
                             exact_min_reference, heuristic_min_dilate_sumset,
                             sweep, sweep_csv)
-from dilates.search import _combination_unrank, _next_combination
 
 
 def test_task_validation():
@@ -27,20 +26,6 @@ def test_task_validation():
     t = SearchTask(p=7, lam=2, m=2)
     assert t.digest() == SearchTask(p=7, lam=2, m=2).digest()
     assert t.digest() != SearchTask(p=7, lam=3, m=2).digest()
-
-
-def test_combination_enumeration_matches_itertools():
-    for p, m in ((6, 3), (7, 2), (9, 4)):
-        expected = list(combinations(range(p), m))
-        got = []
-        combo = _combination_unrank(p, m, 0)
-        while True:
-            got.append(tuple(combo))
-            if not _next_combination(combo, p):
-                break
-        assert got == expected
-        for rank in (0, 1, len(expected) // 2, len(expected) - 1):
-            assert tuple(_combination_unrank(p, m, rank)) == expected[rank]
 
 
 def test_exact_examples():
@@ -60,6 +45,29 @@ def test_exact_m2_oracle_all_21_subsets():
                for pair in combinations(range(7), 2))
     assert best == 4
     assert exact_min_dilate_sumset(SearchTask(p=7, lam=2, m=2)).min_size == 4
+
+
+def test_exact_result_matches_brute_force():
+    # every field of the result against all C(p, m) subsets: the minimum,
+    # the lexicographically least canonical minimizer and the orbit count
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, p + 1):
+            subsets = list(combinations(range(p), m))
+            canon = [canonical_form(ResidueSet.from_elements(p, c)) for c in subsets]
+            classes = len(set(canon))
+            for lam in (-1, 0, 1, 2, 3):
+                sizes = [len({(x + lam * y) % p for x in c for y in c})
+                         for c in subsets]
+                best = min(sizes)
+                witness = min(c.elements() for c, size in zip(canon, sizes)
+                              if size == best)
+                r = exact_min_dilate_sumset(SearchTask(p=p, lam=lam, m=m))
+                assert (r.min_size, r.witness.elements(), r.classes_enumerated) \
+                    == (best, witness, classes), (p, lam, m)
+    # C(21, 3) = 1330 anchored sets: above the parallel threshold of 1024
+    task = SearchTask(p=23, lam=3, m=5)
+    assert exact_min_dilate_sumset(task, workers=2) == \
+        exact_min_dilate_sumset(task, workers=1)
 
 
 def test_exact_agrees_with_reference():
@@ -126,7 +134,7 @@ def test_exact_visits_only_anchored_sets(monkeypatch):
 
 def test_exact_class_cap():
     with pytest.raises(ScaleCapError, match="heuristic"):
-        exact_min_dilate_sumset(SearchTask(p=101, lam=2, m=40), class_cap=10)
+        exact_min_dilate_sumset(SearchTask(p=101, lam=2, m=40))
 
 
 def test_heuristic_budget_zero_returns_interval():

@@ -23,8 +23,8 @@ from .gaps import Gap, expand, find_max_proper_gap, is_proper, lambda_span_check
 from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
-from .residues import ResidueSet
-from .search import SearchTask, rows_csv, run_task, sweep, sweep_csv, sweep_rows
+from .residues import ResidueSet, require_prime
+from .search import SearchTask, rows_csv, solve_cell, sweep, sweep_csv, sweep_rows
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -50,10 +50,9 @@ def _parse_m_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _write(path: Path, data: bytes, quiet: bool = False) -> None:
+def _write(path: Path, data: bytes) -> None:
     cache_mod.atomic_write(path, data)
-    if not quiet:
-        print(f"wrote {path}")
+    print(f"wrote {path}")
 
 
 def _write_dat(path: Path, column: str, points) -> None:
@@ -102,6 +101,8 @@ def _cmd_construct(args) -> int:
         grid = simplex_grid_set(args.n, args.lam)
         label = "simplex"
 
+    if args.p:
+        require_prime(args.p)  # before any output file is written
     artifacts = {"construction": label, "grid": grid.format(), **extra}
     _write(out_dir / f"{label}_grid.txt", (grid.format() + "\n").encode())
     if len(grid) == 0:
@@ -145,14 +146,8 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     task = SearchTask(p=args.p, lam=args.lam, m=args.m, mode=args.mode,
                       seed=args.seed, budget=args.budget)
-    cached = cache_mod.load_outputs(args.cache_dir, "search", task.digest())
-    if cached is not None:
-        print(json.dumps(cached, indent=2, sort_keys=True))
-        return EXIT_OK
-    result = run_task(task, workers=args.workers)
-    payload = result.to_json_dict(task)
-    cache_mod.store_experiment(args.cache_dir, "search", task.digest(), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    result, _ = solve_cell(task, args.workers, args.cache_dir)
+    print(json.dumps(result.to_json_dict(task), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -203,11 +203,10 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     return _minkowski(a, scale_intervals(a, lam))
 
 
-def discretize_to_zp(a: TorusIntervalSet, p: int, check_prime: bool = True) -> ResidueSet:
+def discretize_to_zp(a: TorusIntervalSet, p: int) -> ResidueSet:
     """A' = {0 <= r < p : [r/p, (r+1)/p) is inside A}, by integer inequalities
-    r*D >= x*p and (r+1)*D <= y*p against each interval [x, y)."""
-    if check_prime:
-        require_prime(p)
+    r*D >= x*p and (r+1)*D <= y*p against each interval [x, y).  Valid for
+    any modulus p >= 1; callers that need a field check p themselves."""
     d = a.denominator
     bits = 0
     for x, y in a.intervals:

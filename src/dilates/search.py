@@ -1,18 +1,16 @@
-"""Minimization of |A + lam*A| over m-element subsets of Z/pZ.
+"""Minimization of |A + lam*A| over m-subsets of Z/pZ.
 
-Exact mode scores one representative per affine orbit {u*A + v}: the
-objective is affine-invariant, so it suffices to score sets that equal
-their own canonical form (the image with the lexicographically least
-sorted tuple).  For m >= 2 that form starts (0, 1): for members x != y
-the map z -> (z - x) / (y - x) sends A to an image containing 0 and 1.
-So the scan visits only the C(p-2, m-2) sets {0, 1} + (an (m-2)-subset
-of 2..p-1), and {0} alone for m = 1.  is_canonical compares a visited set
-with its m(m-1) pair images, because every image starting (0, 1) is the
-image of the pair sent to 0 and 1.  A parallel run splits the anchored
-sets at their third element: each chunk is the lexicographically
-contiguous run {0, 1, x} + (an (m-3)-subset of x+1..p-1), which makes
-parallel runs reduce to the same (min, lexicographically-least-witness)
-answer for any worker count.
+Exact mode needs one set per affine orbit {u*A + v}, as the objective is
+affine-invariant, and every orbit meets the sets through the anchor
+{0, 1}: for members x != y, z -> (z - x) / (y - x) sends A to such a set.
+So the scan scores the C(p-2, m-2) sets {0, 1} + (an (m-2)-subset of
+2..p-1), and {0} alone for m = 1, and keeps the least (size, sorted tuple)
+pair, which is canonical without a test (see exact_min_dilate_sumset).
+classes_enumerated, the orbit count, comes from Burnside's lemma
+(_orbit_count).  A parallel run splits the scan at the third element into
+the lexicographically contiguous runs {0, 1, x} + (an (m-3)-subset of
+x+1..p-1); the least chunk minimum is the serial answer for any worker
+count.
 
 Heuristic mode is plain seeded simulated annealing over single-element
 swaps and only ever reports an upper bound.
@@ -28,11 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import ScaleCapError
-from .residues import (ResidueSet, canonical_form, dilate_sum, is_canonical,
-                       require_prime)
+from .residues import ResidueSet, canonical_form, dilate_sum, require_prime
 
 __all__ = [
     "SearchTask",
@@ -48,7 +45,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-_CLASS_CAP = 10**8
+_SCAN_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -115,63 +112,70 @@ class SearchResult:
         )
 
 
-def _scan_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """Scan the sets head + c, c an (m - len(head))-combination of
-    head[-1] + 1 .. p - 1, in lexicographic order; score canonical
-    representatives only.  Returns (local min, local witness, classes)."""
+def _scan_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Least (|A + lam*A|, A) over the sets A = head + c, c an
+    (m - len(head))-combination of head[-1] + 1 .. p - 1."""
     p, lam, m, head = args
-    best_size = None
-    best_witness = None
-    classes = 0
-    for tail in combinations(range(head[-1] + 1, p), m - len(head)):
-        combo = head + tail
-        a = ResidueSet.from_elements(p, combo)
-        if is_canonical(a):
-            classes += 1
-            size = len(dilate_sum(a, lam))
-            if best_size is None or size < best_size:
-                best_size = size
-                best_witness = combo
-    return best_size, best_witness, classes
+    combos = (head + tail for tail in combinations(range(head[-1] + 1, p), m - len(head)))
+    return min((len(dilate_sum(ResidueSet.from_elements(p, c), lam)), c) for c in combos)
+
+
+def _orbit_count(p: int, m: int) -> int:
+    """Number of orbits of the affine group AGL(1, p) on m-subsets of Z/pZ.
+
+    Burnside: the orbit count is the mean number of sets fixed by a group
+    element.  The identity fixes all C(p, m).  A translation z -> z + v,
+    v != 0, has the single cycle Z/pZ, so it fixes only the sets of size
+    0 or p, which have one orbit and are answered directly.  Every other
+    map z -> u*z + v, u != 1, is z -> u*(z - c) + c for its one fixed
+    point c, with p of them per u; its other points fall into (p-1)/d
+    cycles of length d = ord(u).  A fixed set is a union of cycles, with
+    or without c, so for d > 1 there are C((p-1)/d, m // d) of them when
+    m mod d is 0 or 1 and none otherwise.  There are phi(d) units of each
+    order d | p-1, and the group has p(p-1) elements.  For m >= 2 no
+    d > m has m mod d in {0, 1}, so only d <= m are summed; m <= 1 gives
+    one orbit, as the group is transitive on points.
+    """
+    if m <= 1 or m == p:
+        return 1
+    fixed = comb(p, m)
+    for d in range(2, m + 1):
+        if (p - 1) % d == 0 and m % d <= 1:
+            phi = sum(gcd(j, d) == 1 for j in range(d))
+            fixed += p * phi * comb((p - 1) // d, m // d)
+    return fixed // (p * (p - 1))
 
 
 def exact_min_dilate_sumset(task: SearchTask, workers: int = 1) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
-    Visits only the C(p - k, m - k) sets through the anchor {0, 1}[:k],
-    k = min(m, 2), in lexicographic order.  Deterministic for any worker
-    count: chunk minima merge by (size, lexicographic witness).  Estimated
-    canonical class count must stay under _CLASS_CAP.
+    Scores the C(p - k, m - k) sets through the anchor {0, 1}[:k],
+    k = min(m, 2), at most _SCAN_CAP of them, and returns the least
+    (size, sorted tuple) pair.  That witness W is canonical: its
+    canonical form C is anchored, no later than W in lexicographic order
+    and of equal size (the objective is affine-invariant), so C was
+    scored too and C = W.  Deterministic for any worker count: chunk
+    minima merge by the same order.
     """
     if task.mode != "exact":
         raise ValueError("task.mode must be 'exact'")
     p, m = task.p, task.m
-    est_classes = max(comb(p, m) // (p * (p - 1)), 1)
-    if est_classes > _CLASS_CAP:
-        raise ScaleCapError(
-            f"~{est_classes} canonical classes exceed cap {_CLASS_CAP}; "
-            "use heuristic mode")
-
     k = min(m, 2)
-    if workers > 1 and comb(p - k, m - k) > 1024:
+    sets = comb(p - k, m - k)
+    if sets > _SCAN_CAP:
+        raise ScaleCapError(
+            f"{sets} anchored sets exceed cap {_SCAN_CAP}; use heuristic mode")
+
+    if workers > 1 and sets > 1024:
         chunks = [(p, task.lam, m, (0, 1, x)) for x in range(2, p - m + 3)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
+            best_size, best_witness = min(pool.map(_scan_chunk, chunks))
     else:
-        parts = [_scan_chunk((p, task.lam, m, (0, 1)[:k]))]
-
-    best_size, best_witness, classes = None, None, 0
-    for size, witness, count in parts:
-        classes += count
-        if size is None:
-            continue
-        if best_size is None or (size, witness) < (best_size, best_witness):
-            best_size, best_witness = size, witness
-    assert best_witness is not None  # {0, 1, ..., m-1} is canonical
+        best_size, best_witness = _scan_chunk((p, task.lam, m, (0, 1)[:k]))
     return SearchResult(
         min_size=best_size,
         witness=ResidueSet.from_elements(p, best_witness),
-        classes_enumerated=classes,
+        classes_enumerated=_orbit_count(p, m),
         exact=True,
         task_digest=task.digest(),
     )
@@ -231,10 +235,25 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
     )
 
 
-def run_task(task: SearchTask, workers: int = 1) -> SearchResult:
+def solve_cell(task: SearchTask, workers: int = 1,
+               cache_dir=None) -> tuple[SearchResult, bool]:
+    """(result, cached) for one cell: the cache entry under the task
+    digest if one decodes, else the exact or heuristic search, whose
+    result is then stored.  cache_dir None skips the cache."""
+    from . import cache as cache_mod
+
+    if cache_dir is not None:
+        cached = cache_mod.load_outputs(cache_dir, "search", task.digest())
+        if cached is not None:
+            return SearchResult.from_json_dict(cached), True
     if task.mode == "exact":
-        return exact_min_dilate_sumset(task, workers=workers)
-    return heuristic_min_dilate_sumset(task)
+        result = exact_min_dilate_sumset(task, workers=workers)
+    else:
+        result = heuristic_min_dilate_sumset(task)
+    if cache_dir is not None:
+        cache_mod.store_experiment(cache_dir, "search", task.digest(),
+                                   result.to_json_dict(task))
+    return result, False
 
 
 @dataclass
@@ -254,8 +273,6 @@ def sweep(p_values, lam_values, m_rule, mode: str = "exact", seed: int = 0,
     """One result per (p, lam, m) cell, deterministic order, cached by task
     digest.  m_rule is an iterable of m values or a callable p -> iterable.
     Per-cell errors are recorded and the sweep continues."""
-    from . import cache as cache_mod
-
     report = SweepReport(tasks=[], results=[], errors=[])
     for p in p_values:
         ms = list(m_rule(p)) if callable(m_rule) else list(m_rule)
@@ -264,28 +281,15 @@ def sweep(p_values, lam_values, m_rule, mode: str = "exact", seed: int = 0,
                 try:
                     task = SearchTask(p=p, lam=lam, m=m, mode=mode,
                                       seed=seed, budget=budget)
+                    result, cached = solve_cell(task, workers, cache_dir)
                 except (ValueError, ScaleCapError) as exc:
                     report.errors.append(
                         {"p": p, "lambda": lam, "m": m, "error": str(exc)})
                     continue
-                cached = None
-                if cache_dir is not None:
-                    cached = cache_mod.load_outputs(cache_dir, "search", task.digest())
-                if cached is not None:
-                    result = SearchResult.from_json_dict(cached)
+                if cached:
                     report.cached += 1
                 else:
-                    try:
-                        result = run_task(task, workers=workers)
-                    except (ValueError, ScaleCapError) as exc:
-                        report.errors.append(
-                            {"p": p, "lambda": lam, "m": m, "error": str(exc)})
-                        continue
                     report.computed += 1
-                    if cache_dir is not None:
-                        cache_mod.store_experiment(
-                            cache_dir, "search", task.digest(),
-                            result.to_json_dict(task))
                 report.tasks.append(task)
                 report.results.append(result)
     return report

@@ -113,16 +113,15 @@ def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
     return summary
 
 
-def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50,
-                        max_fold: int = 3) -> SuiteSummary:
+def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> SuiteSummary:
     """Random integer sets A, B in [0, max_element], emulated with verified
-    headroom; m, n <= max_fold."""
+    headroom; m, n <= 3."""
     rng = random.Random(seed)
     summary = SuiteSummary("plunnecke", 0, 0)
-    modulus = 2 * max_fold * max_element + 2
+    modulus = 6 * max_element + 2
     for _ in range(cases):
         while True:
-            m, n = rng.randint(0, max_fold), rng.randint(0, max_fold)
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
             if m + n >= 1:
                 break
         a = _random_subset(rng, max_element + 1, rng.randint(1, max_element + 1))
@@ -151,13 +150,13 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
     return summary
 
 
-def run_kfold_suite(p: int, cases: int, seed: int = 0, k_max: int = 5) -> SuiteSummary:
+def run_kfold_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
     require_prime(p)
     rng = random.Random(seed)
     summary = SuiteSummary("kfold-cd", 0, 0)
     for _ in range(cases):
         a = _random_subset(rng, p, _random_size(rng, p))
-        k = rng.randint(2, k_max)
+        k = rng.randint(2, 5)
         lam = rng.randint(2, max(3, p - 1))
         summary.record(check_kfold_cd_chain(a, k, lam))
     return summary

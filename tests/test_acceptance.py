@@ -205,7 +205,7 @@ def test_criterion_09_gap_suite():
 
 def test_criterion_10_kfold_cd_chain():
     for p in (101, 1009):
-        summary = run_kfold_suite(p, 2_000, seed=10, k_max=5)
+        summary = run_kfold_suite(p, 2_000, seed=10)
         assert summary.violations == 0
     announce(10, "2 x 2000 k-fold chain cases at p=101,1009, zero violations")
 

@@ -121,6 +121,14 @@ def test_cli_construct_box_empty_warns_exit_zero(tmp_path, capsys):
     assert "empty" in capsys.readouterr().out
 
 
+def test_cli_construct_composite_modulus_exit_2(tmp_path):
+    code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
+                   "--d", "1", "--lambda", "9", "--gamma", "1/3",
+                   "--p", "9", "--out", "out")
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_construct_simplex(tmp_path):
     code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "simplex",
                    "--n", "6", "--out", "out")
@@ -149,14 +157,14 @@ def test_cli_verify_math_failure_exit_code(tmp_path, monkeypatch):
                    "--cases", "5") == 3
 
 
-def test_cli_search_and_cache_hit(tmp_path, capsys):
+def test_cli_search_and_cache_hit(tmp_path, capsysbinary):
     assert run_cli(tmp_path, "--cache-dir", "cache", "search", "--p", "7",
                    "--lambda", "2", "--m", "2", "--mode", "exact") == 0
-    first = capsys.readouterr().out
-    assert '"min_size": 4' in first
+    first = capsysbinary.readouterr().out
+    assert b'"min_size": 4' in first
     assert run_cli(tmp_path, "--cache-dir", "cache", "search", "--p", "7",
                    "--lambda", "2", "--m", "2", "--mode", "exact") == 0
-    assert json.loads(capsys.readouterr().out) == json.loads(first)
+    assert capsysbinary.readouterr().out == first
 
 
 def test_cli_search_scale_cap_exit(tmp_path):

@@ -226,7 +226,7 @@ def test_interval_dilate_sum_against_residue_model():
         lam = rng.randint(2, 4)
         out = interval_dilate_sum(a, lam)
         # residues r with [r/d,(r+1)/d) inside A
-        a_res = discretize_to_zp(a, d, check_prime=False)
+        a_res = discretize_to_zp(a, d)
         model = sumset(a_res, dilate(a_res, lam))
         # every modelled cell [r/d, (r+1)/d) must lie inside the interval sum
         for r in model.elements():
@@ -238,11 +238,9 @@ def test_interval_dilate_sum_against_residue_model():
 def test_discretize_examples():
     assert discretize_to_zp(TorusIntervalSet.full(9), 7).bits == (1 << 7) - 1
     third = tis(3, [(1, 2)])
-    assert discretize_to_zp(third, 9, check_prime=False).elements() == (3, 4, 5)
+    assert discretize_to_zp(third, 9).elements() == (3, 4, 5)
     cell = tis(9, [(5, 6)])
     assert discretize_to_zp(cell, 101).elements() == tuple(range(57, 67))
-    with pytest.raises(ValueError, match="prime"):
-        discretize_to_zp(third, 9)
 
 
 def test_discretize_matches_per_residue_definition():
@@ -283,8 +281,8 @@ def test_discretize_density_below_measure_and_converges():
 def test_discretize_single_cell_at_matching_denominator():
     s = GridSet.from_tuples(2, 3, [(2, 1)])
     a = encode_grid_to_intervals(s)
-    # p = lam^n is composite; oracle mode
-    assert len(discretize_to_zp(a, 9, check_prime=False)) == 1
+    # p = lam^n is composite
+    assert len(discretize_to_zp(a, 9)) == 1
 
 
 # ---------------------------------------------------------------- pipeline

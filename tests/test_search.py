@@ -118,23 +118,56 @@ def test_exact_parallel_matches_serial(monkeypatch):
 
 
 def test_exact_visits_only_anchored_sets(monkeypatch):
-    calls = []
+    scored = []
 
-    def counting(a):
-        calls.append(a)
-        return is_canonical(a)
+    def counting(a, lam):
+        scored.append(a)
+        return dilate_sum(a, lam)
 
-    monkeypatch.setattr(search, "is_canonical", counting)
+    monkeypatch.setattr(search, "dilate_sum", counting)
     for p, m in ((2, 1), (2, 2), (7, 1), (7, 2), (7, 4), (11, 5), (13, 12), (13, 13)):
-        calls.clear()
+        scored.clear()
         exact_min_dilate_sumset(SearchTask(p=p, lam=2, m=m))
-        assert len(calls) == (comb(p - 2, m - 2) if m >= 2 else 1)
-        assert all(0 in a and (m == 1 or 1 in a) for a in calls)
+        assert len(scored) == (comb(p - 2, m - 2) if m >= 2 else 1)
+        assert all(0 in a and (m == 1 or 1 in a) for a in scored)
+
+
+def test_orbit_count_matches_canonical_anchored_sets():
+    # 42 cells: every m >= 2 with at most 3000 anchored sets
+    cells = 0
+    for p in (17, 19, 23, 29, 31):
+        for m in range(2, p + 1):
+            if comb(p - 2, m - 2) > 3000:
+                continue
+            cells += 1
+            canonical = sum(is_canonical(ResidueSet.from_elements(p, (0, 1) + tail))
+                            for tail in combinations(range(2, p), m - 2))
+            assert search._orbit_count(p, m) == canonical, (p, m)
+    assert cells == 42
+
+
+def test_orbit_count_pinned_values():
+    # counts the enumerating search reported before the closed form
+    pinned = {(101, 4): 417, (101, 5): 7856, (61, 5): 1634, (31, 7): 2846,
+              (43, 6): 3412, (1009, 3): 169, (10007, 3): 1668,
+              (1000003, 1): 1, (1000003, 2): 1}
+    for (p, m), count in pinned.items():
+        assert search._orbit_count(p, m) == count, (p, m)
 
 
 def test_exact_class_cap():
     with pytest.raises(ScaleCapError, match="heuristic"):
         exact_min_dilate_sumset(SearchTask(p=101, lam=2, m=40))
+
+
+def test_exact_scan_cap_boundary(monkeypatch):
+    task = SearchTask(p=13, lam=2, m=5)
+    sets = comb(11, 3)
+    monkeypatch.setattr(search, "_SCAN_CAP", sets - 1)
+    with pytest.raises(ScaleCapError, match="heuristic"):
+        exact_min_dilate_sumset(task)
+    monkeypatch.setattr(search, "_SCAN_CAP", sets)
+    assert exact_min_dilate_sumset(task).min_size == exact_min_reference(13, 2, 5)
 
 
 def test_heuristic_budget_zero_returns_interval():

@@ -94,27 +94,29 @@ def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
     return out_path
 
 
-def _read_entry(path: Path):
-    """Decoded outputs file, or None (with a line on stderr) if it does not
-    decode, e.g. a file truncated by a crash or a full disk."""
+def _read_entry(path: Path, decode):
+    """decode() of the JSON in path, or None (with a line on stderr) if
+    either step fails: a file truncated by a crash or a full disk, or an
+    entry whose shape decode does not accept."""
     try:
-        return json.loads(path.read_text())
-    except ValueError:
+        return decode(json.loads(path.read_text()))
+    except (AttributeError, ArithmeticError, LookupError, TypeError, ValueError):
         print(f"cache: ignoring undecodable entry {path}", file=sys.stderr)
         return None
 
 
-def load_outputs(cache_dir, kind: str, inputs_digest: str):
-    """Cached outputs for a digest, or None on a miss.  An undecodable
+def load_outputs(cache_dir, kind: str, inputs_digest: str, decode):
+    """decode(outputs) for a digest, or None on a miss.  An undecodable
     entry is a miss too; the caller's next store overwrites it."""
     path = Path(cache_dir) / kind / f"{inputs_digest}.json"
     if not path.is_file():
         return None
-    return _read_entry(path)
+    return _read_entry(path, decode)
 
 
-def list_outputs(cache_dir, kind: str) -> list[tuple[str, dict]]:
-    """All decodable (digest, outputs) pairs of one kind, sorted by digest."""
+def list_outputs(cache_dir, kind: str, decode) -> list[tuple[str, object]]:
+    """(digest, decode(outputs)) for every entry of one kind that decodes,
+    sorted by digest."""
     root = Path(cache_dir) / kind
     if not root.is_dir():
         return []
@@ -122,7 +124,7 @@ def list_outputs(cache_dir, kind: str) -> list[tuple[str, dict]]:
     for path in sorted(root.glob("*.json")):
         if path.name.endswith(".meta.json"):
             continue
-        outputs = _read_entry(path)
+        outputs = _read_entry(path, decode)
         if outputs is not None:
             pairs.append((path.stem, outputs))
     return pairs

@@ -24,7 +24,7 @@ from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
 from .residues import ResidueSet, require_prime
-from .search import SearchTask, rows_csv, solve_cell, sweep, sweep_csv, sweep_rows
+from .search import SearchTask, csv_row, csv_text, solve_cell, sweep, sweep_csv, sweep_rows
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -202,21 +202,25 @@ def _cmd_gap(args) -> int:
     return EXIT_OK
 
 
+def _report_row(outputs: dict) -> tuple:
+    """((p, lambda, m), alpha, min_over_p, CSV line) of a cached search
+    result; raises as the cache expects on an entry of another shape."""
+    task = outputs["task"]
+    return ((task["p"], task["lambda"], task["m"]), Fraction(outputs["alpha"]),
+            Fraction(outputs["min_over_p"]), csv_row(outputs))
+
+
 def _cmd_report(args) -> int:
-    rows = []
-    for _, outputs in cache_mod.list_outputs(args.cache_dir, "search"):
-        task = outputs["task"]
-        rows.append((task["p"], task["lambda"], task["m"], outputs))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = sorted((row for _, row in cache_mod.list_outputs(args.cache_dir, "search",
+                                                             _report_row)),
+                  key=lambda row: row[0])
     out_dir = Path(args.out)
     by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
     by_cell: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for p, lam, m, outputs in rows:
-        alpha = Fraction(outputs["alpha"])
-        ratio = Fraction(outputs["min_over_p"])
+    for (p, lam, m), alpha, ratio, _ in rows:
         by_lam.setdefault(lam, []).append((alpha, ratio))
         by_cell.setdefault((lam, p), []).append((m, ratio))
-    _write(out_dir / "results.csv", rows_csv([outputs for *_, outputs in rows]).encode())
+    _write(out_dir / "results.csv", csv_text(line for *_, line in rows).encode())
     for lam in sorted(by_lam):
         _write_dat(out_dir / f"min_density_lambda{lam}.dat", "min_over_p", by_lam[lam])
     # envelope: the minimum over all sizes >= m, reported without assuming

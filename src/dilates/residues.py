@@ -81,6 +81,7 @@ class Kernel(enum.Enum):
 # possible pair count stays far below 2^53.  2^26 is the contract limit.
 _SAFE_COUNT_BITS = 26
 _CONVOLUTION_MIN_N = 1 << 14
+_FFT_COST = 45
 
 
 @dataclass(frozen=True)
@@ -177,15 +178,6 @@ def _mask_to_bits(mask: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _shift_accumulate(n: int, bits: int, shifts) -> int:
-    """OR together cyclic shifts of a bitvector: union of bits+s mod n."""
-    mask = (1 << n) - 1
-    acc = 0
-    for s in shifts:
-        acc |= ((bits << s) | (bits >> (n - s))) & mask
-    return acc
-
-
 def _sumset_bits_naive(n: int, ea, eb) -> int:
     out = 0
     for a in ea:
@@ -195,10 +187,14 @@ def _sumset_bits_naive(n: int, ea, eb) -> int:
 
 
 def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
-    # drive the shifts with the smaller operand
-    if len(a) < len(b):
-        a, b = b, a
-    return _shift_accumulate(n, a.bits, b.elements())
+    """OR of the cyclic shifts of the denser bitvector by each member of
+    the sparser set."""
+    bits, shifts = (a.bits, b.elements()) if len(a) >= len(b) else (b.bits, a.elements())
+    mask = (1 << n) - 1
+    acc = 0
+    for s in shifts:
+        acc |= ((bits << s) | (bits >> (n - s))) & mask
+    return acc
 
 
 def _fft_length(n: int) -> int:
@@ -216,7 +212,19 @@ def _fft_length(n: int) -> int:
     return n if m * m <= n else 1 << (2 * n - 2).bit_length()
 
 
-def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def cyclic_support_shift(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact support of the cyclic convolution of two same-shape 0/1 arrays:
+    the OR of the denser one rolled by each member of the sparser one."""
+    small, big = (a, b) if np.count_nonzero(a) <= np.count_nonzero(b) else (b, a)
+    big = big.astype(bool, copy=False)
+    out = np.zeros_like(big)
+    axes = tuple(range(big.ndim))
+    for idx in np.argwhere(small):
+        out |= np.roll(big, tuple(idx.tolist()), axis=axes)
+    return out
+
+
+def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Support of the cyclic convolution of two same-shape 0/1 arrays.
 
     Works over any number of axes.  A one-dimensional array is transformed
@@ -225,12 +233,12 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     transform on 2 CPUs.  Arrays of two or more axes keep their shape,
     because padding every axis multiplies the array (17^3 cells padded to
     64^3 ran 30x slower).
-    Returns None ("unsafe") when the float64 pair counts cannot be trusted
-    to round: a count could reach 2^26, or some folded count lies more than
-    0.25 from an integer.  Callers then take their exact path.
+    Always exact: when the counts cannot be trusted to round (a count could
+    reach 2^26, or some folded count lies more than 0.25 from an integer)
+    the answer comes from cyclic_support_shift instead.
     """
     if min(np.count_nonzero(a), np.count_nonzero(b)) >= 1 << _SAFE_COUNT_BITS:
-        return None
+        return cyclic_support_shift(a, b)
     axes = tuple(range(a.ndim))
     shape = (_fft_length(a.size),) if a.ndim == 1 else a.shape
     counts = np.fft.irfftn(np.fft.rfftn(a.astype(np.float64), s=shape, axes=axes)
@@ -241,25 +249,24 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         counts[:n - 1] += counts[n:2 * n - 1]
         counts = counts[:n]
     if np.max(np.abs(counts - np.rint(counts))) > 0.25:
-        return None
+        return cyclic_support_shift(a, b)
     return counts > 0.5
 
 
 def _sumset_bits_convolution(n: int, a: ResidueSet, b: ResidueSet) -> int:
-    support = cyclic_support_fft(_bits_to_mask(n, a.bits), _bits_to_mask(n, b.bits))
-    if support is None:
-        return _sumset_bits_bitshift(n, a, b)
-    return _mask_to_bits(support)
+    return _mask_to_bits(cyclic_support_fft(_bits_to_mask(n, a.bits), _bits_to_mask(n, b.bits)))
 
 
 def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
-    # Shift cost is min(|A|,|B|) word passes over the bitvector; FFT cost is
-    # ~n log n independent of density.  Crossover near 64*log2(n).
-    if n < _CONVOLUTION_MIN_N:
+    # BITSHIFT costs min(|A|, |B|) passes over n bits, the FFT about
+    # L log2 L at its transform length L; _FFT_COST fits timed crossovers.
+    # L >= n, so small operands are settled without factoring n.
+    if n < _CONVOLUTION_MIN_N or min(ca, cb) <= _FFT_COST * n.bit_length():
         return Kernel.BITSHIFT
-    if min(ca, cb) <= 64 * n.bit_length():
-        return Kernel.BITSHIFT
-    return Kernel.CONVOLUTION
+    length = _fft_length(n)
+    if min(ca, cb) * n > _FFT_COST * length * length.bit_length():
+        return Kernel.CONVOLUTION
+    return Kernel.BITSHIFT
 
 
 def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> ResidueSet:
@@ -295,18 +302,14 @@ def dilate_sum(a: ResidueSet, lam: int, kernel: Kernel | None = None) -> Residue
     return sumset(a, dilate(a, lam), kernel)
 
 
-def kfold_dilate_sum(a: ResidueSet, k: int, lam: int,
-                     kernel: Kernel | None = None) -> ResidueSet:
+def kfold_dilate_sum(a: ResidueSet, k: int, lam: int) -> ResidueSet:
     """A + ... + A + lam*A with k-1 plain summands; k=2 is dilate_sum."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if a.bits == 0:
-        return ResidueSet.empty(a.modulus)
-    out = iterated_sumset(a, k - 1, kernel)
-    return sumset(out, dilate(a, lam), kernel)
+    return sumset(iterated_sumset(a, k - 1), dilate(a, lam))
 
 
-def iterated_sumset(a: ResidueSet, m: int, kernel: Kernel | None = None) -> ResidueSet:
+def iterated_sumset(a: ResidueSet, m: int) -> ResidueSet:
     """The m-fold sumset A + ... + A, computed by repeated doubling."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -317,19 +320,19 @@ def iterated_sumset(a: ResidueSet, m: int, kernel: Kernel | None = None) -> Resi
     power = a
     while m:
         if m & 1:
-            result = power if result is None else sumset(result, power, kernel)
+            result = power if result is None else sumset(result, power)
             if result.bits == full:
                 return result
         m >>= 1
         if m:
-            power = sumset(power, power, kernel)
+            power = sumset(power, power)
     return result
 
 
-def difference_set(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> ResidueSet:
+def difference_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """A - B = {a - b mod N} = A + (-1)*B."""
     _check_same_modulus(a, b)
-    return sumset(a, dilate(b, -1), kernel)
+    return sumset(a, dilate(b, -1))
 
 
 def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:

@@ -10,6 +10,7 @@ import pytest
 
 from dilates import cache as cache_mod
 from dilates.cli import main
+from dilates.search import SearchResult, SearchTask
 from dilates.verify import SuiteSummary
 
 
@@ -36,8 +37,8 @@ def test_store_and_load_outputs(tmp_path):
     payload = {"answer": 42, "ratio": "4/9"}
     path = cache_mod.store_experiment(tmp_path, "search", "ab" * 32, payload)
     assert path.read_bytes() == cache_mod.canonical_json(payload)
-    assert cache_mod.load_outputs(tmp_path, "search", "ab" * 32) == payload
-    assert cache_mod.load_outputs(tmp_path, "search", "cd" * 32) is None
+    assert cache_mod.load_outputs(tmp_path, "search", "ab" * 32, dict) == payload
+    assert cache_mod.load_outputs(tmp_path, "search", "cd" * 32, dict) is None
     meta = json.loads((tmp_path / "search" / ("ab" * 32 + ".meta.json")).read_text())
     assert meta["kind"] == "search" and "created_at" in meta
     assert set(meta) == {"kind", "inputs_digest", "created_at", "tool_version",
@@ -85,9 +86,9 @@ def test_atomic_write_concurrent_writers(tmp_path):
 def test_list_outputs_sorted(tmp_path):
     cache_mod.store_experiment(tmp_path, "search", "ff" * 32, {"v": 2})
     cache_mod.store_experiment(tmp_path, "search", "aa" * 32, {"v": 1})
-    listed = cache_mod.list_outputs(tmp_path, "search")
+    listed = cache_mod.list_outputs(tmp_path, "search", dict)
     assert [d for d, _ in listed] == ["aa" * 32, "ff" * 32]
-    assert cache_mod.list_outputs(tmp_path, "gap") == []
+    assert cache_mod.list_outputs(tmp_path, "gap", dict) == []
 
 
 def test_cache_dir_env_override(monkeypatch):
@@ -195,18 +196,31 @@ def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
     csv_bytes = (tmp_path / "sw" / "sweep.csv").read_bytes()
     entries = sorted(p for p in (tmp_path / "cache" / "search").glob("*.json")
                      if not p.name.endswith(".meta.json"))
-    victim = entries[0]
+    victim = tmp_path / "cache" / "search" / f"{SearchTask(p=7, lam=2, m=2).digest()}.json"
     good = victim.read_bytes()
-    victim.write_bytes(good[:len(good) // 2])
-    assert [d for d, _ in cache_mod.list_outputs(tmp_path / "cache", "search")] == \
-        [p.stem for p in entries[1:]]
-    capsys.readouterr()
-    assert run_cli(tmp_path, *argv) == 0
-    out, err = capsys.readouterr()
-    assert "(1 computed, 3 cached)" in out
-    assert err.count("undecodable") == 1 and victim.name in err
-    assert (tmp_path / "sw" / "sweep.csv").read_bytes() == csv_bytes
-    assert victim.read_bytes() == good  # rewritten
+    search_argv = ("--cache-dir", "cache", "search", "--p", "7", "--lambda", "2", "--m", "2")
+    # a truncated file, then JSON of a shape the search result does not have
+    for damaged in (good[:len(good) // 2], b"{}", b"[1,2]", b'{"min_size": 5}'):
+        victim.write_bytes(damaged)
+        assert [d for d, _ in cache_mod.list_outputs(tmp_path / "cache", "search",
+                                                     SearchResult.from_json_dict)] == \
+            [p.stem for p in entries if p != victim]
+        capsys.readouterr()
+        assert run_cli(tmp_path, *argv) == 0
+        out, err = capsys.readouterr()
+        assert "(1 computed, 3 cached)" in out
+        assert err.count("undecodable") == 1 and victim.name in err
+        assert (tmp_path / "sw" / "sweep.csv").read_bytes() == csv_bytes
+        assert victim.read_bytes() == good  # rewritten
+        # report skips the entry; search recomputes and rewrites it
+        victim.write_bytes(damaged)
+        assert run_cli(tmp_path, "--cache-dir", "cache", "report", "--out", "plots") == 0
+        out, err = capsys.readouterr()
+        assert "rendered 3 cached results" in out and err.count("undecodable") == 1
+        assert run_cli(tmp_path, *search_argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == json.loads(good) and err.count("undecodable") == 1
+        assert victim.read_bytes() == good
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
@@ -217,7 +231,7 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
             "--m-range", "1..2")
     assert run_cli(tmp_path, *argv, "--out", "taken") == 5
     assert capsys.readouterr().err.startswith("I/O error: ")
-    assert len(cache_mod.list_outputs(tmp_path / "cache", "search")) == 2
+    assert len(cache_mod.list_outputs(tmp_path / "cache", "search", dict)) == 2
     assert run_cli(tmp_path, *argv, "--out", "sw") == 0
     assert "(0 computed, 2 cached)" in capsys.readouterr().out
 

@@ -7,6 +7,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dilates import grids
 from dilates.errors import ScaleCapError
@@ -17,7 +18,8 @@ from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                            project_drop_last, simplex_construction,
                            simplex_grid_set)
 from dilates.grids import _cyclic_minkowski_mask
-from dilates.residues import cyclic_support_fft
+from dilates.residues import ResidueSet, cyclic_support_fft, cyclic_support_shift, sumset
+from test_residues import PROPERTY, UNSAFE, make_fft_unsafe
 
 F = Fraction
 
@@ -138,29 +140,65 @@ def test_projection_sumset_factorizes_for_boxes():
     assert set(sp.tuples()) == set(product(*per_axis))
 
 
+def _random_masks(rng, shape, na, nb):
+    a = np.zeros(shape, dtype=bool)
+    b = np.zeros(shape, dtype=bool)
+    a.reshape(-1)[rng.sample(range(a.size), na)] = True
+    b.reshape(-1)[rng.sample(range(b.size), nb)] = True
+    return a, b
+
+
 def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
     rng = random.Random(13)
     cases = []
     for shape in [(16,), (8, 8), (4, 4, 4), (4096,), (64, 64), (16, 16, 16),
                   (67, 64), (4099,)]:  # prime axes; 1-D: padded FFT, folded back
-        a = np.zeros(shape, dtype=bool)
-        b = np.zeros(shape, dtype=bool)
-        a.reshape(-1)[rng.sample(range(a.size), rng.randint(1, a.size))] = True
-        b.reshape(-1)[rng.sample(range(b.size), rng.randint(1, b.size))] = True
-        na, nb = int(a.sum()), int(b.sum())
-        rolled = _cyclic_minkowski_mask(a, b, 1, 1)     # forces the roll path
-        fft = cyclic_support_fft(a, b)                  # the FFT path
-        assert fft is not None and np.array_equal(rolled, fft)
-        assert np.array_equal(_cyclic_minkowski_mask(a, b, na, nb), rolled)
-        assert na <= rolled.sum() <= na * nb or rolled.sum() == a.size
-        cases.append((a, b, na, nb, rolled))
-    # FFT counts declared unsafe: the roll fallback answers
-    calls = []
-    monkeypatch.setattr(grids, "cyclic_support_fft", lambda x, y: calls.append(x.shape))
-    for a, b, na, nb, rolled in cases:
-        assert np.array_equal(_cyclic_minkowski_mask(a, b, na, nb), rolled)
-    assert calls == [c[0].shape for c in cases if min(c[2], c[3]) > 64 and c[0].size >= 1 << 12]
-    assert calls
+        size = int(np.prod(shape))
+        a, b = _random_masks(rng, shape, rng.randint(1, size), rng.randint(1, size))
+        na = int(a.sum())
+        rolled = cyclic_support_shift(a, b)
+        assert np.array_equal(cyclic_support_fft(a, b), rolled)
+        assert np.array_equal(_cyclic_minkowski_mask(a, b), rolled)
+        assert na <= rolled.sum() <= na * int(b.sum()) or rolled.sum() == a.size
+        cases.append((a, b, rolled))
+    # FFT counts declared unsafe: the helper still returns the exact support
+    for how in UNSAFE:
+        with monkeypatch.context() as m:
+            make_fft_unsafe(m, how)
+            for a, b, rolled in cases:
+                assert np.array_equal(cyclic_support_fft(a, b), rolled)
+                assert np.array_equal(_cyclic_minkowski_mask(a, b), rolled)
+
+
+def test_minkowski_mask_gate(monkeypatch):
+    # the FFT runs once the sparser mask has more than
+    # min(64, max(8, 2^ndim, size / 64)) members: the measured crossovers
+    ran = []
+    for name in ("cyclic_support_fft", "cyclic_support_shift"):
+        routine = getattr(grids, name)
+        monkeypatch.setattr(grids, name, lambda x, y, name=name, routine=routine:
+                            ran.append(name) or routine(x, y))
+    rng = random.Random(17)
+    for shape, shift_up_to in [((16,), 8), ((300,), 8), ((1021,), 15), ((4099,), 64),
+                               ((61, 61), 58), ((10, 10, 10), 15), ((6,) * 4, 20),
+                               ((4,) * 5, 32), ((3,) * 6, 64)]:
+        for ns, routine in ((shift_up_to, "cyclic_support_shift"),
+                            (shift_up_to + 1, "cyclic_support_fft")):
+            a, b = _random_masks(rng, shape, ns, rng.randint(ns, int(np.prod(shape))))
+            ran.clear()
+            assert np.array_equal(_cyclic_minkowski_mask(b, a), cyclic_support_shift(a, b))
+            assert ran == [routine], (shape, ns)
+
+
+@PROPERTY
+@given(st.integers(2, 200).flatmap(lambda lam: st.tuples(
+    st.just(lam), st.sets(st.integers(0, lam - 1)), st.sets(st.integers(0, lam - 1)))))
+def test_grid_minkowski_1d_is_residue_sumset(case):
+    lam, xs, ys = case
+    a, b = (GridSet.from_tuples(1, lam, [(x,) for x in zs]).to_mask() for zs in (xs, ys))
+    out = GridSet.from_mask(lam, _cyclic_minkowski_mask(a, b))
+    residues = sumset(ResidueSet.from_elements(lam, xs), ResidueSet.from_elements(lam, ys))
+    assert sorted(out.cells) == list(residues.elements())
 
 
 # ---------------------------------------------------------------- boxes

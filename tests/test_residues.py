@@ -5,7 +5,10 @@ import random
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dilates import residues
 from dilates.residues import (Kernel, ResidueSet, affine_image, canonical_form,
@@ -15,6 +18,8 @@ from dilates.residues import (Kernel, ResidueSet, affine_image, canonical_form,
 from dilates.search import SearchTask, exact_min_dilate_sumset
 
 KERNELS = [Kernel.NAIVE, Kernel.BITSHIFT, Kernel.CONVOLUTION]
+# reproducible property runs that leave no example database behind
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
 
 def rs(n, elems):
@@ -60,6 +65,50 @@ def test_kernel_agreement_random():
             assert sumset(a, b) == expected  # auto kernel
 
 
+@st.composite
+def residue_set_pairs(draw):
+    n = draw(st.integers(1, 300))
+    members = st.lists(st.integers(0, n - 1), max_size=60)
+    return rs(n, draw(members)), rs(n, draw(members))
+
+
+@PROPERTY
+@given(residue_set_pairs())
+def test_kernels_agree_property(pair):
+    a, b = pair
+    expected = rs(a.modulus, oracle_sumset(a.modulus, a.elements(), b.elements()))
+    assert [sumset(a, b, k) for k in KERNELS] == [expected] * 3
+
+
+@st.composite
+def mask_pairs(draw):
+    # long 1-D axes reach the padded, folded transform of prime lengths
+    ndim = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, (300, 24, 9, 5)[ndim - 1]),
+                                min_size=ndim, max_size=ndim)))
+    return draw(arrays(bool, shape)), draw(arrays(bool, shape))
+
+
+@PROPERTY
+@given(mask_pairs())
+def test_shift_routine_equals_fft_property(masks):
+    assert np.array_equal(residues.cyclic_support_shift(*masks),
+                          residues.cyclic_support_fft(*masks))
+
+
+def make_fft_unsafe(m, how):
+    """Patch cyclic_support_fft so it cannot trust its counts: lower the
+    2^26 count guard to 2^6, or push every count 0.3 off an integer."""
+    if how == "count guard":
+        m.setattr(residues, "_SAFE_COUNT_BITS", 6)
+    else:
+        irfftn = residues.np.fft.irfftn
+        m.setattr(residues.np.fft, "irfftn", lambda *x, **k: irfftn(*x, **k) + 0.3)
+
+
+UNSAFE = ("count guard", "rounding test")
+
+
 def test_convolution_large_modulus(monkeypatch):
     rng = random.Random(7)
     n = 1 << 14  # above the auto-kernel convolution floor
@@ -67,11 +116,30 @@ def test_convolution_large_modulus(monkeypatch):
     b = rs(n, rng.sample(range(n), 300))
     expected = sumset(a, b, Kernel.BITSHIFT)
     assert sumset(a, b, Kernel.CONVOLUTION) == expected
-    # FFT counts declared unsafe: the exact BITSHIFT fallback answers
-    calls = []
-    monkeypatch.setattr(residues, "cyclic_support_fft", lambda x, y: calls.append(x.shape))
-    assert sumset(a, b, Kernel.CONVOLUTION) == expected
-    assert calls == [(n,)]
+    # FFT counts declared unsafe: the shift routine answers inside the helper
+    shift, calls = residues.cyclic_support_shift, []
+    monkeypatch.setattr(residues, "cyclic_support_shift",
+                        lambda x, y: calls.append(x.shape) or shift(x, y))
+    for how in UNSAFE:
+        with monkeypatch.context() as m:
+            make_fft_unsafe(m, how)
+            assert sumset(a, b, Kernel.CONVOLUTION) == expected
+    assert calls == [(n,)] * 2
+
+
+def test_auto_kernel_from_measured_crossover():
+    auto = residues._auto_kernel
+    # the switch points of min(|A|, |B|) * N > 45 * L * bit_length(L)
+    for n, switch in ((16411, 3054), (10**5, 765), (1000003, 2076)):
+        assert auto(n, switch, n // 2) is Kernel.BITSHIFT
+        assert auto(n, n // 2, switch + 1) is Kernel.CONVOLUTION
+    # pipeline sums A' + lam*A' with |A'| = |lam*A'| (2 CPUs): BITSHIFT
+    # 4.2 ms against FFT 10.3 ms at p = 64007, FFT 4.5 ms against 4.9 ms
+    # at p = 23417
+    assert auto(64007, 1274, 1274) is Kernel.BITSHIFT
+    assert auto(23417, 2452, 2452) is Kernel.CONVOLUTION
+    # below the floor no set is large enough for the FFT to pay
+    assert auto(residues._CONVOLUTION_MIN_N - 1, 10**4, 10**4) is Kernel.BITSHIFT
 
 
 def test_fft_support_on_non_smooth_lengths(monkeypatch):
@@ -98,19 +166,20 @@ def test_fft_support_on_non_smooth_lengths(monkeypatch):
         assert 0 < len(expected) < n
         support = residues.cyclic_support_fft(residues._bits_to_mask(n, a.bits),
                                               residues._bits_to_mask(n, b.bits))
-        assert support is not None and residues._mask_to_bits(support) == expected.bits
-    # unsafe counts (count guard, then the rounding test): BITSHIFT answers
+        assert residues._mask_to_bits(support) == expected.bits
+    # unsafe counts (count guard, then the rounding test): still the exact
+    # support, the shift routine's
     a, b = cases[0]
     expected = sumset(a, b, Kernel.BITSHIFT)
     masks = (residues._bits_to_mask(a.modulus, a.bits), residues._bits_to_mask(a.modulus, b.bits))
-    with monkeypatch.context() as m:
-        m.setattr(residues, "_SAFE_COUNT_BITS", 6)
-        assert residues.cyclic_support_fft(*masks) is None
-        assert sumset(a, b, Kernel.CONVOLUTION) == expected
-    irfftn = residues.np.fft.irfftn
-    monkeypatch.setattr(residues.np.fft, "irfftn", lambda *x, **k: irfftn(*x, **k) + 0.3)
-    assert residues.cyclic_support_fft(*masks) is None
-    assert sumset(a, b, Kernel.CONVOLUTION) == expected
+    shifted = residues.cyclic_support_shift(*masks)
+    assert residues._mask_to_bits(shifted) == expected.bits
+    for how in UNSAFE:
+        with monkeypatch.context() as m:
+            make_fft_unsafe(m, how)
+            support = residues.cyclic_support_fft(*masks)
+            assert support.dtype == bool and np.array_equal(support, shifted)
+            assert sumset(a, b, Kernel.CONVOLUTION) == expected
 
 
 def test_elements_from_elements_roundtrip():

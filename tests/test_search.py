@@ -92,7 +92,8 @@ def is_valid_result(result, p, lam):
 
 
 def test_exact_parallel_matches_serial(monkeypatch):
-    # C(17, 4) = 2380 anchored sets: above the serial threshold of 1024
+    # C(17, 4) = 2380 anchored sets: below the measured pool break-even, so
+    # two workers still scan in this process unless the gate is lowered
     pools = []
 
     class SpyPool(search.ProcessPoolExecutor):
@@ -103,7 +104,9 @@ def test_exact_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", SpyPool)
     task = SearchTask(p=19, lam=2, m=6)
     serial = exact_min_dilate_sumset(task, workers=1)
+    assert exact_min_dilate_sumset(task, workers=2) == serial
     assert pools == []
+    monkeypatch.setattr(search, "_PARALLEL_MIN_SETS", 1024)
     for workers in (2, 4):
         assert exact_min_dilate_sumset(task, workers=workers) == serial
     assert pools == [2, 4]

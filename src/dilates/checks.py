@@ -37,9 +37,16 @@ def _digest(*parts: str) -> str:
 
 
 def _num(value) -> str:
+    """An exact number as text: "num/den" for a Fraction, str() otherwise."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
+
+
+def _num_fields(key: str, value: Fraction) -> dict:
+    """{key: "num/den", key + "_decimal": 12 significant digits}; the
+    decimal twin is for display only, the exact text is the value."""
+    return {key: _num(value), f"{key}_decimal": f"{float(value):.12g}"}
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cache as cache_mod
+from .checks import _num, _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .gaps import Gap, expand, find_max_proper_gap, is_proper, lambda_span_check
 from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
 from .residues import ResidueSet, require_prime
-from .search import SearchTask, csv_row, csv_text, solve_cell, sweep, sweep_csv, sweep_rows
+from .search import (SearchTask, SweepReport, decode_entry, solve_cell, sweep,
+                     sweep_csv, sweep_rows)
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -62,10 +64,6 @@ def _write_dat(path: Path, column: str, points) -> None:
     _write(path, ("\n".join(lines) + "\n").encode())
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _cmd_construct(args) -> int:
     out_dir = Path(args.out)
     if args.shape == "box":
@@ -82,15 +80,11 @@ def _cmd_construct(args) -> int:
             sides = equal_box_sides(args.d, _parse_fraction(args.gamma), lam)
         grid = box_grid_set(args.d, lam, sides)
         label = "box"
-        extra = {"sides": [_frac_str(s) for s in sides]}
+        extra = {"sides": [_num(s) for s in sides]}
     else:
         mu_b, mu_cc = simplex_construction(args.n)
-        extra = {
-            "region_volume": _frac_str(mu_b),
-            "region_volume_decimal": f"{float(mu_b):.12g}",
-            "sum_region_volume": _frac_str(mu_cc),
-            "sum_region_volume_decimal": f"{float(mu_cc):.12g}",
-        }
+        extra = {**_num_fields("region_volume", mu_b),
+                 **_num_fields("sum_region_volume", mu_cc)}
         if not args.lam:
             payload = {"construction": "simplex", "n": args.n, **extra}
             _write(out_dir / "simplex.json", cache_mod.canonical_json(payload))
@@ -202,40 +196,36 @@ def _cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _report_row(outputs: dict) -> tuple:
-    """((p, lambda, m), alpha, min_over_p, CSV line) of a cached search
-    result; raises as the cache expects on an entry of another shape."""
-    task = outputs["task"]
-    return ((task["p"], task["lambda"], task["m"]), Fraction(outputs["alpha"]),
-            Fraction(outputs["min_over_p"]), csv_row(outputs))
-
-
 def _cmd_report(args) -> int:
-    rows = sorted((row for _, row in cache_mod.list_outputs(args.cache_dir, "search",
-                                                             _report_row)),
-                  key=lambda row: row[0])
+    # by (p, lambda, m); the sort is stable, so ties stay in digest order
+    cells = sorted((cell for _, cell in cache_mod.list_outputs(args.cache_dir, "search",
+                                                               decode_entry)),
+                   key=lambda cell: (cell[0].p, cell[0].lam, cell[0].m))
+    report = SweepReport(tasks=[t for t, _ in cells], results=[r for _, r in cells],
+                         errors=[])
     out_dir = Path(args.out)
+    _write(out_dir / "results.csv", sweep_csv(report).encode())
     by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
     by_cell: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (p, lam, m), alpha, ratio, _ in rows:
-        by_lam.setdefault(lam, []).append((alpha, ratio))
-        by_cell.setdefault((lam, p), []).append((m, ratio))
-    _write(out_dir / "results.csv", csv_text(line for *_, line in rows).encode())
+    for task, result in cells:
+        ratio = Fraction(result.min_size, task.p)
+        by_lam.setdefault(task.lam, []).append((Fraction(task.m, task.p), ratio))
+        by_cell.setdefault((task.lam, task.p), []).append((task.m, ratio))
     for lam in sorted(by_lam):
         _write_dat(out_dir / f"min_density_lambda{lam}.dat", "min_over_p", by_lam[lam])
     # envelope: the minimum over all sizes >= m, reported without assuming
     # the per-m minimum is monotone
     env_by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for (lam, p), cells in by_cell.items():
-        cells.sort(reverse=True)
+    for (lam, p), column in by_cell.items():
+        column.sort(reverse=True)
         running = None
-        for m, ratio in cells:
+        for m, ratio in column:
             running = ratio if running is None else min(running, ratio)
             env_by_lam.setdefault(lam, []).append((Fraction(m, p), running))
     for lam in sorted(env_by_lam):
         _write_dat(out_dir / f"envelope_lambda{lam}.dat", "envelope_min_over_p",
                    env_by_lam[lam])
-    print(f"rendered {len(rows)} cached results")
+    print(f"rendered {len(cells)} cached results")
     return EXIT_OK
 
 
@@ -272,9 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--p", type=int, default=101)
     p_verify.add_argument("--modulus", type=int, default=0,
-                          help="composite moduli allowed where the inequality permits")
-    p_verify.add_argument("--lambda", dest="lam", type=int, default=0)
-    p_verify.add_argument("--l", type=int, default=0)
+                          help="composite moduli allowed where the inequality permits "
+                               "(ruzsa; 0: the suite's default, --p or 1009)")
+    p_verify.add_argument("--lambda", dest="lam", type=int, default=0,
+                          help="dilate-chain dilation, >= 2 (0: the suite's default, 2, 3, 5)")
+    p_verify.add_argument("--l", type=int, default=0,
+                          help="dilate-chain length, >= 1 (0: the suite's default, 2, 3)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_search = sub.add_parser("search", help="minimize |A + lam*A| at one cell")

@@ -12,12 +12,13 @@ are exact.  A violated link is an implementation bug, never a data issue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
+from .checks import _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .grids import GridSet, grid_projection_sumset
 from .residues import ResidueSet, dilate_sum, require_prime
@@ -240,31 +241,15 @@ class ChainReport:
                 and self.interval_inside_grid_prediction)
 
     def to_json_dict(self) -> dict:
-        def frac(f: Fraction) -> str:
-            return f"{f.numerator}/{f.denominator}"
-
-        def dec(f: Fraction) -> str:
-            return f"{float(f):.12g}"
-
-        return {
-            "lambda": self.lam,
-            "dim": self.dim,
-            "p": self.p,
-            "grid_cells": self.grid_cells,
-            "residue_density": frac(self.residue_density),
-            "residue_density_decimal": dec(self.residue_density),
-            "residue_dilate_sum_density": frac(self.residue_dilate_sum_density),
-            "residue_dilate_sum_density_decimal": dec(self.residue_dilate_sum_density),
-            "interval_measure": frac(self.interval_measure),
-            "interval_measure_decimal": dec(self.interval_measure),
-            "interval_dilate_sum_measure": frac(self.interval_dilate_sum_measure),
-            "interval_dilate_sum_measure_decimal": dec(self.interval_dilate_sum_measure),
-            "grid_projection_measure": frac(self.grid_projection_measure),
-            "grid_projection_measure_decimal": dec(self.grid_projection_measure),
-            "discrete_within_continuous": self.discrete_within_continuous,
-            "continuous_within_grid": self.continuous_within_grid,
-            "interval_inside_grid_prediction": self.interval_inside_grid_prediction,
-        }
+        """Every field under its own name (lam as "lambda"), each Fraction
+        as "num/den" plus its display-only _decimal twin."""
+        out = {}
+        for f in fields(self):
+            key = "lambda" if f.name == "lam" else f.name
+            value = getattr(self, f.name)
+            out.update(_num_fields(key, value) if isinstance(value, Fraction)
+                       else {key: value})
+        return out
 
 
 def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:

@@ -28,6 +28,7 @@ from hashlib import sha256
 from itertools import combinations
 from math import comb, gcd
 
+from .checks import _num
 from .errors import ScaleCapError
 from .residues import ResidueSet, canonical_form, dilate_sum, require_prime
 
@@ -41,9 +42,7 @@ __all__ = [
     "SweepReport",
     "sweep_rows",
     "sweep_csv",
-    "rows_csv",
-    "csv_row",
-    "csv_text",
+    "decode_entry",
     "CSV_HEADER",
 ]
 
@@ -73,11 +72,17 @@ class SearchTask:
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
 
+    def to_json_dict(self) -> dict:
+        return {"p": self.p, "lambda": self.lam, "m": self.m, "mode": self.mode,
+                "seed": self.seed, "budget": self.budget}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "SearchTask":
+        return cls(p=data["p"], lam=data["lambda"], m=data["m"], mode=data["mode"],
+                   seed=data["seed"], budget=data["budget"])
+
     def canonical_encoding(self) -> str:
-        return json.dumps(
-            {"p": self.p, "lambda": self.lam, "m": self.m, "mode": self.mode,
-             "seed": self.seed, "budget": self.budget},
-            sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return sha256(self.canonical_encoding().encode()).hexdigest()
@@ -95,12 +100,11 @@ class SearchResult:
 
     def to_json_dict(self, task: SearchTask) -> dict:
         return {
-            "task": json.loads(task.canonical_encoding()),
+            "task": task.to_json_dict(),
             "task_digest": self.task_digest,
-            "alpha": f"{task.m}/{task.p}",
+            "alpha": f"{task.m}/{task.p}",  # unreduced: m = p gives "p/p"
             "min_size": self.min_size,
-            "min_over_p": f"{Fraction(self.min_size, task.p).numerator}/"
-                          f"{Fraction(self.min_size, task.p).denominator}",
+            "min_over_p": _num(Fraction(self.min_size, task.p)),
             "exact": self.exact,
             "witness": self.witness.format(),
             "classes_enumerated": self.classes_enumerated,
@@ -115,6 +119,13 @@ class SearchResult:
             exact=data["exact"],
             task_digest=data["task_digest"],
         )
+
+
+def decode_entry(data: dict) -> tuple[SearchTask, SearchResult]:
+    """(task, result) of a search cache entry, as SearchResult.to_json_dict
+    writes it; raises on any other shape.  The one decoder of the "search"
+    cache kind, so every reader accepts and rejects the same entries."""
+    return SearchTask.from_json_dict(data["task"]), SearchResult.from_json_dict(data)
 
 
 def _scan_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
@@ -248,10 +259,9 @@ def solve_cell(task: SearchTask, workers: int = 1,
     from . import cache as cache_mod
 
     if cache_dir is not None:
-        cached = cache_mod.load_outputs(cache_dir, "search", task.digest(),
-                                        SearchResult.from_json_dict)
+        cached = cache_mod.load_outputs(cache_dir, "search", task.digest(), decode_entry)
         if cached is not None:
-            return cached, True
+            return cached[1], True
     if task.mode == "exact":
         result = exact_min_dilate_sumset(task, workers=workers)
     else:
@@ -308,28 +318,13 @@ def sweep_rows(report: SweepReport) -> list[dict]:
     return [r.to_json_dict(t) for t, r in zip(report.tasks, report.results)]
 
 
-def csv_row(row: dict) -> str:
-    """One CSV line of a search-result JSON dict, as built by
-    SearchResult.to_json_dict."""
-    task = row["task"]
-    return ",".join([
-        str(task["p"]), str(task["lambda"]), str(task["m"]), row["alpha"],
-        str(row["min_size"]), row["min_over_p"],
-        "true" if row["exact"] else "false", '"' + row["witness"] + '"',
-    ])
-
-
-def rows_csv(rows: list[dict]) -> str:
-    """Render search-result JSON dicts, as built by SearchResult.to_json_dict,
-    as CSV (fixed header, LF newlines, exact rationals)."""
-    return csv_text(map(csv_row, rows))
-
-
-def csv_text(lines) -> str:
-    """The CSV header and the given rendered lines, LF-terminated."""
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
-
-
 def sweep_csv(report: SweepReport) -> str:
-    """Render a sweep as CSV, one row per cell in sweep order."""
-    return rows_csv(sweep_rows(report))
+    """Render a sweep as CSV: the fixed header, then one row per cell in
+    sweep order with the values of its JSON row, LF newlines."""
+    lines = [CSV_HEADER]
+    for row in sweep_rows(report):
+        task = row["task"]
+        lines.append(f'{task["p"]},{task["lambda"]},{task["m"]},{row["alpha"]},'
+                     f'{row["min_size"]},{row["min_over_p"]},'
+                     f'{"true" if row["exact"] else "false"},"{row["witness"]}"')
+    return "\n".join(lines) + "\n"

@@ -83,7 +83,7 @@ def run_cd_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
         if i % 10 == 9:
             # progression pair with one common difference: equality case
             d = rng.randint(1, p - 1)
-            la = rng.randint(1, (p - 1) // 2)
+            la = rng.randint(1, max(1, (p - 1) // 2))
             lb = rng.randint(1, p - la)  # |A|+|B|-1 <= p
             a0, b0 = rng.randrange(p), rng.randrange(p)
             a = ResidueSet.from_elements(p, [(a0 + j * d) % p for j in range(la)])
@@ -136,6 +136,8 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
                            lambdas=(2, 3, 5), chain_lengths=(2, 3)) -> SuiteSummary:
     """Random integer sets B in [0, max_element]; every (lam, l) combination
     is checked for each set, including the intermediate bounds."""
+    if min(lambdas) < 2 or min(chain_lengths) < 1:
+        raise ValueError("need every lambda >= 2 and every l >= 1")
     rng = random.Random(seed)
     summary = SuiteSummary("dilate-chain", 0, 0)
     worst = max(max(lambdas) ** (l + 1) // (max(lambdas) - 1) + 1
@@ -185,7 +187,7 @@ def run_affine_suite(p: int, cases: int, seed: int = 0,
                      "lhs": lhs, "rhs": rhs})
     constant = 0
     for _ in range(orbit_samples):
-        a = _random_subset(rng, p, rng.randint(1, 10))
+        a = _random_subset(rng, p, rng.randint(1, min(10, p)))
         u = rng.randint(1, p - 1)
         v = rng.randrange(p)
         summary.cases += 1

@@ -10,7 +10,7 @@ import pytest
 
 from dilates import cache as cache_mod
 from dilates.cli import main
-from dilates.search import SearchResult, SearchTask
+from dilates.search import SearchTask, decode_entry
 from dilates.verify import SuiteSummary
 
 
@@ -146,6 +146,22 @@ def test_cli_verify_ok_and_usage_error(tmp_path):
                    "--p", "100", "--cases", "10") == 2
 
 
+def test_cli_verify_dilate_chain_rejects_small_lambda_and_length(tmp_path, capsys):
+    # lambda = 1 used to divide by zero while sizing the modulus
+    for flags in (("--lambda", "1"), ("--lambda", "-2"), ("--l", "-1")):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "dilate-chain",
+                       "--cases", "3", *flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("suite", ["cd", "ruzsa", "kfold-cd", "affine"])
+def test_cli_verify_suites_at_small_primes(tmp_path, capsys, suite, p):
+    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", suite,
+                   "--p", str(p), "--cases", "40") == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_cli_verify_math_failure_exit_code(tmp_path, monkeypatch):
     # wiring test: a suite reporting violations must exit 3
     import dilates.cli as cli_module
@@ -198,12 +214,17 @@ def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
                      if not p.name.endswith(".meta.json"))
     victim = tmp_path / "cache" / "search" / f"{SearchTask(p=7, lam=2, m=2).digest()}.json"
     good = victim.read_bytes()
+    bad_witness = {**json.loads(good), "witness": "garbage"}
+    no_classes = {k: v for k, v in json.loads(good).items() if k != "classes_enumerated"}
     search_argv = ("--cache-dir", "cache", "search", "--p", "7", "--lambda", "2", "--m", "2")
-    # a truncated file, then JSON of a shape the search result does not have
-    for damaged in (good[:len(good) // 2], b"{}", b"[1,2]", b'{"min_size": 5}'):
+    # a truncated file, then JSON of a shape the search result does not have;
+    # report and search share one decoder, so both reject every one of them
+    for damaged in (good[:len(good) // 2], b"{}", b"[1,2]", b'{"min_size": 5}',
+                    cache_mod.canonical_json(bad_witness),
+                    cache_mod.canonical_json(no_classes)):
         victim.write_bytes(damaged)
         assert [d for d, _ in cache_mod.list_outputs(tmp_path / "cache", "search",
-                                                     SearchResult.from_json_dict)] == \
+                                                     decode_entry)] == \
             [p.stem for p in entries if p != victim]
         capsys.readouterr()
         assert run_cli(tmp_path, *argv) == 0

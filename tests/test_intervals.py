@@ -13,6 +13,7 @@ from dilates.grids import GridSet, box_grid_set
 from dilates.intervals import (TorusIntervalSet, discretize_to_zp,
                                encode_grid_to_intervals, interval_dilate_sum,
                                pipeline_check, scale_intervals)
+from dilates.residues import ResidueSet, dilate_sum, sumset
 
 F = Fraction
 
@@ -283,6 +284,22 @@ def test_discretize_single_cell_at_matching_denominator():
     a = encode_grid_to_intervals(s)
     # p = lam^n is composite
     assert len(discretize_to_zp(a, 9)) == 1
+
+
+def test_interval_model_matches_residue_model():
+    # [r, r+1) + lam*[s, s+1) = [r + lam*s, r + lam*s + lam + 1), so over
+    # D = lam^n the interval sum is the union of unit cells
+    # E + lam*E + {0, ..., lam} mod D
+    rng = random.Random(27)
+    for _ in range(150):
+        lam, dim = rng.randint(2, 6), rng.randint(1, 3)
+        d = lam**dim
+        cells = frozenset(rng.sample(range(d), rng.randint(0, min(d, 30))))
+        got = interval_dilate_sum(encode_grid_to_intervals(GridSet(dim, lam, cells)), lam)
+        residue_sum = sumset(dilate_sum(ResidueSet.from_elements(d, cells), lam),
+                             ResidueSet.from_elements(d, range(lam + 1)))
+        want = tis(d, [(t, t + 1) for t in residue_sum.elements()])
+        assert got == want, (lam, dim, sorted(cells))
 
 
 # ---------------------------------------------------------------- pipeline

@@ -9,9 +9,9 @@ import pytest
 from dilates import search
 from dilates.errors import ScaleCapError
 from dilates.residues import ResidueSet, canonical_form, dilate_sum, is_canonical
-from dilates.search import (SearchTask, exact_min_dilate_sumset,
-                            exact_min_reference, heuristic_min_dilate_sumset,
-                            sweep, sweep_csv)
+from dilates.search import (SearchTask, SweepReport, decode_entry,
+                            exact_min_dilate_sumset, exact_min_reference,
+                            heuristic_min_dilate_sumset, sweep, sweep_csv)
 
 
 def test_task_validation():
@@ -26,6 +26,21 @@ def test_task_validation():
     t = SearchTask(p=7, lam=2, m=2)
     assert t.digest() == SearchTask(p=7, lam=2, m=2).digest()
     assert t.digest() != SearchTask(p=7, lam=3, m=2).digest()
+
+
+def test_task_and_result_json_forms():
+    t = SearchTask(p=7, lam=-3, m=7, mode="heuristic", seed=5, budget=9)
+    assert t.canonical_encoding() == ('{"budget":9,"lambda":-3,"m":7,'
+                                      '"mode":"heuristic","p":7,"seed":5}')
+    assert SearchTask.from_json_dict(t.to_json_dict()) == t
+    row = heuristic_min_dilate_sumset(t).to_json_dict(t)
+    # alpha is m/p as written, min_over_p the reduced fraction
+    assert (row["alpha"], row["min_over_p"]) == ("7/7", "1/1")
+    assert decode_entry(row) == (t, heuristic_min_dilate_sumset(t))
+    assert sweep_csv(SweepReport([t], [decode_entry(row)[1]], [])).splitlines()[1] == \
+        '7,-3,7,7/7,7,1/1,false,"p=7;{0,1,2,3,4,5,6}"'
+    with pytest.raises(ValueError, match="prime"):
+        decode_entry({**row, "task": {**row["task"], "p": 8}})
 
 
 def test_exact_examples():

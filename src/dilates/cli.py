@@ -86,6 +86,8 @@ def _cmd_construct(args) -> int:
         extra = {**_num_fields("region_volume", mu_b),
                  **_num_fields("sum_region_volume", mu_cc)}
         if not args.lam:
+            if args.p:
+                raise ValueError("--p needs --lambda: only the grid set is discretized")
             payload = {"construction": "simplex", "n": args.n, **extra}
             _write(out_dir / "simplex.json", cache_mod.canonical_json(payload))
             digest = cache_mod.digest_of({"simplex": args.n})
@@ -123,6 +125,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases must be >= 1, got {args.cases}")
     summary = SUITES[args.suite](args, args.cases, args.seed)
     payload = summary.to_json_dict()
     digest = cache_mod.digest_of({"suite": args.suite, "cases": args.cases,
@@ -140,7 +144,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     task = SearchTask(p=args.p, lam=args.lam, m=args.m, mode=args.mode,
                       seed=args.seed, budget=args.budget)
-    result, _ = solve_cell(task, args.workers, args.cache_dir)
+    result, _ = solve_cell(task, args.cache_dir)
     print(json.dumps(result.to_json_dict(task), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -149,7 +153,7 @@ def _cmd_sweep(args) -> int:
     report = sweep(
         _parse_int_list(args.p), _parse_int_list(args.lam),
         _parse_m_range(args.m_range), mode=args.mode, seed=args.seed,
-        budget=args.budget, workers=args.workers, cache_dir=args.cache_dir)
+        budget=args.budget, cache_dir=args.cache_dir)
     out_dir = Path(args.out)
     _write(out_dir / "sweep.csv", sweep_csv(report).encode())
     payload = {"cells": sweep_rows(report), "errors": report.errors}
@@ -277,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=0)
-    p_search.add_argument("--workers", type=int, default=1)
     p_search.set_defaults(func=_cmd_search)
 
     p_sweep = sub.add_parser("sweep", help="grid of search cells -> CSV/JSON")
@@ -287,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--budget", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", default="out")
     p_sweep.set_defaults(func=_cmd_sweep)
 

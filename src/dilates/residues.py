@@ -381,7 +381,9 @@ def canonical_form(a: ResidueSet) -> ResidueSet:
 
 
 def is_canonical(a: ResidueSet) -> bool:
-    """True iff a == canonical_form(a), with early exit."""
+    """True iff a == canonical_form(a), with early exit.  Public API kept
+    on purpose, though the exact search, whose witness is canonical by
+    construction, does not call it."""
     n = a.modulus
     require_prime(n)
     if a.bits == 0 or a.bits == (1 << n) - 1:

@@ -3,14 +3,14 @@
 Exact mode needs one set per affine orbit {u*A + v}, as the objective is
 affine-invariant, and every orbit meets the sets through the anchor
 {0, 1}: for members x != y, z -> (z - x) / (y - x) sends A to such a set.
-So the scan scores the C(p-2, m-2) sets {0, 1} + (an (m-2)-subset of
-2..p-1), and {0} alone for m = 1, and keeps the least (size, sorted tuple)
-pair, which is canonical without a test (see exact_min_dilate_sumset).
+So a serial branch and bound (_branch_and_bound) walks the C(p-2, m-2)
+sets {0, 1} + (an (m-2)-subset of 2..p-1), and {0} alone for m = 1, in
+lexicographic order, pruning every prefix whose partial sum already has
+as many members as the best set so far, and stops at the
+Cauchy-Davenport floor.  It keeps the least (size, sorted tuple) pair,
+which is canonical without a test (see exact_min_dilate_sumset).
 classes_enumerated, the orbit count, comes from Burnside's lemma
-(_orbit_count).  A parallel run splits the scan at the third element into
-the lexicographically contiguous runs {0, 1, x} + (an (m-3)-subset of
-x+1..p-1); the least chunk minimum is the serial answer for any worker
-count.
+(_orbit_count).
 
 Heuristic mode is plain seeded simulated annealing over single-element
 swaps and only ever reports an upper bound.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -47,9 +46,6 @@ __all__ = [
 ]
 
 _SCAN_CAP = 10**8
-# Below about 10^4 anchored sets a fresh process pool costs more than it
-# saves: 5985 sets took 0.11-0.14 s in one process, 0.12 s with two (2 CPUs).
-_PARALLEL_MIN_SETS = 10**4
 
 
 @dataclass(frozen=True)
@@ -128,12 +124,49 @@ def decode_entry(data: dict) -> tuple[SearchTask, SearchResult]:
     return SearchTask.from_json_dict(data["task"]), SearchResult.from_json_dict(data)
 
 
-def _scan_chunk(args: tuple[int, int, int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    """Least (|A + lam*A|, A) over the sets A = head + c, c an
-    (m - len(head))-combination of head[-1] + 1 .. p - 1."""
-    p, lam, m, head = args
-    combos = (head + tail for tail in combinations(range(head[-1] + 1, p), m - len(head)))
-    return min((len(dilate_sum(ResidueSet.from_elements(p, c), lam)), c) for c in combos)
+def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """Least (|A + lam*A|, A) over the anchored m-sets A, as sorted tuples.
+
+    Walks the sets through {0, 1}[:m] in lexicographic order with an
+    explicit stack, as a recursion would be m deep.  Depth d holds the
+    prefix elems[:d] as bitvectors P, L = lam*P and S = P + lam*P, so
+    adding x ORs in two cyclic shifts, L + x and (P | x) + lam*x.  |S|
+    only grows along a branch, so a child with |S| >= best is pruned:
+    every set below it scores at least best and comes later in
+    lexicographic order than the set that set best.  The walk stops once
+    best reaches the floor no set can beat, min(p, 2m - 1) by
+    Cauchy-Davenport when lam is a unit, m when p | lam.
+    """
+    lam %= p
+    full = (1 << p) - 1
+    floor = m if lam == 0 else min(p, 2 * m - 1)
+    top = [d if d < 2 else p - m + d for d in range(m)]  # last element at depth d
+    elems = [0] * m
+    P, L, S, nxt = [0] * m, [0] * m, [0] * m, [0] * m
+    best, witness = p + 1, ()
+    depth = 0
+    while depth >= 0:
+        x = nxt[depth]
+        if x > top[depth]:
+            depth -= 1
+            continue
+        nxt[depth] = x + 1
+        lx = lam * x % p
+        p_x = P[depth] | 1 << x
+        s_x = (S[depth] | (L[depth] << x | L[depth] >> (p - x)) & full
+               | (p_x << lx | p_x >> (p - lx)) & full)
+        size = s_x.bit_count()
+        if size >= best:
+            continue
+        elems[depth] = x
+        if depth + 1 == m:
+            best, witness = size, tuple(elems)
+            if best == floor:
+                break
+            continue
+        depth += 1
+        P[depth], L[depth], S[depth], nxt[depth] = p_x, L[depth - 1] | 1 << lx, s_x, x + 1
+    return best, witness
 
 
 def _orbit_count(p: int, m: int) -> int:
@@ -162,16 +195,15 @@ def _orbit_count(p: int, m: int) -> int:
     return fixed // (p * (p - 1))
 
 
-def exact_min_dilate_sumset(task: SearchTask, workers: int = 1) -> SearchResult:
+def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
-    Scores the C(p - k, m - k) sets through the anchor {0, 1}[:k],
-    k = min(m, 2), at most _SCAN_CAP of them, and returns the least
-    (size, sorted tuple) pair.  That witness W is canonical: its
-    canonical form C is anchored, no later than W in lexicographic order
-    and of equal size (the objective is affine-invariant), so C was
-    scored too and C = W.  Deterministic for any worker count: chunk
-    minima merge by the same order.
+    Refuses a cell with more than _SCAN_CAP sets through the anchor
+    {0, 1}[:k], k = min(m, 2), before any work, then returns the least
+    (size, sorted tuple) pair of _branch_and_bound.  That witness W is
+    canonical: its canonical form C is anchored, no later than W in
+    lexicographic order and of equal size (the objective is
+    affine-invariant), so the walk reached C first and C = W.
     """
     if task.mode != "exact":
         raise ValueError("task.mode must be 'exact'")
@@ -181,13 +213,7 @@ def exact_min_dilate_sumset(task: SearchTask, workers: int = 1) -> SearchResult:
     if sets > _SCAN_CAP:
         raise ScaleCapError(
             f"{sets} anchored sets exceed cap {_SCAN_CAP}; use heuristic mode")
-
-    if workers > 1 and sets > _PARALLEL_MIN_SETS:
-        chunks = [(p, task.lam, m, (0, 1, x)) for x in range(2, p - m + 3)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            best_size, best_witness = min(pool.map(_scan_chunk, chunks))
-    else:
-        best_size, best_witness = _scan_chunk((p, task.lam, m, (0, 1)[:k]))
+    best_size, best_witness = _branch_and_bound(p, task.lam, m)
     return SearchResult(
         min_size=best_size,
         witness=ResidueSet.from_elements(p, best_witness),
@@ -251,8 +277,7 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
     )
 
 
-def solve_cell(task: SearchTask, workers: int = 1,
-               cache_dir=None) -> tuple[SearchResult, bool]:
+def solve_cell(task: SearchTask, cache_dir=None) -> tuple[SearchResult, bool]:
     """(result, cached) for one cell: the cache entry under the task
     digest if it decodes to a SearchResult, else the exact or heuristic
     search, whose result is then stored.  cache_dir None skips the cache."""
@@ -263,7 +288,7 @@ def solve_cell(task: SearchTask, workers: int = 1,
         if cached is not None:
             return cached[1], True
     if task.mode == "exact":
-        result = exact_min_dilate_sumset(task, workers=workers)
+        result = exact_min_dilate_sumset(task)
     else:
         result = heuristic_min_dilate_sumset(task)
     if cache_dir is not None:
@@ -285,7 +310,7 @@ class SweepReport:
 
 
 def sweep(p_values, lam_values, m_rule, mode: str = "exact", seed: int = 0,
-          budget: int = 0, workers: int = 1, cache_dir=None) -> SweepReport:
+          budget: int = 0, cache_dir=None) -> SweepReport:
     """One result per (p, lam, m) cell, deterministic order, cached by task
     digest.  m_rule is an iterable of m values or a callable p -> iterable.
     Per-cell errors are recorded and the sweep continues."""
@@ -297,7 +322,7 @@ def sweep(p_values, lam_values, m_rule, mode: str = "exact", seed: int = 0,
                 try:
                     task = SearchTask(p=p, lam=lam, m=m, mode=mode,
                                       seed=seed, budget=budget)
-                    result, cached = solve_cell(task, workers, cache_dir)
+                    result, cached = solve_cell(task, cache_dir)
                 except (ValueError, ScaleCapError) as exc:
                     report.errors.append(
                         {"p": p, "lambda": lam, "m": m, "error": str(exc)})

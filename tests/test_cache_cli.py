@@ -139,11 +139,28 @@ def test_cli_construct_simplex(tmp_path):
     assert data["sum_region_volume"] == "119/120"
 
 
+def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):
+    # --p discretizes the grid set, which only --lambda builds
+    code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "simplex",
+                   "--n", "5", "--p", "11", "--out", "out")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
 def test_cli_verify_ok_and_usage_error(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
                    "--p", "101", "--cases", "300", "--seed", "1") == 0
     assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
                    "--p", "100", "--cases", "10") == 2
+
+
+def test_cli_verify_rejects_non_positive_cases(tmp_path, capsys):
+    for cases in ("0", "-5"):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
+                       "--cases", cases) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cli_verify_dilate_chain_rejects_small_lambda_and_length(tmp_path, capsys):

@@ -79,10 +79,6 @@ def test_exact_result_matches_brute_force():
                 r = exact_min_dilate_sumset(SearchTask(p=p, lam=lam, m=m))
                 assert (r.min_size, r.witness.elements(), r.classes_enumerated) \
                     == (best, witness, classes), (p, lam, m)
-    # C(21, 3) = 1330 anchored sets: above the parallel threshold of 1024
-    task = SearchTask(p=23, lam=3, m=5)
-    assert exact_min_dilate_sumset(task, workers=2) == \
-        exact_min_dilate_sumset(task, workers=1)
 
 
 def test_exact_agrees_with_reference():
@@ -106,48 +102,47 @@ def is_valid_result(result, p, lam):
             and result.witness == canonical_form(result.witness))
 
 
-def test_exact_parallel_matches_serial(monkeypatch):
-    # C(17, 4) = 2380 anchored sets: below the measured pool break-even, so
-    # two workers still scan in this process unless the gate is lowered
-    pools = []
+def anchored_sets(p, m):
+    """The sets through the anchor {0, 1}[:m], in lexicographic order."""
+    k = min(m, 2)
+    return [(0, 1)[:k] + c for c in combinations(range(k, p), m - k)]
 
-    class SpyPool(search.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SpyPool)
-    task = SearchTask(p=19, lam=2, m=6)
-    serial = exact_min_dilate_sumset(task, workers=1)
-    assert exact_min_dilate_sumset(task, workers=2) == serial
-    assert pools == []
-    monkeypatch.setattr(search, "_PARALLEL_MIN_SETS", 1024)
-    for workers in (2, 4):
-        assert exact_min_dilate_sumset(task, workers=workers) == serial
-    assert pools == [2, 4]
+def test_exact_matches_anchored_reference_scan():
+    # the reference scores every anchored set and keeps the least (size,
+    # set) pair; the orbit count is checked against the canonical anchored
+    # sets of these cells in test_orbit_count_matches_canonical_anchored_sets.
+    # Every cell with at most 3000 anchored sets at p = 17, 19, 23; lam = 0
+    # has floor m, and 1 and p + 1 are the same unit
+    cells = 0
+    for p in (17, 19, 23):
+        for m in range(1, p + 1):
+            sets = anchored_sets(p, m)
+            if len(sets) > 3000:
+                continue
+            classes = search._orbit_count(p, m)
+            for lam in (-1, 0, 1, 2, 3, p + 1):
+                reference = min((len(dilate_sum(ResidueSet.from_elements(p, s), lam)), s)
+                                for s in sets)
+                r = exact_min_dilate_sumset(SearchTask(p=p, lam=lam, m=m))
+                assert (r.min_size, r.witness.elements(), r.classes_enumerated) \
+                    == reference + (classes,), (p, lam, m)
+                cells += 1
+    assert cells == 186
+
+
+def test_exact_one_orbit_and_large_m_cells():
     # m in {1, 2, p-1, p}: the affine group acts transitively, one orbit
     for m in (1, 2, 18, 19):
-        task = SearchTask(p=19, lam=3, m=m)
-        serial = exact_min_dilate_sumset(task, workers=1)
-        assert exact_min_dilate_sumset(task, workers=2) == serial
-        assert serial.classes_enumerated == 1
-        assert serial.witness == ResidueSet.from_elements(19, range(m))
-        assert serial.min_size == exact_min_reference(19, 3, m)
-
-
-def test_exact_visits_only_anchored_sets(monkeypatch):
-    scored = []
-
-    def counting(a, lam):
-        scored.append(a)
-        return dilate_sum(a, lam)
-
-    monkeypatch.setattr(search, "dilate_sum", counting)
-    for p, m in ((2, 1), (2, 2), (7, 1), (7, 2), (7, 4), (11, 5), (13, 12), (13, 13)):
-        scored.clear()
-        exact_min_dilate_sumset(SearchTask(p=p, lam=2, m=m))
-        assert len(scored) == (comb(p - 2, m - 2) if m >= 2 else 1)
-        assert all(0 in a and (m == 1 or 1 in a) for a in scored)
+        r = exact_min_dilate_sumset(SearchTask(p=19, lam=3, m=m))
+        assert r.classes_enumerated == 1
+        assert r.witness == ResidueSet.from_elements(19, range(m))
+        assert r.min_size == exact_min_reference(19, 3, m)
+    # 2m - 1 >= p: every set scores p, so the walk stops at its first set;
+    # m levels deep, past the default recursion limit
+    for m in (1007, 1008):
+        r = exact_min_dilate_sumset(SearchTask(p=1009, lam=2, m=m))
+        assert (r.min_size, r.witness.elements()) == (1009, tuple(range(m)))
 
 
 def test_orbit_count_matches_canonical_anchored_sets():
@@ -158,8 +153,8 @@ def test_orbit_count_matches_canonical_anchored_sets():
             if comb(p - 2, m - 2) > 3000:
                 continue
             cells += 1
-            canonical = sum(is_canonical(ResidueSet.from_elements(p, (0, 1) + tail))
-                            for tail in combinations(range(2, p), m - 2))
+            canonical = sum(is_canonical(ResidueSet.from_elements(p, s))
+                            for s in anchored_sets(p, m))
             assert search._orbit_count(p, m) == canonical, (p, m)
     assert cells == 42
 

@@ -1,6 +1,6 @@
 """Content-addressed result cache.
 
-Layout: <cache_dir>/<kind>/<sha256>.json holds the canonical JSON outputs
+Layout: <cache_dir>/<kind>/<key>.json holds the canonical JSON outputs
 of one experiment; a .meta.json sidecar holds timestamps and tool version
 so the outputs themselves stay byte-identical across reruns.  The cache
 directory defaults to ./dilates_cache and is overridden by the
@@ -32,13 +32,21 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(ENV_CACHE_DIR, "dilates_cache"))
 
 
+# one encoder for every call: json.dumps would build a new one each time,
+# which costs more than the encoding of a search task itself
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(obj) -> bytes:
     """Stable byte encoding: sorted keys, no whitespace, trailing newline."""
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return (_compact_json(obj) + "\n").encode()
 
 
-def digest_of(obj) -> str:
-    return sha256(canonical_json(obj)).hexdigest()
+def key(inputs) -> str:
+    """The cache key of an experiment: the SHA-256 of its inputs' compact,
+    key-sorted JSON, without canonical_json's trailing newline, so search
+    entries keep the names they were first written under."""
+    return sha256(_compact_json(inputs).encode()).hexdigest()
 
 
 def atomic_write(path: Path, data: bytes) -> None:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cache as cache_mod
+from . import verify
 from .checks import _num, _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .gaps import Gap, expand, find_max_proper_gap, is_proper, lambda_span_check
@@ -27,7 +28,6 @@ from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_chec
 from .residues import ResidueSet, require_prime
 from .search import (SearchTask, SweepReport, decode_entry, solve_cell, sweep,
                      sweep_csv, sweep_rows)
-from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,9 +35,27 @@ EXIT_MATH = 3
 EXIT_SCALE = 4
 EXIT_IO = 5
 
+# verify suite -> (its run function in dilates.verify, looked up at each call
+# so a patched module attribute is the one called; the keyword arguments it
+# reads from the flags besides --cases and --seed, 0-defaults resolved)
+_SUITES = {
+    "cd": ("run_cd_suite", lambda args: {"p": args.p}),
+    "ruzsa": ("run_ruzsa_suite",
+              lambda args: {"modulus": args.modulus or args.p or 1009}),
+    "plunnecke": ("run_plunnecke_suite", lambda args: {}),
+    "dilate-chain": ("run_dilate_chain_suite",
+                     lambda args: {"lambdas": [args.lam] if args.lam else [2, 3, 5],
+                                   "chain_lengths": [args.l] if args.l else [2, 3]}),
+    "kfold-cd": ("run_kfold_suite", lambda args: {"p": args.p}),
+    "affine": ("run_affine_suite", lambda args: {"p": args.p}),
+}
+
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.replace(" ", ""))
+    try:
+        return Fraction(text.replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -66,6 +84,7 @@ def _write_dat(path: Path, column: str, points) -> None:
 
 def _cmd_construct(args) -> int:
     out_dir = Path(args.out)
+    inputs = {"shape": args.shape, "lambda": args.lam or None, "p": args.p or None}
     if args.shape == "box":
         lam = args.lam
         if args.sides:
@@ -81,7 +100,9 @@ def _cmd_construct(args) -> int:
         grid = box_grid_set(args.d, lam, sides)
         label = "box"
         extra = {"sides": [_num(s) for s in sides]}
+        inputs.update(d=args.d, **extra)
     else:
+        inputs["n"] = args.n
         mu_b, mu_cc = simplex_construction(args.n)
         extra = {**_num_fields("region_volume", mu_b),
                  **_num_fields("sum_region_volume", mu_cc)}
@@ -90,8 +111,8 @@ def _cmd_construct(args) -> int:
                 raise ValueError("--p needs --lambda: only the grid set is discretized")
             payload = {"construction": "simplex", "n": args.n, **extra}
             _write(out_dir / "simplex.json", cache_mod.canonical_json(payload))
-            digest = cache_mod.digest_of({"simplex": args.n})
-            cache_mod.store_experiment(args.cache_dir, "construct", digest, payload)
+            cache_mod.store_experiment(args.cache_dir, "construct",
+                                       cache_mod.key(inputs), payload)
             print(json.dumps(payload, indent=2, sort_keys=True))
             return EXIT_OK
         grid = simplex_grid_set(args.n, args.lam)
@@ -118,22 +139,19 @@ def _cmd_construct(args) -> int:
             _write(out_dir / "chain_report.json",
                    cache_mod.canonical_json(report.to_json_dict()))
             print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    digest = cache_mod.digest_of({k: v for k, v in artifacts.items()
-                                  if k in ("construction", "grid")})
-    cache_mod.store_experiment(args.cache_dir, "construct", digest, artifacts)
+    cache_mod.store_experiment(args.cache_dir, "construct", cache_mod.key(inputs), artifacts)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
-    summary = SUITES[args.suite](args, args.cases, args.seed)
+    run, flags = _SUITES[args.suite]
+    kwargs = {"cases": args.cases, "seed": args.seed, **flags(args)}
+    summary = getattr(verify, run)(**kwargs)
     payload = summary.to_json_dict()
-    digest = cache_mod.digest_of({"suite": args.suite, "cases": args.cases,
-                                  "seed": args.seed, "p": args.p,
-                                  "modulus": args.modulus,
-                                  "lambda": args.lam, "l": args.l})
-    cache_mod.store_experiment(args.cache_dir, "verify", digest, payload)
+    cache_mod.store_experiment(args.cache_dir, "verify",
+                               cache_mod.key({"suite": args.suite, **kwargs}), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not summary.ok:
         raise MathAssertionError(
@@ -150,18 +168,16 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = sweep(
-        _parse_int_list(args.p), _parse_int_list(args.lam),
-        _parse_m_range(args.m_range), mode=args.mode, seed=args.seed,
-        budget=args.budget, cache_dir=args.cache_dir)
+    inputs = {"p": _parse_int_list(args.p), "lambda": _parse_int_list(args.lam),
+              "m": _parse_m_range(args.m_range), "mode": args.mode,
+              "seed": args.seed, "budget": args.budget}
+    report = sweep(inputs["p"], inputs["lambda"], inputs["m"], mode=args.mode,
+                   seed=args.seed, budget=args.budget, cache_dir=args.cache_dir)
     out_dir = Path(args.out)
     _write(out_dir / "sweep.csv", sweep_csv(report).encode())
     payload = {"cells": sweep_rows(report), "errors": report.errors}
     _write(out_dir / "sweep.json", cache_mod.canonical_json(payload))
-    digest = cache_mod.digest_of({"p": args.p, "lambda": args.lam,
-                                  "m_range": args.m_range, "mode": args.mode,
-                                  "seed": args.seed, "budget": args.budget})
-    cache_mod.store_experiment(args.cache_dir, "sweep", digest, payload)
+    cache_mod.store_experiment(args.cache_dir, "sweep", cache_mod.key(inputs), payload)
     for err in report.errors:
         print(f"cell error: {err}", file=sys.stderr)
     print(f"{len(report.results)} cells ({report.computed} computed, "
@@ -172,6 +188,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_gap(args) -> int:
     if args.action == "find":
         s = ResidueSet.parse(args.set)
+        inputs = {"action": "find", "set": s.format(), "d_max": args.d_max}
         gap = find_max_proper_gap(s, args.d_max)
         payload = {
             "set": s.format(),
@@ -182,6 +199,7 @@ def _cmd_gap(args) -> int:
         }
     elif args.action == "expand":
         gap = Gap.parse(args.gap)
+        inputs = {"action": "expand", "gap": gap.format()}
         payload = {
             "gap": gap.format(),
             "elements": expand(gap).format(),
@@ -190,21 +208,28 @@ def _cmd_gap(args) -> int:
         }
     else:  # span
         gap = Gap.parse(args.gap)
+        inputs = {"action": "span", "gap": gap.format(), "lambda": args.lam,
+                  "exponent": args.exponent}
         report = lambda_span_check(gap, args.lam, args.exponent)
         payload = report.to_json_dict()
         if not report.holds:
             raise MathAssertionError("lambda-power span containment failed")
-    digest = cache_mod.digest_of(payload)
-    cache_mod.store_experiment(args.cache_dir, "gap", digest, payload)
+    cache_mod.store_experiment(args.cache_dir, "gap", cache_mod.key(inputs), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    # by (p, lambda, m); the sort is stable, so ties stay in digest order
-    cells = sorted((cell for _, cell in cache_mod.list_outputs(args.cache_dir, "search",
-                                                               decode_entry)),
-                   key=lambda cell: (cell[0].p, cell[0].lam, cell[0].m))
+    cells = []
+    for key, cell in cache_mod.list_outputs(args.cache_dir, "search", decode_entry):
+        # search only ever reads an entry under its own task's key
+        if key == cell[0].digest():
+            cells.append(cell)
+        else:
+            print(f"cache: ignoring search entry {key} filed under another task's key",
+                  file=sys.stderr)
+    # by (p, lambda, m); the sort is stable, so ties stay in key order
+    cells.sort(key=lambda cell: (cell[0].p, cell[0].lam, cell[0].m))
     report = SweepReport(tasks=[t for t, _ in cells], results=[r for _, r in cells],
                          errors=[])
     out_dir = Path(args.out)
@@ -261,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_simplex.set_defaults(func=_cmd_construct)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("--cases", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--p", type=int, default=101)

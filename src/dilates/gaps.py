@@ -148,7 +148,10 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
         raise ValueError("need lam >= 2 and exponent >= 0")
     if any(k < lam for k in gap.lengths):
         raise ValueError("span check requires every length >= lam")
-    if lam**exponent * gap.nominal_size > _EXPAND_CAP:
+    # lam >= 2, so lam**exponent passes the cap once exponent reaches its
+    # bit length: refuse that before building the power
+    if (exponent >= _EXPAND_CAP.bit_length()
+            or lam**exponent * gap.nominal_size > _EXPAND_CAP):
         raise ScaleCapError("span check exceeds enumeration cap")
     p = gap.modulus
     base = expand(gap)

@@ -43,17 +43,20 @@ def _as_fraction(value) -> Fraction:
 
 
 def nth_root_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for nonnegative integer x."""
+    """floor(x ** (1/k)) for nonnegative integer x, in integers only.
+
+    Newton's iteration from 2**ceil(bits/k), which is above the root,
+    decreases strictly until it reaches the floor root."""
     if x < 0 or k < 1:
         raise ValueError("need x >= 0 and k >= 1")
     if x < 2:
         return x
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,11 @@ swaps and only ever reports an upper bound.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from hashlib import sha256
 from itertools import combinations
 from math import comb, gcd
 
@@ -77,11 +76,17 @@ class SearchTask:
         return cls(p=data["p"], lam=data["lambda"], m=data["m"], mode=data["mode"],
                    seed=data["seed"], budget=data["budget"])
 
-    def canonical_encoding(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     def digest(self) -> str:
-        return sha256(self.canonical_encoding().encode()).hexdigest()
+        """The task's cache key, cache.key of its JSON form."""
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> str:
+        # computed once per task, as a warm sweep asks for it per row;
+        # lazily, so importing dilates loads no cache code
+        from . import cache
+
+        return cache.key(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,11 @@ class SearchResult:
     witness: ResidueSet
     classes_enumerated: int
     exact: bool
-    task_digest: str
 
     def to_json_dict(self, task: SearchTask) -> dict:
         return {
             "task": task.to_json_dict(),
-            "task_digest": self.task_digest,
+            "task_digest": task.digest(),
             "alpha": f"{task.m}/{task.p}",  # unreduced: m = p gives "p/p"
             "min_size": self.min_size,
             "min_over_p": _num(Fraction(self.min_size, task.p)),
@@ -113,15 +117,18 @@ class SearchResult:
             witness=ResidueSet.parse(data["witness"]),
             classes_enumerated=data["classes_enumerated"],
             exact=data["exact"],
-            task_digest=data["task_digest"],
         )
 
 
 def decode_entry(data: dict) -> tuple[SearchTask, SearchResult]:
     """(task, result) of a search cache entry, as SearchResult.to_json_dict
-    writes it; raises on any other shape.  The one decoder of the "search"
-    cache kind, so every reader accepts and rejects the same entries."""
-    return SearchTask.from_json_dict(data["task"]), SearchResult.from_json_dict(data)
+    writes it; raises on any other shape, and on a task_digest that is not
+    the task's key.  The one decoder of the "search" cache kind, so every
+    reader accepts and rejects the same entries."""
+    task = SearchTask.from_json_dict(data["task"])
+    if data["task_digest"] != task.digest():
+        raise ValueError(f"task_digest {data['task_digest']!r} is not the task's key")
+    return task, SearchResult.from_json_dict(data)
 
 
 def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
@@ -219,7 +226,6 @@ def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
         witness=ResidueSet.from_elements(p, best_witness),
         classes_enumerated=_orbit_count(p, m),
         exact=True,
-        task_digest=task.digest(),
     )
 
 
@@ -273,19 +279,20 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
         witness=canonical_form(witness),
         classes_enumerated=evaluations,
         exact=False,
-        task_digest=task.digest(),
     )
 
 
 def solve_cell(task: SearchTask, cache_dir=None) -> tuple[SearchResult, bool]:
-    """(result, cached) for one cell: the cache entry under the task
-    digest if it decodes to a SearchResult, else the exact or heuristic
+    """(result, cached) for one cell: the cache entry under the task's key
+    if it decodes to this task's result, else the exact or heuristic
     search, whose result is then stored.  cache_dir None skips the cache."""
     from . import cache as cache_mod
 
     if cache_dir is not None:
         cached = cache_mod.load_outputs(cache_dir, "search", task.digest(), decode_entry)
-        if cached is not None:
+        # an entry of another task filed under this key is a miss; the
+        # store below overwrites it
+        if cached is not None and cached[0] == task:
             return cached[1], True
     if task.mode == "exact":
         result = exact_min_dilate_sumset(task)

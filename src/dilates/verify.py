@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .checks import (check_cauchy_davenport, check_dilate_chain,
                      check_kfold_cd_chain, check_plunnecke,
                      check_ruzsa_triangle)
+from .errors import ScaleCapError
 from .residues import (ResidueSet, affine_image, canonical_form, dilate_sum,
                        require_prime)
 
@@ -25,8 +26,9 @@ __all__ = [
     "run_dilate_chain_suite",
     "run_kfold_suite",
     "run_affine_suite",
-    "SUITES",
 ]
+
+_CHAIN_MODULUS_CAP = 1 << 26  # largest emulation modulus of the dilate-chain suite
 
 
 @dataclass
@@ -135,14 +137,22 @@ def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> Sui
 def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
                            lambdas=(2, 3, 5), chain_lengths=(2, 3)) -> SuiteSummary:
     """Random integer sets B in [0, max_element]; every (lam, l) combination
-    is checked for each set, including the intermediate bounds."""
+    is checked for each set, including the intermediate bounds.
+
+    The emulation modulus grows as lam**(l + 1) / (lam - 1); one above
+    _CHAIN_MODULUS_CAP is refused before any set is built."""
     if min(lambdas) < 2 or min(chain_lengths) < 1:
         raise ValueError("need every lambda >= 2 and every l >= 1")
+    lam_max, l_max = max(lambdas), max(chain_lengths)
+    # lam_max**l_max >= 2**l_max: from l_max = 27 on the modulus exceeds
+    # the cap (for max_element >= 1), so refuse before taking the power
+    if l_max >= _CHAIN_MODULUS_CAP.bit_length():
+        raise ScaleCapError(f"chain length {l_max} exceeds the emulation cap")
+    modulus = (lam_max ** (l_max + 1) // (lam_max - 1) + 1) * max_element + lam_max + 3
+    if modulus > _CHAIN_MODULUS_CAP:
+        raise ScaleCapError(f"emulation modulus {modulus} exceeds cap {_CHAIN_MODULUS_CAP}")
     rng = random.Random(seed)
     summary = SuiteSummary("dilate-chain", 0, 0)
-    worst = max(max(lambdas) ** (l + 1) // (max(lambdas) - 1) + 1
-                for l in chain_lengths)
-    modulus = worst * max_element + max(lambdas) + 3
     for _ in range(cases):
         base = rng.sample(range(max_element + 1), rng.randint(1, 40))
         b = ResidueSet.from_elements(modulus, base)
@@ -198,40 +208,3 @@ def run_affine_suite(p: int, cases: int, seed: int = 0,
     summary.stats["orbit_samples"] = orbit_samples
     summary.stats["orbit_canonical_constant"] = constant
     return summary
-
-
-def _suite_cd(args, cases, seed):
-    return run_cd_suite(args.p, cases, seed)
-
-
-def _suite_ruzsa(args, cases, seed):
-    modulus = args.modulus if args.modulus else (args.p or 1009)
-    return run_ruzsa_suite(modulus, cases, seed)
-
-
-def _suite_plunnecke(args, cases, seed):
-    return run_plunnecke_suite(cases, seed)
-
-
-def _suite_dilate_chain(args, cases, seed):
-    lambdas = (args.lam,) if args.lam else (2, 3, 5)
-    ls = (args.l,) if args.l else (2, 3)
-    return run_dilate_chain_suite(cases, seed, lambdas=lambdas, chain_lengths=ls)
-
-
-def _suite_kfold(args, cases, seed):
-    return run_kfold_suite(args.p, cases, seed)
-
-
-def _suite_affine(args, cases, seed):
-    return run_affine_suite(args.p, cases, seed)
-
-
-SUITES = {
-    "cd": _suite_cd,
-    "ruzsa": _suite_ruzsa,
-    "plunnecke": _suite_plunnecke,
-    "dilate-chain": _suite_dilate_chain,
-    "kfold-cd": _suite_kfold,
-    "affine": _suite_affine,
-}

@@ -4,6 +4,8 @@ import json
 import os
 import sys
 import threading
+import time
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,8 @@ def test_canonical_json_is_stable():
     a = cache_mod.canonical_json({"b": 1, "a": [2, 3]})
     b = cache_mod.canonical_json({"a": [2, 3], "b": 1})
     assert a == b == b'{"a":[2,3],"b":1}\n'
-    assert cache_mod.digest_of({"x": 1}) == cache_mod.digest_of({"x": 1})
+    # a key hashes the compact JSON without the newline
+    assert cache_mod.key({"b": 1, "a": [2, 3]}) == sha256(b'{"a":[2,3],"b":1}').hexdigest()
 
 
 def test_store_and_load_outputs(tmp_path):
@@ -122,6 +125,22 @@ def test_cli_construct_box_empty_warns_exit_zero(tmp_path, capsys):
     assert "empty" in capsys.readouterr().out
 
 
+def test_cli_construct_box_tiny_gamma_warns_exit_zero(tmp_path, capsys):
+    # 10**320 is past the float range; the side is found in integers
+    code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
+                   "--d", "2", "--lambda", "9", "--gamma", f"1/{10**320}", "--out", "out")
+    assert code == 0
+    assert "empty" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [("--gamma", "1/0"), ("--sides", "1/3,1/0")])
+def test_cli_construct_zero_denominator_exit_2(tmp_path, capsys, flag):
+    code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
+                   "--d", "2", "--lambda", "9", *flag, "--out", "out")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_construct_composite_modulus_exit_2(tmp_path):
     code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
                    "--d", "1", "--lambda", "9", "--gamma", "1/3",
@@ -171,6 +190,15 @@ def test_cli_verify_dilate_chain_rejects_small_lambda_and_length(tmp_path, capsy
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_verify_dilate_chain_modulus_cap_exit_4(tmp_path, capsys):
+    # --l 12 would need a 3.6 GiB bitvector; it and a length whose power
+    # alone is out of reach are refused before any set is built
+    for length in ("12", "1000000000"):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "dilate-chain",
+                       "--cases", "1", "--l", length) == 4
+        assert capsys.readouterr().err.startswith("scale cap exceeded: ")
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("suite", ["cd", "ruzsa", "kfold-cd", "affine"])
 def test_cli_verify_suites_at_small_primes(tmp_path, capsys, suite, p):
@@ -181,14 +209,39 @@ def test_cli_verify_suites_at_small_primes(tmp_path, capsys, suite, p):
 
 def test_cli_verify_math_failure_exit_code(tmp_path, monkeypatch):
     # wiring test: a suite reporting violations must exit 3
-    import dilates.cli as cli_module
+    import dilates.verify as verify_module
 
-    def broken(args, cases, seed):
+    def broken(p, cases, seed):
         return SuiteSummary("cd", cases, 1)
 
-    monkeypatch.setitem(cli_module.SUITES, "cd", broken)
+    monkeypatch.setattr(verify_module, "run_cd_suite", broken)
     assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
                    "--cases", "5") == 3
+
+
+def _entries(cache_dir, kind):
+    return sorted(p for p in (cache_dir / kind).glob("*.json")
+                  if not p.name.endswith(".meta.json"))
+
+
+def test_cli_records_keyed_by_resolved_inputs(tmp_path, capsys):
+    # plunnecke reads no --p: one entry
+    for p in ("7", "11"):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "plunnecke",
+                       "--p", p, "--cases", "5") == 0
+    assert len(_entries(tmp_path / "cache", "verify")) == 1
+    # the box is discretized at each prime: one entry per prime
+    for p in ("10007", "10009"):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "2",
+                       "--lambda", "9", "--gamma", "1/9", "--p", p, "--out", "out") == 0
+    reports = [json.loads(e.read_text())["chain_report"]["p"]
+               for e in _entries(tmp_path / "cache", "construct")]
+    assert sorted(reports) == [10007, 10009]
+    # one list of m, written two ways: one entry
+    for m_range in ("2..3", "2,3"):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", "5",
+                       "--lambda", "2", "--m-range", m_range, "--out", "sw") == 0
+    assert len(_entries(tmp_path / "cache", "sweep")) == 1
 
 
 def test_cli_search_and_cache_hit(tmp_path, capsysbinary):
@@ -233,12 +286,14 @@ def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
     good = victim.read_bytes()
     bad_witness = {**json.loads(good), "witness": "garbage"}
     no_classes = {k: v for k, v in json.loads(good).items() if k != "classes_enumerated"}
+    edited_key = {**json.loads(good), "task_digest": "0" * 64}
     search_argv = ("--cache-dir", "cache", "search", "--p", "7", "--lambda", "2", "--m", "2")
     # a truncated file, then JSON of a shape the search result does not have;
     # report and search share one decoder, so both reject every one of them
     for damaged in (good[:len(good) // 2], b"{}", b"[1,2]", b'{"min_size": 5}',
                     cache_mod.canonical_json(bad_witness),
-                    cache_mod.canonical_json(no_classes)):
+                    cache_mod.canonical_json(no_classes),
+                    cache_mod.canonical_json(edited_key)):
         victim.write_bytes(damaged)
         assert [d for d, _ in cache_mod.list_outputs(tmp_path / "cache", "search",
                                                      decode_entry)] == \
@@ -259,6 +314,29 @@ def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert json.loads(out) == json.loads(good) and err.count("undecodable") == 1
         assert victim.read_bytes() == good
+
+
+def test_cli_entry_under_another_key_is_skipped(tmp_path, capsys):
+    # a valid entry renamed to another task's key: report skips it, and
+    # search for that task misses, recomputes and overwrites it
+    argv = ("--cache-dir", "cache", "sweep", "--p", "5,7", "--lambda", "2",
+            "--m-range", "1..2", "--out", "sw")
+    assert run_cli(tmp_path, *argv) == 0
+    root = tmp_path / "cache" / "search"
+    other = SearchTask(p=7, lam=2, m=3)
+    moved = root / f"{other.digest()}.json"
+    (root / f"{SearchTask(p=7, lam=2, m=2).digest()}.json").rename(moved)
+    capsys.readouterr()
+    assert run_cli(tmp_path, "--cache-dir", "cache", "report", "--out", "plots") == 0
+    out, err = capsys.readouterr()
+    assert "rendered 3 cached results" in out
+    assert err.count("another task's key") == 1 and other.digest() in err
+    assert run_cli(tmp_path, "--cache-dir", "cache", "search", "--p", "7",
+                   "--lambda", "2", "--m", "3") == 0
+    assert json.loads(capsys.readouterr().out)["task"]["m"] == 3
+    assert decode_entry(json.loads(moved.read_text()))[0] == other
+    assert run_cli(tmp_path, *argv) == 0
+    assert "(1 computed, 3 cached)" in capsys.readouterr().out
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
@@ -292,6 +370,14 @@ def test_cli_gap_commands(tmp_path, capsys):
                    "--gap", "p=13;a=0;v=[1];k=[4]", "--lambda", "3",
                    "--exponent", "1") == 0
     assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+def test_cli_gap_span_refuses_huge_exponent_at_once(tmp_path):
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "--cache-dir", "cache", "gap", "span",
+                   "--gap", "p=13;a=0;v=[1];k=[4]", "--lambda", "3",
+                   "--exponent", str(10**9)) == 4
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_usage_error_on_bad_literal(tmp_path):

@@ -1,8 +1,12 @@
 """Every name a module lists in __all__ exists, so a deleted helper
-cannot linger in an export list."""
+cannot linger in an export list; importing the package stays light."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,15 @@ def test_all_names_resolve(name):
 
 def test_package_modules_found():
     assert {"dilates.search", "dilates.checks", "dilates.cli"} <= set(MODULES)
+
+
+def test_import_loads_no_cache_or_cli_code():
+    # the cache module pulls in subprocess and tempfile; search reaches it
+    # lazily, so `import dilates` pays for none of them
+    env = {**os.environ, "PYTHONPATH": str(Path(dilates.__file__).parents[1])}
+    code = ("import sys, dilates; print(' '.join(m for m in "
+            "('dilates.cache', 'dilates.cli', 'subprocess') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

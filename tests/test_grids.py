@@ -246,6 +246,9 @@ def test_nth_root_floor():
     assert nth_root_floor(26, 3) == 2
     assert nth_root_floor(27, 3) == 3
     assert nth_root_floor(10**18, 2) == 10**9
+    # past 2**1024, where a float root overflows
+    assert nth_root_floor(10**400, 2) == 10**200
+    assert nth_root_floor(10**400 - 1, 2) == 10**200 - 1
     with pytest.raises(ValueError):
         nth_root_floor(-1, 2)
 

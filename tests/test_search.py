@@ -30,8 +30,9 @@ def test_task_validation():
 
 def test_task_and_result_json_forms():
     t = SearchTask(p=7, lam=-3, m=7, mode="heuristic", seed=5, budget=9)
-    assert t.canonical_encoding() == ('{"budget":9,"lambda":-3,"m":7,'
-                                      '"mode":"heuristic","p":7,"seed":5}')
+    # the search key of every cache entry written so far; moving it is a
+    # versioned change of the cache
+    assert t.digest() == "7c7b595b9b3e75ed6a0707d25f83c0d90a2cc9db7d26b30f57ef3c6b596e0e8e"
     assert SearchTask.from_json_dict(t.to_json_dict()) == t
     row = heuristic_min_dilate_sumset(t).to_json_dict(t)
     # alpha is m/p as written, min_over_p the reduced fraction
@@ -41,6 +42,11 @@ def test_task_and_result_json_forms():
         '7,-3,7,7/7,7,1/1,false,"p=7;{0,1,2,3,4,5,6}"'
     with pytest.raises(ValueError, match="prime"):
         decode_entry({**row, "task": {**row["task"], "p": 8}})
+    # an entry must carry its own task's key
+    for edited in ({**row, "task_digest": "0" * 64},
+                   {**row, "task": {**row["task"], "seed": 6}}):
+        with pytest.raises(ValueError, match="task_digest"):
+            decode_entry(edited)
 
 
 def test_exact_examples():

@@ -133,7 +133,8 @@ class ResidueSet:
         return f"p={self.modulus};{{{','.join(map(str, self.elements()))}}}"
 
     def elements(self) -> tuple[int, ...]:
-        """Members in ascending order; the one place bits become residues.
+        """Members in ascending order; this and _runs are the only places
+        bits become residues.
 
         Scans the binary digits least significant first with str.find,
         which is linear in the modulus.
@@ -186,11 +187,59 @@ def _sumset_bits_naive(n: int, ea, eb) -> int:
     return out
 
 
+def _run_count(bits: int) -> int:
+    """Number of maximal runs of consecutive members, read linearly (a run
+    through N - 1 and 0 counts as two)."""
+    return (bits ^ (bits << 1)).bit_count() >> 1  # a start and an end per run
+
+
+def _runs(bits: int) -> Iterator[tuple[int, int]]:
+    """(start, length) of each run of members, in ascending order."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        j = digits.find("0", i)
+        if j < 0:
+            j = len(digits)
+        yield i, j - i
+        i = digits.find("1", j)
+
+
 def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
-    """OR of the cyclic shifts of the denser bitvector by each member of
-    the sparser set."""
-    bits, shifts = (a.bits, b.elements()) if len(a) >= len(b) else (b.bits, a.elements())
+    """OR of cyclic shifts of one bitvector by the members of the other set.
+
+    When the operand with fewer runs has 2 * runs + 4 <= min(|A|, |B|) and
+    the sparser operand at least 16 members (crossovers read off a timed
+    sweep), it is read as runs [s, s + l): the other bitvector is smeared
+    over l positions, as the OR of two rotations of its smear over
+    2^k <= l positions (built by doubling, one smear per distinct l), and
+    rotated by s.  Otherwise the denser bitvector is rotated by each
+    member of the sparser set.
+    """
     mask = (1 << n) - 1
+    ca, cb = a.bits.bit_count(), b.bits.bit_count()
+    sparse = min(ca, cb)
+    if sparse >= 16:
+        ra, rb = _run_count(a.bits), _run_count(b.bits)
+        if 2 * min(ra, rb) + 4 <= sparse:
+            runs, bits = (a.bits, b.bits) if ra <= rb else (b.bits, a.bits)
+
+            def rotate(x: int, s: int) -> int:
+                return ((x << s) | (x >> (n - s))) & mask
+
+            powers = [bits]  # powers[k] = bits smeared over 2^k positions
+            smears = {}
+            acc = 0
+            for s, l in _runs(runs):
+                smear = smears.get(l)
+                if smear is None:
+                    k = l.bit_length() - 1
+                    while len(powers) <= k:
+                        powers.append(powers[-1] | rotate(powers[-1], 1 << (len(powers) - 1)))
+                    smear = smears[l] = powers[k] | rotate(powers[k], l - (1 << k))
+                acc |= ((smear << s) | (smear >> (n - s))) & mask
+            return acc
+    bits, shifts = (a.bits, b.elements()) if ca >= cb else (b.bits, a.elements())
     acc = 0
     for s in shifts:
         acc |= ((bits << s) | (bits >> (n - s))) & mask
@@ -258,7 +307,9 @@ def _sumset_bits_convolution(n: int, a: ResidueSet, b: ResidueSet) -> int:
 
 
 def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
-    # BITSHIFT costs min(|A|, |B|) passes over n bits, the FFT about
+    # ca, cb count the operands' runs.  BITSHIFT costs about one pass over
+    # n bits per run of the operand with fewer runs (or per member of the
+    # sparser one, when that is fewer than 2 * runs + 4), the FFT about
     # L log2 L at its transform length L; _FFT_COST fits timed crossovers.
     # L >= n, so small operands are settled without factoring n.
     if n < _CONVOLUTION_MIN_N or min(ca, cb) <= _FFT_COST * n.bit_length():
@@ -276,7 +327,8 @@ def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> Residu
     if a.bits == 0 or b.bits == 0:
         return ResidueSet.empty(n)
     if kernel is None:
-        kernel = _auto_kernel(n, len(a), len(b))
+        kernel = (Kernel.BITSHIFT if n < _CONVOLUTION_MIN_N
+                  else _auto_kernel(n, _run_count(a.bits), _run_count(b.bits)))
     elif not isinstance(kernel, Kernel):
         kernel = Kernel(kernel)
     if kernel is Kernel.NAIVE:
@@ -344,8 +396,23 @@ def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:
 
 
 def _relabel(a: ResidueSet, u: int, v: int) -> ResidueSet:
-    """{u*a + v mod N}, the shared body of dilate and affine_image."""
-    return ResidueSet.from_elements(a.modulus, (u * x + v for x in a.elements()))
+    """{u*a + v mod N}, the shared body of dilate and affine_image.
+
+    ORing each image into a growing integer costs |A|*N/64 word operations;
+    from |A|*N > 2^19 on (the measured crossover), the image is written
+    into a byte buffer and converted once instead, linear in N.
+    """
+    n = a.modulus
+    if a.bits.bit_count() * n <= 1 << 19:
+        bits = 0
+        for x in a.elements():
+            bits |= 1 << ((u * x + v) % n)
+        return ResidueSet(n, bits)
+    buf = bytearray((n + 7) // 8)
+    for x in a.elements():
+        y = (u * x + v) % n
+        buf[y >> 3] |= 1 << (y & 7)
+    return ResidueSet(n, int.from_bytes(buf, "little"))
 
 
 def _pair_images(n: int, elems) -> Iterator[list[int]]:

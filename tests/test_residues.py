@@ -2,6 +2,7 @@
 seeded property loops."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dilates import residues
+from dilates.grids import box_grid_set, equal_box_sides, optimized_box_sides_3d
+from dilates.intervals import discretize_to_zp, encode_grid_to_intervals
 from dilates.residues import (Kernel, ResidueSet, affine_image, canonical_form,
                               difference_set, dilate, dilate_sum, is_canonical,
                               is_prime, iterated_sumset, kfold_dilate_sum,
@@ -53,23 +56,78 @@ def test_sumset_accepts_kernel_names():
         sumset(a, b, "quantum")
 
 
+STRUCTURES = ("members", "intervals", "progression", "full", "co-singleton",
+              "wrapping run", "distinct runs")
+
+
+def structured_set(n, kind, rng):
+    """A subset of Z/nZ of the given kind: random members, or the run
+    structures BITSHIFT reads as runs (unions of intervals, an arithmetic
+    progression, the full set, a run of length n - 1, a run through 0,
+    consecutive runs of lengths 1, 2, 3, ...)."""
+    if kind == "members":
+        return rs(n, rng.sample(range(n), rng.randint(0, min(n, 24))))
+    if kind == "intervals":
+        spans = [(rng.randrange(n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        return rs(n, [s + j for s, l in spans for j in range(l)])
+    if kind == "progression":
+        start, step = rng.randrange(n), rng.randrange(1, n + 1)
+        return rs(n, [start + j * step for j in range(rng.randint(1, n))])
+    if kind == "full":
+        return ResidueSet.full(n)
+    if kind == "co-singleton":
+        return rs(n, [rng.randrange(n) + j for j in range(n - 1)])
+    if kind == "wrapping run":
+        length = rng.randint(min(2, n), n)
+        start = n - rng.randint(1, max(1, length - 1))
+        return rs(n, [start + j for j in range(length)])
+    elems, pos, length = [], rng.randrange(max(1, n // 4)), 1
+    while pos + length <= n:
+        elems.extend(range(pos, pos + length))
+        pos, length = pos + length + rng.randint(1, 3), length + 1
+    return rs(n, elems)
+
+
 def test_kernel_agreement_random():
     rng = random.Random(20260809)
     for n in (1, 2, 3, 5, 64, 101, 128):
         for _ in range(60):
-            a = rs(n, rng.sample(range(n), rng.randint(0, min(n, 24))))
-            b = rs(n, rng.sample(range(n), rng.randint(0, min(n, 24))))
+            a = structured_set(n, rng.choice(STRUCTURES), rng)
+            b = structured_set(n, rng.choice(STRUCTURES), rng)
             expected = ResidueSet.from_elements(n, oracle_sumset(n, a.elements(), b.elements()))
             results = [sumset(a, b, k) for k in KERNELS]
             assert results[0] == results[1] == results[2] == expected
             assert sumset(a, b) == expected  # auto kernel
+    # sparse operands with more runs, so BITSHIFT reads the structured ones as runs
+    for n in (257, 1009):
+        for kind in STRUCTURES[1:]:
+            a, b = structured_set(n, kind, rng), rs(n, rng.sample(range(n), n // 10))
+            expected = rs(n, oracle_sumset(n, a.elements(), b.elements()))
+            assert [sumset(a, b, k) for k in KERNELS] == [expected] * 3
 
 
 @st.composite
 def residue_set_pairs(draw):
     n = draw(st.integers(1, 300))
     members = st.lists(st.integers(0, n - 1), max_size=60)
-    return rs(n, draw(members)), rs(n, draw(members))
+    structured = st.builds(structured_set, st.just(n), st.sampled_from(STRUCTURES[1:]),
+                           st.randoms(use_true_random=False))
+    sets = st.one_of(members.map(lambda elems: rs(n, elems)), structured)
+    return draw(sets), draw(sets)
+
+
+def test_kernels_agree_on_the_anchor_chain():
+    # the benchmark's anchor chain: box d = 3, lam = 64 discretized at
+    # p = 1000003 is about 200 runs, so the automatic kernel is BITSHIFT
+    grid = box_grid_set(3, 64, optimized_box_sides_3d(Fraction(1, 64), 64))
+    p = 1000003
+    a = discretize_to_zp(encode_grid_to_intervals(grid), p)
+    d = dilate(a, 64)
+    runs = (residues._run_count(a.bits), residues._run_count(d.bits))
+    assert residues._auto_kernel(p, *runs) is Kernel.BITSHIFT
+    assert runs[0] < len(a) // 50
+    shifted = sumset(a, d, Kernel.BITSHIFT)
+    assert shifted == sumset(a, d, Kernel.CONVOLUTION) == sumset(a, d)
 
 
 @PROPERTY
@@ -129,17 +187,28 @@ def test_convolution_large_modulus(monkeypatch):
 
 def test_auto_kernel_from_measured_crossover():
     auto = residues._auto_kernel
-    # the switch points of min(|A|, |B|) * N > 45 * L * bit_length(L)
+    # the switch points of min(runs(A), runs(B)) * N > 45 * L * bit_length(L)
     for n, switch in ((16411, 3054), (10**5, 765), (1000003, 2076)):
         assert auto(n, switch, n // 2) is Kernel.BITSHIFT
         assert auto(n, n // 2, switch + 1) is Kernel.CONVOLUTION
-    # pipeline sums A' + lam*A' with |A'| = |lam*A'| (2 CPUs): BITSHIFT
-    # 4.2 ms against FFT 10.3 ms at p = 64007, FFT 4.5 ms against 4.9 ms
-    # at p = 23417
+    # operands of 1274 runs each stay on BITSHIFT at p = 64007, of 2452 runs
+    # each take the FFT at p = 23417: a shift per run costs what a shift per
+    # member did, so the crossovers timed on pipeline sums counted in members
+    # (2 CPUs: BITSHIFT 4.2 ms against FFT 10.3 ms, FFT 4.5 ms against
+    # 4.9 ms) still hold
     assert auto(64007, 1274, 1274) is Kernel.BITSHIFT
     assert auto(23417, 2452, 2452) is Kernel.CONVOLUTION
     # below the floor no set is large enough for the FFT to pay
     assert auto(residues._CONVOLUTION_MIN_N - 1, 10**4, 10**4) is Kernel.BITSHIFT
+    # the d = 2 pipeline sum at p = 36871 has 3906 members but 63 runs in A'
+    # (3410 in lam*A'): counted in members it took the FFT at 11.1 ms against
+    # BITSHIFT's 9.6 ms; counted in runs it stays on BITSHIFT
+    grid = box_grid_set(2, 192, equal_box_sides(2, Fraction(1, 9), 192))
+    a = discretize_to_zp(encode_grid_to_intervals(grid), 36871)
+    d = dilate(a, 192)
+    assert len(a) == len(d) == 3906
+    assert auto(36871, len(a), len(d)) is Kernel.CONVOLUTION
+    assert auto(36871, residues._run_count(a.bits), residues._run_count(d.bits)) is Kernel.BITSHIFT
 
 
 def test_fft_support_on_non_smooth_lengths(monkeypatch):
@@ -215,6 +284,20 @@ def test_dilate_unit_preserves_cardinality():
             assert len(d) == len(a)
         else:
             assert len(d) <= len(a)
+
+
+def test_relabel_matches_oracle():
+    # dilate and affine_image OR a small image into an integer and write a
+    # large one into a byte buffer: lengths around byte boundaries, large N
+    rng = random.Random(8)
+    for n in (1, 7, 8, 9, 63, 64, 65, 12568, 90001):
+        for elems in ([], [n - 1], rng.sample(range(n), min(n, 40)),
+                      [x for x in range(n) if rng.random() < 0.5]):
+            a = rs(n, elems)
+            lam, v = rng.randint(-2 * n, 2 * n), rng.randint(-n, n)
+            assert dilate(a, lam) == rs(n, {lam * x for x in elems})
+            u = next(u for u in iter(lambda: rng.randint(-n, n), None) if gcd(u, n) == 1)
+            assert affine_image(a, u, v) == rs(n, {u * x + v for x in elems})
 
 
 # ---------------------------------------------------------------- dilate sums

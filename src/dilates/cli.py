@@ -84,7 +84,7 @@ def _write_dat(path: Path, column: str, points) -> None:
 
 def _cmd_construct(args) -> int:
     out_dir = Path(args.out)
-    inputs = {"shape": args.shape, "lambda": args.lam or None, "p": args.p or None}
+    inputs = {"shape": args.shape, "lambda": args.lam, "p": args.p}
     if args.shape == "box":
         lam = args.lam
         if args.sides:
@@ -106,8 +106,8 @@ def _cmd_construct(args) -> int:
         mu_b, mu_cc = simplex_construction(args.n)
         extra = {**_num_fields("region_volume", mu_b),
                  **_num_fields("sum_region_volume", mu_cc)}
-        if not args.lam:
-            if args.p:
+        if args.lam is None:
+            if args.p is not None:
                 raise ValueError("--p needs --lambda: only the grid set is discretized")
             payload = {"construction": "simplex", "n": args.n, **extra}
             _write(out_dir / "simplex.json", cache_mod.canonical_json(payload))
@@ -118,7 +118,7 @@ def _cmd_construct(args) -> int:
         grid = simplex_grid_set(args.n, args.lam)
         label = "simplex"
 
-    if args.p:
+    if args.p is not None:
         require_prime(args.p)  # before any output file is written
     artifacts = {"construction": label, "grid": grid.format(), **extra}
     _write(out_dir / f"{label}_grid.txt", (grid.format() + "\n").encode())
@@ -126,7 +126,7 @@ def _cmd_construct(args) -> int:
         print("warning: construction produced an empty grid set")
     intervals = encode_grid_to_intervals(grid)
     _write(out_dir / f"{label}_intervals.txt", (intervals.format() + "\n").encode())
-    if args.p:
+    if args.p is not None:
         if args.p < grid.lam**grid.dim:
             print(f"note: p = {args.p} < lambda^n = {grid.lam ** grid.dim}; "
                   "the discretization can only be coarse or empty "

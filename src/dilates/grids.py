@@ -220,6 +220,8 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
 def _root_side(value: Fraction, d: int, lam: int | None) -> Fraction:
     """value**(1/d) as an exact Fraction when possible, else the smallest
     multiple of 1/lam at or above it."""
+    if lam is not None and lam < 2:
+        raise ValueError(f"resolution must be >= 2, got {lam}")
     num, den = value.numerator, value.denominator
     rn, rd = nth_root_floor(num, d), nth_root_floor(den, d)
     if rn**d == num and rd**d == den:
@@ -247,31 +249,38 @@ def optimized_box_sides_3d(gamma, lam: int | None = None) -> tuple[Fraction, ...
     return (long, short, long)
 
 
+def _digit_sum_cells(dim: int, lam: int, lo: int, t: int) -> list[int]:
+    """Row-major flat indices of the cells x in [lo, lam)^dim with
+    sum x_i <= t, in ascending order."""
+    cells = []
+
+    def rec(flat: int, depth: int, remaining: int):
+        # every coordinate after this one takes at least lo
+        hi = min(lam - 1, remaining - lo * (dim - 1 - depth))
+        if depth == dim - 1:
+            cells.extend(range(flat * lam + lo, flat * lam + hi + 1))
+            return
+        for x in range(lo, hi + 1):
+            rec(flat * lam + x, depth + 1, remaining - x)
+
+    rec(0, 0, t)
+    return cells
+
+
 def simplex_grid_set(n: int, lam: int) -> GridSet:
     """Cells inside the open corner region {all x_i > 0, sum x_i < n/2 - 1}.
 
     Inclusion of cell x requires every x_i >= 1 and sum(x_i + 1) <= lam*(n/2-1),
-    checked in exact integer arithmetic (2*sum(x_i+1) <= lam*(n-2)).
+    that is 2*sum(x_i + 1) <= lam*(n-2): a digit-sum set with every digit
+    at least 1 and sum x_i <= floor(lam*(n-2)/2) - n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if lam < 2:
+        raise ValueError(f"resolution must be >= 2, got {lam}")
     if lam**n > _MASK_CAP:
         raise ScaleCapError(f"lam^n = {lam ** n} exceeds cap {_MASK_CAP}")
-    budget = lam * (n - 2)  # compare against 2*sum(x_i + 1)
-    cells = []
-
-    def rec(prefix_flat: int, depth: int, remaining: int):
-        if depth == n:
-            cells.append(prefix_flat)
-            return
-        for x in range(1, lam):
-            r = remaining - 2 * (x + 1)
-            if r < 0:
-                break
-            rec(prefix_flat * lam + x, depth + 1, r)
-
-    rec(0, 0, budget)
-    return GridSet(n, lam, frozenset(cells))
+    return GridSet(n, lam, frozenset(_digit_sum_cells(n, lam, 1, lam * (n - 2) // 2 - n)))
 
 
 @dataclass(frozen=True)
@@ -295,18 +304,7 @@ class DigitSumSet:
     def expand(self) -> GridSet:
         if self.lam**self.dim > 1 << 20:
             raise ScaleCapError("digit-sum set too large to expand")
-        lam, t = self.lam, self.threshold
-        cells = []
-
-        def rec(flat: int, depth: int, remaining: int):
-            if depth == self.dim:
-                cells.append(flat)
-                return
-            for x in range(min(lam - 1, remaining) + 1):
-                rec(flat * lam + x, depth + 1, remaining - x)
-
-        if t >= 0:
-            rec(0, 0, min(t, self.dim * (lam - 1)))
+        cells = _digit_sum_cells(self.dim, self.lam, 0, self.threshold)
         return GridSet(self.dim, self.lam, frozenset(cells))
 
     @classmethod

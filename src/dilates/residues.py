@@ -99,10 +99,24 @@ class ResidueSet:
 
     @classmethod
     def from_elements(cls, modulus: int, elements) -> "ResidueSet":
-        bits = 0
+        """The residues mod N of the given integers; the one builder of a
+        bitvector from members.  ORing into a growing integer costs
+        |A|*N/64 word operations, so from |A|*N > 2^19 on (the measured
+        crossover) the members go into a byte buffer converted once."""
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not isinstance(elements, (list, tuple)):
+            elements = list(elements)
+        if len(elements) * modulus <= 1 << 19:
+            bits = 0
+            for x in elements:
+                bits |= 1 << (x % modulus)
+            return cls(modulus, bits)
+        buf = bytearray((modulus + 7) // 8)
         for x in elements:
-            bits |= 1 << (x % modulus)
-        return cls(modulus, bits)
+            x %= modulus
+            buf[x >> 3] |= 1 << (x & 7)
+        return cls(modulus, int.from_bytes(buf, "little"))
 
     @classmethod
     def empty(cls, modulus: int) -> "ResidueSet":
@@ -346,7 +360,7 @@ def dilate(a: ResidueSet, lam: int) -> ResidueSet:
     lam %= n
     if lam == 1:
         return a
-    return _relabel(a, lam, 0)
+    return ResidueSet.from_elements(n, [lam * x for x in a.elements()])
 
 
 def dilate_sum(a: ResidueSet, lam: int, kernel: Kernel | None = None) -> ResidueSet:
@@ -392,27 +406,7 @@ def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:
     n = a.modulus
     if gcd(u, n) != 1:
         raise ValueError(f"u={u} is not a unit mod {n}")
-    return _relabel(a, u, v)
-
-
-def _relabel(a: ResidueSet, u: int, v: int) -> ResidueSet:
-    """{u*a + v mod N}, the shared body of dilate and affine_image.
-
-    ORing each image into a growing integer costs |A|*N/64 word operations;
-    from |A|*N > 2^19 on (the measured crossover), the image is written
-    into a byte buffer and converted once instead, linear in N.
-    """
-    n = a.modulus
-    if a.bits.bit_count() * n <= 1 << 19:
-        bits = 0
-        for x in a.elements():
-            bits |= 1 << ((u * x + v) % n)
-        return ResidueSet(n, bits)
-    buf = bytearray((n + 7) // 8)
-    for x in a.elements():
-        y = (u * x + v) % n
-        buf[y >> 3] |= 1 << (y & 7)
-    return ResidueSet(n, int.from_bytes(buf, "little"))
+    return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
 
 
 def _pair_images(n: int, elems) -> Iterator[list[int]]:

@@ -105,6 +105,8 @@ def run_cd_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
 
 
 def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
     rng = random.Random(seed)
     summary = SuiteSummary("ruzsa", 0, 0)
     for _ in range(cases):
@@ -128,8 +130,7 @@ def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> Sui
                 break
         a = _random_subset(rng, max_element + 1, rng.randint(1, max_element + 1))
         b = _random_subset(rng, max_element + 1, rng.randint(1, max_element + 1))
-        a = ResidueSet.from_elements(modulus, a.elements())
-        b = ResidueSet.from_elements(modulus, b.elements())
+        a, b = ResidueSet(modulus, a.bits), ResidueSet(modulus, b.bits)
         summary.record(check_plunnecke(a, b, m, n))
     return summary
 

@@ -167,6 +167,24 @@ def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "box", "--d", "2", "--lambda", "0", "--gamma", "1/3"), "resolution"),
+    (("construct", "box", "--d", "3", "--lambda", "0", "--gamma", "1/3", "--optimized"),
+     "resolution"),
+    (("construct", "box", "--d", "2", "--lambda", "9", "--gamma", "1/9", "--p", "0"),
+     "must be prime"),
+    (("construct", "simplex", "--n", "5", "--lambda", "0"), "resolution"),
+    (("verify", "ruzsa", "--modulus", "-5", "--cases", "3"), "modulus must be positive"),
+])
+def test_cli_zero_and_negative_values_exit_2(tmp_path, capsys, argv, message):
+    # 0 is a value, not "absent": no traceback, no silently skipped step
+    out = ("--out", "out") if argv[0] == "construct" else ()
+    assert run_cli(tmp_path, "--cache-dir", "cache", *argv, *out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
 def test_cli_verify_ok_and_usage_error(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
                    "--p", "101", "--cases", "300", "--seed", "1") == 0

@@ -1,7 +1,9 @@
 """Every name a module lists in __all__ exists, so a deleted helper
-cannot linger in an export list; importing the package stays light."""
+cannot linger in an export list; importing the package stays light; every
+library name the benchmark's tracer patches still exists."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -36,3 +38,24 @@ def test_import_loads_no_cache_or_cli_code():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.py patches these names by attribute ("Class.method"
+    # through the class __dict__); a renamed one breaks `bench/run.py --trace 1`
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"dilates.{mod_name}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            where = vars(getattr(module, owner)) if owner else vars(module)
+            if attr not in where:
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []
+    assert set(tracing.OBSERVERS) <= set(tracing.SPAN_NAMES)
+    # the interval-pair observer imports this one itself
+    assert hasattr(importlib.import_module("dilates.intervals"), "scale_intervals")

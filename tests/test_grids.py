@@ -350,6 +350,15 @@ def test_simplex_grid_set_matches_predicate():
     assert len(simplex_grid_set(4, 12)) == 70  # sum y_i <= 4 over 4 coords
 
 
+def test_simplex_grid_is_a_translated_digit_sum_set():
+    # y = x - 1 runs over [0, lam - 1)^n with sum y_i <= floor(lam(n-2)/2) - 2n
+    for lam in range(3, 13):
+        for n in range(2, 8):
+            if lam**n <= 1 << 22:
+                assert len(simplex_grid_set(n, lam)) == \
+                    digit_sum_count(n, lam - 1, lam * (n - 2) // 2 - 2 * n)
+
+
 def test_mask_cap():
     with pytest.raises(ScaleCapError):
         GridSet(8, 11, frozenset()).to_mask()

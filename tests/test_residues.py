@@ -286,18 +286,32 @@ def test_dilate_unit_preserves_cardinality():
             assert len(d) <= len(a)
 
 
-def test_relabel_matches_oracle():
-    # dilate and affine_image OR a small image into an integer and write a
-    # large one into a byte buffer: lengths around byte boundaries, large N
+def oracle_bits(n, elems):
+    """Independent of the library builder: a sum of distinct powers of two."""
+    return sum(1 << y for y in {x % n for x in elems})
+
+
+def test_from_elements_matches_oracle():
+    # from_elements ORs members into an integer while |A|*N <= 2^19 and
+    # writes them into a byte buffer above that; dilate and affine_image
+    # build through it.  Byte boundaries, N = 1, both sides of the rule
+    # (8192 * 64 = 2^19), members outside [0, N) and generator input.
     rng = random.Random(8)
-    for n in (1, 7, 8, 9, 63, 64, 65, 12568, 90001):
+    for n in (1, 7, 8, 9, 63, 64, 65, 8192, 12568, 90001):
         for elems in ([], [n - 1], rng.sample(range(n), min(n, 40)),
-                      [x for x in range(n) if rng.random() < 0.5]):
+                      rng.sample(range(n), min(n, 64)), rng.sample(range(n), min(n, 65)),
+                      [x for x in range(n) if rng.random() < 0.5],
+                      [rng.randint(-3 * n, 3 * n) for _ in range(70)]):
             a = rs(n, elems)
+            assert a.bits == oracle_bits(n, elems)
+            assert rs(n, (x for x in elems)) == a
             lam, v = rng.randint(-2 * n, 2 * n), rng.randint(-n, n)
-            assert dilate(a, lam) == rs(n, {lam * x for x in elems})
+            assert dilate(a, lam).bits == oracle_bits(n, [lam * x for x in elems])
             u = next(u for u in iter(lambda: rng.randint(-n, n), None) if gcd(u, n) == 1)
-            assert affine_image(a, u, v) == rs(n, {u * x + v for x in elems})
+            assert affine_image(a, u, v).bits == oracle_bits(n, [u * x + v for x in elems])
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            rs(modulus, [1])
 
 
 # ---------------------------------------------------------------- dilate sums

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, floor
+from math import comb, factorial, floor, isqrt
 
 import numpy as np
 
@@ -168,12 +168,25 @@ def project_drop_last(s: GridSet) -> GridSet:
 def _cyclic_minkowski_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coordinatewise-cyclic Minkowski sum of two boolean masks.  Both
     routines are exact; the FFT runs once the sparser mask has more than
-    min(64, max(8, 2^ndim, size/64)) members, where it won in a timed sweep
-    of random masks of 1-6 axes and 16-262144 cells, prime axes included."""
+    min(64, max(5, isqrt(size) / 5)) members, the crossover of a timed
+    sweep of random masks of 2-6 axes and 25-262144 cells.  A 1-D mask is
+    transformed padded to at least twice its length and rolls in two
+    slices, so there the bound is at least size / 64."""
     ns = min(np.count_nonzero(a), np.count_nonzero(b))
-    if ns > min(64, max(8, 2**a.ndim, a.size >> 6)):
+    if ns > min(64, max(5, isqrt(a.size) // 5, a.size >> 6 if a.ndim == 1 else 0)):
         return cyclic_support_fft(a, b)
     return cyclic_support_shift(a, b)
+
+
+def _projection_mask(s: GridSet) -> np.ndarray:
+    """Mask of S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically
+    per axis: the cyclic Minkowski sum of the two projections, then the
+    {0,1} thickening that absorbs the carry between adjacent cells."""
+    out = _cyclic_minkowski_mask(project_drop_first(s).to_mask(),
+                                 project_drop_last(s).to_mask())
+    for axis in range(out.ndim):
+        out = out | np.roll(out, 1, axis=axis)
+    return out
 
 
 def grid_projection_sumset(s: GridSet) -> GridSet:
@@ -183,14 +196,11 @@ def grid_projection_sumset(s: GridSet) -> GridSet:
     the union of the cells of S; the {0,1} thickening absorbs the carry
     between adjacent cells.
     """
-    p_first = project_drop_first(s)
-    p_last = project_drop_last(s)
+    if s.dim < 2:
+        raise ValueError("projection needs dimension >= 2")
     if not s.cells:
         return GridSet.empty(s.dim - 1, s.lam)
-    out = _cyclic_minkowski_mask(p_first.to_mask(), p_last.to_mask())
-    for axis in range(out.ndim):
-        out = out | np.roll(out, 1, axis=axis)
-    return GridSet.from_mask(s.lam, out)
+    return GridSet.from_mask(s.lam, _projection_mask(s))
 
 
 def box_grid_set(d: int, lam: int, sides) -> GridSet:

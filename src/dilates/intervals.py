@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import numpy as np
 
 from .checks import _num_fields
 from .errors import MathAssertionError, ScaleCapError
-from .grids import GridSet, grid_projection_sumset
+from .grids import GridSet, _projection_mask
 from .residues import ResidueSet, dilate_sum, require_prime
 
 __all__ = [
@@ -47,24 +48,30 @@ def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[tuple[int,
     """Canonical interval tuple of the union of the arcs [starts[i], ends[i])
     mod d: empty arcs are dropped, an arc of length >= d makes the full
     circle, the rest are reduced into [0, d), split at 0, sorted on their
-    starts and merged (touching arcs too) by running maximum of the ends."""
+    starts (one sort of packed keys) and merged (touching arcs too) by
+    running maximum of the ends."""
     lengths = ends - starts
     keep = lengths > 0
     starts, lengths = starts[keep], lengths[keep]
     if not len(starts):
         return ()
-    if np.any(lengths >= d):
+    if (lengths >= d).any():
         return ((0, d),)
     starts = starts % d
     ends = starts + lengths
     wrap = ends > d
     starts = np.concatenate((starts, np.zeros(np.count_nonzero(wrap), dtype=starts.dtype)))
     ends = np.concatenate((np.minimum(ends, d), ends[wrap] - d))
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], np.maximum.accumulate(ends[order])
-    first = np.flatnonzero(np.concatenate(([True], starts[1:] > ends[:-1])))
-    last = np.append(first[1:] - 1, len(starts) - 1)
-    return tuple(zip(starts[first].tolist(), ends[last].tolist()))
+    # every end is <= d < 2^k, so one sort of the keys (start << k) | end
+    # orders the arcs by start; the order among equal starts cannot change
+    # the running maximum at the end of their run
+    k = d.bit_length()
+    dtype = _endpoint_dtype(d << k)
+    keys = np.sort((starts.astype(dtype, copy=False) << k) | ends.astype(dtype, copy=False))
+    starts, ends = keys >> k, np.maximum.accumulate(keys & ((1 << k) - 1))
+    gap = starts[1:] > ends[:-1]
+    return tuple(zip(starts[np.concatenate(([True], gap))].tolist(),
+                     ends[np.concatenate((gap, [True]))].tolist()))
 
 
 @dataclass(frozen=True)
@@ -157,14 +164,19 @@ class TorusIntervalSet:
         return f"D={self.denominator};{body}" if body else f"D={self.denominator};"
 
 
+def _encode_cells(d: int, cells: np.ndarray) -> TorusIntervalSet:
+    """The union of the intervals [c, c + 1) over d, one per flat cell index
+    c (int64, below d)."""
+    return TorusIntervalSet(d, _normalize(d, cells, cells + 1))
+
+
 def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
     """Map each grid cell x to the interval [y, y + lam^-n) with
     y = sum x_i lam^-i; the flattened cell index is exactly y * lam^n."""
     d = s.lam**s.dim
     if d > _ENCODE_CAP:
         raise ScaleCapError(f"lam^n = {d} exceeds encode cap {_ENCODE_CAP}")
-    cells = np.fromiter(s.cells, dtype=_endpoint_dtype(d), count=len(s.cells))
-    return TorusIntervalSet(d, _normalize(d, cells, cells + 1))
+    return _encode_cells(d, np.fromiter(s.cells, dtype=np.int64, count=len(s.cells)))
 
 
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
@@ -177,27 +189,43 @@ def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
 
 
 def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
+    """A + B by A + [s, s + L) = close(A, L) + s: close(A, L) is the arcs
+    [x, y + L) of A, merged wherever the gap to the next arc is <= L, so A
+    is closed once per distinct length of B and only the closed arcs are
+    paired with B's starts.  Every end is y + (end of b) <= 2d."""
     if a.is_empty() or b.is_empty():
         return TorusIntervalSet.empty(a.denominator)
     if len(a.intervals) * len(b.intervals) > _PAIR_CAP:
         raise ScaleCapError("interval Minkowski sum exceeds pair cap")
     d = a.denominator
     dtype = _endpoint_dtype(d)  # pair sums reach 2*d
-    ea = np.array(a.intervals, dtype=dtype)
-    eb = np.array(b.intervals, dtype=dtype)
-    starts = (ea[:, :1] + eb[:, 0]).ravel()
-    ends = (ea[:, 1:] + eb[:, 1]).ravel()
-    return TorusIntervalSet(d, _normalize(d, starts, ends))
+    ea, eb = (np.fromiter(chain.from_iterable(t.intervals), dtype=dtype,
+                          count=2 * len(t.intervals)).reshape(-1, 2) for t in (a, b))
+    xs, ys = ea[:, 0], ea[:, 1]
+    # gaps[i] precedes arc i; d + 1, above every length, stands for the
+    # missing gaps before the first arc and after the last
+    gaps = np.empty(len(xs) + 1, dtype=dtype)
+    gaps[0] = gaps[-1] = d + 1
+    gaps[1:-1] = xs[1:] - ys[:-1]
+    lengths = eb[:, 1] - eb[:, 0]
+    starts, ends = [], []
+    for length in sorted(set(lengths.tolist())):
+        eb_l = eb[lengths == length]
+        starts.append((xs[gaps[:-1] > length][:, None] + eb_l[:, 0]).ravel())
+        ends.append((ys[gaps[1:] > length][:, None] + eb_l[:, 1]).ravel())
+    return TorusIntervalSet(d, _normalize(d, np.concatenate(starts), np.concatenate(ends)))
 
 
 def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     """Exact A + lam*A on the circle.
 
     Every pair of intervals [x1, y1) of A and [x2, y2) of lam*A gives the
-    arc [x1 + x2, y1 + y2); the |A|*|lam*A| pair sums (at most _PAIR_CAP,
-    else ScaleCapError) are formed as arrays and normalized by one sort and
-    a running-maximum merge.  Endpoints are int64 while twice the
-    denominator fits, exact Python ints otherwise.
+    arc [x1 + x2, y1 + y2).  |A|*|lam*A| may not exceed _PAIR_CAP (else
+    ScaleCapError), but fewer arcs are formed: A is closed once per
+    distinct interval length of lam*A and each closed arc is shifted by
+    the starts of that length (see _minkowski); the arcs are normalized by
+    one sort of packed keys and a running-maximum merge.  Endpoints are
+    int64 while twice the denominator fits, exact Python ints otherwise.
     """
     if lam < 2:
         raise ValueError("need lam >= 2")
@@ -260,11 +288,20 @@ def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
     means a kernel or interval bug.
     """
     require_prime(p)
+    if s.dim < 2:
+        raise ValueError("projection needs dimension >= 2")
     a = encode_grid_to_intervals(s)
     a_sum = interval_dilate_sum(a, s.lam)
     a_p = discretize_to_zp(a, p)
     a_p_sum = dilate_sum(a_p, s.lam)
-    s_prime = grid_projection_sumset(s)
+    # S' straight from its mask: its cells are counted and encoded, never
+    # collected into a GridSet; an empty grid builds no mask, whatever its size
+    d_prime = s.lam ** (s.dim - 1)
+    s_cells = np.flatnonzero(_projection_mask(s)) if s.cells else np.zeros(0, np.int64)
+    s_prime = _encode_cells(d_prime, s_cells)
+    residue_sum_density = Fraction(len(a_p_sum), p)
+    sum_measure = a_sum.measure()
+    s_prime_measure = Fraction(len(s_cells), d_prime)
 
     report = ChainReport(
         lam=s.lam,
@@ -272,13 +309,13 @@ def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
         p=p,
         grid_cells=len(s),
         residue_density=Fraction(len(a_p), p),
-        residue_dilate_sum_density=Fraction(len(a_p_sum), p),
+        residue_dilate_sum_density=residue_sum_density,
         interval_measure=a.measure(),
-        interval_dilate_sum_measure=a_sum.measure(),
-        grid_projection_measure=s_prime.measure(),
-        discrete_within_continuous=Fraction(len(a_p_sum), p) <= a_sum.measure(),
-        continuous_within_grid=a_sum.measure() <= s_prime.measure(),
-        interval_inside_grid_prediction=encode_grid_to_intervals(s_prime).contains_set(a_sum),
+        interval_dilate_sum_measure=sum_measure,
+        grid_projection_measure=s_prime_measure,
+        discrete_within_continuous=residue_sum_density <= sum_measure,
+        continuous_within_grid=sum_measure <= s_prime_measure,
+        interval_inside_grid_prediction=s_prime.contains_set(a_sum),
     )
     if strict and not report.all_hold:
         raise MathAssertionError(f"pipeline chain violated: {report.to_json_dict()}")

@@ -172,16 +172,18 @@ def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
 
 def test_minkowski_mask_gate(monkeypatch):
     # the FFT runs once the sparser mask has more than
-    # min(64, max(8, 2^ndim, size / 64)) members: the measured crossovers
+    # min(64, max(5, isqrt(size) / 5, size / 64 on one axis)) members: the
+    # measured crossovers
     ran = []
     for name in ("cyclic_support_fft", "cyclic_support_shift"):
         routine = getattr(grids, name)
         monkeypatch.setattr(grids, name, lambda x, y, name=name, routine=routine:
                             ran.append(name) or routine(x, y))
     rng = random.Random(17)
-    for shape, shift_up_to in [((16,), 8), ((300,), 8), ((1021,), 15), ((4099,), 64),
-                               ((61, 61), 58), ((10, 10, 10), 15), ((6,) * 4, 20),
-                               ((4,) * 5, 32), ((3,) * 6, 64)]:
+    for shape, shift_up_to in [((16,), 5), ((300,), 5), ((1021,), 15), ((4099,), 64),
+                               ((61, 61), 12), ((10, 10, 10), 6), ((6,) * 4, 7),
+                               ((4,) * 5, 6), ((3,) * 6, 5), ((8,) * 4, 12),
+                               ((7,) * 5, 25), ((8,) * 6, 64)]:
         for ns, routine in ((shift_up_to, "cyclic_support_shift"),
                             (shift_up_to + 1, "cyclic_support_fft")):
             a, b = _random_masks(rng, shape, ns, rng.randint(ns, int(np.prod(shape))))

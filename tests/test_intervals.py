@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import product
 from math import lcm
 
 import pytest
 
 from dilates import intervals
+from dilates.cache import canonical_json
 from dilates.errors import ScaleCapError
-from dilates.grids import GridSet, box_grid_set
+from dilates.grids import GridSet, box_grid_set, grid_projection_sumset, simplex_grid_set
 from dilates.intervals import (TorusIntervalSet, discretize_to_zp,
                                encode_grid_to_intervals, interval_dilate_sum,
                                pipeline_check, scale_intervals)
@@ -215,6 +217,52 @@ def test_minkowski_and_from_raw_match_reference():
         ((1, 7),)
 
 
+def test_minkowski_closes_once_per_length():
+    # B with several distinct lengths against A whose gaps equal some of
+    # them, so closed arcs touch (gap == length) and must merge
+    a = tis(40, [(0, 2), (5, 7), (9, 10), (14, 15)])      # gaps 3, 2, 4
+    b = tis(40, [(0, 2), (6, 9), (12, 14), (20, 24)])     # lengths 2, 3, 2, 4
+    assert intervals._minkowski(a, b).intervals == reference_minkowski(a, b)
+    assert intervals._minkowski(tis(20, [(0, 2), (5, 7)]), tis(20, [(0, 3)])).intervals == \
+        ((0, 10),)                                        # [0, 5) and [5, 10) touch
+    rng = random.Random(28)
+    for _ in range(300):
+        d = rng.choice([30, 97, 1000, 2**40 + 15])
+        operands = []
+        for _ in range(2):
+            x, raw = rng.randrange(d), []
+            for _ in range(rng.randint(1, 8)):
+                length = rng.randint(1, 4)
+                raw.append((x, x + length))
+                x += length + rng.randint(1, 5)
+            operands.append(tis(d, raw))
+        a, b = operands
+        got = intervals._minkowski(a, b)
+        assert got.intervals == reference_minkowski(a, b), (d, a, b)
+        assert all(type(v) is int for pair in got.intervals for v in pair)
+
+
+@pytest.mark.parametrize("d", [2**31 - 1, 2**31, 2**31 + 1])
+def test_packed_keys_across_the_dtype_switch(d):
+    # _normalize sorts (start << k) | end with k = d.bit_length(): int64 keys
+    # up to d < 2^31, exact Python ints from there
+    packed = intervals._endpoint_dtype(d << d.bit_length())
+    assert (packed is object) == (d >= 2**31)
+    rng = random.Random(d)
+    edges = [(d - 1, d), (0, 1), (d - 2, d + 3), (d // 2, d // 2 + 1), (d // 2, d)]
+    for _ in range(30):
+        raw_a, raw_b = ([(x, x + rng.randint(1, rng.choice([3, d // 7, d // 2])))
+                         for x in (rng.randrange(-d, 2 * d) for _ in range(rng.randint(0, 6)))]
+                        for _ in range(2))
+        raw_a += rng.sample(edges, 2)
+        for raw in (raw_a, raw_b):
+            got = TorusIntervalSet.from_raw(d, raw).intervals
+            assert got == reference_from_raw(d, raw)
+            assert all(type(v) is int for pair in got for v in pair)
+        a, b = tis(d, raw_a), tis(d, raw_b)
+        assert intervals._minkowski(a, b).intervals == reference_minkowski(a, b)
+
+
 def test_interval_dilate_sum_against_residue_model():
     # model the circle at a fine resolution Q: members of A become residues,
     # and A + lam*A on intervals must contain the residue sumset and be
@@ -339,6 +387,37 @@ def test_pipeline_requires_prime_and_dim2():
         pipeline_check(s, 100)
     with pytest.raises(ValueError):
         pipeline_check(GridSet.from_tuples(1, 3, [(1,)]), 101)
+    with pytest.raises(ValueError):
+        pipeline_check(GridSet.empty(1, 3), 101)
+
+
+def test_pipeline_reads_s_prime_like_grid_projection_sumset():
+    # pipeline_check counts and encodes S' from its mask; the measure and
+    # the containment verdict must be those of grid_projection_sumset
+    rng = random.Random(29)
+    for dim in (2, 3, 4):
+        for lam in (2, 3, 5):
+            size = lam**dim
+            for count in (0, size, rng.randint(1, min(6, size)), rng.randint(1, size)):
+                grid = GridSet(dim, lam, frozenset(rng.sample(range(size), count)))
+                rep = pipeline_check(grid, 101, strict=False)
+                s_prime = grid_projection_sumset(grid)
+                a_sum = interval_dilate_sum(encode_grid_to_intervals(grid), lam)
+                assert rep.grid_projection_measure == s_prime.measure()
+                assert rep.continuous_within_grid == (a_sum.measure() <= s_prime.measure())
+                assert rep.interval_inside_grid_prediction == \
+                    encode_grid_to_intervals(s_prime).contains_set(a_sum)
+
+
+def test_pipeline_simplex_chain_pinned():
+    # the heaviest simplex chain of the pipeline benchmark, byte for byte
+    rep = pipeline_check(simplex_grid_set(7, 8), 10007)
+    assert rep.interval_measure == F(429, 524288)
+    assert rep.interval_dilate_sum_measure == F(71869, 1048576)
+    assert rep.grid_projection_measure == F(35809, 131072)
+    assert rep.all_hold
+    assert sha256(canonical_json(rep.to_json_dict())).hexdigest() == \
+        "ac305cbc66cc5c63f64e1d7a186bb09671777be3de26f63a4df7d199559fbce6"
 
 
 def test_overflow_containment_random_grids():

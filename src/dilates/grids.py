@@ -112,13 +112,9 @@ class GridSet:
         return len(self.cells)
 
     def to_mask(self) -> np.ndarray:
-        size = self.lam**self.dim
-        if size > _MASK_CAP:
-            raise ScaleCapError(f"lam^dim = {size} exceeds mask cap {_MASK_CAP}")
-        mask = np.zeros(size, dtype=bool)
-        if self.cells:
-            mask[np.fromiter(self.cells, dtype=np.int64)] = True
-        return mask.reshape((self.lam,) * self.dim)
+        _mask_size(self.dim, self.lam)  # the cap first: then every cell fits in int64
+        return _cell_mask(self.dim, self.lam, np.fromiter(self.cells, dtype=np.int64,
+                                                          count=len(self.cells)))
 
     @classmethod
     def from_mask(cls, lam: int, mask: np.ndarray) -> "GridSet":
@@ -148,6 +144,21 @@ class GridSet:
     def format(self) -> str:
         cells = ",".join("(" + ",".join(map(str, t)) + ")" for t in self.tuples())
         return f"n={self.dim};lambda={self.lam};cells=[{cells}]"
+
+
+def _mask_size(dim: int, lam: int) -> int:
+    """lam^dim, raising ScaleCapError above _MASK_CAP."""
+    size = lam**dim
+    if size > _MASK_CAP:
+        raise ScaleCapError(f"lam^dim = {size} exceeds mask cap {_MASK_CAP}")
+    return size
+
+
+def _cell_mask(dim: int, lam: int, cells: np.ndarray) -> np.ndarray:
+    """The (lam,)*dim boolean mask of an array of flat cell indices."""
+    mask = np.zeros(_mask_size(dim, lam), dtype=bool)
+    mask[cells] = True
+    return mask.reshape((lam,) * dim)
 
 
 def project_drop_first(s: GridSet) -> GridSet:
@@ -181,9 +192,14 @@ def _cyclic_minkowski_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _projection_mask(s: GridSet) -> np.ndarray:
     """Mask of S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically
     per axis: the cyclic Minkowski sum of the two projections, then the
-    {0,1} thickening that absorbs the carry between adjacent cells."""
-    out = _cyclic_minkowski_mask(project_drop_first(s).to_mask(),
-                                 project_drop_last(s).to_mask())
+    {0,1} thickening that absorbs the carry between adjacent cells.  Both
+    projection masks are scattered from one array of S's cells, as in
+    project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam),
+    after the cap check, so every index fits in int64."""
+    base = _mask_size(s.dim - 1, s.lam)
+    cells = np.fromiter(s.cells, dtype=np.int64, count=len(s.cells))
+    out = _cyclic_minkowski_mask(_cell_mask(s.dim - 1, s.lam, cells % base),
+                                 _cell_mask(s.dim - 1, s.lam, cells // s.lam))
     for axis in range(out.ndim):
         out = out | np.roll(out, 1, axis=axis)
     return out

@@ -82,6 +82,9 @@ class Kernel(enum.Enum):
 _SAFE_COUNT_BITS = 26
 _CONVOLUTION_MIN_N = 1 << 14
 _FFT_COST = 45
+# Above |A| * N = 2^15 (a timed sweep's crossover) members are decoded,
+# dilated and re-encoded as numpy index arrays instead of strings and ints.
+_ARRAY_MIN_WORK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,10 @@ class ResidueSet:
     @classmethod
     def from_elements(cls, modulus: int, elements) -> "ResidueSet":
         """The residues mod N of the given integers; the one builder of a
-        bitvector from members.  ORing into a growing integer costs
-        |A|*N/64 word operations, so from |A|*N > 2^19 on (the measured
-        crossover) the members go into a byte buffer converted once."""
+        bitvector from a list of members.  ORing into a growing integer
+        costs |A|*N/64 word operations, so from |A|*N > 2^19 on (the
+        measured crossover) the members, reduced by Python's %, so any
+        integers, are scattered into a mask converted once."""
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         if not isinstance(elements, (list, tuple)):
@@ -112,11 +116,9 @@ class ResidueSet:
             for x in elements:
                 bits |= 1 << (x % modulus)
             return cls(modulus, bits)
-        buf = bytearray((modulus + 7) // 8)
-        for x in elements:
-            x %= modulus
-            buf[x >> 3] |= 1 << (x & 7)
-        return cls(modulus, int.from_bytes(buf, "little"))
+        members = np.fromiter((x % modulus for x in elements), dtype=np.int64,
+                              count=len(elements))
+        return cls(modulus, _members_to_bits(modulus, members))
 
     @classmethod
     def empty(cls, modulus: int) -> "ResidueSet":
@@ -147,13 +149,17 @@ class ResidueSet:
         return f"p={self.modulus};{{{','.join(map(str, self.elements()))}}}"
 
     def elements(self) -> tuple[int, ...]:
-        """Members in ascending order; this and _runs are the only places
-        bits become residues.
+        """Members in ascending order, read in time linear in the modulus.
 
-        Scans the binary digits least significant first with str.find,
-        which is linear in the modulus.
+        With N here the highest member plus one: while |A|*N <=
+        _ARRAY_MIN_WORK the binary digits are scanned least significant
+        first with str.find; above it the bits are unpacked into a boolean
+        mask whose nonzero indices are the members.
         """
-        digits = bin(self.bits)[:1:-1]
+        bits = self.bits
+        if bits.bit_count() * bits.bit_length() > _ARRAY_MIN_WORK:
+            return tuple(_bits_to_members(bits).tolist())
+        digits = bin(bits)[:1:-1]
         out = []
         i = digits.find("1")
         while i >= 0:
@@ -189,8 +195,22 @@ def _bits_to_mask(n: int, bits: int) -> np.ndarray:
 
 
 def _mask_to_bits(mask: np.ndarray) -> int:
-    packed = np.packbits(mask.astype(np.uint8), bitorder="little")
+    packed = np.packbits(mask, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def _bits_to_members(bits: int) -> np.ndarray:
+    """The members of a bitvector as an ascending int64 index array, read
+    up to its highest member, not to the modulus; with the str.find scans
+    of elements() and _runs the only place bits become residues."""
+    return np.flatnonzero(_bits_to_mask(bits.bit_length(), bits).view(bool))
+
+
+def _members_to_bits(n: int, members: np.ndarray) -> int:
+    """The bitvector of an array of residues in [0, n), by one scatter."""
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    return _mask_to_bits(mask)
 
 
 def _sumset_bits_naive(n: int, ea, eb) -> int:
@@ -208,7 +228,16 @@ def _run_count(bits: int) -> int:
 
 
 def _runs(bits: int) -> Iterator[tuple[int, int]]:
-    """(start, length) of each run of members, in ascending order."""
+    """(start, length) of each run of members, in ascending order.  The set
+    bits of bits ^ (bits << 1) are the runs' starts and ends, alternately:
+    above _ARRAY_MIN_WORK they are read as one index array, below it the
+    binary digits are scanned with str.find."""
+    edges = bits ^ (bits << 1)
+    if edges.bit_count() * edges.bit_length() > _ARRAY_MIN_WORK:
+        ends = _bits_to_members(edges)
+        starts = ends[::2]
+        yield from zip(starts.tolist(), (ends[1::2] - starts).tolist())
+        return
     digits = bin(bits)[:1:-1]
     i = digits.find("1")
     while i >= 0:
@@ -304,9 +333,16 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return cyclic_support_shift(a, b)
     axes = tuple(range(a.ndim))
     shape = (_fft_length(a.size),) if a.ndim == 1 else a.shape
-    counts = np.fft.irfftn(np.fft.rfftn(a.astype(np.float64), s=shape, axes=axes)
-                           * np.fft.rfftn(b.astype(np.float64), s=shape, axes=axes),
-                           s=shape, axes=axes)
+    # Equal operands (A + A, or the equal projections of a symmetric grid)
+    # take one forward transform.  The product is formed in place, so only
+    # it is alive while the inverse runs, and it is dropped right after.
+    spectrum = np.fft.rfftn(a.astype(np.float64), s=shape, axes=axes)
+    if np.array_equal(a, b):
+        spectrum *= spectrum
+    else:
+        spectrum *= np.fft.rfftn(b.astype(np.float64), s=shape, axes=axes)
+    counts = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    del spectrum
     if counts.shape != a.shape:
         n = a.size
         counts[:n - 1] += counts[n:2 * n - 1]
@@ -354,12 +390,25 @@ def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> Residu
     return ResidueSet(n, bits)
 
 
+def _affine_large(a: ResidueSet, u: int, v: int) -> ResidueSet:
+    """{u*x + v mod N : x in A} for |A|*N above _ARRAY_MIN_WORK: while
+    N^2 < 2^63, which keeps u*x + v in int64 once u and v are reduced, the
+    members are mapped as one index array and scattered back."""
+    n = a.modulus
+    if n * n >= 1 << 63:
+        return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
+    image = (_bits_to_members(a.bits) * (u % n) + v % n) % n
+    return ResidueSet(n, _members_to_bits(n, image))
+
+
 def dilate(a: ResidueSet, lam: int) -> ResidueSet:
     """lam*A = {lam*a mod N}.  |lam*A| = |A| whenever gcd(lam, N) = 1."""
     n = a.modulus
     lam %= n
     if lam == 1:
         return a
+    if a.bits.bit_count() * n > _ARRAY_MIN_WORK:
+        return _affine_large(a, lam, 0)
     return ResidueSet.from_elements(n, [lam * x for x in a.elements()])
 
 
@@ -406,6 +455,8 @@ def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:
     n = a.modulus
     if gcd(u, n) != 1:
         raise ValueError(f"u={u} is not a unit mod {n}")
+    if a.bits.bit_count() * n > _ARRAY_MIN_WORK:
+        return _affine_large(a, u, v)
     return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
 
 

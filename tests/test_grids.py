@@ -140,6 +140,31 @@ def test_projection_sumset_factorizes_for_boxes():
     assert set(sp.tuples()) == set(product(*per_axis))
 
 
+def test_projection_mask_matches_public_projections():
+    # _projection_mask scatters both projections from one array of cells;
+    # the oracle builds them with the public projections, sums them by the
+    # shift routine and thickens the sum by one roll per axis
+    rng = random.Random(41)
+    for _ in range(40):
+        dim = rng.randint(2, 5)
+        lam = rng.randint(2, {2: 16, 3: 8, 4: 5, 5: 4}[dim])
+        size = lam**dim
+        s = GridSet(dim, lam, frozenset(rng.sample(range(size), rng.randint(0, size))))
+        expected = cyclic_support_shift(project_drop_first(s).to_mask(),
+                                        project_drop_last(s).to_mask())
+        for axis in range(dim - 1):
+            expected = expected | np.roll(expected, 1, axis=axis)
+        assert np.array_equal(grids._projection_mask(s), expected)
+    # the cap is checked before any array is built, even where a cell index
+    # would not fit in int64
+    for s in (GridSet(9, 11, frozenset([0])), GridSet(2, 2**27, frozenset([5])),
+              GridSet(20, 11, frozenset([11**20 - 1]))):
+        with pytest.raises(ScaleCapError):
+            grids._projection_mask(s)
+        with pytest.raises(ScaleCapError):
+            grid_projection_sumset(s)
+
+
 def _random_masks(rng, shape, na, nb):
     a = np.zeros(shape, dtype=bool)
     b = np.zeros(shape, dtype=bool)

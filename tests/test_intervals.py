@@ -11,7 +11,8 @@ import pytest
 from dilates import intervals
 from dilates.cache import canonical_json
 from dilates.errors import ScaleCapError
-from dilates.grids import GridSet, box_grid_set, grid_projection_sumset, simplex_grid_set
+from dilates.grids import (GridSet, box_grid_set, grid_projection_sumset,
+                           optimized_box_sides_3d, simplex_grid_set)
 from dilates.intervals import (TorusIntervalSet, discretize_to_zp,
                                encode_grid_to_intervals, interval_dilate_sum,
                                pipeline_check, scale_intervals)
@@ -418,6 +419,19 @@ def test_pipeline_simplex_chain_pinned():
     assert rep.all_hold
     assert sha256(canonical_json(rep.to_json_dict())).hexdigest() == \
         "ac305cbc66cc5c63f64e1d7a186bb09671777be3de26f63a4df7d199559fbce6"
+
+
+def test_pipeline_anchor_chain_pinned():
+    # the ROADMAP anchor chain of the pipeline benchmark (d = 3, lam = 64,
+    # optimized box, p = 10^6 + 3), byte for byte
+    grid = box_grid_set(3, 64, optimized_box_sides_3d(F(1, 64), 64))
+    rep = pipeline_check(grid, 1000003)
+    assert rep.residue_density == F(15062, 1000003)
+    assert rep.residue_dilate_sum_density == F(205613, 1000003)
+    assert rep.grid_projection_measure == F(225, 1024)
+    assert rep.all_hold
+    assert sha256(canonical_json(rep.to_json_dict())).hexdigest() == \
+        "461504539c2a6efe4936eaea08fe68147f2ff5a5a99b0d4be52aee6294a24240"
 
 
 def test_overflow_containment_random_grids():

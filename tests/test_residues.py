@@ -216,13 +216,22 @@ def test_fft_support_on_non_smooth_lengths(monkeypatch):
     # power of two >= 2n - 1 and folded back mod n; others at their own length
     assert [residues._fft_length(n) for n in (1, 64, 693, 13312, 13, 16411, 6 * 16411, 1000003)] == \
         [1, 64, 693, 13312, 32, 1 << 16, 1 << 18, 1 << 21]
-    # only one-dimensional arrays are padded: grid masks keep their shape
+    # only one-dimensional arrays are padded: grid masks keep their shape;
+    # equal operands (the same array, or equal copies) take one forward
+    # transform, distinct ones two
     rfftn, sizes = residues.np.fft.rfftn, []
     with monkeypatch.context() as m:
         m.setattr(residues.np.fft, "rfftn", lambda x, s, axes: sizes.append(s) or rfftn(x, s, axes))
         for shape in ((17, 17, 17), (67, 67), (4099,)):
-            residues.cyclic_support_fft(*[residues.np.ones(shape, bool)] * 2)
-    assert sizes == [(17, 17, 17)] * 2 + [(67, 67)] * 2 + [(1 << 14,)] * 2
+            ones = np.ones(shape, bool)
+            holed = ones.copy()
+            holed.flat[0] = False
+            for a, b, transforms in ((ones, holed, 2), (ones, ones, 1),
+                                     (holed, holed.copy(), 1)):
+                sizes.clear()
+                assert residues.cyclic_support_fft(a, b).all()  # |A| + |B| > size
+                padded = (1 << 14,) if shape == (4099,) else shape
+                assert sizes == [padded] * transforms
     rng = random.Random(11)
     cases = []
     for n, ka, kb in ((16411, 100, 80), (65537, 300, 150), (1000003, 1000, 500)):
@@ -293,15 +302,16 @@ def oracle_bits(n, elems):
 
 def test_from_elements_matches_oracle():
     # from_elements ORs members into an integer while |A|*N <= 2^19 and
-    # writes them into a byte buffer above that; dilate and affine_image
-    # build through it.  Byte boundaries, N = 1, both sides of the rule
-    # (8192 * 64 = 2^19), members outside [0, N) and generator input.
+    # scatters them, reduced by Python's %, into a mask above that.  Byte
+    # boundaries, N = 1, both sides of the rule (8192 * 64 = 2^19), members
+    # outside [0, N) and beyond int64, and generator input.
     rng = random.Random(8)
     for n in (1, 7, 8, 9, 63, 64, 65, 8192, 12568, 90001):
         for elems in ([], [n - 1], rng.sample(range(n), min(n, 40)),
                       rng.sample(range(n), min(n, 64)), rng.sample(range(n), min(n, 65)),
                       [x for x in range(n) if rng.random() < 0.5],
-                      [rng.randint(-3 * n, 3 * n) for _ in range(70)]):
+                      [rng.randint(-3 * n, 3 * n) for _ in range(70)],
+                      [rng.randint(-2**80, 2**80) for _ in range(70)]):
             a = rs(n, elems)
             assert a.bits == oracle_bits(n, elems)
             assert rs(n, (x for x in elems)) == a
@@ -312,6 +322,54 @@ def test_from_elements_matches_oracle():
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus must be positive"):
             rs(modulus, [1])
+
+
+def oracle_runs(members):
+    """(start, length) of the maximal runs of consecutive integers in a
+    sorted list."""
+    runs = []
+    for x in members:
+        if runs and sum(runs[-1]) == x:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+    return [tuple(r) for r in runs]
+
+
+@pytest.mark.parametrize("gate", ["strings", "arrays", "as set"])
+def test_array_paths_match_oracles(monkeypatch, gate):
+    # elements(), _runs, dilate and affine_image read numpy index arrays
+    # above |A|*N = _ARRAY_MIN_WORK and strings and ints below it.  Every
+    # case runs with the gate forced shut, forced open and as set; as set,
+    # the sizes below fall on both sides of it.
+    if gate != "as set":
+        monkeypatch.setattr(residues, "_ARRAY_MIN_WORK", 1 << 62 if gate == "strings" else 0)
+    rng = random.Random(31)
+    for n in (1, 2, 7, 64, 257, 1009, 4099, 16411):
+        for elems in ([], range(n), [0], [n - 1],
+                      # a run through 0 and one ending at N - 1
+                      list(range(min(n, 5))) + list(range(max(0, n - 4), n)),
+                      rng.sample(range(n), min(n, 8)),
+                      [x for x in range(n) if rng.random() < 0.5]):
+            members = sorted({x % n for x in elems})
+            a = rs(n, (x for x in elems))
+            assert a.elements() == tuple(members)
+            assert list(residues._runs(a.bits)) == oracle_runs(members)
+            # lam = 0 mod N, negative, unreduced and beyond int64
+            for lam in (0, n, -n, -1, 2, rng.randint(-3 * n, 3 * n), 2**70 + 3):
+                assert dilate(a, lam).elements() == \
+                    tuple(sorted({lam * x % n for x in members}))
+            unit = next(u for u in iter(lambda: rng.randint(-3 * n, 3 * n), None)
+                        if gcd(u, n) == 1)
+            for u, v in ((-1, -1), (n + 1, 2 * n + 3), (unit, rng.randint(-3 * n, 3 * n)),
+                         (2**70 * n - 1, -(2**65))):
+                assert affine_image(a, u, v).elements() == \
+                    tuple(sorted({(u * x + v) % n for x in members}))
+    # from_elements keeps its own |A|*N = 2^19 gate: members beyond int64
+    # and generator input on both sides of it
+    for n in (7, 16411):
+        elems = [rng.randint(-2**80, 2**80) for _ in range(70)] + [2**64, -(2**63) - 1]
+        assert rs(n, (x for x in elems)).elements() == tuple(sorted({x % n for x in elems}))
 
 
 # ---------------------------------------------------------------- dilate sums

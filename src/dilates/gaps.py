@@ -7,18 +7,23 @@ P' (keep only generators with k_i >= lam), the lambda-power span
 containment check, and a small-scale exhaustive finder for the largest
 proper progression inside a given set.
 
-The finder (p <= 101, dimension <= 2) tests properness of a 2-dim
-candidate (v1, v2; k1, k2) without expanding it: with r = v2/v1 mod p and
-||x|| = min(x mod p, p - x mod p), it is proper iff ||j*r|| >= k1 for
-every 1 <= j < k2, because a collision is (i-i')*v1 == J*v2 with
-|i-i'| < k1 < p and 0 < |J| < k2.
+The finder (p <= 101, dimension <= 2) works on numpy arrays.  One run
+table, runs[v][x] = the number of consecutive members x, x+v, ..., serves
+both dimensions; the 1-dim best is one argmax over it.  The 2-dim search
+runs once per first length k1, over every (v1, a) with a k1-run and every
+v2 at once.  It tests properness of a candidate (v1, v2; k1, k2) without
+expanding it: with r = v2/v1 mod p and ||x|| = min(x mod p, p - x mod p),
+it is proper iff ||j*r|| >= k1 for every 1 <= j < k2, because a collision
+is (i-i')*v1 == J*v2 with |i-i'| < k1 < p and 0 < |J| < k2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
+
+import numpy as np
 
 from .checks import IneqReport, _digest
 from .errors import ScaleCapError
@@ -173,26 +178,24 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
     )
 
 
-def _run_tables(s: ResidueSet, half: int) -> list[bytes]:
+def _run_tables(s: ResidueSet, half: int) -> np.ndarray:
     """runs[v][x] = number of consecutive members x, x+v, ... of s (capped
-    at p), for every generator 1 <= v <= half (row 0 is unused)."""
+    at p), for every generator 1 <= v <= half, as a (half + 1, p) uint8
+    array (row 0 is unused, and zero unless s is full).  Every v-cycle is walked backwards from one
+    non-member z in a single pass: along the walk, a run is the count of
+    members so far minus that count at the last non-member passed."""
     p = s.modulus
     if len(s) == p:
-        return [bytes([p]) * p] * (half + 1)
-    inside = [s.bits >> x & 1 for x in range(p)]
-    z = inside.index(0)
-    runs = [b""]
-    for v in range(1, half + 1):
-        # v generates one p-cycle; walk it backwards from the non-member z
-        run = bytearray(p)
-        nxt = 0
-        for x in [y % p for y in range(z + (p - 1) * v, z, -v)]:
-            if inside[x]:
-                nxt += 1
-                run[x] = nxt
-            else:
-                nxt = 0
-        runs.append(bytes(run))
+        return np.full((half + 1, p), p, dtype=np.uint8)
+    inside = np.zeros(p, dtype=np.int16)
+    inside[list(s.elements())] = 1
+    z = int(np.argmin(inside))
+    walk = (z + np.arange(1, half + 1)[:, None] * np.arange(p - 1, -1, -1)) % p
+    step_in = inside[walk]
+    seen = np.cumsum(step_in, axis=1)
+    at_gap = np.maximum.accumulate(np.where(step_in, 0, seen), axis=1)
+    runs = np.zeros((half + 1, p), dtype=np.uint8)
+    np.put_along_axis(runs[1:], walk, (seen - at_gap).astype(np.uint8), axis=1)
     return runs
 
 
@@ -216,23 +219,51 @@ def _ratio_table(p: int) -> tuple[bytes, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _level_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-prime gathers of the 2-dim search, h = (p-1)/2:
+    steps[j][a, v2] = (a + j*v2) mod p for 0 <= j < isqrt(p), as int16
+    (a k1 level reads rows j < k2 <= isqrt(p)), and limits[k1, v1, v2] =
+    _ratio_table(p)[v2/v1 mod p][k1], the largest proper k2, for
+    0 <= k1 <= p/2 and 0 <= v1, v2 <= h, as uint8 (0 where v1 or v2 is 0,
+    so generator 0 is never offered)."""
+    half = (p - 1) // 2
+    by_k1 = np.zeros((p // 2 + 1, p), dtype=np.uint8)  # by_k1[k1][r]
+    by_k1[:, 1:] = np.frombuffer(b"".join(_ratio_table(p)), dtype=np.uint8) \
+        .reshape(p - 1, p + 1)[:, :p // 2 + 1].T
+    gens = np.arange(half + 1, dtype=np.int16)
+    inverses = np.array([0] + [pow(v, -1, p) for v in range(1, half + 1)], dtype=np.int16)
+    steps = (np.arange(p, dtype=np.int16)[:, None]
+             + np.arange(isqrt(p), dtype=np.int16)[:, None, None] * gens) % p
+    return steps, np.take(by_k1, inverses[:, None] * gens % p, axis=1)
+
+
 def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
     """Exhaustive search for a largest proper progression inside s.
 
     Brute force only: requires p <= 101 and d_max <= 2.  Generators are
     normalized to 1 <= v <= (p-1)/2 (sign flips preserve the represented
     set) and 2-dim candidates to k_1 >= k_2; ties between maximizers are
-    broken by smaller dimension, then lexicographically least (a, v, k).
+    broken by smaller dimension, then lexicographically least (a, v, k),
+    i.e. the least key (-k_1*k_2, dimension, a, v, k).
 
-    Every candidate is accounted for.  One run table per generator serves
-    both dimensions.  Properness of (v1, v2; k1, k2) is read from
-    ``_ratio_table`` for r = v2/v1 mod p: it holds iff
+    Every candidate is accounted for, level by level in k1.  One run table
+    per generator serves both dimensions, and the 1-dim best is its first
+    maximum in (a, v) order.  A k1 level takes every (v1, a) whose run
+    reaches k1 and every v2 in bulk.  Properness of (v1, v2; k1, k2) is
+    read from ``_ratio_table`` for r = v2/v1 mod p: it holds iff
     min_{1 <= j < k2} ||j*r|| >= k1, with ||x|| = min(x mod p, p - x mod p),
     since a collision is (i-i')*v1 == J*v2 with |i-i'| < k1 < p and
     0 < |J| < k2.  Properness is monotone in k2 and a larger k2 is strictly
-    better, so only the largest proper k2 is offered per (a, v1, v2, k1);
-    a (v1, a, k1) whose best possible key cannot beat the incumbent is
-    skipped, as none of its candidates could win.
+    better, so only the largest k2 that is proper and whose rows a + j*v2
+    (j < k2) each hold a k1-run is offered per (a, v1, v2, k1); it is found
+    by extending the survivors of row j to row j + 1.  So each level
+    offers, as arrays, the candidates a loop over (v1, a, v2) would offer
+    one at a time, and its least key is compared with the incumbent's under
+    the same key: the result is the least key over all candidates.  Levels
+    run largest possible area k1*cap2 first, and a level whose largest
+    area cannot beat the incumbent is skipped, as none of its candidates
+    could win.
     """
     p = s.modulus
     require_prime(p)
@@ -248,35 +279,39 @@ def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
         return Gap(p, elements[0], (0,), (1,))
 
     half = 1 if p == 2 else (p - 1) // 2
-    gens = range(1, half + 1)
     runs = _run_tables(s, half)
-    # dimension 1: for a prime modulus any v != 0, k <= p progression is proper
-    best_key = min((-runs[v][a], 1, a, (v,), (runs[v][a],))
-                   for v in gens for a in elements)
+    members = np.array(elements)
+    # dimension 1: for a prime modulus any v != 0, k <= p progression is
+    # proper; the first maximum in (a, v) order is the least key
+    i, v = divmod(int(np.argmax(runs[1:, members].T)), half)
+    k = int(runs[v + 1, members[i]])
+    best_key = (-k, 1, elements[i], (v + 1,), (k,))
     # dimension 2, unless a progression found above already covers all of s
-    if -best_key[0] < size and d_max >= 2:
-        ratios = _ratio_table(p)
-        for v1 in gens:
-            run1 = runs[v1]
-            inv = pow(v1, -1, p)
-            limits = [(v2, ratios[v2 * inv % p]) for v2 in gens]
-            for a in elements:
-                for k1 in range(2, run1[a] + 1):
-                    cap2 = min(k1, size // k1, p // k1)
-                    if cap2 < 2 or (-k1 * cap2, 2, a, (v1, 1), (k1, cap2)) >= best_key:
-                        continue
-                    for v2, limit in limits:
-                        # the largest k2 <= cap2 that is proper and whose rows
-                        # a + j*v2 (j < k2) each support a k1-run
-                        cap = limit[k1]
-                        if cap > cap2:
-                            cap = cap2
-                        k2 = 1
-                        while k2 < cap and run1[(a + k2 * v2) % p] >= k1:
-                            k2 += 1
-                        if k2 >= 2:
-                            key = (-k1 * k2, 2, a, (v1, v2), (k1, k2))
-                            if key < best_key:
-                                best_key = key
+    if k < size and d_max >= 2:
+        steps, limits = _level_tables(p)
+        levels = [(k1, min(k1, size // k1, p // k1)) for k1 in range(2, k + 1)]
+        # largest possible area first, so an early incumbent prunes the rest
+        for k1, cap2 in sorted(levels, key=lambda level: -level[0] * level[1]):
+            if cap2 < 2 or (-k1 * cap2, 2) > best_key[:2]:
+                continue
+            holds = runs >= k1  # holds[v][x]: x starts a k1-run of generator v
+            v1, i = np.nonzero(holds[:, members])
+            a = members[i]
+            cap = np.minimum(limits[k1][v1], cap2)
+            c, v2 = np.nonzero((cap >= 2) & holds[v1[:, None], steps[1][a]])
+            if not len(c):
+                continue
+            v1, a, cap = v1[c], a[c], cap[c, v2]
+            k2 = np.full(len(c), 2)
+            grow = np.arange(len(c))
+            for j in range(2, cap2):
+                grow = grow[cap[grow] > j]
+                grow = grow[holds[v1[grow], steps[j][a[grow], v2[grow]]]]
+                k2[grow] = j + 1
+            # within a level the area is k1*k2: order by (-area, a, v1, v2)
+            w = np.lexsort((v2, v1, a, -k2))[0]
+            key = (-k1 * int(k2[w]), 2, int(a[w]), (int(v1[w]), int(v2[w])), (k1, int(k2[w])))
+            if key < best_key:
+                best_key = key
     _, _, a, vs, ks = best_key
     return Gap(p, a, vs, ks)

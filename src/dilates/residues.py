@@ -104,14 +104,15 @@ class ResidueSet:
     def from_elements(cls, modulus: int, elements) -> "ResidueSet":
         """The residues mod N of the given integers; the one builder of a
         bitvector from a list of members.  ORing into a growing integer
-        costs |A|*N/64 word operations, so from |A|*N > 2^19 on (the
-        measured crossover) the members, reduced by Python's %, so any
-        integers, are scattered into a mask converted once."""
+        costs |A|*N/64 word operations and the scatter about N bytes plus a
+        fixed overhead, so once |A| > 32 and |A|*N > 2^19 (the measured
+        crossovers) the members, reduced by Python's %, so any integers,
+        are scattered into a mask converted once."""
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         if not isinstance(elements, (list, tuple)):
             elements = list(elements)
-        if len(elements) * modulus <= 1 << 19:
+        if len(elements) <= 32 or len(elements) * modulus <= 1 << 19:
             bits = 0
             for x in elements:
                 bits |= 1 << (x % modulus)

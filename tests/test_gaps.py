@@ -9,7 +9,7 @@ import pytest
 from dilates.errors import ScaleCapError
 from dilates.gaps import (Gap, expand, find_max_proper_gap, is_proper,
                           lambda_span_check, truncate_to_large_steps)
-from dilates.gaps import _ratio_table, _run_tables
+from dilates.gaps import _level_tables, _ratio_table, _run_tables
 from dilates.residues import ResidueSet, iterated_sumset
 
 
@@ -397,15 +397,69 @@ def test_finder_matches_reference_on_planted_progressions():
         assert_finder_matches_reference(rs(p, list(expand(planted).elements()) + noise))
 
 
+def test_finder_ties_across_k1_levels():
+    # areas tie at 12 between the k1 = 6 and k1 = 4 levels; the least key
+    # (-area, dimension, a, v, k) wins whichever level is searched first
+    p = 61
+    cases = [
+        # equal a: the least (v1, v2) wins
+        ([Gap(p, 0, (1, 20), (6, 2)), Gap(p, 0, (3, 25), (4, 3))], [], Gap(p, 0, (1, 20), (6, 2))),
+        ([Gap(p, 0, (3, 20), (6, 2)), Gap(p, 0, (1, 25), (4, 3))], [], Gap(p, 0, (1, 25), (4, 3))),
+        # equal a and (v1, v2): the least (k1, k2); with the noise, |S| = 20
+        # and the k1 = 6 level (area up to 18) runs before k1 = 4 (up to 16)
+        ([Gap(p, 5, (2, 17), (6, 2)), Gap(p, 5, (2, 17), (4, 3))], [], Gap(p, 5, (2, 17), (4, 3))),
+        ([Gap(p, 5, (2, 17), (6, 2)), Gap(p, 5, (2, 17), (4, 3))], [4, 12, 23, 52],
+         Gap(p, 5, (2, 17), (4, 3))),
+        # a 1-dim run as large as the best 2-dim area: the smaller dimension
+        ([Gap(p, 30, (1,), (12,)), Gap(p, 0, (3, 25), (4, 3))], [], Gap(p, 30, (1,), (12,))),
+        ([Gap(p, 30, (5,), (12,)), Gap(p, 0, (2, 9), (6, 2))], [], Gap(p, 30, (5,), (12,))),
+    ]
+    for planted, noise, winner in cases:
+        assert all(is_proper(g) for g in planted)
+        s = rs(p, [x for g in planted for x in expand(g).elements()] + noise)
+        assert find_max_proper_gap(s, 2) == winner
+        assert_finder_matches_reference(s)
+
+
+def test_finder_searches_levels_that_can_only_tie():
+    # a level whose largest area k1*cap2 equals the incumbent's area still
+    # holds the winner when it has a smaller base: here k1 = 8 and k1 = 4
+    # (or 9 and 6) both reach area 16 (18), and the k1 = 4 (6) level runs
+    # first
+    cases = [
+        ("p=23;{0,1,2,3,4,5,7,8,9,11,12,13,14,15,17,18,19,20,21}", Gap(23, 2, (3, 7), (8, 2))),
+        ("p=23;{0,1,2,3,4,5,6,7,9,10,12,13,14,15,16,18,19,20,21}", Gap(23, 14, (6, 9), (9, 2))),
+        ("p=29;{0,1,2,3,4,5,6,7,9,10,11,12,13,16,17,18,21,22,24,25,26,27,28}",
+         Gap(29, 0, (6, 4), (8, 2))),
+    ]
+    for literal, winner in cases:
+        s = ResidueSet.parse(literal)
+        assert find_max_proper_gap(s, 2) == winner
+        assert_finder_matches_reference(s)
+
+
+def test_finder_matches_reference_on_dense_sets():
+    # most k1 levels survive the prune here; at p = 61 the reference takes
+    # over a second at density 0.95, so that density runs at p = 31 only
+    rng = random.Random(54)
+    for p, densities in ((31, (0.8, 0.85, 0.9, 0.95)), (61, (0.8, 0.85, 0.9))):
+        for density in densities:
+            assert_finder_matches_reference(rs(p, rng.sample(range(p), round(density * p))))
+        for size in (p - 1, p - 2):
+            assert_finder_matches_reference(rs(p, rng.sample(range(p), size)))
+
+
 def test_ratio_table_decides_properness():
     for p in (2, 3, 5, 7, 11, 13, 17):
         table = _ratio_table(p)
+        gathered = _level_tables(p)[1]  # the finder's [k1, v1, v2] limits
         for v1, v2 in product(range(1, (p - 1) // 2 + 1), repeat=2):
             limit = table[v2 * pow(v1, -1, p) % p]
             for k1 in range(2, p // 2 + 1):
                 for k2 in range(2, min(k1, p // k1) + 1):
                     gap = Gap(p, 0, (v1, v2), (k1, k2))
                     assert (k2 <= limit[k1]) == is_proper(gap), gap.format()
+                    assert (k2 <= gathered[k1, v1, v2]) == is_proper(gap)
 
 
 def test_run_tables_count_runs():

@@ -301,10 +301,11 @@ def oracle_bits(n, elems):
 
 
 def test_from_elements_matches_oracle():
-    # from_elements ORs members into an integer while |A|*N <= 2^19 and
-    # scatters them, reduced by Python's %, into a mask above that.  Byte
-    # boundaries, N = 1, both sides of the rule (8192 * 64 = 2^19), members
-    # outside [0, N) and beyond int64, and generator input.
+    # from_elements ORs members into an integer while |A| <= 32 or
+    # |A|*N <= 2^19 and scatters them, reduced by Python's %, into a mask
+    # above that.  Byte boundaries, N = 1, both sides of the rule
+    # (8192 * 64 = 2^19), members outside [0, N) and beyond int64, and
+    # generator input.
     rng = random.Random(8)
     for n in (1, 7, 8, 9, 63, 64, 65, 8192, 12568, 90001):
         for elems in ([], [n - 1], rng.sample(range(n), min(n, 40)),
@@ -370,6 +371,25 @@ def test_array_paths_match_oracles(monkeypatch, gate):
     for n in (7, 16411):
         elems = [rng.randint(-2**80, 2**80) for _ in range(70)] + [2**64, -(2**63) - 1]
         assert rs(n, (x for x in elems)).elements() == tuple(sorted({x % n for x in elems}))
+
+
+def test_from_elements_ors_small_sets_at_large_n(monkeypatch):
+    # at N = 10^6 + 3 up to 32 members are ORed into an integer (the
+    # scatter costs ~N bytes, the OR ~|A|*N/64 words); 33 take the scatter
+    n = 10**6 + 3
+    scattered = []
+
+    def spy(modulus, members):
+        scattered.append(len(members))
+        return to_bits(modulus, members)
+
+    to_bits = residues._members_to_bits
+    monkeypatch.setattr(residues, "_members_to_bits", spy)
+    rng = random.Random(11)
+    for size in (6, 32, 33):
+        elems = rng.sample(range(n - 1), size - 1) + [n - 1]
+        assert rs(n, elems).bits == sum(1 << x for x in elems)
+    assert scattered == [33]
 
 
 # ---------------------------------------------------------------- dilate sums

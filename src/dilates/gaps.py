@@ -200,23 +200,21 @@ def _run_tables(s: ResidueSet, half: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ratio_table(p: int) -> tuple[bytes, ...]:
-    """table[r][k1] = the least j >= 1 with ||j*r|| < k1, for 1 <= r < p and
-    1 <= k1 <= p: by the rule in the module docstring, the largest k2 with
-    Gap(p, a, (v1, r*v1), (k1, k2)) proper.  Entries are at most p <= 101,
-    so each row is a bytes object."""
-    table = [b""]
-    for r in range(1, p):
-        row = bytearray(p + 1)
-        low = p  # min ||i*r|| over 1 <= i < j; rows k1 <= low are unresolved
-        for j in range(1, p + 1):
-            x = j * r % p
-            norm = min(x, p - x)
-            if norm < low:
-                row[norm + 1:low + 1] = bytes([j]) * (low - norm)
-                low = norm
-        table.append(bytes(row))
-    return tuple(table)
+def _ratio_table(p: int) -> np.ndarray:
+    """table[r, k1] = the least j >= 1 with ||j*r|| < k1, for 1 <= r < p and
+    1 <= k1 <= p (0 elsewhere): by the rule in the module docstring, the
+    largest k2 with Gap(p, a, (v1, r*v1), (k1, k2)) proper.  One binary
+    search over every row's running minima m_r(j) of ||j*r||, stored as
+    r*(p+1) - m_r(j) so that one flat array ascends through all rows.
+    Entries are at most p <= 101, so the table is uint8."""
+    r = np.arange(1, p)[:, None]
+    x = r * np.arange(1, p + 1) % p
+    keys = r * (p + 1) - np.minimum.accumulate(np.minimum(x, p - x), axis=1)
+    at = np.searchsorted(keys.ravel(), r * (p + 1) - np.arange(1, p + 1), side="right")
+    table = np.zeros((p, p + 1), dtype=np.uint8)
+    table[1:, 1:] = at - (r - 1) * p + 1
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +227,7 @@ def _level_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     so generator 0 is never offered)."""
     half = (p - 1) // 2
     by_k1 = np.zeros((p // 2 + 1, p), dtype=np.uint8)  # by_k1[k1][r]
-    by_k1[:, 1:] = np.frombuffer(b"".join(_ratio_table(p)), dtype=np.uint8) \
-        .reshape(p - 1, p + 1)[:, :p // 2 + 1].T
+    by_k1[:, 1:] = _ratio_table(p)[1:, :p // 2 + 1].T
     gens = np.arange(half + 1, dtype=np.int16)
     inverses = np.array([0] + [pow(v, -1, p) for v in range(1, half + 1)], dtype=np.int16)
     steps = (np.arange(p, dtype=np.int16)[:, None]

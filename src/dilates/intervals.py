@@ -8,13 +8,19 @@ over a fixed denominator, so all comparisons in the claim chain
     |A' + lam*A'| / p  <=  mu(A + lam*A)  <=  measure(S')
 
 are exact.  A violated link is an implementation bug, never a data issue.
+
+A set keeps its arcs as two ascending endpoint arrays, int64 while the
+denominator allows and exact Python ints beyond, and every operation reads
+those arrays: sorted cells become arcs by their runs, scaling multiplies
+the endpoints, a Minkowski sum closes one operand per interval length of
+the other, and containment is one binary search of the ends.  The tuple of
+(start, end) pairs is a read-only view, built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -44,19 +50,45 @@ def _endpoint_dtype(bound: int):
     return np.int64 if bound < 1 << 62 else object
 
 
-def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Canonical interval tuple of the union of the arcs [starts[i], ends[i])
+def _integer(value) -> int:
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    raise TypeError(f"interval endpoints and denominators must be integers, got {value!r}")
+
+
+def _denominator(value) -> int:
+    d = _integer(value)
+    if d < 1:
+        raise ValueError(f"denominator must be positive, got {d}")
+    return d
+
+
+def _pair_array(d: int, pairs) -> np.ndarray:
+    """The (a, b) pairs as an (n, 2) array, int64 while _endpoint_dtype
+    allows for d and every |value|, exact Python ints beyond."""
+    values = [_integer(v) for a, b in pairs for v in (a, b)]
+    dtype = _endpoint_dtype(max([d, *map(abs, values)]))
+    return np.array(values, dtype=dtype).reshape(-1, 2)
+
+
+def _as_pairs(starts: np.ndarray, ends: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(starts.tolist(), ends.tolist()))
+
+
+def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical endpoint arrays of the union of the arcs [starts[i], ends[i])
     mod d: empty arcs are dropped, an arc of length >= d makes the full
     circle, the rest are reduced into [0, d), split at 0, sorted on their
     starts (one sort of packed keys) and merged (touching arcs too) by
     running maximum of the ends."""
     lengths = ends - starts
     keep = lengths > 0
-    starts, lengths = starts[keep], lengths[keep]
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
     if not len(starts):
-        return ()
+        return starts, starts
     if (lengths >= d).any():
-        return ((0, d),)
+        return np.zeros(1, starts.dtype), np.full(1, d, starts.dtype)
     starts = starts % d
     ends = starts + lengths
     wrap = ends > d
@@ -70,42 +102,86 @@ def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[tuple[int,
     keys = np.sort((starts.astype(dtype, copy=False) << k) | ends.astype(dtype, copy=False))
     starts, ends = keys >> k, np.maximum.accumulate(keys & ((1 << k) - 1))
     gap = starts[1:] > ends[:-1]
-    return tuple(zip(starts[np.concatenate(([True], gap))].tolist(),
-                     ends[np.concatenate((gap, [True]))].tolist()))
+    return starts[np.concatenate(([True], gap))], ends[np.concatenate((gap, [True]))]
 
 
-@dataclass(frozen=True)
 class TorusIntervalSet:
     """A finite union of half-open intervals [a/D, b/D) on the circle.
 
     Intervals are sorted, pairwise disjoint and non-adjacent; an arc
-    crossing 0 is stored split at 0.
+    crossing 0 is stored split at 0.  The arcs live in two read-only
+    endpoint arrays of dtype _endpoint_dtype(D); ``intervals`` is their
+    tuple of (a, b) pairs of Python ints.  Instances are immutable, and
+    ``==``, ``hash`` and ``repr`` are those of (denominator, intervals).
     """
 
-    denominator: int
-    intervals: tuple[tuple[int, int], ...]
+    __slots__ = ("denominator", "_starts", "_ends", "_pairs")
 
-    def __post_init__(self):
-        d = self.denominator
-        if d < 1:
-            raise ValueError(f"denominator must be positive, got {d}")
-        prev_end = -1
-        for a, b in self.intervals:
-            if not (0 <= a < b <= d):
+    def __init__(self, denominator: int, intervals) -> None:
+        d = _denominator(denominator)
+        arr = _pair_array(d, intervals)
+        starts, ends = arr[:, 0], arr[:, 1]
+        prev_ends = np.concatenate((np.full(1, -1, arr.dtype), ends[:-1]))
+        bad = np.flatnonzero((starts >= ends) | (ends > d) | (starts <= prev_ends))
+        if len(bad):
+            a, b = starts[bad[0]], ends[bad[0]]
+            if not 0 <= a < b <= d:
                 raise ValueError(f"bad interval [{a}, {b}) over denominator {d}")
-            if a <= prev_end:
-                raise ValueError("intervals must be sorted, disjoint, non-adjacent")
-            prev_end = b
+            raise ValueError("intervals must be sorted, disjoint, non-adjacent")
+        self._set(d, starts, ends)
+
+    def _set(self, d: int, starts: np.ndarray, ends: np.ndarray) -> None:
+        dtype = _endpoint_dtype(d)
+        starts, ends = (np.ascontiguousarray(x, dtype=dtype) for x in (starts, ends))
+        starts.flags.writeable = ends.flags.writeable = False
+        for name, value in (("denominator", d), ("_starts", starts), ("_ends", ends),
+                            ("_pairs", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, d: int, starts: np.ndarray, ends: np.ndarray) -> "TorusIntervalSet":
+        """Wrap normalized endpoint arrays over a checked denominator, unchecked."""
+        out = object.__new__(cls)
+        out._set(d, starts, ends)
+        return out
+
+    @property
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _as_pairs(self._starts, self._ends))
+        return self._pairs
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.denominator == other.denominator
+                and np.array_equal(self._starts, other._starts)
+                and np.array_equal(self._ends, other._ends))
+
+    def __hash__(self):
+        return hash((self.denominator, self.intervals))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(denominator={self.denominator!r}, "
+                f"intervals={self.intervals!r})")
+
+    def __reduce__(self):
+        return type(self), (self.denominator, self.intervals)
 
     @classmethod
     def from_raw(cls, denominator: int, raw_pairs) -> "TorusIntervalSet":
         """Build from arbitrary integer pairs (a, b), reducing mod the
         denominator and splitting arcs that cross 0; pairs with b <= a are
         dropped."""
-        pairs = list(raw_pairs)
-        dtype = _endpoint_dtype(max([denominator, *(abs(v) for pair in pairs for v in pair)]))
-        arr = np.array(pairs, dtype=dtype).reshape(-1, 2)
-        return cls(denominator, _normalize(denominator, arr[:, 0], arr[:, 1]))
+        d = _denominator(denominator)
+        arr = _pair_array(d, raw_pairs)
+        return cls._trusted(d, *_normalize(d, arr[:, 0], arr[:, 1]))
 
     @classmethod
     def empty(cls, denominator: int) -> "TorusIntervalSet":
@@ -116,30 +192,28 @@ class TorusIntervalSet:
         return cls(denominator, ((0, denominator),))
 
     def measure(self) -> Fraction:
-        return Fraction(sum(b - a for a, b in self.intervals), self.denominator)
+        return Fraction(int((self._ends - self._starts).sum()), self.denominator)
 
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not len(self._starts)
 
     def contains_set(self, other: "TorusIntervalSet") -> bool:
         """True iff other is a subset of self, exact over the common denominator.
 
-        One merge over both sorted lists, endpoints scaled on the fly.  Both
-        are normalized (disjoint, non-adjacent), so each interval of other
-        must sit inside a single interval of self; an interval of self that
-        ends before the current one of other ends cannot hold it or any
-        later one.
+        Both are normalized (disjoint, non-adjacent), so each interval of
+        other must sit inside a single interval of self, the first whose
+        end is not below its end: one binary search of other's ends among
+        self's, all scaled to the lcm of the denominators.
         """
         d = lcm(self.denominator, other.denominator)
+        dtype = _endpoint_dtype(d)
         qs, qo = d // self.denominator, d // other.denominator
-        mine = self.intervals
-        i = 0
-        for a, b in other.intervals:
-            while i < len(mine) and mine[i][1] * qs < b * qo:
-                i += 1
-            if i == len(mine) or mine[i][0] * qs > a * qo:
-                return False
-        return True
+        ends = self._ends.astype(dtype, copy=False) * qs
+        at = np.searchsorted(ends, other._ends.astype(dtype, copy=False) * qo)
+        if len(at) and at[-1] == len(ends):  # other's ends ascend: only the last can pass
+            return False
+        return bool((self._starts.astype(dtype, copy=False)[at] * qs
+                     <= other._starts.astype(dtype, copy=False) * qo).all())
 
     @classmethod
     def parse(cls, text: str) -> "TorusIntervalSet":
@@ -165,9 +239,13 @@ class TorusIntervalSet:
 
 
 def _encode_cells(d: int, cells: np.ndarray) -> TorusIntervalSet:
-    """The union of the intervals [c, c + 1) over d, one per flat cell index
-    c (int64, below d)."""
-    return TorusIntervalSet(d, _normalize(d, cells, cells + 1))
+    """The union of the intervals [c, c + 1) over d, for an ascending int64
+    array of distinct cells below d: one arc per run of consecutive cells."""
+    if not len(cells):
+        return TorusIntervalSet._trusted(d, cells, cells)
+    gap = np.diff(cells) > 1
+    return TorusIntervalSet._trusted(d, cells[np.concatenate(([True], gap))],
+                                     cells[np.concatenate((gap, [True]))] + 1)
 
 
 def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
@@ -176,7 +254,7 @@ def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
     d = s.lam**s.dim
     if d > _ENCODE_CAP:
         raise ScaleCapError(f"lam^n = {d} exceeds encode cap {_ENCODE_CAP}")
-    return _encode_cells(d, np.fromiter(s.cells, dtype=np.int64, count=len(s.cells)))
+    return _encode_cells(d, np.sort(np.fromiter(s.cells, dtype=np.int64, count=len(s.cells))))
 
 
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
@@ -185,35 +263,35 @@ def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     if lam < 1:
         raise ValueError("need lam >= 1")
     d = a.denominator
-    return TorusIntervalSet.from_raw(d, [(lam * x, lam * y) for x, y in a.intervals])
+    dtype = _endpoint_dtype(lam * d)
+    return TorusIntervalSet._trusted(d, *_normalize(d, a._starts.astype(dtype, copy=False) * lam,
+                                                    a._ends.astype(dtype, copy=False) * lam))
 
 
 def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     """A + B by A + [s, s + L) = close(A, L) + s: close(A, L) is the arcs
     [x, y + L) of A, merged wherever the gap to the next arc is <= L, so A
     is closed once per distinct length of B and only the closed arcs are
-    paired with B's starts.  Every end is y + (end of b) <= 2d."""
-    if a.is_empty() or b.is_empty():
-        return TorusIntervalSet.empty(a.denominator)
-    if len(a.intervals) * len(b.intervals) > _PAIR_CAP:
-        raise ScaleCapError("interval Minkowski sum exceeds pair cap")
+    paired with B's starts.  Every end is y + (end of b) <= 2d, which the
+    endpoint dtype holds."""
     d = a.denominator
-    dtype = _endpoint_dtype(d)  # pair sums reach 2*d
-    ea, eb = (np.fromiter(chain.from_iterable(t.intervals), dtype=dtype,
-                          count=2 * len(t.intervals)).reshape(-1, 2) for t in (a, b))
-    xs, ys = ea[:, 0], ea[:, 1]
+    if a.is_empty() or b.is_empty():
+        return TorusIntervalSet.empty(d)
+    xs, ys = a._starts, a._ends
+    if len(xs) * len(b._starts) > _PAIR_CAP:
+        raise ScaleCapError("interval Minkowski sum exceeds pair cap")
     # gaps[i] precedes arc i; d + 1, above every length, stands for the
     # missing gaps before the first arc and after the last
-    gaps = np.empty(len(xs) + 1, dtype=dtype)
+    gaps = np.empty(len(xs) + 1, dtype=xs.dtype)
     gaps[0] = gaps[-1] = d + 1
     gaps[1:-1] = xs[1:] - ys[:-1]
-    lengths = eb[:, 1] - eb[:, 0]
+    lengths = b._ends - b._starts
     starts, ends = [], []
     for length in sorted(set(lengths.tolist())):
-        eb_l = eb[lengths == length]
-        starts.append((xs[gaps[:-1] > length][:, None] + eb_l[:, 0]).ravel())
-        ends.append((ys[gaps[1:] > length][:, None] + eb_l[:, 1]).ravel())
-    return TorusIntervalSet(d, _normalize(d, np.concatenate(starts), np.concatenate(ends)))
+        of_length = lengths == length
+        starts.append((xs[gaps[:-1] > length][:, None] + b._starts[of_length]).ravel())
+        ends.append((ys[gaps[1:] > length][:, None] + b._ends[of_length]).ravel())
+    return TorusIntervalSet._trusted(d, *_normalize(d, np.concatenate(starts), np.concatenate(ends)))
 
 
 def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
@@ -238,7 +316,7 @@ def discretize_to_zp(a: TorusIntervalSet, p: int) -> ResidueSet:
     any modulus p >= 1; callers that need a field check p themselves."""
     d = a.denominator
     bits = 0
-    for x, y in a.intervals:
+    for x, y in zip(a._starts.tolist(), a._ends.tolist()):
         lo = max(-((-x * p) // d), 0)         # ceil(x*p/d)
         hi = min((y * p) // d - 1, p - 1)     # largest r with (r+1)*d <= y*p
         if lo <= hi:

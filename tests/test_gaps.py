@@ -449,6 +449,30 @@ def test_finder_matches_reference_on_dense_sets():
             assert_finder_matches_reference(rs(p, rng.sample(range(p), size)))
 
 
+def reference_ratio_table(p):
+    """The per-ratio loop the finder used before its table was one binary
+    search: row r, entry k1 = the least j >= 1 with ||j*r|| < k1."""
+    table = [bytes(p + 1)]
+    for r in range(1, p):
+        row = bytearray(p + 1)
+        low = p  # min ||i*r|| over 1 <= i < j; rows k1 <= low are unresolved
+        for j in range(1, p + 1):
+            x = j * r % p
+            norm = min(x, p - x)
+            if norm < low:
+                row[norm + 1:low + 1] = bytes([j]) * (low - norm)
+                low = norm
+        table.append(bytes(row))
+    return table
+
+
+def test_ratio_table_matches_reference_loop():
+    for p in (q for q in range(2, 102) if all(q % d for d in range(2, q))):
+        table = _ratio_table(p)
+        assert table.shape == (p, p + 1) and not table.flags.writeable
+        assert [bytes(row) for row in table] == reference_ratio_table(p), p
+
+
 def test_ratio_table_decides_properness():
     for p in (2, 3, 5, 7, 11, 13, 17):
         table = _ratio_table(p)

@@ -197,7 +197,8 @@ def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
 
 def test_minkowski_mask_gate(monkeypatch):
     # the FFT runs once the sparser mask has more than
-    # min(64, max(5, isqrt(size) / 5, size / 64 on one axis)) members: the
+    # min(64, max(5, isqrt(size) / 5, size / 64 on one axis)) members, and
+    # equal masks (one forward transform) past two thirds of that: the
     # measured crossovers
     ran = []
     for name in ("cyclic_support_fft", "cyclic_support_shift"):
@@ -215,6 +216,16 @@ def test_minkowski_mask_gate(monkeypatch):
             ran.clear()
             assert np.array_equal(_cyclic_minkowski_mask(b, a), cyclic_support_shift(a, b))
             assert ran == [routine], (shape, ns)
+    for shape, shift_up_to in [((16,), 3), ((300,), 3), ((1021,), 10), ((4099,), 42),
+                               ((61, 61), 8), ((10, 10, 10), 4), ((6,) * 4, 4),
+                               ((4,) * 5, 4), ((3,) * 6, 3), ((8,) * 4, 8), ((16,) * 3, 8),
+                               ((7,) * 5, 16), ((8,) * 6, 42)]:
+        for ns, routine in ((shift_up_to, "cyclic_support_shift"),
+                            (shift_up_to + 1, "cyclic_support_fft")):
+            a, _ = _random_masks(rng, shape, ns, 0)
+            ran.clear()
+            assert np.array_equal(_cyclic_minkowski_mask(a, a.copy()), cyclic_support_shift(a, a))
+            assert ran == [routine], ("equal", shape, ns)
 
 
 @PROPERTY

@@ -1,11 +1,14 @@
 """Circle interval sets, base-lam encoding, and the full claim chain."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from hashlib import sha256
 from itertools import product
 from math import lcm
 
+import numpy as np
 import pytest
 
 from dilates import intervals
@@ -45,12 +48,56 @@ def test_wraparound_splits_at_zero():
 
 
 def test_validation_rejects_bad_lists():
-    with pytest.raises(ValueError):
-        TorusIntervalSet(10, ((3, 3),))
-    with pytest.raises(ValueError):
-        TorusIntervalSet(10, ((0, 4), (4, 6)))  # adjacent must be merged
-    with pytest.raises(ValueError):
-        TorusIntervalSet(10, ((5, 11),))
+    # the first bad pair decides the message; adjacent arcs must be merged
+    cases = [((0, ()), "denominator must be positive, got 0"),
+             ((-3, ((0, 1),)), "denominator must be positive, got -3"),
+             ((10, ((3, 3),)), "bad interval [3, 3) over denominator 10"),
+             ((10, ((-1, 2),)), "bad interval [-1, 2) over denominator 10"),
+             ((10, ((0, 1), (5, 11))), "bad interval [5, 11) over denominator 10"),
+             ((10, ((0, 4), (4, 6))), "intervals must be sorted, disjoint, non-adjacent"),
+             ((10, ((5, 6), (0, 1), (7, 7))), "intervals must be sorted, disjoint, non-adjacent"),
+             ((10, ((0, 1), (3, 2), (1, 2))), "bad interval [3, 2) over denominator 10"),
+             ((2**70, ((0, 2**71),)), f"bad interval [0, {2**71}) over denominator {2**70}")]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            TorusIntervalSet(*args)
+        assert str(err.value) == message, args
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        TorusIntervalSet.from_raw(0, [(0, 1)])
+
+
+def test_non_integer_endpoints_rejected():
+    for d, pairs in [(10, ((0.5, 2),)), (10, ((0, F(3, 2)),)), (10.0, ()), (F(10), ()),
+                     (10, (("0", "2"),))]:
+        with pytest.raises(TypeError, match="must be integers"):
+            TorusIntervalSet(d, pairs)
+        with pytest.raises(TypeError, match="must be integers"):
+            TorusIntervalSet.from_raw(d, pairs)
+    s = TorusIntervalSet(np.int64(10), ((np.int64(1), np.int32(3)),))
+    assert s == tis(10, [(1, 3)]) and type(s.denominator) is int
+    assert all(type(v) is int for pair in s.intervals for v in pair)
+
+
+def test_tuple_form_identity_and_immutability():
+    for d, pairs in [(9, ((0, 2), (5, 6))), (9, ()), (2**70, ((3, 2**69), (2**69 + 1, 2**70)))]:
+        s = TorusIntervalSet(d, pairs)
+        assert s.intervals == pairs
+        assert hash(s) == hash((d, pairs))
+        assert repr(s) == f"TorusIntervalSet(denominator={d!r}, intervals={pairs!r})"
+        for same in (TorusIntervalSet(d, list(pairs)), TorusIntervalSet.parse(s.format()),
+                     tis(d, reversed(pairs)), pickle.loads(pickle.dumps(s))):
+            assert same == s and hash(same) == hash(s)
+        assert s != TorusIntervalSet(2 * d, pairs) and s != (d, pairs)
+        for arr in (s._starts, s._ends):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        with pytest.raises(FrozenInstanceError):
+            s.denominator = 3
+        with pytest.raises(FrozenInstanceError):
+            del s._starts
+    assert tis(9, [(1, 2)]) != tis(9, [(1, 3)])
+    assert len({tis(9, [(1, 2)]), tis(9, [(1, 2)])}) == 1
 
 
 def test_parse_format_roundtrip():
@@ -98,6 +145,52 @@ def test_contains_set_matches_cell_membership():
         q = lcm(d1, d2)
         inside = all(c1[j * d1 // q] for j in range(q) if c2[j * d2 // q])
         assert s1.contains_set(s2) == inside, (s1, s2)
+
+
+def test_contains_set_matches_brute_force_across_denominators():
+    # the breakpoints of both sets cut the circle into pieces; other is
+    # inside self iff the midpoint of every piece of other lies in self,
+    # decided with exact fractions
+    def member(s, t):
+        return any(F(a, s.denominator) <= t < F(b, s.denominator) for a, b in s.intervals)
+
+    def brute(s, o):
+        cuts = sorted({F(v, t.denominator) for t in (s, o) for pair in t.intervals
+                       for v in pair} | {F(0), F(1)})
+        return all(member(s, (x + y) / 2) for x, y in zip(cuts, cuts[1:])
+                   if member(o, (x + y) / 2))
+
+    def arcs(rng, d, k):
+        return tis(d, [(x, x + rng.randint(1, max(1, d // (2 * k))))
+                       for x in (rng.randrange(d) for _ in range(k))])
+
+    rng = random.Random(30)
+    pairs = [(6, 4), (12, 18), (7, 1000), (2**40, 3**25), (2**32 - 5, 2**31 - 1),
+             (2**70, 3**50)]
+    assert intervals._endpoint_dtype(lcm(2**32 - 5, 2**31 - 1)) is object
+    for d1, d2 in pairs:
+        seen = set()
+        for _ in range(60):
+            big = arcs(rng, d1, rng.randint(1, 5))
+            # arcs of the other denominator inside big's arcs, then perturbed
+            inner = [(-(-x * d2 // d1), y * d2 // d1) for x, y in big.intervals]
+            inner = [(a + rng.randint(0, 1), b + rng.choice((-1, 0, 0, 1))) for a, b in inner]
+            for other in (tis(d2, inner), arcs(rng, d2, rng.randint(0, 3)),
+                          TorusIntervalSet.empty(d2)):
+                want = brute(big, other)
+                assert big.contains_set(other) == want, (big, other)
+                seen.add(want)
+        assert seen == {True, False}, (d1, d2)
+
+
+def test_encode_cells_matches_normalize():
+    rng = random.Random(31)
+    for _ in range(200):
+        d = rng.choice([1, 2, 9, 64, 1000, 4096])
+        cells = np.array(sorted(rng.sample(range(d), rng.randint(0, d))), dtype=np.int64)
+        got = intervals._encode_cells(d, cells)
+        assert got == TorusIntervalSet._trusted(d, *intervals._normalize(d, cells, cells + 1))
+        assert got.measure() == F(len(cells), d)
 
 
 # ---------------------------------------------------------------- encode
@@ -432,6 +525,21 @@ def test_pipeline_anchor_chain_pinned():
     assert rep.all_hold
     assert sha256(canonical_json(rep.to_json_dict())).hexdigest() == \
         "461504539c2a6efe4936eaea08fe68147f2ff5a5a99b0d4be52aee6294a24240"
+
+
+def test_pipeline_builds_no_interval_tuples(monkeypatch):
+    # every stage reads the endpoint arrays; the tuple view is for callers
+    def refuse(starts, ends):
+        raise AssertionError("pipeline stage built an interval tuple")
+
+    monkeypatch.setattr(intervals, "_as_pairs", refuse)
+    grids = [simplex_grid_set(7, 8), simplex_grid_set(4, 9),
+             box_grid_set(2, 9, [F(1, 3), F(1, 3)]),
+             box_grid_set(3, 64, optimized_box_sides_3d(F(1, 64), 64)), GridSet.empty(2, 3)]
+    for grid, p in zip(grids, (10007, 6563, 10007, 1000003, 11)):
+        assert pipeline_check(grid, p).all_hold
+    with pytest.raises(AssertionError, match="tuple"):
+        _ = tis(9, [(1, 2)]).intervals
 
 
 def test_overflow_containment_random_grids():

@@ -310,8 +310,7 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
         raise ValueError("need n >= 2")
     if lam < 2:
         raise ValueError(f"resolution must be >= 2, got {lam}")
-    if lam**n > _MASK_CAP:
-        raise ScaleCapError(f"lam^n = {lam ** n} exceeds cap {_MASK_CAP}")
+    _mask_size(n, lam)
     return GridSet(n, lam, frozenset(_digit_sum_cells(n, lam, 1, lam * (n - 2) // 2 - n)))
 
 

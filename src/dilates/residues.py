@@ -14,6 +14,7 @@ reachable sum; callers that rely on this validate the headroom themselves.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
@@ -83,7 +84,7 @@ _SAFE_COUNT_BITS = 26
 _CONVOLUTION_MIN_N = 1 << 14
 _FFT_COST = 45
 # Above |A| * N = 2^15 (a timed sweep's crossover) members are decoded,
-# dilated and re-encoded as numpy index arrays instead of strings and ints.
+# mapped and re-encoded as numpy index arrays instead of strings and ints.
 _ARRAY_MIN_WORK = 1 << 15
 
 
@@ -97,6 +98,8 @@ class ResidueSet:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
+        if not isinstance(self.bits, int):
+            raise TypeError(f"bitvector must be an int, got {type(self.bits).__name__}")
         if self.bits < 0 or self.bits >> self.modulus:
             raise ValueError("bitvector has bits outside [0, modulus)")
 
@@ -106,19 +109,20 @@ class ResidueSet:
         bitvector from a list of members.  ORing into a growing integer
         costs |A|*N/64 word operations and the scatter about N bytes plus a
         fixed overhead, so once |A| > 32 and |A|*N > 2^19 (the measured
-        crossovers) the members, reduced by Python's %, so any integers,
-        are scattered into a mask converted once."""
+        crossovers) the members, reduced mod N, are scattered into a mask
+        converted once.  Members are Python or numpy integers, of any
+        size; anything else raises TypeError on both sides of the gate."""
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         if not isinstance(elements, (list, tuple)):
             elements = list(elements)
         if len(elements) <= 32 or len(elements) * modulus <= 1 << 19:
             bits = 0
-            for x in elements:
+            for x in map(operator.index, elements):
                 bits |= 1 << (x % modulus)
             return cls(modulus, bits)
-        members = np.fromiter((x % modulus for x in elements), dtype=np.int64,
-                              count=len(elements))
+        members = np.fromiter((x % modulus for x in map(operator.index, elements)),
+                              dtype=np.int64, count=len(elements))
         return cls(modulus, _members_to_bits(modulus, members))
 
     @classmethod
@@ -150,23 +154,8 @@ class ResidueSet:
         return f"p={self.modulus};{{{','.join(map(str, self.elements()))}}}"
 
     def elements(self) -> tuple[int, ...]:
-        """Members in ascending order, read in time linear in the modulus.
-
-        With N here the highest member plus one: while |A|*N <=
-        _ARRAY_MIN_WORK the binary digits are scanned least significant
-        first with str.find; above it the bits are unpacked into a boolean
-        mask whose nonzero indices are the members.
-        """
-        bits = self.bits
-        if bits.bit_count() * bits.bit_length() > _ARRAY_MIN_WORK:
-            return tuple(_bits_to_members(bits).tolist())
-        digits = bin(bits)[:1:-1]
-        out = []
-        i = digits.find("1")
-        while i >= 0:
-            out.append(i)
-            i = digits.find("1", i + 1)
-        return tuple(out)
+        """Members in ascending order, read in time linear in the modulus."""
+        return tuple(_positions(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -202,9 +191,24 @@ def _mask_to_bits(mask: np.ndarray) -> int:
 
 def _bits_to_members(bits: int) -> np.ndarray:
     """The members of a bitvector as an ascending int64 index array, read
-    up to its highest member, not to the modulus; with the str.find scans
-    of elements() and _runs the only place bits become residues."""
+    up to its highest member, not to the modulus."""
     return np.flatnonzero(_bits_to_mask(bits.bit_length(), bits).view(bool))
+
+
+def _positions(bits: int) -> list[int]:
+    """The set bits of bits, ascending: the one scanner under elements()
+    and _runs.  While (set bits) * (bit length) <= _ARRAY_MIN_WORK the
+    binary digits are scanned with str.find, least significant first;
+    above it _bits_to_members decodes them."""
+    if bits.bit_count() * bits.bit_length() > _ARRAY_MIN_WORK:
+        return _bits_to_members(bits).tolist()
+    digits = bin(bits)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _members_to_bits(n: int, members: np.ndarray) -> int:
@@ -230,23 +234,11 @@ def _run_count(bits: int) -> int:
 
 def _runs(bits: int) -> Iterator[tuple[int, int]]:
     """(start, length) of each run of members, in ascending order.  The set
-    bits of bits ^ (bits << 1) are the runs' starts and ends, alternately:
-    above _ARRAY_MIN_WORK they are read as one index array, below it the
-    binary digits are scanned with str.find."""
-    edges = bits ^ (bits << 1)
-    if edges.bit_count() * edges.bit_length() > _ARRAY_MIN_WORK:
-        ends = _bits_to_members(edges)
-        starts = ends[::2]
-        yield from zip(starts.tolist(), (ends[1::2] - starts).tolist())
-        return
-    digits = bin(bits)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        j = digits.find("0", i)
-        if j < 0:
-            j = len(digits)
-        yield i, j - i
-        i = digits.find("1", j)
+    bits of bits ^ (bits << 1) are the runs' starts (even indices) and
+    ends (odd indices)."""
+    edges = _positions(bits ^ (bits << 1))
+    starts = edges[::2]
+    return zip(starts, map(operator.sub, edges[1::2], starts))
 
 
 def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
@@ -281,10 +273,12 @@ def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
                     while len(powers) <= k:
                         powers.append(powers[-1] | rotate(powers[-1], 1 << (len(powers) - 1)))
                     smear = smears[l] = powers[k] | rotate(powers[k], l - (1 << k))
-                acc |= ((smear << s) | (smear >> (n - s))) & mask
+                acc |= rotate(smear, s)
             return acc
     bits, shifts = (a.bits, b.elements()) if ca >= cb else (b.bits, a.elements())
     acc = 0
+    # rotation written inline: one call per member would show in the many
+    # small sumsets of the theorem suites and the GAP finder
     for s in shifts:
         acc |= ((bits << s) | (bits >> (n - s))) & mask
     return acc
@@ -353,10 +347,6 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return counts > 0.5
 
 
-def _sumset_bits_convolution(n: int, a: ResidueSet, b: ResidueSet) -> int:
-    return _mask_to_bits(cyclic_support_fft(_bits_to_mask(n, a.bits), _bits_to_mask(n, b.bits)))
-
-
 def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
     # ca, cb count the operands' runs.  BITSHIFT costs about one pass over
     # n bits per run of the operand with fewer runs (or per member of the
@@ -387,30 +377,30 @@ def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> Residu
     elif kernel is Kernel.BITSHIFT:
         bits = _sumset_bits_bitshift(n, a, b)
     else:
-        bits = _sumset_bits_convolution(n, a, b)
+        bits = _mask_to_bits(cyclic_support_fft(_bits_to_mask(n, a.bits),
+                                                _bits_to_mask(n, b.bits)))
     return ResidueSet(n, bits)
 
 
-def _affine_large(a: ResidueSet, u: int, v: int) -> ResidueSet:
-    """{u*x + v mod N : x in A} for |A|*N above _ARRAY_MIN_WORK: while
-    N^2 < 2^63, which keeps u*x + v in int64 once u and v are reduced, the
-    members are mapped as one index array and scattered back."""
+def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:
+    """{u*x + v mod N : x in A}, the one member map under dilate and
+    affine_image.  Above |A|*N = _ARRAY_MIN_WORK, while N^2 < 2^63 keeps
+    u*x + v in int64 once u and v are reduced, the members are mapped as
+    one index array and scattered; otherwise from_elements builds the image."""
     n = a.modulus
-    if n * n >= 1 << 63:
-        return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
-    image = (_bits_to_members(a.bits) * (u % n) + v % n) % n
-    return ResidueSet(n, _members_to_bits(n, image))
+    u %= n
+    v %= n
+    if a.bits.bit_count() * n > _ARRAY_MIN_WORK and n * n < 1 << 63:
+        return ResidueSet(n, _members_to_bits(n, (_bits_to_members(a.bits) * u + v) % n))
+    return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
 
 
 def dilate(a: ResidueSet, lam: int) -> ResidueSet:
     """lam*A = {lam*a mod N}.  |lam*A| = |A| whenever gcd(lam, N) = 1."""
-    n = a.modulus
-    lam %= n
+    lam %= a.modulus
     if lam == 1:
         return a
-    if a.bits.bit_count() * n > _ARRAY_MIN_WORK:
-        return _affine_large(a, lam, 0)
-    return ResidueSet.from_elements(n, [lam * x for x in a.elements()])
+    return _affine(a, lam, 0)
 
 
 def dilate_sum(a: ResidueSet, lam: int, kernel: Kernel | None = None) -> ResidueSet:
@@ -447,7 +437,6 @@ def iterated_sumset(a: ResidueSet, m: int) -> ResidueSet:
 
 def difference_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """A - B = {a - b mod N} = A + (-1)*B."""
-    _check_same_modulus(a, b)
     return sumset(a, dilate(b, -1))
 
 
@@ -456,9 +445,7 @@ def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:
     n = a.modulus
     if gcd(u, n) != 1:
         raise ValueError(f"u={u} is not a unit mod {n}")
-    if a.bits.bit_count() * n > _ARRAY_MIN_WORK:
-        return _affine_large(a, u, v)
-    return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
+    return _affine(a, u, v)
 
 
 def _pair_images(n: int, elems) -> Iterator[list[int]]:

@@ -158,6 +158,13 @@ def test_cli_construct_simplex(tmp_path):
     assert data["sum_region_volume"] == "119/120"
 
 
+def test_cli_construct_simplex_mask_cap_exit_4(tmp_path, capsys):
+    code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "simplex",
+                   "--n", "6", "--lambda", "21", "--out", "out")
+    assert code == 4
+    assert "exceeds mask cap" in capsys.readouterr().err
+
+
 def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):
     # --p discretizes the grid set, which only --lambda builds
     code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "simplex",

@@ -4,6 +4,7 @@ span containment, and the exhaustive finder."""
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from dilates.errors import ScaleCapError
@@ -497,3 +498,11 @@ def test_run_tables_count_runs():
                 while k < p and (x + k * v) % p in s:
                     k += 1
                 assert runs[v][x] == k
+
+
+def test_expand_reads_numpy_integers():
+    # numpy members must not wrap in int64 inside from_elements: 1 << 70
+    # would read as 1 << 6, and this proper progression look improper
+    gap = Gap(101, np.int64(3), (np.int64(70),), (2,))
+    assert expand(gap) == ResidueSet.from_elements(101, [3, 73])
+    assert is_proper(gap)

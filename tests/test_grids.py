@@ -400,3 +400,6 @@ def test_simplex_grid_is_a_translated_digit_sum_set():
 def test_mask_cap():
     with pytest.raises(ScaleCapError):
         GridSet(8, 11, frozenset()).to_mask()
+    # 21^6 > 2^26 >= 20^6
+    with pytest.raises(ScaleCapError, match="exceeds mask cap"):
+        simplex_grid_set(6, 21)

@@ -337,6 +337,23 @@ def oracle_runs(members):
     return [tuple(r) for r in runs]
 
 
+# Sets at the gates of the array paths, and one member over them, with
+# which reader takes the arrays as set: (N, members, elements(), _runs,
+# dilate and affine_image).  elements() weighs set bits by bit length, _runs
+# the same for bits ^ (bits << 1), the maps |A| by the modulus.
+GATE_CASES = [
+    # 32 members up to 1023: 32 * 1024 = _ARRAY_MIN_WORK for elements() and
+    # the maps; 64 run edges up to 1024 are over it
+    (1024, list(range(31, 1024, 32)), False, True, False),
+    (1024, [0] + list(range(31, 1024, 32)), True, True, True),
+    # 16 isolated members up to 1022: 32 run edges up to 1023 at the gate
+    (1024, list(range(62, 1023, 64)), False, False, False),
+    (1024, [0] + list(range(62, 1023, 64)), False, True, False),
+    # one long run: its members over the gate, its two edges under it
+    (2003, list(range(1000)), True, False, True),
+]
+
+
 @pytest.mark.parametrize("gate", ["strings", "arrays", "as set"])
 def test_array_paths_match_oracles(monkeypatch, gate):
     # elements(), _runs, dilate and affine_image read numpy index arrays
@@ -346,31 +363,73 @@ def test_array_paths_match_oracles(monkeypatch, gate):
     if gate != "as set":
         monkeypatch.setattr(residues, "_ARRAY_MIN_WORK", 1 << 62 if gate == "strings" else 0)
     rng = random.Random(31)
+
+    def check(n, elems):
+        members = sorted({x % n for x in elems})
+        a = rs(n, (x for x in elems))
+        assert a.elements() == tuple(members)
+        assert list(residues._runs(a.bits)) == oracle_runs(members)
+        assert n == 1 or dilate(a, 1) is a and dilate(a, n + 1) is a
+        # lam = 0 mod N, negative, unreduced and beyond int64
+        for lam in (0, n, -n, -1, 2, rng.randint(-3 * n, 3 * n), 2**70 + 3):
+            assert dilate(a, lam).elements() == \
+                tuple(sorted({lam * x % n for x in members}))
+        unit = next(u for u in iter(lambda: rng.randint(-3 * n, 3 * n), None)
+                    if gcd(u, n) == 1)
+        for u, v in ((-1, -1), (n + 1, 2 * n + 3), (unit, rng.randint(-3 * n, 3 * n)),
+                     (2**70 * n - 1, -(2**65))):
+            assert affine_image(a, u, v).elements() == \
+                tuple(sorted({(u * x + v) % n for x in members}))
+        return a
+
     for n in (1, 2, 7, 64, 257, 1009, 4099, 16411):
         for elems in ([], range(n), [0], [n - 1],
                       # a run through 0 and one ending at N - 1
                       list(range(min(n, 5))) + list(range(max(0, n - 4), n)),
                       rng.sample(range(n), min(n, 8)),
                       [x for x in range(n) if rng.random() < 0.5]):
-            members = sorted({x % n for x in elems})
-            a = rs(n, (x for x in elems))
-            assert a.elements() == tuple(members)
-            assert list(residues._runs(a.bits)) == oracle_runs(members)
-            # lam = 0 mod N, negative, unreduced and beyond int64
-            for lam in (0, n, -n, -1, 2, rng.randint(-3 * n, 3 * n), 2**70 + 3):
-                assert dilate(a, lam).elements() == \
-                    tuple(sorted({lam * x % n for x in members}))
-            unit = next(u for u in iter(lambda: rng.randint(-3 * n, 3 * n), None)
-                        if gcd(u, n) == 1)
-            for u, v in ((-1, -1), (n + 1, 2 * n + 3), (unit, rng.randint(-3 * n, 3 * n)),
-                         (2**70 * n - 1, -(2**65))):
-                assert affine_image(a, u, v).elements() == \
-                    tuple(sorted({(u * x + v) % n for x in members}))
+            check(n, elems)
+    decoded = []
+    decode = residues._bits_to_members
+    monkeypatch.setattr(residues, "_bits_to_members",
+                        lambda bits: decoded.append(bits) or decode(bits))
+    for n, elems, *on_arrays in GATE_CASES:
+        a = check(n, elems)
+        if gate == "as set":
+            took = []
+            for read in (a.elements, lambda: list(residues._runs(a.bits)),
+                         lambda: dilate(a, 3), lambda: affine_image(a, 3, 5)):
+                decoded.clear()
+                read()
+                took.append(bool(decoded))
+            assert took == on_arrays + on_arrays[-1:]
     # from_elements keeps its own |A|*N = 2^19 gate: members beyond int64
     # and generator input on both sides of it
     for n in (7, 16411):
         elems = [rng.randint(-2**80, 2**80) for _ in range(70)] + [2**64, -(2**63) - 1]
         assert rs(n, (x for x in elems)).elements() == tuple(sorted({x % n for x in elems}))
+
+
+def test_from_elements_takes_exactly_integers():
+    # Python and numpy integers, mixed and beyond int64, give one answer on
+    # both sides of the |A|*N = 2^19 gate; anything else raises TypeError
+    for n, size in ((101, 3), (101, 40), (20011, 40)):
+        assert (size * n > 1 << 19) == (n == 20011)
+        elems = [70 + 103 * i for i in range(size)]
+        want = tuple(sorted({x % n for x in elems + [2**70, 1]}))
+        for wrap in (int, np.int64, np.uint64, np.int32):
+            got = rs(n, [wrap(x) for x in elems] + [2**70, np.int8(1)])
+            assert type(got.bits) is int and got.elements() == want
+            got = rs(n, [wrap(x) for x in elems])  # numpy members only
+            assert type(got.bits) is int
+            assert got.elements() == tuple(sorted({x % n for x in elems}))
+        with pytest.raises(TypeError):
+            rs(n, [i + 0.5 for i in range(size)])
+        for bad in (3.0, np.float64(3), np.True_, Fraction(3), "3"):
+            with pytest.raises(TypeError):
+                rs(n, list(range(size - 1)) + [bad])
+    with pytest.raises(TypeError, match="bitvector must be an int"):
+        ResidueSet(101, np.int64(3))
 
 
 def test_from_elements_ors_small_sets_at_large_n(monkeypatch):
@@ -458,6 +517,8 @@ def test_difference_set_examples():
         n = rng.choice([8, 13])
         a = rs(n, rng.sample(range(n), rng.randint(1, n)))
         assert 0 in difference_set(a, a)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        difference_set(rs(7, [1]), rs(11, [1]))
 
 
 # ---------------------------------------------------------------- affine maps

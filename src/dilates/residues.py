@@ -88,6 +88,15 @@ _FFT_COST = 45
 _ARRAY_MIN_WORK = 1 << 15
 
 
+def _int_modulus(modulus) -> int:
+    """A modulus of another integer type (numpy, bool) as a plain int, so
+    1 << N and x % N run on Python ints; anything else raises TypeError."""
+    try:
+        return operator.index(modulus)
+    except TypeError:
+        raise TypeError(f"modulus must be an integer, got {type(modulus).__name__}") from None
+
+
 @dataclass(frozen=True)
 class ResidueSet:
     """An immutable subset of Z/NZ stored as a membership bitvector."""
@@ -96,6 +105,8 @@ class ResidueSet:
     bits: int
 
     def __post_init__(self):
+        if type(self.modulus) is not int:
+            object.__setattr__(self, "modulus", _int_modulus(self.modulus))
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if not isinstance(self.bits, int):
@@ -112,6 +123,8 @@ class ResidueSet:
         crossovers) the members, reduced mod N, are scattered into a mask
         converted once.  Members are Python or numpy integers, of any
         size; anything else raises TypeError on both sides of the gate."""
+        if type(modulus) is not int:
+            modulus = _int_modulus(modulus)
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         if not isinstance(elements, (list, tuple)):
@@ -131,6 +144,8 @@ class ResidueSet:
 
     @classmethod
     def full(cls, modulus: int) -> "ResidueSet":
+        if type(modulus) is not int:
+            modulus = _int_modulus(modulus)
         return cls(modulus, (1 << modulus) - 1)
 
     @classmethod

@@ -13,7 +13,8 @@ classes_enumerated, the orbit count, comes from Burnside's lemma
 (_orbit_count).
 
 Heuristic mode is plain seeded simulated annealing over single-element
-swaps and only ever reports an upper bound.
+swaps and only ever reports an upper bound.  It scores each swap on
+bitvectors, as the exact walk does (_dilate_sum_size).
 """
 
 from __future__ import annotations
@@ -236,6 +237,22 @@ def exact_min_reference(p: int, lam: int, m: int) -> int:
                for combo in combinations(range(p), m))
 
 
+def _dilate_sum_size(p: int, lam: int, members) -> int:
+    """|A + lam*A| for A the residues in members, each in [0, p).
+
+    Annealing's objective: lam*A is the OR of 1 << (lam*x mod p), and
+    A + lam*A the OR of lam*A shifted up by each member x < p, folded
+    once mod p.  len(dilate_sum(...)) is its test oracle."""
+    lam %= p
+    dil = 0
+    for x in members:
+        dil |= 1 << (lam * x % p)
+    total = 0
+    for x in members:
+        total |= dil << x
+    return ((total | total >> p) & ((1 << p) - 1)).bit_count()
+
+
 def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
     """Seeded annealing upper bound; result never improves on the exact
     minimum and never worsens as the budget grows (best-so-far)."""
@@ -247,10 +264,7 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
     current = list(range(m))
     outside = list(range(m, p))
 
-    def objective(members) -> int:
-        return len(dilate_sum(ResidueSet.from_elements(p, members), lam))
-
-    cur_val = objective(current)
+    cur_val = _dilate_sum_size(p, lam, current)
     best_members = tuple(current)
     best_val = cur_val
     evaluations = 1
@@ -261,7 +275,7 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
         i = rng.randrange(len(current))
         j = rng.randrange(len(outside))
         current[i], outside[j] = outside[j], current[i]
-        val = objective(current)
+        val = _dilate_sum_size(p, lam, current)
         evaluations += 1
         delta = val - cur_val
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):

@@ -432,6 +432,26 @@ def test_from_elements_takes_exactly_integers():
         ResidueSet(101, np.int64(3))
 
 
+def test_modulus_is_a_plain_int():
+    # a numpy or bool modulus is stored as a plain int, so 1 << N and x % N
+    # never run in fixed-width numpy arithmetic; a float raises TypeError
+    a = ResidueSet(np.int64(101), 5)
+    assert type(a.modulus) is int and a == ResidueSet(101, 5)
+    assert dilate_sum(a, 3) == dilate_sum(ResidueSet(101, 5), 3)
+    full = ResidueSet.full(np.int64(70))
+    assert type(full.modulus) is int and len(full) == 70
+    b = ResidueSet.from_elements(np.int64(101), [3])
+    assert type(b.modulus) is int and b == rs(101, [3])
+    assert type(ResidueSet.empty(np.uint16(7)).modulus) is int
+    c = ResidueSet(True, 1)
+    assert type(c.modulus) is int and c.format() == "p=1;{0}"
+    for build in (lambda: ResidueSet(101.0, 5), lambda: ResidueSet.full(70.0),
+                  lambda: ResidueSet.from_elements(101.0, [3]),
+                  lambda: ResidueSet.empty(np.float64(7))):
+        with pytest.raises(TypeError, match="modulus must be an integer, got float"):
+            build()
+
+
 def test_from_elements_ors_small_sets_at_large_n(monkeypatch):
     # at N = 10^6 + 3 up to 32 members are ORed into an integer (the
     # scatter costs ~N bytes, the OR ~|A|*N/64 words); 33 take the scatter

@@ -5,13 +5,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dilates import search
 from dilates.errors import ScaleCapError
-from dilates.residues import ResidueSet, canonical_form, dilate_sum, is_canonical
+from dilates.residues import (Kernel, ResidueSet, canonical_form, dilate_sum,
+                              is_canonical, is_prime)
 from dilates.search import (SearchTask, SweepReport, decode_entry,
                             exact_min_dilate_sumset, exact_min_reference,
                             heuristic_min_dilate_sumset, sweep, sweep_csv)
+from test_residues import PROPERTY
 
 
 def test_task_validation():
@@ -225,6 +228,57 @@ def test_heuristic_never_beats_exact():
             SearchTask(p=p, lam=lam, m=m, mode="heuristic",
                        seed=rng.randrange(2**32), budget=200)).min_size
         assert heur >= exact
+
+
+PRIMES_TO_1100 = [q for q in range(2, 1100) if is_prime(q)]
+
+
+@PROPERTY
+@given(st.data())
+def test_annealing_objective_matches_library(data):
+    # the bitvector objective against the library route it replaced:
+    # from_elements, dilate and the sumset kernels
+    p = data.draw(st.sampled_from(PRIMES_TO_1100))
+    lam = data.draw(st.one_of(st.integers(-3000, -1),                       # negative
+                              st.integers(-2, 2).map(lambda k: k * p),     # 0 mod p
+                              st.sampled_from([1, -1, p + 1, 1 - p]),      # +-1 mod p
+                              st.integers(2, 3000)))
+    members = data.draw(st.lists(st.integers(0, p - 1), max_size=min(p, 40)))
+    a = ResidueSet.from_elements(p, members)
+    got = search._dilate_sum_size(p, lam, members)
+    assert got == len(dilate_sum(a, lam, Kernel.NAIVE))
+    assert got == len(dilate_sum(a, lam, Kernel.BITSHIFT))
+
+
+# (p, lam, m, seed, budget) -> (min_size, witness, classes_enumerated),
+# recorded with each move scored by the library route,
+# len(dilate_sum(ResidueSet.from_elements(p, members), lam))
+ANNEALING_PINS = [
+    ((2, 1, 1, 0, 50), (1, 'p=2;{0}', 51)),
+    ((2, 3, 2, 1, 20), (2, 'p=2;{0,1}', 1)),
+    ((7, -3, 7, 5, 9), (7, 'p=7;{0,1,2,3,4,5,6}', 1)),
+    ((11, 2, 3, 9, 0), (7, 'p=11;{0,1,2}', 1)),
+    ((13, 13, 4, 7, 100), (4, 'p=13;{0,1,2,3}', 101)),
+    ((13, -2, 5, 3, 200), (12, 'p=13;{0,1,2,4,7}', 201)),
+    ((31, -1, 10, 8, 400), (19, 'p=31;{0,1,2,3,4,5,6,7,8,9}', 401)),
+    ((101, 1, 20, 6, 300), (39, 'p=101;{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19}', 301)),
+    ((101, 5, 13, 2, 300), (70, 'p=101;{0,1,2,3,4,5,6,7,8,9,10,11,23}', 301)),
+    ((101, 6, 6, 4, 300), (26, 'p=101;{0,1,2,28,62,74}', 301)),
+    ((1009, 6, 7, 11, 300), (43, 'p=1009;{0,1,2,3,4,5,6}', 301)),
+    ((1009, 6, 13, 0, 300), (85, 'p=1009;{0,1,2,3,4,5,6,7,8,9,10,11,12}', 301)),
+    ((10007, 5, 12, 1, 60), (67, 'p=10007;{0,1,2,3,4,5,6,7,8,9,10,11}', 61)),
+    ((1009, -1010, 9, 3, 150), (17, 'p=1009;{0,1,2,3,4,5,6,7,8}', 151)),
+]
+
+
+@pytest.mark.parametrize("cell, expected", ANNEALING_PINS,
+                         ids=["-".join(map(str, c)) for c, _ in ANNEALING_PINS])
+def test_annealing_outputs_pinned(cell, expected):
+    p, lam, m, seed, budget = cell
+    r = heuristic_min_dilate_sumset(
+        SearchTask(p=p, lam=lam, m=m, mode="heuristic", seed=seed, budget=budget))
+    assert (r.min_size, r.witness.format(), r.classes_enumerated) == expected
+    assert r.min_size == len(dilate_sum(r.witness, lam, Kernel.NAIVE))
 
 
 # ---------------------------------------------------------------- sweep

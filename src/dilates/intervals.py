@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _ENCODE_CAP = 1 << 30   # largest denominator lam**n we will materialize
-_PAIR_CAP = 10**6       # pairwise interval sums per Minkowski product
+_PAIR_CAP = 10**6       # arcs a Minkowski sum forms before normalizing
 
 
 def _endpoint_dtype(bound: int):
@@ -278,16 +278,19 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     if a.is_empty() or b.is_empty():
         return TorusIntervalSet.empty(d)
     xs, ys = a._starts, a._ends
-    if len(xs) * len(b._starts) > _PAIR_CAP:
-        raise ScaleCapError("interval Minkowski sum exceeds pair cap")
     # gaps[i] precedes arc i; d + 1, above every length, stands for the
     # missing gaps before the first arc and after the last
     gaps = np.empty(len(xs) + 1, dtype=xs.dtype)
     gaps[0] = gaps[-1] = d + 1
     gaps[1:-1] = xs[1:] - ys[:-1]
     lengths = b._ends - b._starts
+    distinct, per_length = np.unique(lengths, return_counts=True)
+    # A closed at L keeps the arcs whose gap before them exceeds L
+    closed = len(xs) - np.searchsorted(np.sort(gaps[:-1]), distinct, side="right")
+    if int(closed @ per_length) > _PAIR_CAP:
+        raise ScaleCapError("interval Minkowski sum exceeds pair cap")
     starts, ends = [], []
-    for length in sorted(set(lengths.tolist())):
+    for length in distinct.tolist():
         of_length = lengths == length
         starts.append((xs[gaps[:-1] > length][:, None] + b._starts[of_length]).ravel())
         ends.append((ys[gaps[1:] > length][:, None] + b._ends[of_length]).ravel())
@@ -298,12 +301,13 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     """Exact A + lam*A on the circle.
 
     Every pair of intervals [x1, y1) of A and [x2, y2) of lam*A gives the
-    arc [x1 + x2, y1 + y2).  |A|*|lam*A| may not exceed _PAIR_CAP (else
-    ScaleCapError), but fewer arcs are formed: A is closed once per
-    distinct interval length of lam*A and each closed arc is shifted by
-    the starts of that length (see _minkowski); the arcs are normalized by
-    one sort of packed keys and a running-maximum merge.  Endpoints are
-    int64 while twice the denominator fits, exact Python ints otherwise.
+    arc [x1 + x2, y1 + y2), but fewer arcs are formed: A is closed once
+    per distinct interval length of lam*A and each closed arc is shifted
+    by the starts of that length (see _minkowski).  The arcs so formed,
+    counted before any is, may not exceed _PAIR_CAP (else ScaleCapError);
+    they are normalized by one sort of packed keys and a running-maximum
+    merge.  Endpoints are int64 while twice the denominator fits, exact
+    Python ints otherwise.
     """
     if lam < 2:
         raise ValueError("need lam >= 2")

@@ -256,47 +256,31 @@ def _runs(bits: int) -> Iterator[tuple[int, int]]:
     return zip(starts, map(operator.sub, edges[1::2], starts))
 
 
-def _sumset_bits_bitshift(n: int, a: ResidueSet, b: ResidueSet) -> int:
-    """OR of cyclic shifts of one bitvector by the members of the other set.
+def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
+    """OR of the shifts of one bitvector by the runs of the other, folded
+    once mod N.
 
-    When the operand with fewer runs has 2 * runs + 4 <= min(|A|, |B|) and
-    the sparser operand at least 16 members (crossovers read off a timed
-    sweep), it is read as runs [s, s + l): the other bitvector is smeared
-    over l positions, as the OR of two rotations of its smear over
-    2^k <= l positions (built by doubling, one smear per distinct l), and
-    rotated by s.  Otherwise the denser bitvector is rotated by each
-    member of the sparser set.
+    The operand with fewer runs (ra, rb count them) is read as runs
+    [s, s + l), a lone member being a run of length 1: the other bitvector
+    is smeared over l positions and shifted up by s.  The smear over l is
+    its smear over the largest 2^k <= l, ORed with itself shifted by
+    l - 2^k; those are built by doubling, one smear per distinct l.  A run
+    ends by N - 1, so every term is below 2^(2N) and one fold
+    (acc | acc >> N) & mask reduces the OR mod N.
     """
-    mask = (1 << n) - 1
-    ca, cb = a.bits.bit_count(), b.bits.bit_count()
-    sparse = min(ca, cb)
-    if sparse >= 16:
-        ra, rb = _run_count(a.bits), _run_count(b.bits)
-        if 2 * min(ra, rb) + 4 <= sparse:
-            runs, bits = (a.bits, b.bits) if ra <= rb else (b.bits, a.bits)
-
-            def rotate(x: int, s: int) -> int:
-                return ((x << s) | (x >> (n - s))) & mask
-
-            powers = [bits]  # powers[k] = bits smeared over 2^k positions
-            smears = {}
-            acc = 0
-            for s, l in _runs(runs):
-                smear = smears.get(l)
-                if smear is None:
-                    k = l.bit_length() - 1
-                    while len(powers) <= k:
-                        powers.append(powers[-1] | rotate(powers[-1], 1 << (len(powers) - 1)))
-                    smear = smears[l] = powers[k] | rotate(powers[k], l - (1 << k))
-                acc |= rotate(smear, s)
-            return acc
-    bits, shifts = (a.bits, b.elements()) if ca >= cb else (b.bits, a.elements())
+    runs, bits = (a, b) if ra <= rb else (b, a)
+    powers = [bits]  # powers[k] = bits smeared over 2^k positions
+    smears = {}
     acc = 0
-    # rotation written inline: one call per member would show in the many
-    # small sumsets of the theorem suites and the GAP finder
-    for s in shifts:
-        acc |= ((bits << s) | (bits >> (n - s))) & mask
-    return acc
+    for s, l in _runs(runs):
+        smear = smears.get(l)
+        if smear is None:
+            k = l.bit_length() - 1
+            while len(powers) <= k:
+                powers.append(powers[-1] | powers[-1] << (1 << (len(powers) - 1)))
+            smear = smears[l] = powers[k] | powers[k] << (l - (1 << k))
+        acc |= smear << s
+    return (acc | acc >> n) & ((1 << n) - 1)
 
 
 def _fft_length(n: int) -> int:
@@ -363,10 +347,9 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
-    # ca, cb count the operands' runs.  BITSHIFT costs about one pass over
-    # n bits per run of the operand with fewer runs (or per member of the
-    # sparser one, when that is fewer than 2 * runs + 4), the FFT about
-    # L log2 L at its transform length L; _FFT_COST fits timed crossovers.
+    # ca, cb count the operands' runs.  BITSHIFT costs one pass over the
+    # bits per run of the operand with fewer runs, the FFT about L log2 L
+    # at its transform length L; _FFT_COST fits timed crossovers.
     # L >= n, so small operands are settled without factoring n.
     if n < _CONVOLUTION_MIN_N or min(ca, cb) <= _FFT_COST * n.bit_length():
         return Kernel.BITSHIFT
@@ -382,15 +365,15 @@ def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> Residu
     n = a.modulus
     if a.bits == 0 or b.bits == 0:
         return ResidueSet.empty(n)
+    ra, rb = _run_count(a.bits), _run_count(b.bits)
     if kernel is None:
-        kernel = (Kernel.BITSHIFT if n < _CONVOLUTION_MIN_N
-                  else _auto_kernel(n, _run_count(a.bits), _run_count(b.bits)))
+        kernel = _auto_kernel(n, ra, rb)
     elif not isinstance(kernel, Kernel):
         kernel = Kernel(kernel)
     if kernel is Kernel.NAIVE:
         bits = _sumset_bits_naive(n, a.elements(), b.elements())
     elif kernel is Kernel.BITSHIFT:
-        bits = _sumset_bits_bitshift(n, a, b)
+        bits = _sumset_bits_bitshift(n, a.bits, b.bits, ra, rb)
     else:
         bits = _mask_to_bits(cyclic_support_fft(_bits_to_mask(n, a.bits),
                                                 _bits_to_mask(n, b.bits)))

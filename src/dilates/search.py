@@ -5,10 +5,12 @@ affine-invariant, and every orbit meets the sets through the anchor
 {0, 1}: for members x != y, z -> (z - x) / (y - x) sends A to such a set.
 So a serial branch and bound (_branch_and_bound) walks the C(p-2, m-2)
 sets {0, 1} + (an (m-2)-subset of 2..p-1), and {0} alone for m = 1, in
-lexicographic order, pruning every prefix whose partial sum already has
-as many members as the best set so far, and stops at the
-Cauchy-Davenport floor.  It keeps the least (size, sorted tuple) pair,
-which is canonical without a test (see exact_min_dilate_sumset).
+lexicographic order.  Each new member adds two shifts, folded once
+mod p, to its prefix's partial sum.  The walk prunes every prefix whose
+partial sum already has as many members as the best set so far, and
+stops at the Cauchy-Davenport floor.  It keeps the least (size, sorted
+tuple) pair, which is canonical without a test (see
+exact_min_dilate_sumset).
 classes_enumerated, the orbit count, comes from Burnside's lemma
 (_orbit_count).
 
@@ -138,7 +140,8 @@ def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
     Walks the sets through {0, 1}[:m] in lexicographic order with an
     explicit stack, as a recursion would be m deep.  Depth d holds the
     prefix elems[:d] as bitvectors P, L = lam*P and S = P + lam*P, so
-    adding x ORs in two cyclic shifts, L + x and (P | x) + lam*x.  |S|
+    adding x ORs in two shifts, L + x and (P | x) + lam*x, folded once
+    mod p: each is below 2^(2p - 1).  |S|
     only grows along a branch, so a child with |S| >= best is pruned:
     every set below it scores at least best and comes later in
     lexicographic order than the set that set best.  The walk stops once
@@ -161,8 +164,8 @@ def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
         nxt[depth] = x + 1
         lx = lam * x % p
         p_x = P[depth] | 1 << x
-        s_x = (S[depth] | (L[depth] << x | L[depth] >> (p - x)) & full
-               | (p_x << lx | p_x >> (p - lx)) & full)
+        t = S[depth] | L[depth] << x | p_x << lx
+        s_x = (t | t >> p) & full
         size = s_x.bit_count()
         if size >= best:
             continue

@@ -236,12 +236,18 @@ def test_interval_dilate_sum_examples():
     assert interval_dilate_sum(TorusIntervalSet.empty(9), 3).is_empty()
     with pytest.raises(ValueError):
         interval_dilate_sum(a, 1)
-    # the pair cap: 1001 * 1000 pairs > 10^6 is refused, exactly 10^6 runs
-    thousand = tis(10**4, [(2 * i, 2 * i + 1) for i in range(1000)])
+    # the pair cap counts formed arcs: unit arcs 3 apart stay apart when
+    # closed at length 1, so 1001 * 1000 formed arcs > 10^6 are refused
+    # and exactly 10^6 run
+    thousand = tis(10**4, [(3 * i, 3 * i + 1) for i in range(1000)])
     with pytest.raises(ScaleCapError, match="pair cap"):
-        intervals._minkowski(tis(10**4, [(2 * i, 2 * i + 1) for i in range(1001)]),
+        intervals._minkowski(tis(10**4, [(3 * i, 3 * i + 1) for i in range(1001)]),
                              thousand)
-    assert intervals._minkowski(thousand, thousand) == tis(10**4, [(0, 3998)])
+    assert intervals._minkowski(thousand, thousand) == tis(
+        10**4, [(3 * k, 3 * k + 2) for k in range(1999)])
+    # unit arcs 2 apart close into one arc, so 1001 * 1000 pairs form 1000
+    two_apart = tis(10**4, [(2 * i, 2 * i + 1) for i in range(1001)])
+    assert intervals._minkowski(two_apart, thousand) == tis(10**4, [(0, 4999)])
 
 
 def reference_from_raw(d, raw):

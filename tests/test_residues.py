@@ -42,6 +42,9 @@ def test_sumset_examples(kernel):
     assert sumset(rs(7, [0]), rs(7, [3]), kernel) == rs(7, [3])
     # 9 pairs enumerate to all of Z/5Z
     assert sumset(rs(5, [0, 1, 2]), rs(5, [0, 1, 2]), kernel) == rs(5, range(5))
+    # a run ending at N - 1 plus N - 1, and full + full, reach 2^(2N - 2)
+    assert sumset(rs(7, [4, 5, 6]), rs(7, [2, 6]), kernel) == rs(7, [0, 1, 3, 4, 5, 6])
+    assert sumset(ResidueSet.full(7), ResidueSet.full(7), kernel) == ResidueSet.full(7)
 
 
 def test_sumset_modulus_mismatch():

@@ -11,6 +11,7 @@ largest reachable element and rejects moduli that could wrap silently.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,7 +65,15 @@ class IneqReport:
     slack: Fraction | int
     ratio_bound: Fraction | None = None
     details: tuple[tuple[str, str], ...] = field(default=())
-    inputs_digest: str = ""
+    inputs: tuple = field(default=(), repr=False)
+
+    @functools.cached_property
+    def inputs_digest(self) -> str:
+        """_digest of the inputs' text: format() of each set or progression,
+        str() of each number.  Computed on first read, as a passing check's
+        report is usually never serialized."""
+        return _digest(*(x.format() if hasattr(x, "format") else str(x)
+                         for x in self.inputs))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -99,7 +108,7 @@ def check_cauchy_davenport(a: ResidueSet, b: ResidueSet) -> IneqReport:
     return IneqReport(
         inequality="cauchy-davenport",
         lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs,
-        inputs_digest=_digest(a.format(), b.format()),
+        inputs=(a, b),
     )
 
 
@@ -112,7 +121,7 @@ def check_ruzsa_triangle(x: ResidueSet, y: ResidueSet, z: ResidueSet) -> IneqRep
     return IneqReport(
         inequality="ruzsa-triangle",
         lhs=lhs, rhs=rhs, holds=lhs <= rhs, slack=rhs - lhs,
-        inputs_digest=_digest(x.format(), y.format(), z.format()),
+        inputs=(x, y, z),
     )
 
 
@@ -148,7 +157,7 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int) -> IneqReport:
     return IneqReport(
         inequality="plunnecke-ruzsa",
         lhs=lhs, rhs=rhs, holds=lhs <= rhs, slack=rhs - lhs, ratio_bound=k,
-        inputs_digest=_digest(a.format(), b.format(), str(m), str(n)),
+        inputs=(a, b, m, n),
     )
 
 
@@ -191,7 +200,7 @@ def check_dilate_chain(b: ResidueSet, lam: int, l: int) -> IneqReport:
         inequality="dilate-chain",
         lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs, ratio_bound=k,
         details=details,
-        inputs_digest=_digest(b.format(), str(lam), str(l)),
+        inputs=(b, lam, l),
     )
 
 
@@ -209,5 +218,5 @@ def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int) -> IneqReport:
     return IneqReport(
         inequality="kfold-cd-chain",
         lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs,
-        inputs_digest=_digest(a.format(), str(k), str(lam)),
+        inputs=(a, k, lam),
     )

@@ -118,27 +118,35 @@ def _cmd_construct(args) -> int:
         grid = simplex_grid_set(args.n, args.lam)
         label = "simplex"
 
+    # every check that can refuse, scale caps included, runs before any file
+    # is written; a violated chain is written up to the residues, then raises
     if args.p is not None:
-        require_prime(args.p)  # before any output file is written
-    artifacts = {"construction": label, "grid": grid.format(), **extra}
-    _write(out_dir / f"{label}_grid.txt", (grid.format() + "\n").encode())
+        require_prime(args.p)
+    intervals = encode_grid_to_intervals(grid)
+    report = None
+    if args.p is not None:
+        if grid.dim >= 2:
+            report = pipeline_check(grid, args.p, strict=False)
+        residues = discretize_to_zp(intervals, args.p)
+    text = grid.format()
+    artifacts = {"construction": label, "grid": text, **extra}
+    _write(out_dir / f"{label}_grid.txt", (text + "\n").encode())
     if len(grid) == 0:
         print("warning: construction produced an empty grid set")
-    intervals = encode_grid_to_intervals(grid)
     _write(out_dir / f"{label}_intervals.txt", (intervals.format() + "\n").encode())
     if args.p is not None:
         if args.p < grid.lam**grid.dim:
             print(f"note: p = {args.p} < lambda^n = {grid.lam ** grid.dim}; "
                   "the discretization can only be coarse or empty "
                   "(p > lambda^n recommended)")
-        residues = discretize_to_zp(intervals, args.p)
         _write(out_dir / f"{label}_residues.txt", (residues.format() + "\n").encode())
-        if grid.dim >= 2:
-            report = pipeline_check(grid, args.p)
-            artifacts["chain_report"] = report.to_json_dict()
-            _write(out_dir / "chain_report.json",
-                   cache_mod.canonical_json(report.to_json_dict()))
-            print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        if report is not None:
+            chain = report.to_json_dict()
+            if not report.all_hold:
+                raise MathAssertionError(f"pipeline chain violated: {chain}")
+            artifacts["chain_report"] = chain
+            _write(out_dir / "chain_report.json", cache_mod.canonical_json(chain))
+            print(json.dumps(chain, indent=2, sort_keys=True))
     cache_mod.store_experiment(args.cache_dir, "construct", cache_mod.key(inputs), artifacts)
     return EXIT_OK
 

@@ -25,7 +25,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .checks import IneqReport, _digest
+from .checks import IneqReport
 from .errors import ScaleCapError
 from .residues import ResidueSet, dilate, iterated_sumset, require_prime, sumset
 
@@ -174,7 +174,7 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
         inequality="lambda-power-span",
         lhs=len(lhs_set), rhs=len(rhs_set), holds=holds,
         slack=len(lhs_set) - len(rhs_set), details=details,
-        inputs_digest=_digest(gap.format(), str(lam), str(exponent)),
+        inputs=(gap, lam, exponent),
     )
 
 

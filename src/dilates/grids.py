@@ -102,8 +102,22 @@ class GridSet:
             flat //= self.lam
         return tuple(reversed(out))
 
+    def sorted_cells(self) -> np.ndarray:
+        """The cells as one ascending array: int64 while lam^dim < 2^63,
+        exact Python ints (dtype=object) beyond."""
+        dtype = np.int64 if self.lam**self.dim < 1 << 63 else object
+        return np.sort(np.fromiter(self.cells, dtype=dtype, count=len(self.cells)))
+
+    def _digits(self) -> np.ndarray:
+        """The (cells, dim) array of base-lam digits, one row per cell in
+        ascending order, most significant first: unflatten of every cell
+        at once, in either dtype of sorted_cells."""
+        cells = self.sorted_cells()
+        powers = np.array([self.lam**k for k in reversed(range(self.dim))], dtype=cells.dtype)
+        return cells[:, None] // powers % self.lam
+
     def tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.unflatten(c) for c in sorted(self.cells))
+        return tuple(map(tuple, self._digits().tolist()))
 
     def measure(self) -> Fraction:
         return Fraction(len(self.cells), self.lam**self.dim)
@@ -142,7 +156,9 @@ class GridSet:
         return cls.from_tuples(dim, lam, tuples)
 
     def format(self) -> str:
-        cells = ",".join("(" + ",".join(map(str, t)) + ")" for t in self.tuples())
+        digits = self._digits()
+        row = "(" + ",".join(["%d"] * self.dim) + ")"
+        cells = ",".join([row] * len(digits)) % tuple(digits.ravel().tolist())
         return f"n={self.dim};lambda={self.lam};cells=[{cells}]"
 
 

@@ -1,10 +1,12 @@
 """Cache layout, experiment records, and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import sys
 import threading
 import time
+from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
 
@@ -12,8 +14,10 @@ import pytest
 
 from dilates import cache as cache_mod
 from dilates.cli import main
+from dilates.grids import box_grid_set, optimized_box_sides_3d
 from dilates.search import SearchTask, decode_entry
 from dilates.verify import SuiteSummary
+from test_grids import _reference_format
 
 
 def run_cli(tmp_path, *argv):
@@ -163,6 +167,46 @@ def test_cli_construct_simplex_mask_cap_exit_4(tmp_path, capsys):
                    "--n", "6", "--lambda", "21", "--out", "out")
     assert code == 4
     assert "exceeds mask cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simplex", "--n", "6", "--lambda", "16", "--p", "100003"), "pair cap"),
+    (("box", "--d", "2", "--lambda", "40000", "--gamma", "1/100000000"), "encode cap"),
+])
+def test_cli_construct_scale_caps_refuse_before_writing(tmp_path, capsys, argv, message):
+    # the chain runs before the first file: a cap leaves no output, no entry
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", *argv, "--out", "out") == 4
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache" / "construct").exists()
+
+
+def test_cli_construct_violated_chain_exit_3(tmp_path, monkeypatch, capsys):
+    # a false link is reported after the grid, intervals and residues are
+    # written, before the chain report and the cache entry
+    import dilates.cli as cli_module
+
+    real = cli_module.pipeline_check
+    monkeypatch.setattr(cli_module, "pipeline_check", lambda grid, p, strict=True:
+                        dataclasses.replace(real(grid, p, strict),
+                                            continuous_within_grid=False))
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "2",
+                   "--lambda", "9", "--gamma", "1/9", "--p", "10007", "--out", "out") == 3
+    assert "pipeline chain violated" in capsys.readouterr().err
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == \
+        ["box_grid.txt", "box_intervals.txt", "box_residues.txt"]
+    assert not (tmp_path / "cache" / "construct").exists()
+
+
+def test_cli_construct_grid_file_matches_reference_format(tmp_path):
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "3",
+                   "--lambda", "64", "--gamma", "1/64", "--optimized", "--out", "out") == 0
+    grid = box_grid_set(3, 64, optimized_box_sides_3d(Fraction(1, 64), 64))
+    text = _reference_format(grid)
+    assert (tmp_path / "out" / "box_grid.txt").read_bytes() == (text + "\n").encode()
+    [entry] = _entries(tmp_path / "cache", "construct")
+    assert json.loads(entry.read_text())["grid"] == text
 
 
 def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):

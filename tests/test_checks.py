@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from dilates.checks import (check_cauchy_davenport, check_dilate_chain,
+from dilates.checks import (_digest, check_cauchy_davenport, check_dilate_chain,
                             check_kfold_cd_chain, check_plunnecke,
                             check_ruzsa_triangle)
+from dilates.gaps import Gap, lambda_span_check
 from dilates.residues import ResidueSet
 
 F = Fraction
@@ -181,3 +182,31 @@ def test_report_serialization():
     r2 = check_plunnecke(rs(101, [0, 1]), rs(101, [0, 1]), 1, 1)
     assert r2.to_json_dict()["rhs"] == "9/2"
     assert r2.to_json_dict()["K"] == "3/2"
+
+
+def test_inputs_digest_is_the_eager_formula():
+    # each report's digest is _digest over its inputs' text, read lazily;
+    # the hex values were recorded when every check computed it eagerly
+    a, b, c = rs(11, [0, 3]), rs(11, [1, 5, 9]), rs(12, [0, 1])
+    y, z = rs(12, [2, 5]), rs(12, [0, 7])
+    pa, pb = rs(101, [0, 1]), rs(101, [0, 1, 3])
+    chain, kfold = rs(211, [0, 1, 4]), rs(13, [0, 2, 5])
+    gap = Gap(13, 0, (1,), (4,))
+    cases = [
+        (check_cauchy_davenport(a, b), _digest(a.format(), b.format()),
+         "a072fa81dfa9ace6"),
+        (check_ruzsa_triangle(c, y, z), _digest(c.format(), y.format(), z.format()),
+         "c8d652ea3fc36c54"),
+        (check_plunnecke(pa, pb, 2, 1), _digest(pa.format(), pb.format(), "2", "1"),
+         "6fc37a2fd28a6af2"),
+        (check_dilate_chain(chain, 3, 2), _digest(chain.format(), "3", "2"),
+         "5121516b2d448aa8"),
+        (check_kfold_cd_chain(kfold, 3, 4), _digest(kfold.format(), "3", "4"),
+         "b6ea65c52b9f6508"),
+        (lambda_span_check(gap, 3, 1), _digest(gap.format(), "3", "1"),
+         "90182c2b7b406272"),
+    ]
+    for report, eager, pinned in cases:
+        assert "inputs_digest" not in vars(report)  # nothing hashed yet
+        assert report.to_json_dict()["inputs_digest"] == eager == pinned
+        assert list(report.to_json_dict())[6] == "inputs_digest"

@@ -46,6 +46,39 @@ def test_gridset_rejects_out_of_range_cells():
     assert GridSet(2, 3, frozenset()).cells == frozenset()
 
 
+def _reference_format(s):
+    """The per-cell formatter: unflatten each sorted cell, one join per cell."""
+    cells = ",".join("(" + ",".join(map(str, s.unflatten(c))) + ")"
+                     for c in sorted(s.cells))
+    return f"n={s.dim};lambda={s.lam};cells=[{cells}]"
+
+
+def test_bulk_decoder_matches_unflatten():
+    rng = random.Random(23)
+    grids = [GridSet.empty(1, 2), GridSet.empty(4, 7),
+             # lam^dim >= 2^63: the object-dtype path
+             GridSet(20, 11, frozenset({11**20 - 1})),
+             GridSet(20, 11, frozenset({0, 5, 11**19 + 3, 11**20 - 1})),
+             GridSet(2, 2**40, frozenset({2**80 - 1})),
+             GridSet(2, 2**40, frozenset({0, 2**40 + 1, 2**79}))]
+    for dim in range(1, 7):
+        for _ in range(5):
+            lam = rng.randint(2, 9)
+            size = lam**dim
+            cells = rng.sample(range(size), rng.randint(0, min(size, 300)))
+            grids.append(GridSet(dim, lam, frozenset(cells)))
+    for s in grids:
+        tuples = s.tuples()
+        assert tuples == tuple(s.unflatten(c) for c in sorted(s.cells))
+        assert all(type(x) is int for t in tuples for x in t)
+        text = s.format()
+        assert text == _reference_format(s)
+        assert GridSet.parse(text) == s
+    assert GridSet(2, 2**40, frozenset({2**80 - 1})).format() == \
+        f"n=2;lambda={2**40};cells=[({2**40 - 1},{2**40 - 1})]"
+    assert GridSet.empty(3, 4).format() == "n=3;lambda=4;cells=[]"
+
+
 def test_from_mask_matches_from_tuples():
     rng = np.random.default_rng(7)
     for dim in range(1, 5):

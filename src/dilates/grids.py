@@ -9,7 +9,8 @@ union B'.  All measures are exact Fractions; floats never enter a claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, floor, isqrt
 
@@ -33,7 +34,8 @@ __all__ = [
     "simplex_construction",
 ]
 
-_MASK_CAP = 1 << 26  # largest lam**dim expanded to a dense mask
+_MASK_CAP = 1 << 26    # largest lam**dim expanded to a dense mask
+_EXPAND_CAP = 1 << 20  # largest lam**dim a DigitSumSet expands to cells
 
 
 def _as_fraction(value) -> Fraction:
@@ -59,23 +61,45 @@ def nth_root_floor(x: int, k: int) -> int:
         r = s
 
 
+def _cell_dtype(dim: int, lam: int):
+    """int64 while every flat index of (Z/lam Z)^dim fits in it, exact
+    Python ints (dtype=object) beyond."""
+    return np.int64 if lam**dim < 1 << 63 else object
+
+
 @dataclass(frozen=True)
 class GridSet:
     """A subset of (Z/lam Z)^dim stored as flattened row-major cell indices
-    (first coordinate most significant)."""
+    (first coordinate most significant).  ``sorted_cells`` holds them once
+    more as one ascending read-only array, which ==, hash and repr ignore."""
 
     dim: int
     lam: int
     cells: frozenset[int]
+    sorted_cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if self.lam < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.lam}")
-        size = self.lam**self.dim
-        if self.cells and not (min(self.cells) >= 0 and max(self.cells) < size):
+        dim, lam = operator.index(self.dim), operator.index(self.lam)
+        cells = frozenset(self.cells)
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        if lam < 2:
+            raise ValueError(f"resolution must be >= 2, got {lam}")
+        try:
+            array = np.sort(np.fromiter(map(operator.index, cells), dtype=_cell_dtype(dim, lam),
+                                        count=len(cells)))
+        except OverflowError:  # beyond int64, so beyond lam**dim
+            raise ValueError("cell index out of range") from None
+        if len(array) and not (array[0] >= 0 and array[-1] < lam**dim):
             raise ValueError("cell index out of range")
+        array.flags.writeable = False
+        for name, value in (("dim", dim), ("lam", lam), ("cells", cells),
+                            ("sorted_cells", array)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuild through the constructor: an unpickled array is writeable
+        return GridSet, (self.dim, self.lam, self.cells)
 
     @classmethod
     def from_tuples(cls, dim: int, lam: int, tuples) -> "GridSet":
@@ -102,17 +126,11 @@ class GridSet:
             flat //= self.lam
         return tuple(reversed(out))
 
-    def sorted_cells(self) -> np.ndarray:
-        """The cells as one ascending array: int64 while lam^dim < 2^63,
-        exact Python ints (dtype=object) beyond."""
-        dtype = np.int64 if self.lam**self.dim < 1 << 63 else object
-        return np.sort(np.fromiter(self.cells, dtype=dtype, count=len(self.cells)))
-
     def _digits(self) -> np.ndarray:
         """The (cells, dim) array of base-lam digits, one row per cell in
         ascending order, most significant first: unflatten of every cell
         at once, in either dtype of sorted_cells."""
-        cells = self.sorted_cells()
+        cells = self.sorted_cells
         powers = np.array([self.lam**k for k in reversed(range(self.dim))], dtype=cells.dtype)
         return cells[:, None] // powers % self.lam
 
@@ -126,12 +144,12 @@ class GridSet:
         return len(self.cells)
 
     def to_mask(self) -> np.ndarray:
-        _mask_size(self.dim, self.lam)  # the cap first: then every cell fits in int64
-        return _cell_mask(self.dim, self.lam, np.fromiter(self.cells, dtype=np.int64,
-                                                          count=len(self.cells)))
+        return _cell_mask(self.dim, self.lam, self.sorted_cells)
 
     @classmethod
     def from_mask(cls, lam: int, mask: np.ndarray) -> "GridSet":
+        if mask.shape != (lam,) * mask.ndim:
+            raise ValueError(f"mask shape {mask.shape} is not ({lam},) * {mask.ndim}")
         flat = np.flatnonzero(mask.reshape(-1))
         return cls(mask.ndim, lam, frozenset(flat.tolist()))
 
@@ -171,7 +189,7 @@ def _mask_size(dim: int, lam: int) -> int:
 
 
 def _cell_mask(dim: int, lam: int, cells: np.ndarray) -> np.ndarray:
-    """The (lam,)*dim boolean mask of an array of flat cell indices."""
+    """The (lam,)*dim boolean mask of flat cell indices, after the cap."""
     mask = np.zeros(_mask_size(dim, lam), dtype=bool)
     mask[cells] = True
     return mask.reshape((lam,) * dim)
@@ -215,13 +233,12 @@ def _projection_mask(s: GridSet) -> np.ndarray:
     """Mask of S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically
     per axis: the cyclic Minkowski sum of the two projections, then the
     {0,1} thickening that absorbs the carry between adjacent cells.  Both
-    projection masks are scattered from one array of S's cells, as in
+    projection masks are scattered from S's sorted_cells, as in
     project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam),
-    after the cap check, so every index fits in int64."""
+    after the cap check, so every index is int64."""
     base = _mask_size(s.dim - 1, s.lam)
-    cells = np.fromiter(s.cells, dtype=np.int64, count=len(s.cells))
-    out = _cyclic_minkowski_mask(_cell_mask(s.dim - 1, s.lam, cells % base),
-                                 _cell_mask(s.dim - 1, s.lam, cells // s.lam))
+    out = _cyclic_minkowski_mask(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % base),
+                                 _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
     for axis in range(out.ndim):
         out = out | np.roll(out, 1, axis=axis)
     return out
@@ -253,16 +270,8 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
     for s in sides:
         if not 0 < s < 1:
             raise ValueError(f"box side {s} outside (0, 1)")
-    axes = []
-    for s in sides:
-        hi = floor(lam * s) - 1  # largest x with x+1 <= lam*s
-        axes.append(range(1, hi + 1))
-    if any(len(r) == 0 for r in axes):
-        return GridSet.empty(d, lam)
-    cells = [0]
-    for r in axes:
-        cells = [c * lam + x for c in cells for x in r]
-    return GridSet(d, lam, frozenset(cells))
+    # the largest x on axis i has x + 1 <= lam * sides[i]
+    return GridSet(d, lam, frozenset(_cells(d, lam, 1, [floor(lam * s) - 1 for s in sides])))
 
 
 def _root_side(value: Fraction, d: int, lam: int | None) -> Fraction:
@@ -297,22 +306,21 @@ def optimized_box_sides_3d(gamma, lam: int | None = None) -> tuple[Fraction, ...
     return (long, short, long)
 
 
-def _digit_sum_cells(dim: int, lam: int, lo: int, t: int) -> list[int]:
-    """Row-major flat indices of the cells x in [lo, lam)^dim with
-    sum x_i <= t, in ascending order."""
-    cells = []
-
-    def rec(flat: int, depth: int, remaining: int):
-        # every coordinate after this one takes at least lo
-        hi = min(lam - 1, remaining - lo * (dim - 1 - depth))
-        if depth == dim - 1:
-            cells.extend(range(flat * lam + lo, flat * lam + hi + 1))
-            return
-        for x in range(lo, hi + 1):
-            rec(flat * lam + x, depth + 1, remaining - x)
-
-    rec(0, 0, t)
-    return cells
+def _cells(dim: int, lam: int, lo: int, his, t: int | None = None) -> list[int]:
+    """Ascending row-major flat indices of the cells x of (Z/lam Z)^dim with
+    lo <= x_i <= his[i] and, when t is given, sum x_i <= t.  One axis at a
+    time by broadcasting; a prefix stays while its digit sum leaves lo for
+    each axis to come, so every array is below the final count times lam."""
+    flat = np.zeros(1, _cell_dtype(dim, lam))
+    total = np.zeros(1, np.int64)
+    for i, hi in enumerate(his):
+        digits = np.arange(lo, hi + 1)
+        flat = (flat[:, None] * lam + digits.astype(flat.dtype, copy=False)).ravel()
+        if t is not None:
+            total = (total[:, None] + digits).ravel()
+            keep = total <= t - lo * (dim - 1 - i)
+            flat, total = flat[keep], total[keep]
+    return flat.tolist()
 
 
 def simplex_grid_set(n: int, lam: int) -> GridSet:
@@ -327,7 +335,7 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
     if lam < 2:
         raise ValueError(f"resolution must be >= 2, got {lam}")
     _mask_size(n, lam)
-    return GridSet(n, lam, frozenset(_digit_sum_cells(n, lam, 1, lam * (n - 2) // 2 - n)))
+    return GridSet(n, lam, frozenset(_cells(n, lam, 1, [lam - 1] * n, lam * (n - 2) // 2 - n)))
 
 
 @dataclass(frozen=True)
@@ -349,9 +357,10 @@ class DigitSumSet:
         return Fraction(self.count(), self.lam**self.dim)
 
     def expand(self) -> GridSet:
-        if self.lam**self.dim > 1 << 20:
+        if self.lam**self.dim > _EXPAND_CAP:
             raise ScaleCapError("digit-sum set too large to expand")
-        cells = _digit_sum_cells(self.dim, self.lam, 0, self.threshold)
+        t = operator.index(self.threshold)
+        cells = _cells(self.dim, self.lam, 0, [self.lam - 1] * self.dim, t)
         return GridSet(self.dim, self.lam, frozenset(cells))
 
     @classmethod

@@ -254,7 +254,7 @@ def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
     d = s.lam**s.dim
     if d > _ENCODE_CAP:
         raise ScaleCapError(f"lam^n = {d} exceeds encode cap {_ENCODE_CAP}")
-    return _encode_cells(d, s.sorted_cells())
+    return _encode_cells(d, s.sorted_cells)
 
 
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:

@@ -1,5 +1,6 @@
 """Grid sets, projection sumsets, digit-sum counts, and exact volumes."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -39,11 +40,71 @@ def test_gridset_roundtrip_and_measure():
 
 
 def test_gridset_rejects_out_of_range_cells():
-    for cells in ([-1], [0, 9], [3, -2, 8], [100]):
+    # 2**70 and -2**70 do not fit the int64 array of a 3 x 3 grid
+    for cells in ([-1], [0, 9], [3, -2, 8], [100], [2**70], [1, -2**70]):
         with pytest.raises(ValueError, match="cell index out of range"):
             GridSet(2, 3, frozenset(cells))
     assert GridSet(2, 3, frozenset([0, 8])).cells == {0, 8}
     assert GridSet(2, 3, frozenset()).cells == frozenset()
+
+
+def test_gridset_reads_integers_only():
+    # cells, dimensions and resolutions must be integers
+    for args in ((2, 3, frozenset([1.5, 7])), (2, 3, [7.0]), (2, 3, {F(1)}),
+                 (2.0, 3, frozenset([1])), (2, 3.5, frozenset([1]))):
+        with pytest.raises(TypeError):
+            GridSet(*args)
+    with pytest.raises(TypeError):
+        GridSet.from_tuples(2, 3, [(0.5, 1)])
+    # numpy integers are integers; a set or list of cells is stored frozen
+    s = GridSet(np.int64(2), np.int32(3), [np.int64(7), np.uint8(1), 7])
+    assert s == GridSet(2, 3, frozenset({1, 7})) == GridSet(2, 3, {1, 7})
+    assert type(s.dim) is int and type(s.lam) is int and type(s.cells) is frozenset
+    assert hash(GridSet(2, 3, {1, 2})) == hash(GridSet(2, 3, frozenset({1, 2})))
+    assert s.sorted_cells.tolist() == [1, 7]
+
+
+def _check_sorted_cells(s):
+    """sorted_cells is the ascending, read-only array of s.cells, in int64
+    while lam^dim < 2^63 and Python ints beyond; a pickle round trip
+    keeps all of that."""
+    for g in (s, pickle.loads(pickle.dumps(s))):
+        assert g == s and hash(g) == hash(s)
+        cells = g.sorted_cells
+        assert cells.tolist() == sorted(s.cells)
+        assert cells.dtype == (np.int64 if s.lam**s.dim < 1 << 63 else object)
+        assert all(type(c) is int for c in cells.tolist())
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[:1] = 0
+    assert "sorted_cells" not in repr(s)
+
+
+def test_sorted_cells_is_one_readonly_ascending_array():
+    tuples = [(2, 0), (0, 1), (1, 2)]
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[tuple(zip(*tuples))] = True
+    ways = [GridSet(2, 3, frozenset({6, 1, 5})), GridSet(2, 3, [5, 1, 6]),
+            GridSet.from_tuples(2, 3, tuples),
+            GridSet.parse("n=2;lambda=3;cells=[(2,0),(0,1),(1,2)]"),
+            GridSet.from_mask(3, mask)]
+    for s in ways:
+        _check_sorted_cells(s)
+        assert s == ways[0] and hash(s) == hash(ways[0])
+        assert repr(s) == "GridSet(dim=2, lam=3, cells=frozenset({1, 5, 6}))"
+    # the builders, and grids past int64
+    for s in (box_grid_set(3, 8, [F(1, 2), F(3, 8), F(7, 8)]), simplex_grid_set(5, 6),
+              DigitSumSet(3, 4, 5).expand(), GridSet.empty(2, 5),
+              box_grid_set(20, 11, [F(2, 11)] * 20),
+              GridSet(20, 11, frozenset({0, 11**20 - 1, 5 * 11**17})),
+              GridSet(2, 2**40, frozenset({2**79, 3}))):
+        _check_sorted_cells(s)
+    # one grid built two ways: box and digit-sum builders, mask and tuples
+    box = box_grid_set(2, 5, [F(3, 5), F(3, 5)])
+    assert box == GridSet.from_tuples(2, 5, product([1, 2], repeat=2))
+    assert hash(box) == hash(GridSet.from_mask(5, box.to_mask()))
+    full = DigitSumSet(2, 3, 4).expand()
+    assert full == GridSet(2, 3, range(9)) and hash(full) == hash(GridSet(2, 3, range(9)))
 
 
 def _reference_format(s):
@@ -90,6 +151,10 @@ def test_from_mask_matches_from_tuples():
                 assert s == expected
                 assert all(type(c) is int for c in s.cells)
                 assert np.array_equal(s.to_mask(), mask)
+    # a mask whose shape is not (lam,) * ndim is refused, not read as cells
+    for lam, shape in ((3, (2, 2)), (3, (3, 4)), (2, (3,)), (4, (4, 4, 2))):
+        with pytest.raises(ValueError, match="mask shape"):
+            GridSet.from_mask(lam, np.ones(shape, dtype=bool))
 
 
 def test_projections_examples():
@@ -274,12 +339,31 @@ def test_grid_minkowski_1d_is_residue_sumset(case):
 
 # ---------------------------------------------------------------- boxes
 
+def predicate_grid(dim, lam, keep):
+    """The grid of every cell x of (Z/lam Z)^dim with keep(x), cell by cell."""
+    return GridSet.from_tuples(dim, lam, (x for x in product(range(lam), repeat=dim) if keep(x)))
+
+
+def box_predicate(lam, sides):
+    """Cell x lies in the open box prod (0, s_i) iff x_i >= 1 and (x_i + 1)/lam <= s_i."""
+    return lambda x: all(xi >= 1 and F(xi + 1, lam) <= si for xi, si in zip(x, sides))
+
+
 def test_box_grid_set_examples():
     assert box_grid_set(1, 9, [F(1, 3)]).tuples() == ((1,), (2,))
     b = box_grid_set(2, 9, [F(1, 3), F(1, 3)])
     assert len(b) == 4 and b.measure() == F(4, 81)
     assert set(b.tuples()) == set(product([1, 2], [1, 2]))
     assert len(box_grid_set(1, 16, [F(1, 9)])) == 0  # side < 2/lam
+    for d, lam, sides in ((1, 16, [F(1, 9)]),
+                          (3, 7, [F(5, 7), F(1, 7), F(6, 7)]),  # empty middle axis
+                          (3, 6, [F(1, 2), F(1, 5), F(5, 6)]),
+                          (2, 9, [F(8, 9), F(8, 9)]),
+                          (4, 5, [F(3, 5), F(4, 5), F(2, 5), F(1, 2)])):
+        assert box_grid_set(d, lam, sides) == predicate_grid(d, lam, box_predicate(lam, sides))
+    assert box_grid_set(3, 7, [F(5, 7), F(1, 7), F(6, 7)]) == GridSet.empty(3, 7)
+    # lam^d >= 2^63: the object-dtype path
+    assert box_grid_set(20, 11, [F(2, 11)] * 20) == GridSet.from_tuples(20, 11, [(1,) * 20])
     with pytest.raises(ValueError):
         box_grid_set(1, 9, [F(3, 2)])
     with pytest.raises(ValueError):
@@ -287,12 +371,13 @@ def test_box_grid_set_examples():
 
 
 def test_box_cells_match_predicate():
-    lam, sides = 7, [F(2, 5), F(5, 7)]
-    got = set(box_grid_set(2, lam, sides).tuples())
-    want = {(x, y) for x in range(lam) for y in range(lam)
-            if x >= 1 and y >= 1
-            and F(x + 1, lam) <= sides[0] and F(y + 1, lam) <= sides[1]}
-    assert got == want
+    rng = random.Random(18)
+    cases = [(2, 7, [F(2, 5), F(5, 7)])]
+    for _ in range(30):
+        d, lam = rng.randint(1, 4), rng.randint(2, 9)
+        cases.append((d, lam, [F(rng.randint(1, 19), 20) for _ in range(d)]))
+    for d, lam, sides in cases:
+        assert box_grid_set(d, lam, sides) == predicate_grid(d, lam, box_predicate(lam, sides))
 
 
 def test_equal_box_sides():
@@ -348,11 +433,17 @@ def test_digit_sum_count_matches_enumeration():
 
 def test_digit_sum_set_expand_agrees():
     rng = random.Random(15)
+    cases = [(1, 2, -1), (3, 4, -5), (2, 5, 0), (3, 4, 9), (3, 4, 10**30), (4, 3, 8)]
     for _ in range(20):
-        d = DigitSumSet(rng.randint(1, 3), rng.randint(2, 5), rng.randint(0, 8))
+        m, lam = rng.randint(1, 4), rng.randint(2, 5)
+        cases.append((m, lam, rng.randint(-2, m * (lam - 1) + 2)))
+    for m, lam, t in cases:  # t < 0 and t >= m * (lam - 1) among them
+        d = DigitSumSet(m, lam, t)
         grid = d.expand()
         assert len(grid) == d.count()
-        assert all(sum(t) <= d.threshold for t in grid.tuples())
+        assert grid == predicate_grid(m, lam, lambda x: sum(x) <= t)
+    with pytest.raises(TypeError):
+        DigitSumSet(2, 3, 1.5).expand()
     assert DigitSumSet.parse("m=3;lambda=4;t=5").format() == "m=3;lambda=4;t=5"
 
 
@@ -412,12 +503,13 @@ def test_simplex_construction():
 
 
 def test_simplex_grid_set_matches_predicate():
-    for n, lam in ((2, 9), (3, 7), (4, 6)):
-        got = set(simplex_grid_set(n, lam).tuples())
+    # n = 2 has an empty region (threshold < 0)
+    for n, lam in ((2, 9), (3, 7), (4, 6), (5, 4), (6, 3), (7, 3), (3, 2), (4, 9)):
         bound = F(n, 2) - 1
-        want = {t for t in product(range(lam), repeat=n)
-                if all(x >= 1 for x in t) and F(sum(x + 1 for x in t), lam) <= bound}
-        assert got == want
+        want = predicate_grid(n, lam, lambda t: all(x >= 1 for x in t)
+                              and F(sum(x + 1 for x in t), lam) <= bound)
+        assert simplex_grid_set(n, lam) == want
+    assert simplex_grid_set(2, 9) == GridSet.empty(2, 9)
     assert len(simplex_grid_set(4, 12)) == 70  # sum y_i <= 4 over 4 coords
 
 
@@ -436,3 +528,7 @@ def test_mask_cap():
     # 21^6 > 2^26 >= 20^6
     with pytest.raises(ScaleCapError, match="exceeds mask cap"):
         simplex_grid_set(6, 21)
+    # a digit-sum set expands up to lam^dim = 2^20
+    assert len(DigitSumSet(2, 1 << 10, 3).expand()) == 10
+    with pytest.raises(ScaleCapError, match="too large to expand"):
+        DigitSumSet(2, (1 << 10) + 1, 3).expand()

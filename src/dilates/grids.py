@@ -12,12 +12,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, floor, isqrt
+from math import comb, factorial, floor
 
 import numpy as np
 
 from .errors import ScaleCapError
-from .residues import cyclic_support_fft, cyclic_support_shift
+from .residues import cyclic_support
 
 __all__ = [
     "GridSet",
@@ -210,35 +210,17 @@ def project_drop_last(s: GridSet) -> GridSet:
     return GridSet(s.dim - 1, s.lam, frozenset(c // s.lam for c in s.cells))
 
 
-def _cyclic_minkowski_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coordinatewise-cyclic Minkowski sum of two boolean masks.  Both
-    routines are exact; the FFT runs once the sparser mask has more than
-    min(64, max(5, isqrt(size) / 5)) members, the crossover of a timed
-    sweep of random masks of 2-6 axes and 25-262144 cells.  A 1-D mask is
-    transformed padded to at least twice its length and rolls in two
-    slices, so there the bound is at least size / 64.  Equal operands take
-    one forward transform instead of two, and their crossover measured
-    0.65-0.8 of the unequal one on 16-262144 cells, so for them the bound
-    is two thirds of that."""
-    na, nb = np.count_nonzero(a), np.count_nonzero(b)
-    limit = min(64, max(5, isqrt(a.size) // 5, a.size >> 6 if a.ndim == 1 else 0))
-    if na == nb and np.array_equal(a, b):
-        limit = limit * 2 // 3
-    if min(na, nb) > limit:
-        return cyclic_support_fft(a, b)
-    return cyclic_support_shift(a, b)
-
-
 def _projection_mask(s: GridSet) -> np.ndarray:
     """Mask of S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically
-    per axis: the cyclic Minkowski sum of the two projections, then the
+    per axis: the cyclic Minkowski sum of the two projections
+    (residues.cyclic_support, which picks the routine), then the
     {0,1} thickening that absorbs the carry between adjacent cells.  Both
     projection masks are scattered from S's sorted_cells, as in
     project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam),
     after the cap check, so every index is int64."""
     base = _mask_size(s.dim - 1, s.lam)
-    out = _cyclic_minkowski_mask(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % base),
-                                 _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
+    out = cyclic_support(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % base),
+                         _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
     for axis in range(out.ndim):
         out = out | np.roll(out, 1, axis=axis)
     return out
@@ -347,8 +329,11 @@ class DigitSumSet:
     threshold: int
 
     def __post_init__(self):
-        if self.dim < 1 or self.lam < 2:
+        dim, lam, threshold = map(operator.index, (self.dim, self.lam, self.threshold))
+        if dim < 1 or lam < 2:
             raise ValueError("need dim >= 1 and lam >= 2")
+        for name, value in (("dim", dim), ("lam", lam), ("threshold", threshold)):
+            object.__setattr__(self, name, value)
 
     def count(self) -> int:
         return digit_sum_count(self.dim, self.lam, self.threshold)
@@ -359,8 +344,7 @@ class DigitSumSet:
     def expand(self) -> GridSet:
         if self.lam**self.dim > _EXPAND_CAP:
             raise ScaleCapError("digit-sum set too large to expand")
-        t = operator.index(self.threshold)
-        cells = _cells(self.dim, self.lam, 0, [self.lam - 1] * self.dim, t)
+        cells = _cells(self.dim, self.lam, 0, [self.lam - 1] * self.dim, self.threshold)
         return GridSet(self.dim, self.lam, frozenset(cells))
 
     @classmethod

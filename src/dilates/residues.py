@@ -17,7 +17,7 @@ import enum
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class Kernel(enum.Enum):
 # Convolution uses float64 FFTs; counts round safely only while the maximum
 # possible pair count stays far below 2^53.  2^26 is the contract limit.
 _SAFE_COUNT_BITS = 26
-_CONVOLUTION_MIN_N = 1 << 14
 _FFT_COST = 45
 # Above |A| * N = 2^15 (a timed sweep's crossover) members are decoded,
 # mapped and re-encoded as numpy index arrays instead of strings and ints.
@@ -313,12 +312,13 @@ def cyclic_support_shift(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Support of the cyclic convolution of two same-shape 0/1 arrays.
 
-    Works over any number of axes.  A one-dimensional array is transformed
-    at _fft_length and folded back mod its length: for prime-heavy lengths
-    from 257 up to 10^6 that measured 1.4-5x faster than numpy's own
-    transform on 2 CPUs.  Arrays of two or more axes keep their shape,
-    because padding every axis multiplies the array (17^3 cells padded to
-    64^3 ran 30x slower).
+    Works over any number of axes.  A one-dimensional array comes only
+    from a residue sum (cyclic_support hands 1-D masks to sumset), and is
+    transformed at _fft_length and folded back mod its length: for
+    prime-heavy lengths from 257 up to 10^6 that measured 1.4-5x faster
+    than numpy's own transform on 2 CPUs.  Arrays of two or more axes
+    keep their shape, because padding every axis multiplies the array
+    (17^3 cells padded to 64^3 ran 30x slower).
     Always exact: when the counts cannot be trusted to round (a count could
     reach 2^26, or some folded count lies more than 0.25 from an integer)
     the answer comes from cyclic_support_shift instead.
@@ -351,7 +351,7 @@ def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
     # bits per run of the operand with fewer runs, the FFT about L log2 L
     # at its transform length L; _FFT_COST fits timed crossovers.
     # L >= n, so small operands are settled without factoring n.
-    if n < _CONVOLUTION_MIN_N or min(ca, cb) <= _FFT_COST * n.bit_length():
+    if min(ca, cb) <= _FFT_COST * n.bit_length():
         return Kernel.BITSHIFT
     length = _fft_length(n)
     if min(ca, cb) * n > _FFT_COST * length * length.bit_length():
@@ -378,6 +378,30 @@ def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> Residu
         bits = _mask_to_bits(cyclic_support_fft(_bits_to_mask(n, a.bits),
                                                 _bits_to_mask(n, b.bits)))
     return ResidueSet(n, bits)
+
+
+def cyclic_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact support of the cyclic convolution of two same-shape 0/1 masks:
+    the one kernel choice made outside an explicit Kernel.  A 1-D mask is a
+    residue set mod its length, so the two are summed by sumset under
+    _auto_kernel's rule.  Masks of two or more axes take the FFT once the
+    sparser one has more than min(64, max(5, isqrt(size) / 5)) members,
+    the crossover of a timed sweep of random masks of 2-6 axes and
+    25-262144 cells, and the shift-OR otherwise.  Equal operands take one
+    forward transform instead of two, and their crossover measured
+    0.65-0.8 of the unequal one on 16-262144 cells, so for them the bound
+    is two thirds of that."""
+    if a.ndim == 1:
+        n = a.size
+        total = sumset(ResidueSet(n, _mask_to_bits(a)), ResidueSet(n, _mask_to_bits(b)))
+        return _bits_to_mask(n, total.bits).view(bool)
+    na, nb = np.count_nonzero(a), np.count_nonzero(b)
+    limit = min(64, max(5, isqrt(a.size) // 5))
+    if na == nb and np.array_equal(a, b):
+        limit = limit * 2 // 3
+    if min(na, nb) > limit:
+        return cyclic_support_fft(a, b)
+    return cyclic_support_shift(a, b)
 
 
 def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dilates import grids
+from dilates import grids, residues
 from dilates.errors import ScaleCapError
 from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                            equal_box_sides, grid_projection_sumset,
@@ -18,8 +18,8 @@ from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                            optimized_box_sides_3d, project_drop_first,
                            project_drop_last, simplex_construction,
                            simplex_grid_set)
-from dilates.grids import _cyclic_minkowski_mask
-from dilates.residues import ResidueSet, cyclic_support_fft, cyclic_support_shift, sumset
+from dilates.residues import (ResidueSet, cyclic_support, cyclic_support_fft,
+                              cyclic_support_shift, sumset)
 from test_residues import PROPERTY, UNSAFE, make_fft_unsafe
 
 F = Fraction
@@ -275,33 +275,37 @@ def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
     rng = random.Random(13)
     cases = []
     for shape in [(16,), (8, 8), (4, 4, 4), (4096,), (64, 64), (16, 16, 16),
-                  (67, 64), (4099,)]:  # prime axes; 1-D: padded FFT, folded back
+                  (67, 64), (4099,), (8191,)]:  # prime axes; 1-D: padded FFT, folded back
         size = int(np.prod(shape))
         a, b = _random_masks(rng, shape, rng.randint(1, size), rng.randint(1, size))
         na = int(a.sum())
-        rolled = cyclic_support_shift(a, b)
-        assert np.array_equal(cyclic_support_fft(a, b), rolled)
-        assert np.array_equal(_cyclic_minkowski_mask(a, b), rolled)
-        assert na <= rolled.sum() <= na * int(b.sum()) or rolled.sum() == a.size
-        cases.append((a, b, rolled))
+        # unequal operands, then equal ones (distinct arrays, one transform)
+        for x, y in ((a, b), (a, a.copy())):
+            rolled = cyclic_support_shift(x, y)
+            assert np.array_equal(cyclic_support_fft(x, y), rolled)
+            assert np.array_equal(cyclic_support(x, y), rolled)
+            assert np.array_equal(cyclic_support(y, x), rolled)
+            assert na <= rolled.sum() <= na * int(y.sum()) or rolled.sum() == a.size
+            cases.append((x, y, rolled))
     # FFT counts declared unsafe: the helper still returns the exact support
     for how in UNSAFE:
         with monkeypatch.context() as m:
             make_fft_unsafe(m, how)
             for a, b, rolled in cases:
                 assert np.array_equal(cyclic_support_fft(a, b), rolled)
-                assert np.array_equal(_cyclic_minkowski_mask(a, b), rolled)
+                assert np.array_equal(cyclic_support(a, b), rolled)
 
 
 def test_minkowski_mask_gate(monkeypatch):
-    # the FFT runs once the sparser mask has more than
-    # min(64, max(5, isqrt(size) / 5, size / 64 on one axis)) members, and
-    # equal masks (one forward transform) past two thirds of that: the
-    # measured crossovers
+    # masks of two or more axes take the FFT once the sparser mask has more
+    # than min(64, max(5, isqrt(size) / 5)) members, and equal masks (one
+    # forward transform) past two thirds of that: the measured crossovers.
+    # A 1-D mask is a pair of residue sets summed by sumset, whose run
+    # rule keeps these sparse masks on BITSHIFT, off both mask routines
     ran = []
-    for name in ("cyclic_support_fft", "cyclic_support_shift"):
-        routine = getattr(grids, name)
-        monkeypatch.setattr(grids, name, lambda x, y, name=name, routine=routine:
+    for name in ("sumset", "cyclic_support_fft", "cyclic_support_shift"):
+        routine = getattr(residues, name)
+        monkeypatch.setattr(residues, name, lambda x, y, name=name, routine=routine:
                             ran.append(name) or routine(x, y))
     rng = random.Random(17)
     for shape, shift_up_to in [((16,), 5), ((300,), 5), ((1021,), 15), ((4099,), 64),
@@ -312,8 +316,8 @@ def test_minkowski_mask_gate(monkeypatch):
                             (shift_up_to + 1, "cyclic_support_fft")):
             a, b = _random_masks(rng, shape, ns, rng.randint(ns, int(np.prod(shape))))
             ran.clear()
-            assert np.array_equal(_cyclic_minkowski_mask(b, a), cyclic_support_shift(a, b))
-            assert ran == [routine], (shape, ns)
+            assert np.array_equal(cyclic_support(b, a), cyclic_support_shift(a, b))
+            assert ran == (["sumset"] if len(shape) == 1 else [routine]), (shape, ns)
     for shape, shift_up_to in [((16,), 3), ((300,), 3), ((1021,), 10), ((4099,), 42),
                                ((61, 61), 8), ((10, 10, 10), 4), ((6,) * 4, 4),
                                ((4,) * 5, 4), ((3,) * 6, 3), ((8,) * 4, 8), ((16,) * 3, 8),
@@ -322,8 +326,16 @@ def test_minkowski_mask_gate(monkeypatch):
                             (shift_up_to + 1, "cyclic_support_fft")):
             a, _ = _random_masks(rng, shape, ns, 0)
             ran.clear()
-            assert np.array_equal(_cyclic_minkowski_mask(a, a.copy()), cyclic_support_shift(a, a))
-            assert ran == [routine], ("equal", shape, ns)
+            assert np.array_equal(cyclic_support(a, a.copy()), cyclic_support_shift(a, a))
+            assert ran == (["sumset"] if len(shape) == 1 else [routine]), ("equal", shape, ns)
+    # dense 1-D masks of 8191 cells reach the FFT, through sumset's cost rule
+    a = np.zeros(8191, bool)
+    a[::2] = True  # 4096 runs
+    b, _ = _random_masks(rng, a.shape, 4096, 0)
+    for x, y in ((a, b), (b, b.copy())):
+        ran.clear()
+        assert np.array_equal(cyclic_support(x, y), cyclic_support_shift(x, y))
+        assert ran == ["sumset", "cyclic_support_fft"]
 
 
 @PROPERTY
@@ -332,9 +344,11 @@ def test_minkowski_mask_gate(monkeypatch):
 def test_grid_minkowski_1d_is_residue_sumset(case):
     lam, xs, ys = case
     a, b = (GridSet.from_tuples(1, lam, [(x,) for x in zs]).to_mask() for zs in (xs, ys))
-    out = GridSet.from_mask(lam, _cyclic_minkowski_mask(a, b))
-    residues = sumset(ResidueSet.from_elements(lam, xs), ResidueSet.from_elements(lam, ys))
-    assert sorted(out.cells) == list(residues.elements())
+    ra, rb = ResidueSet.from_elements(lam, xs), ResidueSet.from_elements(lam, ys)
+    # unequal operands, then equal ones
+    for x, y, expected in ((a, b, sumset(ra, rb)), (a, a.copy(), sumset(ra, ra))):
+        out = GridSet.from_mask(lam, cyclic_support(x, y))
+        assert sorted(out.cells) == list(expected.elements())
 
 
 # ---------------------------------------------------------------- boxes
@@ -442,8 +456,17 @@ def test_digit_sum_set_expand_agrees():
         grid = d.expand()
         assert len(grid) == d.count()
         assert grid == predicate_grid(m, lam, lambda x: sum(x) <= t)
-    with pytest.raises(TypeError):
-        DigitSumSet(2, 3, 1.5).expand()
+        assert DigitSumSet.parse(d.format()) == d
+    # dim, lam and threshold are read as integers at construction: a float
+    # or string is refused there, a bool or numpy integer is stored as an int
+    for args in ((2, 3, 1.5), (2.0, 3, 1), (2, 3.5, 1), (2, 3, "1")):
+        with pytest.raises(TypeError):
+            DigitSumSet(*args)
+    for d, text in ((DigitSumSet(2, 3, True), "m=2;lambda=3;t=1"),
+                    (DigitSumSet(np.int64(2), np.int64(3), np.int64(4)), "m=2;lambda=3;t=4")):
+        assert d.format() == text
+        assert DigitSumSet.parse(text) == d
+        assert {type(d.dim), type(d.lam), type(d.threshold)} == {int}
     assert DigitSumSet.parse("m=3;lambda=4;t=5").format() == "m=3;lambda=4;t=5"
 
 

@@ -172,7 +172,7 @@ UNSAFE = ("count guard", "rounding test")
 
 def test_convolution_large_modulus(monkeypatch):
     rng = random.Random(7)
-    n = 1 << 14  # above the auto-kernel convolution floor
+    n = 1 << 14
     a = rs(n, rng.sample(range(n), 300))
     b = rs(n, rng.sample(range(n), 300))
     expected = sumset(a, b, Kernel.BITSHIFT)
@@ -201,8 +201,15 @@ def test_auto_kernel_from_measured_crossover():
     # 4.9 ms) still hold
     assert auto(64007, 1274, 1274) is Kernel.BITSHIFT
     assert auto(23417, 2452, 2452) is Kernel.CONVOLUTION
-    # below the floor no set is large enough for the FFT to pay
-    assert auto(residues._CONVOLUTION_MIN_N - 1, 10**4, 10**4) is Kernel.BITSHIFT
+    # the cost rule decides below 2^14 too, and sends there to the FFT
+    # only sums it won (2 CPUs, BITSHIFT against FFT): about 2000 runs
+    # each at N = 6007 1.57 vs 0.43 ms, at N = 8191 1.50 vs 0.55 ms;
+    # random half-density sets at N = 2003 and 4099 (about N / 4 runs)
+    # stay on BITSHIFT, 0.15 vs 0.16 ms and 0.40 vs 0.52 ms
+    assert auto(6007, 2003, 2003) is Kernel.CONVOLUTION
+    assert auto(8191, 2018, 2018) is Kernel.CONVOLUTION
+    assert auto(2003, 501, 501) is Kernel.BITSHIFT
+    assert auto(4099, 1025, 1025) is Kernel.BITSHIFT
     # the d = 2 pipeline sum at p = 36871 has 3906 members but 63 runs in A'
     # (3410 in lam*A'): counted in members it took the FFT at 11.1 ms against
     # BITSHIFT's 9.6 ms; counted in runs it stays on BITSHIFT

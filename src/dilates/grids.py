@@ -212,8 +212,10 @@ def project_drop_last(s: GridSet) -> GridSet:
 
 def _projection_mask(s: GridSet) -> np.ndarray:
     """Mask of S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically
-    per axis: the cyclic Minkowski sum of the two projections
-    (residues.cyclic_support, which picks the routine), then the
+    per axis: the cyclic Minkowski sum of the two projections by
+    residues.cyclic_support (from member pairs while |A| * |B| is at most
+    _PAIR_RATIO times the mask size, as for the 924-member 8^6
+    projections of simplex n = 7, lambda = 8; by FFT above), then the
     {0,1} thickening that absorbs the carry between adjacent cells.  Both
     projection masks are scattered from S's sorted_cells, as in
     project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam),

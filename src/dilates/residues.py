@@ -17,7 +17,8 @@ import enum
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, prod
 
 import numpy as np
 
@@ -85,6 +86,16 @@ _FFT_COST = 45
 # Above |A| * N = 2^15 (a timed sweep's crossover) members are decoded,
 # mapped and re-encoded as numpy index arrays instead of strings and ints.
 _ARRAY_MIN_WORK = 1 << 15
+# Masks of two or more axes are summed pair by pair while |A| * |B| <=
+# _PAIR_RATIO * size.  In a timed sweep (2 CPUs; 15 shapes of 2-6 axes,
+# 64-262144 cells; |A| * |B| / size 1-16) the FFT's crossover ran from
+# 2-5 on 64^2 and 128^2 to 12 and above on 8^6, 4^6, 61^2 and 3x5x7; with
+# 8 the routine taken cost on average 1.18x the faster one (4: 1.51x,
+# 12: 1.12x) and at most 2.6x (12-16: 4.4-4.9x), on 128^2.
+_PAIR_RATIO = 8
+# Pairs per block: each temporary holds 128 KiB; 2^14 was the fastest of
+# 2^11-2^18, or within noise of it, on masks of 40^2 to 8^6 cells.
+_PAIR_BLOCK = 1 << 14
 
 
 def _int_modulus(modulus) -> int:
@@ -297,9 +308,16 @@ def _fft_length(n: int) -> int:
     return n if m * m <= n else 1 << (2 * n - 2).bit_length()
 
 
+def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"mask shapes differ: {a.shape} != {b.shape}")
+
+
 def cyclic_support_shift(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact support of the cyclic convolution of two same-shape 0/1 arrays:
-    the OR of the denser one rolled by each member of the sparser one."""
+    the OR of the denser one rolled by each member of the sparser one.  The
+    FFT's exact fallback, and the tests' oracle for the other routines."""
+    _check_shapes(a, b)
     small, big = (a, b) if np.count_nonzero(a) <= np.count_nonzero(b) else (b, a)
     big = big.astype(bool, copy=False)
     out = np.zeros_like(big)
@@ -307,6 +325,52 @@ def cyclic_support_shift(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for idx in np.argwhere(small):
         out |= np.roll(big, tuple(idx.tolist()), axis=axes)
     return out
+
+
+@lru_cache(maxsize=16)
+def _pair_tables(shape: tuple[int, ...]) -> tuple[int, list[np.ndarray]]:
+    """Size of the trailing half of the axes, then read-only tables code
+    and offset per half: code maps a row-major index within the half to
+    its digits in radix 2n - 1 per axis of length n, so two codes add
+    without carry; offset maps such a sum, digits reduced mod n, to its
+    row-major offset in the whole mask."""
+    h = len(shape) // 2
+    tail = prod(shape[h:])
+    tables = []
+    for axes, scale in ((shape[:h], tail), (shape[h:], 1)):
+        code = offset = np.zeros(1, np.intp)
+        for n in axes:
+            code = (code[:, None] * (2 * n - 1) + np.arange(n)).ravel()
+            offset = (offset[:, None] * n + np.arange(2 * n - 1) % n).ravel()
+        offset = offset * scale
+        code.flags.writeable = offset.flags.writeable = False
+        tables += [code, offset]
+    return tail, tables
+
+
+def cyclic_support_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact support of the cyclic convolution of two same-shape 0/1 arrays,
+    in integers only: the cell of a pair x + y of members, in row-major
+    order, is offset1[code1(x) + code1(y)] + offset2[code2(x) + code2(y)]
+    (_pair_tables).  Pairs are formed in blocks of about _PAIR_BLOCK, so
+    memory stays bounded whatever |A| * |B| is.  The sum is symmetric, so
+    equal operands pair a block of rows only with the columns from its
+    first row on: about half of the pairs."""
+    _check_shapes(a, b)
+    tail, (code1, offset1, code2, offset2) = _pair_tables(a.shape)
+    out = np.zeros(a.size, dtype=bool)
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    same = np.array_equal(ia, ib)
+    xa, ya = code1[ia // tail], code2[ia % tail]
+    xb, yb = (xa, ya) if same else (code1[ib // tail], code2[ib % tail])
+    cols = min(ib.size, _PAIR_BLOCK)
+    rows = _PAIR_BLOCK // max(cols, 1)
+    for i in range(0, ia.size, rows):
+        for j in range(i if same else 0, ib.size, cols):
+            cells = offset1[xa[i:i + rows, None] + xb[j:j + cols]]
+            cells += offset2[ya[i:i + rows, None] + yb[j:j + cols]]
+            out[cells] = True
+    return out.reshape(a.shape)
 
 
 def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,6 +387,7 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reach 2^26, or some folded count lies more than 0.25 from an integer)
     the answer comes from cyclic_support_shift instead.
     """
+    _check_shapes(a, b)
     if min(np.count_nonzero(a), np.count_nonzero(b)) >= 1 << _SAFE_COUNT_BITS:
         return cyclic_support_shift(a, b)
     axes = tuple(range(a.ndim))
@@ -384,24 +449,18 @@ def cyclic_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact support of the cyclic convolution of two same-shape 0/1 masks:
     the one kernel choice made outside an explicit Kernel.  A 1-D mask is a
     residue set mod its length, so the two are summed by sumset under
-    _auto_kernel's rule.  Masks of two or more axes take the FFT once the
-    sparser one has more than min(64, max(5, isqrt(size) / 5)) members,
-    the crossover of a timed sweep of random masks of 2-6 axes and
-    25-262144 cells, and the shift-OR otherwise.  Equal operands take one
-    forward transform instead of two, and their crossover measured
-    0.65-0.8 of the unequal one on 16-262144 cells, so for them the bound
-    is two thirds of that."""
+    _auto_kernel's rule.  Masks of two or more axes are summed from the
+    pairs of their members (cyclic_support_pairs) while |A| * |B| is at
+    most _PAIR_RATIO times the mask size, and by FFT above, whose exact
+    fallback is the shift-OR."""
+    _check_shapes(a, b)
     if a.ndim == 1:
         n = a.size
         total = sumset(ResidueSet(n, _mask_to_bits(a)), ResidueSet(n, _mask_to_bits(b)))
         return _bits_to_mask(n, total.bits).view(bool)
-    na, nb = np.count_nonzero(a), np.count_nonzero(b)
-    limit = min(64, max(5, isqrt(a.size) // 5))
-    if na == nb and np.array_equal(a, b):
-        limit = limit * 2 // 3
-    if min(na, nb) > limit:
-        return cyclic_support_fft(a, b)
-    return cyclic_support_shift(a, b)
+    if np.count_nonzero(a) * np.count_nonzero(b) <= _PAIR_RATIO * a.size:
+        return cyclic_support_pairs(a, b)
+    return cyclic_support_fft(a, b)
 
 
 def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:

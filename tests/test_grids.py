@@ -4,7 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, isqrt, prod
 
 import numpy as np
 import pytest
@@ -18,8 +18,9 @@ from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
                            optimized_box_sides_3d, project_drop_first,
                            project_drop_last, simplex_construction,
                            simplex_grid_set)
+from dilates.intervals import pipeline_check
 from dilates.residues import (ResidueSet, cyclic_support, cyclic_support_fft,
-                              cyclic_support_shift, sumset)
+                              cyclic_support_pairs, cyclic_support_shift, sumset)
 from test_residues import PROPERTY, UNSAFE, make_fft_unsafe
 
 F = Fraction
@@ -294,40 +295,89 @@ def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
             for a, b, rolled in cases:
                 assert np.array_equal(cyclic_support_fft(a, b), rolled)
                 assert np.array_equal(cyclic_support(a, b), rolled)
+    # the pair routine on 2-6 axes, non-cubic and prime lengths; empty,
+    # 1-member, sparse and full masks; equal operands as one object and as a
+    # copy; and a transposed view, whose cells are read in row-major order of
+    # its own shape, not in the order of its memory
+    pair_cases = []
+    for shape in [(8, 8), (67, 64), (61, 61), (3, 5, 7), (31, 31, 31), (7, 7, 7, 7),
+                  (2, 3, 4, 5, 2), (4,) * 6]:
+        size = prod(shape)
+        counts = [(0, 5), (1, 1), (1, 40), (rng.randint(2, 40), rng.randint(2, 40))]
+        if size <= 256:
+            counts.append((size, size))
+        for na, nb in counts:
+            a, b = _random_masks(rng, shape, na, nb)
+            rolled, doubled = cyclic_support_shift(a, b), cyclic_support_shift(a, a)
+            pair_cases += [(a, b, rolled), (a.T, b.T, rolled.T),
+                           (a, a, doubled), (a, a.copy(), doubled)]
+    # small blocks run many blocks per mask, and the i <= j boundary of
+    # equal operands both within a block and between blocks
+    for block in (5, 64, residues._PAIR_BLOCK):
+        with monkeypatch.context() as m:
+            m.setattr(residues, "_PAIR_BLOCK", block)
+            for a, b, rolled in pair_cases:
+                assert np.array_equal(cyclic_support_pairs(a, b), rolled), (a.shape, block)
+    # masks of different shapes are refused by every routine
+    a = np.zeros((4, 4), dtype=bool)
+    a[0, 1] = a[2, 3] = True
+    for x, y in ((a, np.ones((4, 5), dtype=bool)), (a[0], np.ones(5, dtype=bool))):
+        for routine in (cyclic_support, cyclic_support_fft, cyclic_support_shift,
+                        cyclic_support_pairs):
+            for u, v in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match="mask shapes differ"):
+                    routine(u, v)
 
 
 def test_minkowski_mask_gate(monkeypatch):
-    # masks of two or more axes take the FFT once the sparser mask has more
-    # than min(64, max(5, isqrt(size) / 5)) members, and equal masks (one
-    # forward transform) past two thirds of that: the measured crossovers.
-    # A 1-D mask is a pair of residue sets summed by sumset, whose run
-    # rule keeps these sparse masks on BITSHIFT, off both mask routines
+    # masks of two or more axes are summed pair by pair while
+    # |A| * |B| <= _PAIR_RATIO * size, and by FFT above, equal operands
+    # too; the shift-OR runs only as the FFT's fallback.  A 1-D mask is a
+    # pair of residue sets summed by sumset, whose run rule keeps these
+    # sparse masks on BITSHIFT, off every mask routine
     ran = []
-    for name in ("sumset", "cyclic_support_fft", "cyclic_support_shift"):
+    for name in ("sumset", "cyclic_support_fft", "cyclic_support_shift",
+                 "cyclic_support_pairs"):
         routine = getattr(residues, name)
         monkeypatch.setattr(residues, name, lambda x, y, name=name, routine=routine:
                             ran.append(name) or routine(x, y))
     rng = random.Random(17)
-    for shape, shift_up_to in [((16,), 5), ((300,), 5), ((1021,), 15), ((4099,), 64),
-                               ((61, 61), 12), ((10, 10, 10), 6), ((6,) * 4, 7),
-                               ((4,) * 5, 6), ((3,) * 6, 5), ((8,) * 4, 12),
-                               ((7,) * 5, 25), ((8,) * 6, 64)]:
-        for ns, routine in ((shift_up_to, "cyclic_support_shift"),
-                            (shift_up_to + 1, "cyclic_support_fft")):
-            a, b = _random_masks(rng, shape, ns, rng.randint(ns, int(np.prod(shape))))
-            ran.clear()
-            assert np.array_equal(cyclic_support(b, a), cyclic_support_shift(a, b))
-            assert ran == (["sumset"] if len(shape) == 1 else [routine]), (shape, ns)
-    for shape, shift_up_to in [((16,), 3), ((300,), 3), ((1021,), 10), ((4099,), 42),
-                               ((61, 61), 8), ((10, 10, 10), 4), ((6,) * 4, 4),
-                               ((4,) * 5, 4), ((3,) * 6, 3), ((8,) * 4, 8), ((16,) * 3, 8),
-                               ((7,) * 5, 16), ((8,) * 6, 42)]:
-        for ns, routine in ((shift_up_to, "cyclic_support_shift"),
-                            (shift_up_to + 1, "cyclic_support_fft")):
-            a, _ = _random_masks(rng, shape, ns, 0)
-            ran.clear()
-            assert np.array_equal(cyclic_support(a, a.copy()), cyclic_support_shift(a, a))
-            assert ran == (["sumset"] if len(shape) == 1 else [routine]), ("equal", shape, ns)
+    k = residues._PAIR_RATIO
+
+    def check(x, y, routine):
+        ran.clear()
+        out = cyclic_support(x, y)
+        assert ran == (["sumset"] if x.ndim == 1 else [routine]), (x.shape, routine)
+        # the routine not taken is the oracle (this module's names are unpatched)
+        if x.ndim > 1:
+            oracle = cyclic_support_pairs if routine.endswith("fft") else cyclic_support_fft
+            assert np.array_equal(out, oracle(x, y))
+
+    # 61^2 with 33 members and 31^3 with 90, where the FFT is slow on prime
+    # axes, stay on the pairs for every partner count up to k * size / na
+    for shape, na in [((16,), 3), ((300,), 5), ((4099,), 64), ((8, 8), 9), ((61, 61), 33),
+                      ((64, 64), 200), ((10, 10, 10), 10), ((31, 31, 31), 90),
+                      ((6,) * 4, 9), ((7,) * 5, 21), ((8,) * 6, 65), ((3, 5, 7), 9)]:
+        size = prod(shape)
+        nb = k * size // na
+        for n in (na, nb, nb + 1):
+            if n <= size:
+                a, b = _random_masks(rng, shape, na, n)
+                check(b, a, "cyclic_support_pairs" if na * n <= k * size
+                      else "cyclic_support_fft")
+        # equal operands, as one object and as a copy (8^6 is left to the
+        # simplex chain below, whose projections are equal)
+        ne = isqrt(k * size)
+        for n, routine in ((1, "cyclic_support_pairs"), (ne, "cyclic_support_pairs"),
+                           (ne + 1, "cyclic_support_fft")):
+            if n <= size < 8**6:
+                a, _ = _random_masks(rng, shape, n, 0)
+                check(a, a, routine)
+                check(a, a.copy(), routine)
+    # 1-member masks, against a full one, take the pairs
+    for shape in ((8, 8, 8), (7,) * 4, (6,) * 5):
+        a, _ = _random_masks(rng, shape, 1, 0)
+        check(a, np.ones(shape, dtype=bool), "cyclic_support_pairs")
     # dense 1-D masks of 8191 cells reach the FFT, through sumset's cost rule
     a = np.zeros(8191, bool)
     a[::2] = True  # 4096 runs
@@ -336,6 +386,10 @@ def test_minkowski_mask_gate(monkeypatch):
         ran.clear()
         assert np.array_equal(cyclic_support(x, y), cyclic_support_shift(x, y))
         assert ran == ["sumset", "cyclic_support_fft"]
+    # the simplex n = 7, lambda = 8 chain, whose 8^6 projections have 924
+    # members each (|A|^2 = 3.3 size), passes without the FFT's float path
+    monkeypatch.setattr(residues, "cyclic_support_fft", lambda x, y: pytest.fail("FFT ran"))
+    assert pipeline_check(simplex_grid_set(7, 8), 10007).continuous_within_grid
 
 
 @PROPERTY

@@ -10,8 +10,10 @@ union B'.  All measures are exact Fractions; floats never enter a claim.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import comb, factorial, floor
 
 import numpy as np
@@ -34,8 +36,8 @@ __all__ = [
     "simplex_construction",
 ]
 
-_MASK_CAP = 1 << 26    # largest lam**dim expanded to a dense mask
-_EXPAND_CAP = 1 << 20  # largest lam**dim a DigitSumSet expands to cells
+_MASK_CAP = 1 << 26   # largest lam**dim expanded to a dense mask
+_BUILD_CAP = 1 << 24  # largest array the grid builder forms
 
 
 def _as_fraction(value) -> Fraction:
@@ -67,39 +69,56 @@ def _cell_dtype(dim: int, lam: int):
     return np.int64 if lam**dim < 1 << 63 else object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class GridSet:
-    """A subset of (Z/lam Z)^dim stored as flattened row-major cell indices
-    (first coordinate most significant).  ``sorted_cells`` holds them once
-    more as one ascending read-only array, which ==, hash and repr ignore."""
+    """A subset of (Z/lam Z)^dim held as one ascending read-only array of
+    row-major flat cell indices (int64 while lam^dim < 2^63, Python ints
+    beyond), from an integer array, read whole, or any iterable of integers.
+    ==, hash and repr follow (dim, lam, cells); the frozenset cells is built on first read."""
 
     dim: int
     lam: int
-    cells: frozenset[int]
-    sorted_cells: np.ndarray = field(init=False, repr=False, compare=False)
+    sorted_cells: np.ndarray
 
-    def __post_init__(self):
-        dim, lam = operator.index(self.dim), operator.index(self.lam)
-        cells = frozenset(self.cells)
+    def __init__(self, dim: int, lam: int, cells) -> None:
+        dim, lam = operator.index(dim), operator.index(lam)
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if lam < 2:
             raise ValueError(f"resolution must be >= 2, got {lam}")
-        try:
-            array = np.sort(np.fromiter(map(operator.index, cells), dtype=_cell_dtype(dim, lam),
-                                        count=len(cells)))
-        except OverflowError:  # beyond int64, so beyond lam**dim
-            raise ValueError("cell index out of range") from None
-        if len(array) and not (array[0] >= 0 and array[-1] < lam**dim):
+        dtype = _cell_dtype(dim, lam)
+        if not (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"):
+            try:
+                cells = np.fromiter(map(operator.index, cells), dtype=dtype)
+            except OverflowError:  # beyond int64, so beyond lam**dim
+                raise ValueError("cell index out of range") from None
+        if not (cells[1:] > cells[:-1]).all():
+            cells = np.sort(cells)
+            cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+        # the ends as Python ints, so a uint64 is compared, never wrapped
+        if len(cells) and not (int(cells[0]) >= 0 and int(cells[-1]) < lam**dim):
             raise ValueError("cell index out of range")
+        array = cells.astype(dtype)  # a copy: the caller's array stays apart
         array.flags.writeable = False
-        for name, value in (("dim", dim), ("lam", lam), ("cells", cells),
-                            ("sorted_cells", array)):
+        for name, value in (("dim", dim), ("lam", lam), ("sorted_cells", array)):
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def cells(self) -> frozenset[int]:
+        return frozenset(self.sorted_cells.tolist())
+
+    def __eq__(self, other):
+        return (isinstance(other, GridSet) and (self.dim, self.lam) == (other.dim, other.lam)
+                and np.array_equal(self.sorted_cells, other.sorted_cells))
+
+    def __hash__(self):
+        return hash((self.dim, self.lam, self.cells))
+
+    def __repr__(self):
+        return f"GridSet(dim={self.dim!r}, lam={self.lam!r}, cells={self.cells!r})"
+
     def __reduce__(self):
-        # rebuild through the constructor: an unpickled array is writeable
-        return GridSet, (self.dim, self.lam, self.cells)
+        return GridSet, (self.dim, self.lam, self.sorted_cells)
 
     @classmethod
     def from_tuples(cls, dim: int, lam: int, tuples) -> "GridSet":
@@ -113,11 +132,11 @@ class GridSet:
                     raise ValueError(f"coordinate {x} outside [0, {lam})")
                 flat = flat * lam + x
             cells.add(flat)
-        return cls(dim, lam, frozenset(cells))
+        return cls(dim, lam, cells)
 
     @classmethod
     def empty(cls, dim: int, lam: int) -> "GridSet":
-        return cls(dim, lam, frozenset())
+        return cls(dim, lam, ())
 
     def unflatten(self, flat: int) -> tuple[int, ...]:
         out = []
@@ -138,10 +157,10 @@ class GridSet:
         return tuple(map(tuple, self._digits().tolist()))
 
     def measure(self) -> Fraction:
-        return Fraction(len(self.cells), self.lam**self.dim)
+        return Fraction(len(self), self.lam**self.dim)
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.sorted_cells)
 
     def to_mask(self) -> np.ndarray:
         return _cell_mask(self.dim, self.lam, self.sorted_cells)
@@ -150,8 +169,7 @@ class GridSet:
     def from_mask(cls, lam: int, mask: np.ndarray) -> "GridSet":
         if mask.shape != (lam,) * mask.ndim:
             raise ValueError(f"mask shape {mask.shape} is not ({lam},) * {mask.ndim}")
-        flat = np.flatnonzero(mask.reshape(-1))
-        return cls(mask.ndim, lam, frozenset(flat.tolist()))
+        return cls(mask.ndim, lam, np.flatnonzero(mask.reshape(-1)))
 
     @classmethod
     def parse(cls, text: str) -> "GridSet":
@@ -180,17 +198,12 @@ class GridSet:
         return f"n={self.dim};lambda={self.lam};cells=[{cells}]"
 
 
-def _mask_size(dim: int, lam: int) -> int:
-    """lam^dim, raising ScaleCapError above _MASK_CAP."""
+def _cell_mask(dim: int, lam: int, cells: np.ndarray) -> np.ndarray:
+    """The (lam,)*dim boolean mask of flat cell indices, after the cap."""
     size = lam**dim
     if size > _MASK_CAP:
         raise ScaleCapError(f"lam^dim = {size} exceeds mask cap {_MASK_CAP}")
-    return size
-
-
-def _cell_mask(dim: int, lam: int, cells: np.ndarray) -> np.ndarray:
-    """The (lam,)*dim boolean mask of flat cell indices, after the cap."""
-    mask = np.zeros(_mask_size(dim, lam), dtype=bool)
+    mask = np.zeros(size, dtype=bool)
     mask[cells] = True
     return mask.reshape((lam,) * dim)
 
@@ -199,15 +212,14 @@ def project_drop_first(s: GridSet) -> GridSet:
     """Image under the projection forgetting the first coordinate."""
     if s.dim < 2:
         raise ValueError("projection needs dimension >= 2")
-    base = s.lam ** (s.dim - 1)
-    return GridSet(s.dim - 1, s.lam, frozenset(c % base for c in s.cells))
+    return GridSet(s.dim - 1, s.lam, s.sorted_cells % s.lam ** (s.dim - 1))
 
 
 def project_drop_last(s: GridSet) -> GridSet:
     """Image under the projection forgetting the last coordinate."""
     if s.dim < 2:
         raise ValueError("projection needs dimension >= 2")
-    return GridSet(s.dim - 1, s.lam, frozenset(c // s.lam for c in s.cells))
+    return GridSet(s.dim - 1, s.lam, s.sorted_cells // s.lam)
 
 
 def _projection_mask(s: GridSet) -> np.ndarray:
@@ -218,10 +230,9 @@ def _projection_mask(s: GridSet) -> np.ndarray:
     projections of simplex n = 7, lambda = 8; by FFT above), then the
     {0,1} thickening that absorbs the carry between adjacent cells.  Both
     projection masks are scattered from S's sorted_cells, as in
-    project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam),
-    after the cap check, so every index is int64."""
-    base = _mask_size(s.dim - 1, s.lam)
-    out = cyclic_support(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % base),
+    project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam);
+    below the mask cap every index is int64."""
+    out = cyclic_support(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % s.lam ** (s.dim - 1)),
                          _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
     for axis in range(out.ndim):
         out = out | np.roll(out, 1, axis=axis)
@@ -237,7 +248,7 @@ def grid_projection_sumset(s: GridSet) -> GridSet:
     """
     if s.dim < 2:
         raise ValueError("projection needs dimension >= 2")
-    if not s.cells:
+    if not len(s):
         return GridSet.empty(s.dim - 1, s.lam)
     return GridSet.from_mask(s.lam, _projection_mask(s))
 
@@ -255,7 +266,7 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
         if not 0 < s < 1:
             raise ValueError(f"box side {s} outside (0, 1)")
     # the largest x on axis i has x + 1 <= lam * sides[i]
-    return GridSet(d, lam, frozenset(_cells(d, lam, 1, [floor(lam * s) - 1 for s in sides])))
+    return GridSet(d, lam, _cells(d, lam, 1, [floor(lam * s) - 1 for s in sides]))
 
 
 def _root_side(value: Fraction, d: int, lam: int | None) -> Fraction:
@@ -290,11 +301,20 @@ def optimized_box_sides_3d(gamma, lam: int | None = None) -> tuple[Fraction, ...
     return (long, short, long)
 
 
-def _cells(dim: int, lam: int, lo: int, his, t: int | None = None) -> list[int]:
+def _cells(dim: int, lam: int, lo: int, his, t: int | None = None) -> np.ndarray:
     """Ascending row-major flat indices of the cells x of (Z/lam Z)^dim with
-    lo <= x_i <= his[i] and, when t is given, sum x_i <= t.  One axis at a
-    time by broadcasting; a prefix stays while its digit sum leaves lo for
-    each axis to come, so every array is below the final count times lam."""
+    lo <= x_i <= his[i] and, when t is given (every his[i] = lam - 1),
+    sum x_i <= t.  One axis at a time by broadcasting; a prefix stays while
+    its digit sum leaves lo for each axis to come.  The largest array is
+    capped before any is formed: for a box, the largest product of leading
+    widths; with t, the last axis's, as kept prefixes never shrink (in
+    digits x_i - lo, each sums to <= t - lo * dim), or if none, the first's."""
+    if t is None:
+        largest = max(accumulate((max(hi - lo + 1, 0) for hi in his), operator.mul))
+    else:
+        largest = max(digit_sum_count(dim - 1, lam - lo, t - lo * dim), 1) * (lam - lo)
+    if largest > _BUILD_CAP:
+        raise ScaleCapError(f"builder array of {largest} cells exceeds builder cap {_BUILD_CAP}")
     flat = np.zeros(1, _cell_dtype(dim, lam))
     total = np.zeros(1, np.int64)
     for i, hi in enumerate(his):
@@ -304,7 +324,7 @@ def _cells(dim: int, lam: int, lo: int, his, t: int | None = None) -> list[int]:
             total = (total[:, None] + digits).ravel()
             keep = total <= t - lo * (dim - 1 - i)
             flat, total = flat[keep], total[keep]
-    return flat.tolist()
+    return flat
 
 
 def simplex_grid_set(n: int, lam: int) -> GridSet:
@@ -318,8 +338,7 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
         raise ValueError("need n >= 2")
     if lam < 2:
         raise ValueError(f"resolution must be >= 2, got {lam}")
-    _mask_size(n, lam)
-    return GridSet(n, lam, frozenset(_cells(n, lam, 1, [lam - 1] * n, lam * (n - 2) // 2 - n)))
+    return GridSet(n, lam, _cells(n, lam, 1, [lam - 1] * n, lam * (n - 2) // 2 - n))
 
 
 @dataclass(frozen=True)
@@ -344,10 +363,8 @@ class DigitSumSet:
         return Fraction(self.count(), self.lam**self.dim)
 
     def expand(self) -> GridSet:
-        if self.lam**self.dim > _EXPAND_CAP:
-            raise ScaleCapError("digit-sum set too large to expand")
-        cells = _cells(self.dim, self.lam, 0, [self.lam - 1] * self.dim, self.threshold)
-        return GridSet(self.dim, self.lam, frozenset(cells))
+        return GridSet(self.dim, self.lam,
+                       _cells(self.dim, self.lam, 0, [self.lam - 1] * self.dim, self.threshold))
 
     @classmethod
     def parse(cls, text: str) -> "DigitSumSet":
@@ -364,8 +381,8 @@ class DigitSumSet:
 
 def digit_sum_count(m: int, lam: int, t: int) -> int:
     """#{x in [0, lam)^m : sum x_i <= t} by inclusion-exclusion."""
-    if m < 1 or lam < 2:
-        raise ValueError("need m >= 1 and lam >= 2")
+    if m < 0 or lam < 1:
+        raise ValueError("need m >= 0 and lam >= 1")
     if t < 0:
         return 0
     if t >= m * (lam - 1):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .checks import _num_fields
 from .errors import MathAssertionError, ScaleCapError
-from .grids import GridSet, _projection_mask
+from .grids import GridSet, grid_projection_sumset
 from .residues import ResidueSet, dilate_sum, require_prime
 
 __all__ = [
@@ -376,14 +376,10 @@ def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
     a_sum = interval_dilate_sum(a, s.lam)
     a_p = discretize_to_zp(a, p)
     a_p_sum = dilate_sum(a_p, s.lam)
-    # S' straight from its mask: its cells are counted and encoded, never
-    # collected into a GridSet; an empty grid builds no mask, whatever its size
-    d_prime = s.lam ** (s.dim - 1)
-    s_cells = np.flatnonzero(_projection_mask(s)) if s.cells else np.zeros(0, np.int64)
-    s_prime = _encode_cells(d_prime, s_cells)
+    s_prime = encode_grid_to_intervals(grid_projection_sumset(s))
     residue_sum_density = Fraction(len(a_p_sum), p)
     sum_measure = a_sum.measure()
-    s_prime_measure = Fraction(len(s_cells), d_prime)
+    s_prime_measure = s_prime.measure()
 
     report = ChainReport(
         lam=s.lam,

@@ -162,11 +162,14 @@ def test_cli_construct_simplex(tmp_path):
     assert data["sum_region_volume"] == "119/120"
 
 
-def test_cli_construct_simplex_mask_cap_exit_4(tmp_path, capsys):
+def test_cli_construct_simplex_builder_cap_exit_4(tmp_path, capsys):
+    # n = 6, lambda = 32 would form an array of 1.2e8 cells
     code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "simplex",
-                   "--n", "6", "--lambda", "21", "--out", "out")
+                   "--n", "6", "--lambda", "32", "--out", "out")
     assert code == 4
-    assert "exceeds mask cap" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "exceeds builder cap" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -45,6 +45,12 @@ def test_gridset_rejects_out_of_range_cells():
     for cells in ([-1], [0, 9], [3, -2, 8], [100], [2**70], [1, -2**70]):
         with pytest.raises(ValueError, match="cell index out of range"):
             GridSet(2, 3, frozenset(cells))
+    # integer arrays are read whole; a uint64 above 2^63 is refused, not wrapped
+    for cells in (np.array([-1]), np.array([0, 9]), np.array([3, -2, 8]), np.array([9, 0, 9]),
+                  np.array([1, 2**63 + 5], dtype=np.uint64),
+                  np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="cell index out of range"):
+            GridSet(2, 3, cells)
     assert GridSet(2, 3, frozenset([0, 8])).cells == {0, 8}
     assert GridSet(2, 3, frozenset()).cells == frozenset()
 
@@ -63,6 +69,26 @@ def test_gridset_reads_integers_only():
     assert type(s.dim) is int and type(s.lam) is int and type(s.cells) is frozenset
     assert hash(GridSet(2, 3, {1, 2})) == hash(GridSet(2, 3, frozenset({1, 2})))
     assert s.sorted_cells.tolist() == [1, 7]
+    # integer arrays of any width, unsorted or repeated, equal the sorted set;
+    # the grid keeps its own copy
+    with pytest.raises(TypeError):
+        GridSet(2, 3, np.array([1.0, 7.0]))
+    for dtype in (np.int64, np.int8, np.uint16, np.uint64):
+        for cells in ([1, 7], [7, 1], [7, 1, 7, 1], [1, 1, 7]):
+            array = np.array(cells, dtype=dtype)
+            g = GridSet(2, 3, array)
+            array[0] = 0
+            assert g == s and hash(g) == hash(s) and g.sorted_cells.tolist() == [1, 7]
+            assert g.sorted_cells.dtype == np.int64
+    # past int64 the cells are Python ints, from any integer array
+    for cells in (np.array([2**64 - 1, 3, 3], dtype=np.uint64),
+                  np.array([2**64 - 1, 3], dtype=object),
+                  np.array([3, 2**63 + 1], dtype=np.uint64)):
+        g = GridSet(2, 2**40, cells)
+        expected = sorted(set(cells.tolist()))
+        assert g == GridSet(2, 2**40, expected)
+        assert g.sorted_cells.dtype == object and g.sorted_cells.tolist() == expected
+    assert GridSet(20, 11, np.array([5, 0])).sorted_cells.tolist() == [0, 5]
 
 
 def _check_sorted_cells(s):
@@ -599,13 +625,46 @@ def test_simplex_grid_is_a_translated_digit_sum_set():
                     digit_sum_count(n, lam - 1, lam * (n - 2) // 2 - 2 * n)
 
 
-def test_mask_cap():
+def _largest_builder_array(lo, his, t):
+    """The builder's arrays by brute force: at each axis, the prefixes kept
+    so far times that axis's digits; a prefix stays while its digit sum
+    leaves lo for each axis to come.  Returns (largest, kept tuples)."""
+    kept, largest = [()], 0
+    for i, hi in enumerate(his):
+        digits = range(lo, hi + 1)
+        largest = max(largest, len(kept) * len(digits))
+        left = lo * (len(his) - 1 - i)
+        kept = [k + (x,) for k in kept for x in digits if t is None or sum(k) + x + left <= t]
+    return largest, kept
+
+
+def test_mask_cap(monkeypatch):
     with pytest.raises(ScaleCapError):
         GridSet(8, 11, frozenset()).to_mask()
-    # 21^6 > 2^26 >= 20^6
-    with pytest.raises(ScaleCapError, match="exceeds mask cap"):
-        simplex_grid_set(6, 21)
-    # a digit-sum set expands up to lam^dim = 2^20
-    assert len(DigitSumSet(2, 1 << 10, 3).expand()) == 10
-    with pytest.raises(ScaleCapError, match="too large to expand"):
-        DigitSumSet(2, (1 << 10) + 1, 3).expand()
+    # the builder cap counts the largest array formed, before forming any:
+    # simplex n = 6, lambda = 32 would form 1.2e8 cells, the d = 3 box of
+    # sides 1/2 at lambda = 2000 about 1e9, a box with an empty last axis
+    # 1e8 before that axis, and the digit-sum set 4 kept prefixes times
+    # 2^22 + 1 digits
+    for build in (lambda: simplex_grid_set(6, 32),
+                  lambda: box_grid_set(3, 2000, [F(1, 2)] * 3),
+                  lambda: box_grid_set(3, 20000, [F(1, 2), F(1, 2), F(1, 40000)]),
+                  lambda: DigitSumSet(2, (1 << 22) + 1, 3).expand()):
+        with pytest.raises(ScaleCapError, match="exceeds builder cap"):
+            build()
+    # the count is exact: a cap of the largest array builds, one less refuses
+    rng = random.Random(29)
+    for _ in range(200):
+        dim, lam, lo = rng.randint(1, 4), rng.randint(2, 6), rng.randint(0, 1)
+        if rng.random() < 0.5:
+            his, t = [rng.randint(lo - 2, lam - 1) for _ in range(dim)], None
+        else:
+            his, t = [lam - 1] * dim, rng.randint(-3, dim * (lam - 1) + 2)
+        largest, kept = _largest_builder_array(lo, his, t)
+        monkeypatch.setattr(grids, "_BUILD_CAP", largest)
+        flat = sorted(sum(x * lam ** (dim - 1 - j) for j, x in enumerate(k)) for k in kept)
+        assert grids._cells(dim, lam, lo, his, t).tolist() == flat
+        if largest:
+            monkeypatch.setattr(grids, "_BUILD_CAP", largest - 1)
+            with pytest.raises(ScaleCapError):
+                grids._cells(dim, lam, lo, his, t)

@@ -466,11 +466,13 @@ def test_pipeline_worked_example():
 
 
 def test_pipeline_empty_grid():
-    rep = pipeline_check(GridSet.empty(2, 3), 11)
-    assert rep.residue_density == 0
-    assert rep.interval_measure == 0
-    assert rep.grid_projection_measure == 0
-    assert rep.all_hold
+    # lam^(n-1) = 2^27 is above the mask cap: an empty grid builds no mask
+    for s in (GridSet.empty(2, 3), GridSet.empty(28, 2)):
+        rep = pipeline_check(s, 11)
+        assert rep.residue_density == 0
+        assert rep.interval_measure == 0
+        assert rep.grid_projection_measure == 0
+        assert rep.all_hold
 
 
 def test_pipeline_box_end_to_end():

@@ -24,7 +24,7 @@ from .errors import MathAssertionError, ScaleCapError
 from .gaps import Gap, expand, find_max_proper_gap, is_proper, lambda_span_check
 from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
-from .intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
+from .intervals import _chain_report, discretize_to_zp, encode_grid_to_intervals
 from .residues import ResidueSet, require_prime
 from .search import (SearchTask, SweepReport, decode_entry, solve_cell, sweep,
                      sweep_csv, sweep_rows)
@@ -120,14 +120,13 @@ def _cmd_construct(args) -> int:
 
     # every check that can refuse, scale caps included, runs before any file
     # is written; a violated chain is written up to the residues, then raises
-    if args.p is not None:
-        require_prime(args.p)
     intervals = encode_grid_to_intervals(grid)
     report = None
     if args.p is not None:
-        if grid.dim >= 2:
-            report = pipeline_check(grid, args.p, strict=False)
+        require_prime(args.p)
         residues = discretize_to_zp(intervals, args.p)
+        if grid.dim >= 2:
+            report = _chain_report(grid, args.p, intervals, residues)
     text = grid.format()
     artifacts = {"construction": label, "grid": text, **extra}
     _write(out_dir / f"{label}_grid.txt", (text + "\n").encode())

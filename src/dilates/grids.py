@@ -111,8 +111,9 @@ class GridSet:
         return (isinstance(other, GridSet) and (self.dim, self.lam) == (other.dim, other.lam)
                 and np.array_equal(self.sorted_cells, other.sorted_cells))
 
-    def __hash__(self):
-        return hash((self.dim, self.lam, self.cells))
+    def __hash__(self):  # equal grids share (dim, lam), so the dtype of sorted_cells
+        c = self.sorted_cells
+        return hash((self.dim, self.lam, tuple(c.tolist()) if c.dtype == object else c.tobytes()))
 
     def __repr__(self):
         return f"GridSet(dim={self.dim!r}, lam={self.lam!r}, cells={self.cells!r})"

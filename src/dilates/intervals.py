@@ -28,7 +28,7 @@ import numpy as np
 from .checks import _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .grids import GridSet, grid_projection_sumset
-from .residues import ResidueSet, dilate_sum, require_prime
+from .residues import ResidueSet, _members_to_bits, dilate_sum, require_prime
 
 __all__ = [
     "TorusIntervalSet",
@@ -40,7 +40,6 @@ __all__ = [
     "pipeline_check",
 ]
 
-_ENCODE_CAP = 1 << 30   # largest denominator lam**n we will materialize
 _PAIR_CAP = 10**6       # arcs a Minkowski sum forms before normalizing
 
 
@@ -238,23 +237,17 @@ class TorusIntervalSet:
         return f"D={self.denominator};{body}" if body else f"D={self.denominator};"
 
 
-def _encode_cells(d: int, cells: np.ndarray) -> TorusIntervalSet:
-    """The union of the intervals [c, c + 1) over d, for an ascending int64
-    array of distinct cells below d: one arc per run of consecutive cells."""
+def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
+    """Map each grid cell x to the interval [y, y + lam^-n) with
+    y = sum x_i lam^-i; the flattened cell index is exactly y * lam^n, so
+    the arcs over lam^n are the runs of consecutive sorted cells."""
+    d = s.lam**s.dim
+    cells = s.sorted_cells
     if not len(cells):
         return TorusIntervalSet._trusted(d, cells, cells)
     gap = np.diff(cells) > 1
     return TorusIntervalSet._trusted(d, cells[np.concatenate(([True], gap))],
                                      cells[np.concatenate((gap, [True]))] + 1)
-
-
-def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
-    """Map each grid cell x to the interval [y, y + lam^-n) with
-    y = sum x_i lam^-i; the flattened cell index is exactly y * lam^n."""
-    d = s.lam**s.dim
-    if d > _ENCODE_CAP:
-        raise ScaleCapError(f"lam^n = {d} exceeds encode cap {_ENCODE_CAP}")
-    return _encode_cells(d, s.sorted_cells)
 
 
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
@@ -315,17 +308,18 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
 
 
 def discretize_to_zp(a: TorusIntervalSet, p: int) -> ResidueSet:
-    """A' = {0 <= r < p : [r/p, (r+1)/p) is inside A}, by integer inequalities
-    r*D >= x*p and (r+1)*D <= y*p against each interval [x, y).  Valid for
-    any modulus p >= 1; callers that need a field check p themselves."""
+    """A' = {0 <= r < p : [r/p, (r+1)/p) is inside A}, for any p >= 1 (callers
+    that need a field check p themselves).  Each arc [x, y) holds the run
+    [lo, hi) = [ceil(x*p/D), floor(y*p/D)), found for all arcs at once; the
+    arcs are disjoint and non-adjacent, so the nonempty runs are too, and the
+    bits are sum 2^hi - 2^lo over them."""
     d = a.denominator
-    bits = 0
-    for x, y in zip(a._starts.tolist(), a._ends.tolist()):
-        lo = max(-((-x * p) // d), 0)         # ceil(x*p/d)
-        hi = min((y * p) // d - 1, p - 1)     # largest r with (r+1)*d <= y*p
-        if lo <= hi:
-            bits |= ((1 << (hi - lo + 1)) - 1) << lo
-    return ResidueSet(p, bits)
+    dtype = _endpoint_dtype(d * p)
+    los = -((-p * a._starts.astype(dtype, copy=False)) // d)
+    his = (p * a._ends.astype(dtype, copy=False)) // d
+    keep = los < his
+    los, his = (x[keep].astype(np.int64, copy=False) for x in (los, his))
+    return ResidueSet(p, _members_to_bits(p + 1, his) - _members_to_bits(p + 1, los))
 
 
 @dataclass(frozen=True)
@@ -362,26 +356,15 @@ class ChainReport:
         return out
 
 
-def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
-    """Run the full chain for one grid set and verify both inequalities.
-
-    With strict=True (default) a violated inequality raises
-    MathAssertionError; the inequalities are theorems, so a violation
-    means a kernel or interval bug.
-    """
-    require_prime(p)
-    if s.dim < 2:
-        raise ValueError("projection needs dimension >= 2")
-    a = encode_grid_to_intervals(s)
+def _chain_report(s: GridSet, p: int, a: TorusIntervalSet, a_p: ResidueSet) -> ChainReport:
+    """The chain's report from A, the encoding of s, and A' in Z/pZ; unchecked."""
     a_sum = interval_dilate_sum(a, s.lam)
-    a_p = discretize_to_zp(a, p)
     a_p_sum = dilate_sum(a_p, s.lam)
     s_prime = encode_grid_to_intervals(grid_projection_sumset(s))
     residue_sum_density = Fraction(len(a_p_sum), p)
     sum_measure = a_sum.measure()
     s_prime_measure = s_prime.measure()
-
-    report = ChainReport(
+    return ChainReport(
         lam=s.lam,
         dim=s.dim,
         p=p,
@@ -395,6 +378,20 @@ def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
         continuous_within_grid=sum_measure <= s_prime_measure,
         interval_inside_grid_prediction=s_prime.contains_set(a_sum),
     )
+
+
+def pipeline_check(s: GridSet, p: int, strict: bool = True) -> ChainReport:
+    """Run the full chain for one grid set and verify both inequalities.
+
+    With strict=True (default) a violated inequality raises
+    MathAssertionError; the inequalities are theorems, so a violation
+    means a kernel or interval bug.
+    """
+    require_prime(p)
+    if s.dim < 2:
+        raise ValueError("projection needs dimension >= 2")
+    a = encode_grid_to_intervals(s)
+    report = _chain_report(s, p, a, discretize_to_zp(a, p))
     if strict and not report.all_hold:
         raise MathAssertionError(f"pipeline chain violated: {report.to_json_dict()}")
     return report

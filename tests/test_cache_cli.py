@@ -174,7 +174,6 @@ def test_cli_construct_simplex_builder_cap_exit_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("simplex", "--n", "6", "--lambda", "16", "--p", "100003"), "pair cap"),
-    (("box", "--d", "2", "--lambda", "40000", "--gamma", "1/100000000"), "encode cap"),
 ])
 def test_cli_construct_scale_caps_refuse_before_writing(tmp_path, capsys, argv, message):
     # the chain runs before the first file: a cap leaves no output, no entry
@@ -185,15 +184,50 @@ def test_cli_construct_scale_caps_refuse_before_writing(tmp_path, capsys, argv, 
     assert not (tmp_path / "cache" / "construct").exists()
 
 
+def test_cli_construct_box_past_lambda_n_2_30(tmp_path):
+    # lam^n = 1.6e9: the 3 x 3 cells encode on int64 endpoints
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "2",
+                   "--lambda", "40000", "--gamma", "1/100000000", "--out", "out") == 0
+    assert (tmp_path / "out" / "box_intervals.txt").read_text() == \
+        "D=1600000000;[40001,40004);[80001,80004);[120001,120004)\n"
+    assert len(_entries(tmp_path / "cache", "construct")) == 1
+
+
+def test_cli_construct_runs_the_chain_once(tmp_path, monkeypatch):
+    # construct's files and chain report read one A and one A'
+    import dilates.cli as cli_module
+    import dilates.intervals as intervals_module
+
+    encode = intervals_module.encode_grid_to_intervals
+    discretize = intervals_module.discretize_to_zp
+    grid = box_grid_set(2, 9, [Fraction(1, 3)] * 2)
+    a = encode(grid)
+    calls = {"encode": 0, "discretize": 0}
+
+    def counted_encode(s):
+        calls["encode"] += s == grid
+        return encode(s)
+
+    def counted_discretize(x, p):
+        calls["discretize"] += x == a
+        return discretize(x, p)
+
+    for module in (cli_module, intervals_module):
+        monkeypatch.setattr(module, "encode_grid_to_intervals", counted_encode)
+        monkeypatch.setattr(module, "discretize_to_zp", counted_discretize)
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "2",
+                   "--lambda", "9", "--gamma", "1/9", "--p", "10007", "--out", "out") == 0
+    assert calls == {"encode": 1, "discretize": 1}
+
+
 def test_cli_construct_violated_chain_exit_3(tmp_path, monkeypatch, capsys):
     # a false link is reported after the grid, intervals and residues are
     # written, before the chain report and the cache entry
     import dilates.cli as cli_module
 
-    real = cli_module.pipeline_check
-    monkeypatch.setattr(cli_module, "pipeline_check", lambda grid, p, strict=True:
-                        dataclasses.replace(real(grid, p, strict),
-                                            continuous_within_grid=False))
+    real = cli_module._chain_report
+    monkeypatch.setattr(cli_module, "_chain_report", lambda *stages:
+                        dataclasses.replace(real(*stages), continuous_within_grid=False))
     assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "2",
                    "--lambda", "9", "--gamma", "1/9", "--p", "10007", "--out", "out") == 3
     assert "pipeline chain violated" in capsys.readouterr().err

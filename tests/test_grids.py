@@ -134,6 +134,21 @@ def test_sorted_cells_is_one_readonly_ascending_array():
     assert full == GridSet(2, 3, range(9)) and hash(full) == hash(GridSet(2, 3, range(9)))
 
 
+def test_hash_reads_the_array_not_cells():
+    # equal grids hash equal on either cell dtype, and hash() builds no
+    # frozenset of cells
+    for dim, lam, cells in ((2, 3, [1, 5, 6]), (3, 64, range(0, 64**3, 7)),
+                            (2, 2**40, [3, 2**63, 2**80 - 1])):
+        one = GridSet(dim, lam, cells)
+        two = GridSet(dim, lam, np.array(list(cells)[::-1], dtype=object))
+        assert one == two and hash(one) == hash(two)
+        assert "cells" not in one.__dict__ and "cells" not in two.__dict__
+    grid = simplex_grid_set(4, 12)
+    hash(grid)
+    assert "cells" not in grid.__dict__
+    assert hash(grid) == hash(GridSet(4, 12, grid.sorted_cells.tolist()))
+
+
 def _reference_format(s):
     """The per-cell formatter: unflatten each sorted cell, one join per cell."""
     cells = ",".join("(" + ",".join(map(str, s.unflatten(c))) + ")"

@@ -108,10 +108,18 @@ def test_parse_format_roundtrip():
         TorusIntervalSet.parse("9;[1,2)")
 
 
-def test_encode_cap():
-    # 200^4 > 2^30: refused before the one cell is encoded
-    with pytest.raises(ScaleCapError, match="encode cap"):
-        encode_grid_to_intervals(GridSet.from_tuples(4, 200, [(1, 1, 1, 1)]))
+def test_encode_beyond_former_cap():
+    # lam^n past 2^30 encodes: one cell is one arc over 200^4 = 1.6e9
+    one = encode_grid_to_intervals(GridSet.from_tuples(4, 200, [(1, 1, 1, 1)]))
+    assert one.denominator == 200**4 and one.intervals == ((8_040_201, 8_040_202),)
+    # lam^n >= 2^62: exact on Python-int endpoints, runs merged across 2^63
+    d = 2**80
+    s = GridSet(2, 2**40, [3, 4, 2**63 - 1, 2**63, d - 1])
+    a = encode_grid_to_intervals(s)
+    assert a._starts.dtype == object
+    assert a.intervals == ((3, 5), (2**63 - 1, 2**63 + 1), (d - 1, d))
+    assert all(type(v) is int for pair in a.intervals for v in pair)
+    assert a.measure() == F(5, d) == s.measure()
 
 
 def test_contains_set_across_denominators():
@@ -183,12 +191,15 @@ def test_contains_set_matches_brute_force_across_denominators():
         assert seen == {True, False}, (d1, d2)
 
 
-def test_encode_cells_matches_normalize():
+def test_encode_matches_normalize():
+    # lam^n in {2, 9, 64, 1000, 4096}, over several shapes each
+    shapes = [(1, 2), (2, 3), (3, 4), (6, 2), (3, 10), (2, 64), (3, 16), (12, 2)]
     rng = random.Random(31)
     for _ in range(200):
-        d = rng.choice([1, 2, 9, 64, 1000, 4096])
+        dim, lam = rng.choice(shapes)
+        d = lam**dim
         cells = np.array(sorted(rng.sample(range(d), rng.randint(0, d))), dtype=np.int64)
-        got = intervals._encode_cells(d, cells)
+        got = encode_grid_to_intervals(GridSet(dim, lam, cells))
         assert got == TorusIntervalSet._trusted(d, *intervals._normalize(d, cells, cells + 1))
         assert got.measure() == F(len(cells), d)
 
@@ -412,6 +423,22 @@ def test_discretize_matches_per_residue_definition():
     for a in cases:
         for p in (2, 7, 101, 1009):
             assert set(discretize_to_zp(a, p).elements()) == oracle(a, p)
+    # D*p >= 2^62 (at p = 1009 for both, and every p for 10^30): the runs
+    # are found on Python-int endpoints
+    for d in (2**53, 10**30):
+        assert intervals._endpoint_dtype(d * 1009) is object
+        big = [tis(d, [(0, d // 3), (d // 2, d // 2 + 1), (d - d // 5, d)]),
+               tis(d, [(x, x + rng.randint(1, d // 3)) for x in
+                       (rng.randrange(d) for _ in range(4))]),
+               TorusIntervalSet.full(d), TorusIntervalSet.empty(d)]
+        for a in big:
+            for p in (2, 7, 1009):
+                assert set(discretize_to_zp(a, p).elements()) == oracle(a, p)
+    # p far above D: runs of tens of thousands of residues each
+    a = tis(9, [(0, 2), (4, 5), (8, 9)])
+    got = discretize_to_zp(a, 100_003)
+    assert set(got.elements()) == oracle(a, 100_003)
+    assert len(got) == 22_222 + 11_111 + 11_111
 
 
 def test_discretize_density_below_measure_and_converges():

@@ -13,8 +13,11 @@ A set keeps its arcs as two ascending endpoint arrays, int64 while the
 denominator allows and exact Python ints beyond, and every operation reads
 those arrays: sorted cells become arcs by their runs, scaling multiplies
 the endpoints, a Minkowski sum closes one operand per interval length of
-the other, and containment is one binary search of the ends.  The tuple of
-(start, end) pairs is a read-only view, built on first read.
+the other, packs each formed arc as the key (start << k) | end with
+k = (2d).bit_length(), sorts the keys once on the line [0, 2d] and folds
+only the merged arcs mod d, and containment is one binary search of the
+ends.  The tuple of (start, end) pairs is a read-only view, built on
+first read.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
     "pipeline_check",
 ]
 
-_PAIR_CAP = 10**6       # arcs a Minkowski sum forms before normalizing
+_PAIR_CAP = 10**6       # arcs a Minkowski sum forms before merging
 
 
 def _endpoint_dtype(bound: int):
@@ -110,8 +113,9 @@ class TorusIntervalSet:
     Intervals are sorted, pairwise disjoint and non-adjacent; an arc
     crossing 0 is stored split at 0.  The arcs live in two read-only
     endpoint arrays of dtype _endpoint_dtype(D); ``intervals`` is their
-    tuple of (a, b) pairs of Python ints.  Instances are immutable, and
-    ``==``, ``hash`` and ``repr`` are those of (denominator, intervals).
+    tuple of (a, b) pairs of Python ints.  Instances are immutable; ``==``
+    and ``repr`` are those of (denominator, intervals), and ``hash`` reads
+    the endpoint arrays.
     """
 
     __slots__ = ("denominator", "_starts", "_ends", "_pairs")
@@ -163,8 +167,11 @@ class TorusIntervalSet:
                 and np.array_equal(self._starts, other._starts)
                 and np.array_equal(self._ends, other._ends))
 
-    def __hash__(self):
-        return hash((self.denominator, self.intervals))
+    def __hash__(self):  # equal sets share a denominator, so the dtype of their arrays
+        s, e = self._starts, self._ends
+        if s.dtype == object:
+            return hash((self.denominator, tuple(s.tolist()), tuple(e.tolist())))
+        return hash((self.denominator, s.tobytes(), e.tobytes()))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(denominator={self.denominator!r}, "
@@ -265,8 +272,12 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     """A + B by A + [s, s + L) = close(A, L) + s: close(A, L) is the arcs
     [x, y + L) of A, merged wherever the gap to the next arc is <= L, so A
     is closed once per distinct length of B and only the closed arcs are
-    paired with B's starts.  Every end is y + (end of b) <= 2d, which the
-    endpoint dtype holds."""
+    paired with B's starts.  Every formed arc starts below 2d and ends at
+    most 2d < 2^k, k = (2d).bit_length(), so it is written straight into
+    one key array as (start << k) | end, the sum of the packed closed arc
+    and the packed arc of B.  One in-place sort orders the keys on the line
+    [0, 2d], a running maximum of the ends merges them, and only the merged
+    arcs are folded mod d, when the last one ends past d."""
     d = a.denominator
     if a.is_empty() or b.is_empty():
         return TorusIntervalSet.empty(d)
@@ -280,14 +291,31 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     distinct, per_length = np.unique(lengths, return_counts=True)
     # A closed at L keeps the arcs whose gap before them exceeds L
     closed = len(xs) - np.searchsorted(np.sort(gaps[:-1]), distinct, side="right")
-    if int(closed @ per_length) > _PAIR_CAP:
+    formed = int(closed @ per_length)
+    if formed > _PAIR_CAP:
         raise ScaleCapError("interval Minkowski sum exceeds pair cap")
-    starts, ends = [], []
-    for length in distinct.tolist():
-        of_length = lengths == length
-        starts.append((xs[gaps[:-1] > length][:, None] + b._starts[of_length]).ravel())
-        ends.append((ys[gaps[1:] > length][:, None] + b._ends[of_length]).ravel())
-    return TorusIntervalSet._trusted(d, *_normalize(d, np.concatenate(starts), np.concatenate(ends)))
+    k = (2 * d).bit_length()
+    dtype = _endpoint_dtype(d << k)
+    xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
+    packed_b = (b._starts.astype(dtype, copy=False) << k) | b._ends.astype(dtype, copy=False)
+    keys = np.empty(formed, dtype=dtype)
+    at = 0
+    for length, rows, cols in zip(distinct.tolist(), closed.tolist(), per_length.tolist()):
+        packed_a = (xs[gaps[:-1] > length] << k) | ys[gaps[1:] > length]
+        np.add(packed_a[:, None], packed_b[lengths == length],
+               out=keys[at:at + rows * cols].reshape(rows, cols))
+        at += rows * cols
+    keys.sort()
+    # the order among equal starts cannot change the running maximum at
+    # the end of their run
+    ends = keys & ((1 << k) - 1)
+    np.maximum.accumulate(ends, out=ends)
+    keys >>= k
+    cut = np.flatnonzero(keys[1:] > ends[:-1])  # a merged arc ends at each cut
+    starts, ends = keys[np.append(0, cut + 1)], ends[np.append(cut, len(keys) - 1)]
+    if ends[-1] > d:
+        starts, ends = _normalize(d, starts, ends)
+    return TorusIntervalSet._trusted(d, starts, ends)
 
 
 def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
@@ -297,10 +325,11 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     arc [x1 + x2, y1 + y2), but fewer arcs are formed: A is closed once
     per distinct interval length of lam*A and each closed arc is shifted
     by the starts of that length (see _minkowski).  The arcs so formed,
-    counted before any is, may not exceed _PAIR_CAP (else ScaleCapError);
-    they are normalized by one sort of packed keys and a running-maximum
-    merge.  Endpoints are int64 while twice the denominator fits, exact
-    Python ints otherwise.
+    counted before any is, may not exceed _PAIR_CAP (else ScaleCapError).
+    Each is written as the key (start << k) | end, k = (2d).bit_length(),
+    into one array that is sorted once on the line [0, 2d] and merged by
+    running maximum; only the merged arcs are folded mod d.  Keys are int64
+    while d < 2^30, exact Python ints beyond.
     """
     if lam < 2:
         raise ValueError("need lam >= 2")

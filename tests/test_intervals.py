@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from hashlib import sha256
@@ -82,7 +83,6 @@ def test_tuple_form_identity_and_immutability():
     for d, pairs in [(9, ((0, 2), (5, 6))), (9, ()), (2**70, ((3, 2**69), (2**69 + 1, 2**70)))]:
         s = TorusIntervalSet(d, pairs)
         assert s.intervals == pairs
-        assert hash(s) == hash((d, pairs))
         assert repr(s) == f"TorusIntervalSet(denominator={d!r}, intervals={pairs!r})"
         for same in (TorusIntervalSet(d, list(pairs)), TorusIntervalSet.parse(s.format()),
                      tis(d, reversed(pairs)), pickle.loads(pickle.dumps(s))):
@@ -98,6 +98,22 @@ def test_tuple_form_identity_and_immutability():
             del s._starts
     assert tis(9, [(1, 2)]) != tis(9, [(1, 3)])
     assert len({tis(9, [(1, 2)]), tis(9, [(1, 2)])}) == 1
+
+
+def test_hash_reads_the_endpoint_arrays():
+    # equal sets hash equal however they were built, on int64 and on
+    # Python-int endpoints, and hashing builds no tuple of pairs
+    for lam in (9, 2**35):
+        d = lam**2
+        cells = [3, 4, lam + 1, d - 1]
+        built = [encode_grid_to_intervals(GridSet(2, lam, cells)),
+                 TorusIntervalSet(d, ((3, 5), (lam + 1, lam + 2), (d - 1, d))),
+                 tis(d, [(lam + 1, lam + 2), (d - 1, d), (4, 5), (d + 3, d + 4)])]
+        assert built[0]._starts.dtype == (object if d >= 2**62 else np.int64)
+        hashes = {hash(s) for s in built}
+        assert len(hashes) == 1 and all(s._pairs is None for s in built)
+        assert len(set(built)) == 1 and all(s == built[0] for s in built)
+        assert hash(tis(d, [(3, 5)])) != hash(tis(2 * d, [(3, 5)]))
 
 
 def test_parse_format_roundtrip():
@@ -353,12 +369,13 @@ def test_minkowski_closes_once_per_length():
         assert all(type(v) is int for pair in got.intervals for v in pair)
 
 
-@pytest.mark.parametrize("d", [2**31 - 1, 2**31, 2**31 + 1])
+@pytest.mark.parametrize("d", [2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31, 2**31 + 1])
 def test_packed_keys_across_the_dtype_switch(d):
-    # _normalize sorts (start << k) | end with k = d.bit_length(): int64 keys
-    # up to d < 2^31, exact Python ints from there
-    packed = intervals._endpoint_dtype(d << d.bit_length())
-    assert (packed is object) == (d >= 2**31)
+    # _normalize sorts (start << k) | end with k = d.bit_length(), and
+    # _minkowski the formed arcs on the line with k = (2d).bit_length():
+    # int64 keys up to d < 2^31 and d < 2^30, exact Python ints from there
+    assert (intervals._endpoint_dtype(d << d.bit_length()) is object) == (d >= 2**31)
+    assert (intervals._endpoint_dtype(d << (2 * d).bit_length()) is object) == (d >= 2**30)
     rng = random.Random(d)
     edges = [(d - 1, d), (0, 1), (d - 2, d + 3), (d // 2, d // 2 + 1), (d // 2, d)]
     for _ in range(30):
@@ -366,12 +383,55 @@ def test_packed_keys_across_the_dtype_switch(d):
                          for x in (rng.randrange(-d, 2 * d) for _ in range(rng.randint(0, 6)))]
                         for _ in range(2))
         raw_a += rng.sample(edges, 2)
+        raw_b += rng.sample(edges, 1)
         for raw in (raw_a, raw_b):
             got = TorusIntervalSet.from_raw(d, raw).intervals
             assert got == reference_from_raw(d, raw)
             assert all(type(v) is int for pair in got for v in pair)
         a, b = tis(d, raw_a), tis(d, raw_b)
         assert intervals._minkowski(a, b).intervals == reference_minkowski(a, b)
+
+
+def test_minkowski_folds_only_the_merged_arcs(monkeypatch):
+    folded = []
+
+    def spy(d, starts, ends):
+        folded.append(len(starts))
+        return normalize(d, starts, ends)
+
+    normalize = intervals._normalize
+    monkeypatch.setattr(intervals, "_normalize", spy)
+    # the last column counts the merged line arcs handed to the fold
+    for d, raw_a, raw_b, want, fold in [
+        # the line union ends exactly at d: already canonical, no fold
+        (10, [(1, 3)], [(5, 7)], ((6, 10),), 0),
+        (2**70, [(1, 3)], [(2**70 - 5, 2**70 - 3)], ((2**70 - 4, 2**70),), 0),
+        # it runs past d: the merged arc splits at 0
+        (10, [(7, 9)], [(2, 4)], ((0, 3), (9, 10)), 1),
+        (10, [(1, 2), (6, 7)], [(5, 7)], ((1, 4), (6, 9)), 2),
+        # formed arcs [0, 8) and [5, 13), each shorter than d, merge on the
+        # line into [0, 13): the full circle
+        (10, [(0, 4)], [(0, 4), (5, 9)], ((0, 10),), 1),
+    ]:
+        a, b = tis(d, raw_a), tis(d, raw_b)
+        folded.clear()
+        assert reference_minkowski(a, b) == want
+        assert intervals._minkowski(a, b).intervals == want
+        assert folded == ([fold] if fold else [])
+
+
+def test_interval_dilate_sum_memory_per_formed_arc():
+    # the simplex n = 4, lam = 32 sum forms 99 640 arcs that merge to 748;
+    # only packed keys and their running maximum are held per formed arc
+    a = encode_grid_to_intervals(simplex_grid_set(4, 32))
+    tracemalloc.start()
+    try:
+        out = interval_dilate_sum(a, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.intervals) == 748
+    assert peak < 40 * 99_640
 
 
 def test_interval_dilate_sum_against_residue_model():
@@ -475,6 +535,15 @@ def test_interval_model_matches_residue_model():
                              ResidueSet.from_elements(d, range(lam + 1)))
         want = tis(d, [(t, t + 1) for t in residue_sum.elements()])
         assert got == want, (lam, dim, sorted(cells))
+    # simplex grids with lam^n <= 5*10^4, where the sum forms up to ~10^5 arcs
+    for dim, lam in [(4, 5), (4, 14), (5, 3), (5, 8)]:
+        d = lam**dim
+        s = simplex_grid_set(dim, lam)
+        got = interval_dilate_sum(encode_grid_to_intervals(s), lam)
+        residue_sum = sumset(dilate_sum(ResidueSet.from_elements(d, s.sorted_cells), lam),
+                             ResidueSet.from_elements(d, range(lam + 1)))
+        assert got == TorusIntervalSet.from_raw(
+            d, [(t, t + 1) for t in residue_sum.elements()]), (dim, lam)
 
 
 # ---------------------------------------------------------------- pipeline

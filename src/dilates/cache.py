@@ -4,18 +4,20 @@ Layout: <cache_dir>/<kind>/<key>.json holds the canonical JSON outputs
 of one experiment; a .meta.json sidecar holds timestamps and tool version
 so the outputs themselves stay byte-identical across reruns.  The cache
 directory defaults to ./dilates_cache and is overridden by the
-DILATES_CACHE_DIR environment variable.
+DILATES_CACHE_DIR environment variable.  Every file goes through
+atomic_write, which leaves a target that already holds the same bytes
+untouched, so a rerun rewrites only what changed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from hashlib import sha256
 from pathlib import Path
@@ -23,9 +25,11 @@ from pathlib import Path
 ENV_CACHE_DIR = "DILATES_CACHE_DIR"
 KINDS = ("construct", "verify", "search", "sweep", "gap")
 
-# os.umask can only be read by setting it; do that once, at import.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
+# O_EXCL makes the open fail rather than reuse a name another writer (or
+# a crashed one) holds; the counter is process-wide, so threads that share
+# the pid still draw distinct temp names
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+_tmp_numbers = itertools.count()
 
 
 def default_cache_dir() -> Path:
@@ -49,20 +53,58 @@ def key(inputs) -> str:
     return sha256(_compact_json(inputs).encode()).hexdigest()
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write to a fresh temp file in the target's directory, then rename.
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether path is a readable file holding exactly data.  The size
+    from fstat settles most differing files without reading them."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+    except OSError:
+        return False
+    try:
+        return os.fstat(fd).st_size == len(data) and os.read(fd, len(data)) == data
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
 
-    Each writer gets its own temp name (ending in .tmp, so never *.json),
-    so concurrent writers of one path never share a temp file; the last
-    rename wins.  The file gets the mode a plain write would: 0o666 less
-    the process umask.
+
+def _create_temp(path: Path) -> tuple[str, int]:
+    """A new temp file `.<name>.<pid>.<n>.tmp` beside path, opened for
+    writing: its name and descriptor.  A name that exists already (left
+    by a crashed writer) is skipped for the next n; the directory is made
+    only when the open finds it missing."""
+    made_dir = False
+    while True:
+        tmp = os.path.join(path.parent, f".{path.name}.{os.getpid()}.{next(_tmp_numbers)}.tmp")
+        try:
+            return tmp, os.open(tmp, _CREATE, 0o666)
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            if made_dir:
+                raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made_dir = True
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Make path hold data, so that readers see the old file or the new.
+
+    A target that already holds exactly data is left untouched: no write,
+    and its mtime and inode stay.  Otherwise data goes to a fresh temp
+    file in the target's directory (ending in .tmp, so never *.json),
+    which is then renamed over the target.  Each writer gets its own temp
+    name, so concurrent writers of one path never share a temp file; the
+    last rename wins.  The temp file is created with mode 0o666, which
+    the kernel masks by the umask in force at that moment, so the file
+    gets the mode a plain write would.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    if _holds(path, data):
+        return
+    tmp, fd = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -103,11 +145,16 @@ def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
 
 
 def _read_entry(path: Path, decode):
-    """decode() of the JSON in path, or None (with a line on stderr) if
-    either step fails: a file truncated by a crash or a full disk, or an
-    entry whose shape decode does not accept."""
+    """decode() of the JSON in path, or None: silently if no file is
+    there (never written, or deleted since it was listed), and with a
+    line on stderr if either step fails: a file truncated by a crash or a
+    full disk, or an entry whose shape decode does not accept."""
     try:
-        return decode(json.loads(path.read_text()))
+        text = path.read_text()
+    except FileNotFoundError:
+        return None
+    try:
+        return decode(json.loads(text))
     except (AttributeError, ArithmeticError, LookupError, TypeError, ValueError):
         print(f"cache: ignoring undecodable entry {path}", file=sys.stderr)
         return None
@@ -116,15 +163,12 @@ def _read_entry(path: Path, decode):
 def load_outputs(cache_dir, kind: str, inputs_digest: str, decode):
     """decode(outputs) for a digest, or None on a miss.  An undecodable
     entry is a miss too; the caller's next store overwrites it."""
-    path = Path(cache_dir) / kind / f"{inputs_digest}.json"
-    if not path.is_file():
-        return None
-    return _read_entry(path, decode)
+    return _read_entry(Path(cache_dir) / kind / f"{inputs_digest}.json", decode)
 
 
 def list_outputs(cache_dir, kind: str, decode) -> list[tuple[str, object]]:
     """(digest, decode(outputs)) for every entry of one kind that decodes,
-    sorted by digest."""
+    sorted by digest; an entry deleted after the listing is skipped."""
     root = Path(cache_dir) / kind
     if not root.is_dir():
         return []

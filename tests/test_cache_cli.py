@@ -1,8 +1,10 @@
 """Cache layout, experiment records, and the command-line surface."""
 
 import dataclasses
+import itertools
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -88,6 +90,113 @@ def test_atomic_write_concurrent_writers(tmp_path):
     plain = tmp_path / "plain.json"
     plain.write_bytes(b"{}")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_atomic_write_leaves_identical_target_untouched(tmp_path):
+    target = tmp_path / "a" / "b" / "entry.json"  # directories made on demand
+    data = cache_mod.canonical_json({"v": 1})
+    cache_mod.atomic_write(target, data)
+    os.utime(target, ns=(10**9, 10**9))  # an old mtime, so any rewrite shows
+    before = target.stat()
+    cache_mod.atomic_write(target, data)
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, 10**9)
+    assert target.read_bytes() == data
+
+
+@pytest.mark.parametrize("old", [b"", b'{"v":1}', b'{"v":2}\n', b'{"v":1}\n\n'])
+def test_atomic_write_replaces_differing_target(tmp_path, old):
+    # truncated, same size with other bytes, and longer: each is replaced
+    target = tmp_path / "entry.json"
+    target.write_bytes(old)
+    inode = target.stat().st_ino
+    cache_mod.atomic_write(target, b'{"v":1}\n')
+    assert target.read_bytes() == b'{"v":1}\n'
+    assert target.stat().st_ino != inode
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_atomic_write_skips_a_stale_temp_name(tmp_path, monkeypatch):
+    # a temp file a crashed writer left under the next name blocks nothing
+    # and is not touched
+    monkeypatch.setattr(cache_mod, "_tmp_numbers", itertools.count(7))
+    target = tmp_path / "entry.json"
+    stale = tmp_path / f".entry.json.{os.getpid()}.7.tmp"
+    stale.write_bytes(b"left by a crash")
+    cache_mod.atomic_write(target, b"new\n")
+    assert target.read_bytes() == b"new\n"
+    assert stale.read_bytes() == b"left by a crash"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, target.name]
+
+
+def test_atomic_write_failed_rename_leaves_no_temp(tmp_path):
+    target = tmp_path / "entry.json"
+    target.mkdir()
+    # data as long as the directory's size, so the identity check reads it too
+    with pytest.raises(OSError):
+        cache_mod.atomic_write(target, b"x" * target.stat().st_size)
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert target.is_dir()
+
+
+def test_atomic_write_mode_follows_the_current_umask(tmp_path):
+    # the umask set after import is the one that counts, as for a plain write
+    old = os.umask(0o077)
+    try:
+        cache_mod.atomic_write(tmp_path / "entry.json", b"{}")
+        (tmp_path / "plain.json").write_bytes(b"{}")
+    finally:
+        os.umask(old)
+    modes = {(tmp_path / n).stat().st_mode for n in ("entry.json", "plain.json")}
+    assert modes == {0o100600}
+
+
+_RACE_WRITER = """
+import sys, time
+from pathlib import Path
+from dilates.cache import atomic_write
+target, go, data = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3].encode()
+while not go.exists():
+    time.sleep(0.001)
+for i in range(200):
+    atomic_write(target, data if i % 2 else data + b"!")
+atomic_write(target, data)
+"""
+
+
+def test_atomic_write_racing_processes(tmp_path):
+    # writers in separate processes, each alternating two payloads so that
+    # most writes replace the target rather than find it identical
+    target = tmp_path / "cache" / "entry.json"
+    go = tmp_path / "go"
+    env = {**os.environ, "PYTHONPATH": str(Path(cache_mod.__file__).parents[1])}
+    payloads = [f"writer {i}\n" for i in range(3)]
+    procs = [subprocess.Popen([sys.executable, "-c", _RACE_WRITER, str(target), str(go), d],
+                              env=env) for d in payloads]
+    try:
+        go.touch()
+        codes = [p.wait(timeout=60) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert codes == [0, 0, 0]
+    assert target.read_text() in payloads
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+def test_list_outputs_skips_an_entry_deleted_while_listing(tmp_path, capsys):
+    for digest in ("aa", "bb", "cc"):
+        cache_mod.store_experiment(tmp_path, "search", digest * 32, {"v": digest})
+    victim = tmp_path / "search" / ("bb" * 32 + ".json")
+
+    def decode(outputs):
+        victim.unlink(missing_ok=True)  # gone after the glob, before its read
+        return outputs
+
+    listed = cache_mod.list_outputs(tmp_path, "search", decode)
+    assert [d for d, _ in listed] == ["aa" * 32, "cc" * 32]
+    assert cache_mod.load_outputs(tmp_path, "search", "bb" * 32, decode) is None
+    assert capsys.readouterr().err == ""
 
 
 def test_list_outputs_sorted(tmp_path):

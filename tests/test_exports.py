@@ -30,8 +30,8 @@ def test_package_modules_found():
 
 
 def test_import_loads_no_cache_or_cli_code():
-    # the cache module pulls in subprocess and tempfile; search reaches it
-    # lazily, so `import dilates` pays for none of them
+    # the cache module pulls in subprocess; search reaches it lazily, so
+    # `import dilates` pays for neither
     env = {**os.environ, "PYTHONPATH": str(Path(dilates.__file__).parents[1])}
     code = ("import sys, dilates; print(' '.join(m for m in "
             "('dilates.cache', 'dilates.cli', 'subprocess') if m in sys.modules))")

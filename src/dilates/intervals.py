@@ -22,8 +22,9 @@ first read.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -73,16 +74,26 @@ def _pair_array(d: int, pairs) -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(-1, 2)
 
 
-def _as_pairs(starts: np.ndarray, ends: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple(zip(starts.tolist(), ends.tolist()))
+def _merge(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end arrays of the union of the nonempty arcs packed as keys
+    (start << k) | end, every end < 2^k: sorts keys in place, which orders
+    the arcs by start, and merges them (touching arcs too) by a running
+    maximum of the ends, cutting wherever a start passes it.  The order
+    among equal starts cannot change the running maximum at the end of
+    their run."""
+    keys.sort()
+    ends = keys & ((1 << k) - 1)
+    np.maximum.accumulate(ends, out=ends)
+    keys >>= k
+    cut = np.flatnonzero(keys[1:] > ends[:-1])  # a merged arc ends at each cut
+    return keys[np.append(0, cut + 1)], ends[np.append(cut, len(keys) - 1)]
 
 
 def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical endpoint arrays of the union of the arcs [starts[i], ends[i])
     mod d: empty arcs are dropped, an arc of length >= d makes the full
-    circle, the rest are reduced into [0, d), split at 0, sorted on their
-    starts (one sort of packed keys) and merged (touching arcs too) by
-    running maximum of the ends."""
+    circle, the rest are reduced into [0, d), split at 0, packed with
+    k = d.bit_length() and merged by _merge."""
     lengths = ends - starts
     keep = lengths > 0
     if not keep.all():
@@ -96,29 +107,26 @@ def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray
     wrap = ends > d
     starts = np.concatenate((starts, np.zeros(np.count_nonzero(wrap), dtype=starts.dtype)))
     ends = np.concatenate((np.minimum(ends, d), ends[wrap] - d))
-    # every end is <= d < 2^k, so one sort of the keys (start << k) | end
-    # orders the arcs by start; the order among equal starts cannot change
-    # the running maximum at the end of their run
-    k = d.bit_length()
+    k = d.bit_length()  # every end is <= d < 2^k
     dtype = _endpoint_dtype(d << k)
-    keys = np.sort((starts.astype(dtype, copy=False) << k) | ends.astype(dtype, copy=False))
-    starts, ends = keys >> k, np.maximum.accumulate(keys & ((1 << k) - 1))
-    gap = starts[1:] > ends[:-1]
-    return starts[np.concatenate(([True], gap))], ends[np.concatenate((gap, [True]))]
+    return _merge((starts.astype(dtype, copy=False) << k) | ends.astype(dtype, copy=False), k)
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class TorusIntervalSet:
     """A finite union of half-open intervals [a/D, b/D) on the circle.
 
     Intervals are sorted, pairwise disjoint and non-adjacent; an arc
     crossing 0 is stored split at 0.  The arcs live in two read-only
     endpoint arrays of dtype _endpoint_dtype(D); ``intervals`` is their
-    tuple of (a, b) pairs of Python ints.  Instances are immutable; ``==``
-    and ``repr`` are those of (denominator, intervals), and ``hash`` reads
-    the endpoint arrays.
+    tuple of (a, b) pairs of Python ints, built on first read.  ``==``
+    and ``repr`` are those of (denominator, intervals), ``hash`` reads the
+    endpoint arrays, and a pickle holds the arrays.
     """
 
-    __slots__ = ("denominator", "_starts", "_ends", "_pairs")
+    denominator: int
+    _starts: np.ndarray
+    _ends: np.ndarray
 
     def __init__(self, denominator: int, intervals) -> None:
         d = _denominator(denominator)
@@ -137,8 +145,7 @@ class TorusIntervalSet:
         dtype = _endpoint_dtype(d)
         starts, ends = (np.ascontiguousarray(x, dtype=dtype) for x in (starts, ends))
         starts.flags.writeable = ends.flags.writeable = False
-        for name, value in (("denominator", d), ("_starts", starts), ("_ends", ends),
-                            ("_pairs", None)):
+        for name, value in (("denominator", d), ("_starts", starts), ("_ends", ends)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -148,17 +155,9 @@ class TorusIntervalSet:
         out._set(d, starts, ends)
         return out
 
-    @property
+    @cached_property
     def intervals(self) -> tuple[tuple[int, int], ...]:
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs", _as_pairs(self._starts, self._ends))
-        return self._pairs
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return tuple(zip(self._starts.tolist(), self._ends.tolist()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -178,7 +177,7 @@ class TorusIntervalSet:
                 f"intervals={self.intervals!r})")
 
     def __reduce__(self):
-        return type(self), (self.denominator, self.intervals)
+        return TorusIntervalSet._trusted, (self.denominator, self._starts, self._ends)
 
     @classmethod
     def from_raw(cls, denominator: int, raw_pairs) -> "TorusIntervalSet":
@@ -275,9 +274,9 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     paired with B's starts.  Every formed arc starts below 2d and ends at
     most 2d < 2^k, k = (2d).bit_length(), so it is written straight into
     one key array as (start << k) | end, the sum of the packed closed arc
-    and the packed arc of B.  One in-place sort orders the keys on the line
-    [0, 2d], a running maximum of the ends merges them, and only the merged
-    arcs are folded mod d, when the last one ends past d."""
+    and the packed arc of B (int64 while d < 2^30, exact Python ints
+    beyond).  _merge merges the keys on the line [0, 2d], and only the
+    merged arcs are folded mod d, when the last one ends past d."""
     d = a.denominator
     if a.is_empty() or b.is_empty():
         return TorusIntervalSet.empty(d)
@@ -305,31 +304,16 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
         np.add(packed_a[:, None], packed_b[lengths == length],
                out=keys[at:at + rows * cols].reshape(rows, cols))
         at += rows * cols
-    keys.sort()
-    # the order among equal starts cannot change the running maximum at
-    # the end of their run
-    ends = keys & ((1 << k) - 1)
-    np.maximum.accumulate(ends, out=ends)
-    keys >>= k
-    cut = np.flatnonzero(keys[1:] > ends[:-1])  # a merged arc ends at each cut
-    starts, ends = keys[np.append(0, cut + 1)], ends[np.append(cut, len(keys) - 1)]
+    starts, ends = _merge(keys, k)
     if ends[-1] > d:
         starts, ends = _normalize(d, starts, ends)
     return TorusIntervalSet._trusted(d, starts, ends)
 
 
 def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
-    """Exact A + lam*A on the circle.
-
-    Every pair of intervals [x1, y1) of A and [x2, y2) of lam*A gives the
-    arc [x1 + x2, y1 + y2), but fewer arcs are formed: A is closed once
-    per distinct interval length of lam*A and each closed arc is shifted
-    by the starts of that length (see _minkowski).  The arcs so formed,
-    counted before any is, may not exceed _PAIR_CAP (else ScaleCapError).
-    Each is written as the key (start << k) | end, k = (2d).bit_length(),
-    into one array that is sorted once on the line [0, 2d] and merged by
-    running maximum; only the merged arcs are folded mod d.  Keys are int64
-    while d < 2^30, exact Python ints beyond.
+    """Exact A + lam*A on the circle, the Minkowski sum of A and
+    scale_intervals(a, lam) by _minkowski.  The arcs it forms, counted
+    before any is, may not exceed _PAIR_CAP (else ScaleCapError).
     """
     if lam < 2:
         raise ValueError("need lam >= 2")

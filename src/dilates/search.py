@@ -333,16 +333,15 @@ class SweepReport:
     cached: int = 0
 
 
-def sweep(p_values, lam_values, m_rule, mode: str = "exact", seed: int = 0,
+def sweep(p_values, lam_values, m_values, mode: str = "exact", seed: int = 0,
           budget: int = 0, cache_dir=None) -> SweepReport:
     """One result per (p, lam, m) cell, deterministic order, cached by task
-    digest.  m_rule is an iterable of m values or a callable p -> iterable.
-    Per-cell errors are recorded and the sweep continues."""
+    digest.  Per-cell errors are recorded and the sweep continues."""
     report = SweepReport(tasks=[], results=[], errors=[])
+    m_values = list(m_values)
     for p in p_values:
-        ms = list(m_rule(p)) if callable(m_rule) else list(m_rule)
         for lam in lam_values:
-            for m in ms:
+            for m in m_values:
                 try:
                     task = SearchTask(p=p, lam=lam, m=m, mode=mode,
                                       seed=seed, budget=budget)

@@ -17,8 +17,8 @@ import pytest
 from dilates import cache as cache_mod
 from dilates.cli import main
 from dilates.grids import box_grid_set, optimized_box_sides_3d
+from dilates.residues import ResidueSet
 from dilates.search import SearchTask, decode_entry
-from dilates.verify import SuiteSummary
 from test_grids import _reference_format
 
 
@@ -262,6 +262,18 @@ def test_cli_construct_composite_modulus_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--d", "2", "--gamma", "1/9", "--optimized"), "unequal-sides 3-d box"),
+    (("--d", "2"), "need --gamma or --sides"),
+])
+def test_cli_construct_box_flag_errors_exit_2(tmp_path, capsys, flags, message):
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
+                   "--lambda", "9", *flags, "--out", "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
 def test_cli_construct_simplex(tmp_path):
     code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "simplex",
                    "--n", "6", "--out", "out")
@@ -422,16 +434,46 @@ def test_cli_verify_suites_at_small_primes(tmp_path, capsys, suite, p):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_cli_verify_math_failure_exit_code(tmp_path, monkeypatch):
-    # wiring test: a suite reporting violations must exit 3
+def test_cli_verify_math_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a broken sumset kernel fails every Cauchy-Davenport case of the real
+    # suite: all are counted, the first five reported, and the CLI exits 3
+    import dilates.checks as checks_module
+
+    monkeypatch.setattr(checks_module, "sumset", lambda a, b: ResidueSet(a.modulus, 0))
+    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
+                   "--cases", "8") == 3
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert (summary["cases"], summary["violations"], summary["ok"]) == (8, 8, False)
+    assert len(summary["first_failures"]) == 5
+    assert all(f["holds"] is False and f["lhs"] == "0" for f in summary["first_failures"])
+    assert "suite cd: 8 violation(s)" in captured.err
+
+
+@pytest.mark.parametrize("name, broken, reported", [
+    # |u*A + v + lam*(u*A + v)| read off the low bits differs from |A + lam*A|
+    pytest.param("dilate_sum", lambda a, lam: ResidueSet(a.modulus, a.bits & 0xFF), True,
+                 id="dilate_sum"),
+    # the identity is no canonical form: an orbit's images disagree
+    pytest.param("canonical_form", lambda a: a, False, id="canonical_form"),
+])
+def test_cli_verify_affine_violations_exit_3(tmp_path, monkeypatch, capsys, name, broken,
+                                             reported):
     import dilates.verify as verify_module
 
-    def broken(p, cases, seed):
-        return SuiteSummary("cd", cases, 1)
-
-    monkeypatch.setattr(verify_module, "run_cd_suite", broken)
-    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
-                   "--cases", "5") == 3
+    monkeypatch.setattr(verify_module, name, broken)
+    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "affine",
+                   "--cases", "20") == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["violations"] > 0 and summary["cases"] == 20 + 25
+    failures = summary["first_failures"]
+    if reported:
+        assert 0 < len(failures) <= 5
+        assert all(f["lhs"] != f["rhs"] for f in failures)
+        assert summary["stats"]["orbit_canonical_constant"] == 25
+    else:
+        assert failures == []
+        assert summary["violations"] == 25 - summary["stats"]["orbit_canonical_constant"]
 
 
 def _entries(cache_dir, kind):
@@ -488,6 +530,16 @@ def test_cli_sweep_and_report(tmp_path):
     env = (tmp_path / "plots" / "envelope_lambda2.dat").read_text()
     assert env.splitlines()[0] == "# alpha envelope_min_over_p"
     assert len(env.splitlines()) == 5
+
+
+def test_cli_sweep_reports_cell_errors_and_exits_0(tmp_path, capsys):
+    # m = 0 is no search cell: its error goes to stderr, the other cells run
+    assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", "5",
+                   "--lambda", "2", "--m-range", "0..2", "--out", "sw") == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cell error: {'p': 5, 'lambda': 2, 'm': 0, ")
+    assert "2 cells (2 computed, 0 cached), 1 errors" in captured.out
+    assert json.loads((tmp_path / "sw" / "sweep.json").read_text())["errors"][0]["m"] == 0
 
 
 def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):

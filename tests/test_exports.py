@@ -1,7 +1,8 @@
 """Every name a module lists in __all__ exists, so a deleted helper
 cannot linger in an export list; importing the package stays light; every
 library name the benchmark's tracer patches still exists, and the
-benchmark's tiny pipeline ops pass the benchmark's own checks."""
+benchmark's tiny pipeline ops pass the benchmark's own checks.  Public
+entry points refuse out-of-range input with ValueError."""
 
 import importlib
 import importlib.util
@@ -14,6 +15,12 @@ from pathlib import Path
 import pytest
 
 import dilates
+from dilates.checks import check_kfold_cd_chain
+from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
+from dilates.grids import DigitSumSet, GridSet, project_drop_last
+from dilates.intervals import TorusIntervalSet, scale_intervals
+from dilates.residues import ResidueSet, is_prime
+from dilates.search import SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dilates.__path__, "dilates."))
 
@@ -78,3 +85,45 @@ def test_bench_tiny_pipeline_ops_pass_their_checks(monkeypatch, tmp_path):
     for op in [*workload.ops, workload.warm]:
         outs[op.key_text] = op.run(tmp_path)
         op.check(outs[op.key_text], outs)
+
+
+GAP = Gap(7, 0, (1,), (3,))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Gap(7, 7, (1,), (2,)), "base out of range", id="gap-base"),
+    pytest.param(lambda: Gap(7, 0, (7,), (2,)), "generator 7 out of range", id="gap-generator"),
+    pytest.param(lambda: Gap(7, 0, (1,), (0,)), "length 0 must be >= 1", id="gap-length"),
+    pytest.param(lambda: Gap.parse("p=7;a=0;v=[1;k=[2]"), "bad list", id="gap-parse-list"),
+    pytest.param(lambda: truncate_to_large_steps(GAP, 1), "need lam >= 2", id="truncate-lam"),
+    pytest.param(lambda: lambda_span_check(GAP, 1, 1), "need lam >= 2", id="span-lam"),
+    pytest.param(lambda: find_max_proper_gap(ResidueSet.from_elements(7, [1, 2]), 0),
+                 "need d_max >= 1", id="finder-d-max"),
+    pytest.param(lambda: GridSet(0, 3, ()), "dimension must be >= 1", id="grid-dim"),
+    pytest.param(lambda: GridSet(2, 1, ()), "resolution must be >= 2", id="grid-lam"),
+    pytest.param(lambda: GridSet.parse("n=2;lambda=3"), "bad grid literal", id="grid-parse"),
+    pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=(0,0)"), "bad grid cell list",
+                 id="grid-parse-cells"),
+    pytest.param(lambda: DigitSumSet(0, 3, 1), "need dim >= 1", id="digit-sum-dim"),
+    pytest.param(lambda: DigitSumSet(2, 1, 1), "lam >= 2", id="digit-sum-lam"),
+    pytest.param(lambda: DigitSumSet.parse("m=2;lambda=3"), "bad digit-sum literal",
+                 id="digit-sum-parse"),
+    pytest.param(lambda: project_drop_last(GridSet(1, 3, [0])), "dimension >= 2",
+                 id="project-dim"),
+    pytest.param(lambda: scale_intervals(TorusIntervalSet.empty(9), 0), "need lam >= 1",
+                 id="scale-lam"),
+    pytest.param(lambda: TorusIntervalSet.parse("D=9;[1,2]"), "bad interval chunk",
+                 id="intervals-parse-chunk"),
+    pytest.param(lambda: SearchTask(7, 2, 3, budget=-1), "budget must be >= 0",
+                 id="task-budget"),
+    pytest.param(lambda: exact_min_dilate_sumset(SearchTask(7, 2, 3, mode="heuristic")),
+                 "must be 'exact'", id="exact-mode"),
+    pytest.param(lambda: heuristic_min_dilate_sumset(SearchTask(7, 2, 3)),
+                 "must be 'heuristic'", id="heuristic-mode"),
+    pytest.param(lambda: check_kfold_cd_chain(ResidueSet.from_elements(7, [1]), 1, 2),
+                 "need k >= 2", id="kfold-k"),
+    pytest.param(lambda: is_prime(2**64 + 1), "limited to n < 2", id="is-prime-range"),
+])
+def test_out_of_range_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

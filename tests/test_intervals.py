@@ -14,7 +14,7 @@ import pytest
 
 from dilates import intervals
 from dilates.cache import canonical_json
-from dilates.errors import ScaleCapError
+from dilates.errors import MathAssertionError, ScaleCapError
 from dilates.grids import (GridSet, box_grid_set, grid_projection_sumset,
                            optimized_box_sides_3d, simplex_grid_set)
 from dilates.intervals import (TorusIntervalSet, discretize_to_zp,
@@ -111,9 +111,25 @@ def test_hash_reads_the_endpoint_arrays():
                  tis(d, [(lam + 1, lam + 2), (d - 1, d), (4, 5), (d + 3, d + 4)])]
         assert built[0]._starts.dtype == (object if d >= 2**62 else np.int64)
         hashes = {hash(s) for s in built}
-        assert len(hashes) == 1 and all(s._pairs is None for s in built)
+        assert len(hashes) == 1 and all("intervals" not in s.__dict__ for s in built)
         assert len(set(built)) == 1 and all(s == built[0] for s in built)
         assert hash(tis(d, [(3, 5)])) != hash(tis(2 * d, [(3, 5)]))
+
+
+def test_pickle_carries_the_endpoint_arrays():
+    # a round trip neither builds nor needs the tuple view, on int64 and on
+    # Python-int endpoints
+    lam = 2**35
+    sets = (encode_grid_to_intervals(simplex_grid_set(4, 90)),
+            encode_grid_to_intervals(GridSet(2, lam, [3, 4, lam + 1, lam**2 - 1])))
+    assert [len(s._starts) for s in sets] == [98770, 3]
+    assert [s._starts.dtype for s in sets] == [np.int64, object]
+    for s in sets:
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s) and back._starts.dtype == s._starts.dtype
+        assert not (back._starts.flags.writeable or back._ends.flags.writeable)
+        assert "intervals" not in s.__dict__ and "intervals" not in back.__dict__
+        assert back.intervals == s.intervals
 
 
 def test_parse_format_roundtrip():
@@ -633,10 +649,10 @@ def test_pipeline_anchor_chain_pinned():
 
 def test_pipeline_builds_no_interval_tuples(monkeypatch):
     # every stage reads the endpoint arrays; the tuple view is for callers
-    def refuse(starts, ends):
+    def refuse(self):
         raise AssertionError("pipeline stage built an interval tuple")
 
-    monkeypatch.setattr(intervals, "_as_pairs", refuse)
+    monkeypatch.setattr(TorusIntervalSet, "intervals", property(refuse))
     grids = [simplex_grid_set(7, 8), simplex_grid_set(4, 9),
              box_grid_set(2, 9, [F(1, 3), F(1, 3)]),
              box_grid_set(3, 64, optimized_box_sides_3d(F(1, 64), 64)), GridSet.empty(2, 3)]
@@ -644,6 +660,19 @@ def test_pipeline_builds_no_interval_tuples(monkeypatch):
         assert pipeline_check(grid, p).all_hold
     with pytest.raises(AssertionError, match="tuple"):
         _ = tis(9, [(1, 2)]).intervals
+
+
+def test_pipeline_check_strict_raises_on_a_broken_kernel(monkeypatch):
+    # a residue sum that fills Z/pZ passes mu(A + lam*A): strict raises,
+    # non-strict reports the one false link
+    monkeypatch.setattr(intervals, "dilate_sum",
+                        lambda a, lam: ResidueSet(a.modulus, (1 << a.modulus) - 1))
+    grid = simplex_grid_set(4, 9)
+    with pytest.raises(MathAssertionError, match="pipeline chain violated"):
+        pipeline_check(grid, 6563)
+    rep = pipeline_check(grid, 6563, strict=False)
+    assert rep.residue_dilate_sum_density == 1 and not rep.discrete_within_continuous
+    assert rep.continuous_within_grid and rep.interval_inside_grid_prediction
 
 
 def test_overflow_containment_random_grids():

@@ -314,11 +314,6 @@ def test_sweep_table_and_errors():
     assert csv_text.endswith("\n")
 
 
-def test_sweep_m_rule_callable():
-    report = sweep([5, 7], [2], lambda p: [(p - 1) // 2])
-    assert [(t.p, t.m) for t in report.tasks] == [(5, 2), (7, 3)]
-
-
 def test_sweep_cache_roundtrip(tmp_path):
     args = ([5, 7], [2, 3], [1, 2])
     first = sweep(*args, cache_dir=tmp_path)

@@ -12,6 +12,7 @@ cache state; timestamps live only in .meta.json sidecars.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -265,7 +266,10 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call; each
+    subcommand's handler is bound into it then."""
     parser = argparse.ArgumentParser(
         prog="dilates",
         description="sums-of-dilates toolbox: constructions, verification, search")

@@ -63,6 +63,13 @@ def nth_root_floor(x: int, k: int) -> int:
         r = s
 
 
+def _require_dim(dim: int) -> int:
+    dim = operator.index(dim)
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    return dim
+
+
 def _cell_dtype(dim: int, lam: int):
     """int64 while every flat index of (Z/lam Z)^dim fits in it, exact
     Python ints (dtype=object) beyond."""
@@ -81,9 +88,7 @@ class GridSet:
     sorted_cells: np.ndarray
 
     def __init__(self, dim: int, lam: int, cells) -> None:
-        dim, lam = operator.index(dim), operator.index(lam)
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        dim, lam = _require_dim(dim), operator.index(lam)
         if lam < 2:
             raise ValueError(f"resolution must be >= 2, got {lam}")
         dtype = _cell_dtype(dim, lam)
@@ -260,6 +265,7 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
     A cell [x/lam, (x+1)/lam) lies in (0, s) iff x >= 1 and x+1 <= lam*s,
     decided by exact rational comparison.
     """
+    d = _require_dim(d)
     sides = [_as_fraction(s) for s in sides]
     if len(sides) != d:
         raise ValueError(f"expected {d} sides, got {len(sides)}")
@@ -289,6 +295,7 @@ def _root_side(value: Fraction, d: int, lam: int | None) -> Fraction:
 
 def equal_box_sides(d: int, gamma, lam: int | None = None) -> tuple[Fraction, ...]:
     """Side lengths of the volume-gamma cube: gamma**(1/d) on every axis."""
+    d = _require_dim(d)
     side = _root_side(_as_fraction(gamma), d, lam)
     return (side,) * d
 

@@ -46,9 +46,13 @@ class SuiteSummary:
     def record(self, report) -> None:
         self.cases += 1
         if not report.holds:
-            self.violations += 1
-            if len(self.first_failures) < 5:
-                self.first_failures.append(report.to_json_dict())
+            self.fail(report.to_json_dict())
+
+    def fail(self, failure: dict) -> None:
+        """Count one violation; the first five are kept to reproduce."""
+        self.violations += 1
+        if len(self.first_failures) < 5:
+            self.first_failures.append(failure)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,21 +195,21 @@ def run_affine_suite(p: int, cases: int, seed: int = 0,
         rhs = len(dilate_sum(a, lam))
         summary.cases += 1
         if lhs != rhs:
-            summary.violations += 1
-            if len(summary.first_failures) < 5:
-                summary.first_failures.append(
-                    {"set": a.format(), "u": u, "v": v, "lambda": lam,
-                     "lhs": lhs, "rhs": rhs})
+            summary.fail({"set": a.format(), "u": u, "v": v, "lambda": lam,
+                          "lhs": lhs, "rhs": rhs})
     constant = 0
     for _ in range(orbit_samples):
         a = _random_subset(rng, p, rng.randint(1, min(10, p)))
         u = rng.randint(1, p - 1)
         v = rng.randrange(p)
         summary.cases += 1
-        if canonical_form(a) == canonical_form(affine_image(a, u, v)):
+        form, image_form = canonical_form(a), canonical_form(affine_image(a, u, v))
+        if form == image_form:
             constant += 1
         else:
-            summary.violations += 1
+            summary.fail({"set": a.format(), "u": u, "v": v,
+                          "canonical_form": form.format(),
+                          "image_canonical_form": image_form.format()})
     summary.stats["orbit_samples"] = orbit_samples
     summary.stats["orbit_canonical_constant"] = constant
     return summary

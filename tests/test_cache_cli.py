@@ -17,7 +17,7 @@ import pytest
 from dilates import cache as cache_mod
 from dilates.cli import main
 from dilates.grids import box_grid_set, optimized_box_sides_3d
-from dilates.residues import ResidueSet
+from dilates.residues import ResidueSet, affine_image, canonical_form
 from dilates.search import SearchTask, decode_entry
 from test_grids import _reference_format
 
@@ -384,6 +384,8 @@ def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):
      "must be prime"),
     (("construct", "simplex", "--n", "5", "--lambda", "0"), "resolution"),
     (("verify", "ruzsa", "--modulus", "-5", "--cases", "3"), "modulus must be positive"),
+    (("construct", "box", "--d", "0", "--lambda", "9", "--gamma", "1/9"),
+     "dimension must be >= 1"),
 ])
 def test_cli_zero_and_negative_values_exit_2(tmp_path, capsys, argv, message):
     # 0 is a value, not "absent": no traceback, no silently skipped step
@@ -450,15 +452,14 @@ def test_cli_verify_math_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "suite cd: 8 violation(s)" in captured.err
 
 
-@pytest.mark.parametrize("name, broken, reported", [
+@pytest.mark.parametrize("name, broken", [
     # |u*A + v + lam*(u*A + v)| read off the low bits differs from |A + lam*A|
-    pytest.param("dilate_sum", lambda a, lam: ResidueSet(a.modulus, a.bits & 0xFF), True,
+    pytest.param("dilate_sum", lambda a, lam: ResidueSet(a.modulus, a.bits & 0xFF),
                  id="dilate_sum"),
     # the identity is no canonical form: an orbit's images disagree
-    pytest.param("canonical_form", lambda a: a, False, id="canonical_form"),
+    pytest.param("canonical_form", lambda a: a, id="canonical_form"),
 ])
-def test_cli_verify_affine_violations_exit_3(tmp_path, monkeypatch, capsys, name, broken,
-                                             reported):
+def test_cli_verify_affine_violations_exit_3(tmp_path, monkeypatch, capsys, name, broken):
     import dilates.verify as verify_module
 
     monkeypatch.setattr(verify_module, name, broken)
@@ -467,13 +468,21 @@ def test_cli_verify_affine_violations_exit_3(tmp_path, monkeypatch, capsys, name
     summary = json.loads(capsys.readouterr().out)
     assert summary["violations"] > 0 and summary["cases"] == 20 + 25
     failures = summary["first_failures"]
-    if reported:
-        assert 0 < len(failures) <= 5
+    assert 0 < len(failures) <= 5
+    constant = summary["stats"]["orbit_canonical_constant"]
+    if name == "dilate_sum":
         assert all(f["lhs"] != f["rhs"] for f in failures)
-        assert summary["stats"]["orbit_canonical_constant"] == 25
+        assert constant == 25
     else:
-        assert failures == []
-        assert summary["violations"] == 25 - summary["stats"]["orbit_canonical_constant"]
+        # each entry names a set, u and v whose orbit shows the mismatch
+        for f in failures:
+            a = ResidueSet.parse(f["set"])
+            image = affine_image(a, f["u"], f["v"])
+            assert [broken(a).format(), broken(image).format()] == \
+                [f["canonical_form"], f["image_canonical_form"]]
+            assert f["canonical_form"] != f["image_canonical_form"]
+            assert canonical_form(a) == canonical_form(image)
+        assert summary["violations"] == 25 - constant
 
 
 def _entries(cache_dir, kind):
@@ -650,3 +659,76 @@ def test_cli_gap_span_refuses_huge_exponent_at_once(tmp_path):
 def test_cli_usage_error_on_bad_literal(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "gap", "find",
                    "--set", "nonsense", "--d-max", "2") == 2
+
+
+_RERUN_COMMANDS = [
+    ("construct", "box", "--d", "2", "--lambda", "9", "--gamma", "1/9", "--p", "10007",
+     "--out", "out"),
+    ("verify", "cd", "--p", "101", "--cases", "50"),
+    ("sweep", "--p", "5,7", "--lambda", "2", "--m-range", "2..3", "--out", "sweep"),
+    ("report", "--out", "plots"),
+    ("construct", "simplex", "--n", "6"),
+]
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and not p.name.endswith(".meta.json")}
+
+
+def test_cli_main_repeated_in_one_process(tmp_path, monkeypatch, capsys):
+    # main builds its parser once and keeps it: after a usage error and a
+    # refused input, each command prints and writes what it did before, and
+    # what one fresh process per command prints and writes
+    import dilates.cli as cli_module
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps alike in every process
+    monkeypatch.delenv(cache_mod.ENV_CACHE_DIR, raising=False)
+    cli_module.build_parser.cache_clear()
+
+    def help_text():
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    helps = [help_text()]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path / "errors", "construct", "box", "--lambda", "9", "--gamma", "1/9")
+    assert exc.value.code == 2
+    assert "required: --d" in capsys.readouterr().err
+    assert run_cli(tmp_path / "errors", "construct", "box", "--d", "0", "--lambda", "9",
+                   "--gamma", "1/9") == 2
+    assert capsys.readouterr().err == "error: dimension must be >= 1, got 0\n"
+
+    rounds = []
+    for name in ("round0", "round1"):
+        printed = []
+        for argv in _RERUN_COMMANDS:
+            assert run_cli(tmp_path / name, "--cache-dir", "cache", *argv) == 0
+            printed.append(capsys.readouterr().out)
+        rounds.append((printed, _tree(tmp_path / name)))
+        helps.append(help_text())
+    assert rounds[0] == rounds[1]
+    assert len(helps) == 3 and len(set(helps)) == 1
+    # 15 calls: three --help, two refused, ten commands; one built the parser
+    info = cli_module.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 14)
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+
+    def fresh_run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "dilates", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    printed = [fresh_run("--cache-dir", "cache", *argv) for argv in _RERUN_COMMANDS]
+    assert (printed, _tree(fresh)) == rounds[0]
+    assert fresh_run("--help") == helps[0]
+    # importing the CLI builds no parser
+    code = "import dilates.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60).stdout == "0\n"

@@ -17,7 +17,8 @@ import pytest
 import dilates
 from dilates.checks import check_kfold_cd_chain
 from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
-from dilates.grids import DigitSumSet, GridSet, project_drop_last
+from dilates.grids import (DigitSumSet, GridSet, box_grid_set, equal_box_sides,
+                           project_drop_last)
 from dilates.intervals import TorusIntervalSet, scale_intervals
 from dilates.residues import ResidueSet, is_prime
 from dilates.search import SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset
@@ -101,6 +102,11 @@ GAP = Gap(7, 0, (1,), (3,))
                  "need d_max >= 1", id="finder-d-max"),
     pytest.param(lambda: GridSet(0, 3, ()), "dimension must be >= 1", id="grid-dim"),
     pytest.param(lambda: GridSet(2, 1, ()), "resolution must be >= 2", id="grid-lam"),
+    pytest.param(lambda: box_grid_set(0, 9, []), "dimension must be >= 1", id="box-dim"),
+    pytest.param(lambda: box_grid_set(0, 9, ["1/2"]), "dimension must be >= 1",
+                 id="box-dim-before-sides"),
+    pytest.param(lambda: equal_box_sides(0, "1/9", 9), "dimension must be >= 1",
+                 id="box-sides-dim"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3"), "bad grid literal", id="grid-parse"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=(0,0)"), "bad grid cell list",
                  id="grid-parse-cells"),

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .residues import (ResidueSet, dilate, dilate_sum, iterated_sumset,
+from .residues import (ResidueSet, difference_set, dilate, dilate_sum, iterated_sumset,
                        kfold_dilate_sum, require_prime, sumset)
 
 __all__ = [
@@ -150,9 +150,7 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int) -> IneqReport:
     if modulus <= needed:
         raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
     k = Fraction(len(sumset(a, b)), len(a))
-    mb = _fold(b, m)
-    nb = dilate(_fold(b, n), -1)
-    lhs = len(sumset(mb, nb))
+    lhs = len(difference_set(_fold(b, m), _fold(b, n)))
     rhs = k ** (m + n) * len(a)
     return IneqReport(
         inequality="plunnecke-ruzsa",

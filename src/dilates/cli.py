@@ -3,7 +3,8 @@
 Subcommands: construct (box/simplex pipelines), verify (property suites),
 search / sweep (minimization), gap (progression tools), report (render the
 cache into CSV and plot data).  Exit codes: 0 success, 2 usage error,
-3 mathematical assertion failure, 4 scale cap exceeded, 5 I/O error.
+3 mathematical assertion failure, 4 scale cap exceeded or out of memory,
+5 I/O error.
 
 Output files are byte-identical across reruns with the same arguments and
 cache state; timestamps live only in .meta.json sidecars.
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_MATH
     except ScaleCapError as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_SCALE
+    except MemoryError as exc:  # an allocation failed that no cap refused up front
+        print(f"scale cap exceeded: out of memory: {exc}", file=sys.stderr)
         return EXIT_SCALE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .checks import IneqReport
 from .errors import ScaleCapError
-from .residues import ResidueSet, dilate, iterated_sumset, require_prime, sumset
+from .residues import (ResidueSet, _fields, _integer, _integer_fields, _ints, dilate,
+                       iterated_sumset, require_prime, sumset)
 
 __all__ = [
     "Gap",
@@ -55,6 +56,10 @@ class Gap:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
+        _integer_fields(self, "modulus", "base")
+        for name in ("generators", "lengths"):
+            what = f"{name} must be integers"
+            object.__setattr__(self, name, tuple(_integer(x, what) for x in getattr(self, name)))
         require_prime(self.modulus)
         if len(self.generators) != len(self.lengths):
             raise ValueError("generators and lengths must have equal arity")
@@ -84,20 +89,8 @@ class Gap:
     @classmethod
     def parse(cls, text: str) -> "Gap":
         """Parse ``p=<p>;a=<a>;v=[v1,..];k=[k1,..]``."""
-        parts = text.strip().split(";")
-        if len(parts) != 4 or not parts[0].startswith("p=") or not parts[1].startswith("a=") \
-                or not parts[2].startswith("v=[") or not parts[3].startswith("k=["):
-            raise ValueError(f"bad gap literal: {text!r}")
-
-        def ints(body: str) -> tuple[int, ...]:
-            body = body.strip()
-            if not body.endswith("]"):
-                raise ValueError(f"bad list in gap literal: {body!r}")
-            inner = body[:-1].strip()
-            return tuple(int(tok) for tok in inner.split(",")) if inner else ()
-
-        return cls(int(parts[0][2:]), int(parts[1][2:]),
-                   ints(parts[2][3:]), ints(parts[3][3:]))
+        p, a, v, k = _fields(text, "gap", "p", "a", "v", "k")
+        return cls(int(p), int(a), *(_ints(x, "[]", "list in gap literal") for x in (v, k)))
 
     def format(self) -> str:
         v = ",".join(map(str, self.generators))

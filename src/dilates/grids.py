@@ -19,7 +19,7 @@ from math import comb, factorial, floor
 import numpy as np
 
 from .errors import ScaleCapError
-from .residues import cyclic_support
+from .residues import _fields, _integer, _integer_fields, _ints, cyclic_support
 
 __all__ = [
     "GridSet",
@@ -64,7 +64,7 @@ def nth_root_floor(x: int, k: int) -> int:
 
 
 def _require_dim(dim: int) -> int:
-    dim = operator.index(dim)
+    dim = _integer(dim, "dimension must be an integer")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     return dim
@@ -88,7 +88,7 @@ class GridSet:
     sorted_cells: np.ndarray
 
     def __init__(self, dim: int, lam: int, cells) -> None:
-        dim, lam = _require_dim(dim), operator.index(lam)
+        dim, lam = _require_dim(dim), _integer(lam, "resolution must be an integer")
         if lam < 2:
             raise ValueError(f"resolution must be >= 2, got {lam}")
         dtype = _cell_dtype(dim, lam)
@@ -180,22 +180,8 @@ class GridSet:
     @classmethod
     def parse(cls, text: str) -> "GridSet":
         """Parse ``n=<n>;lambda=<lam>;cells=[(x1,...,xn),...]``."""
-        parts = text.strip().split(";", 2)
-        if len(parts) != 3 or not parts[0].startswith("n=") \
-                or not parts[1].startswith("lambda=") or not parts[2].startswith("cells="):
-            raise ValueError(f"bad grid literal: {text!r}")
-        dim = int(parts[0][2:])
-        lam = int(parts[1][7:])
-        body = parts[2][6:].strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"bad grid cell list: {body!r}")
-        inner = body[1:-1].replace(" ", "")
-        tuples = []
-        if inner:
-            for chunk in inner.split("),("):
-                chunk = chunk.strip("()")
-                tuples.append(tuple(int(tok) for tok in chunk.split(",")))
-        return cls.from_tuples(dim, lam, tuples)
+        dim, lam, cells = _fields(text, "grid", "n", "lambda", "cells")
+        return cls.from_tuples(int(dim), int(lam), _ints(cells, "[()]", "grid cell list"))
 
     def format(self) -> str:
         digits = self._digits()
@@ -358,11 +344,9 @@ class DigitSumSet:
     threshold: int
 
     def __post_init__(self):
-        dim, lam, threshold = map(operator.index, (self.dim, self.lam, self.threshold))
-        if dim < 1 or lam < 2:
+        _integer_fields(self, "dim", "lam", "threshold")
+        if self.dim < 1 or self.lam < 2:
             raise ValueError("need dim >= 1 and lam >= 2")
-        for name, value in (("dim", dim), ("lam", lam), ("threshold", threshold)):
-            object.__setattr__(self, name, value)
 
     def count(self) -> int:
         return digit_sum_count(self.dim, self.lam, self.threshold)
@@ -377,11 +361,7 @@ class DigitSumSet:
     @classmethod
     def parse(cls, text: str) -> "DigitSumSet":
         """Parse ``m=<m>;lambda=<lam>;t=<t>``."""
-        parts = text.strip().split(";")
-        if len(parts) != 3 or not parts[0].startswith("m=") \
-                or not parts[1].startswith("lambda=") or not parts[2].startswith("t="):
-            raise ValueError(f"bad digit-sum literal: {text!r}")
-        return cls(int(parts[0][2:]), int(parts[1][7:]), int(parts[2][2:]))
+        return cls(*map(int, _fields(text, "digit-sum", "m", "lambda", "t")))
 
     def format(self) -> str:
         return f"m={self.dim};lambda={self.lam};t={self.threshold}"

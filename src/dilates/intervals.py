@@ -32,7 +32,8 @@ import numpy as np
 from .checks import _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .grids import GridSet, grid_projection_sumset
-from .residues import ResidueSet, _members_to_bits, dilate_sum, require_prime
+from .residues import (ResidueSet, _fields, _integer, _ints, _members_to_bits, dilate_sum,
+                       require_prime)
 
 __all__ = [
     "TorusIntervalSet",
@@ -53,25 +54,17 @@ def _endpoint_dtype(bound: int):
     return np.int64 if bound < 1 << 62 else object
 
 
-def _integer(value) -> int:
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    raise TypeError(f"interval endpoints and denominators must be integers, got {value!r}")
-
-
-def _denominator(value) -> int:
-    d = _integer(value)
+def _pair_array(denominator, pairs) -> tuple[int, np.ndarray]:
+    """The denominator d, checked positive, and the (a, b) pairs as an (n, 2)
+    array, int64 while _endpoint_dtype allows for d and every |value|,
+    exact Python ints beyond."""
+    what = "interval endpoints and denominators must be integers"
+    d = _integer(denominator, what)
     if d < 1:
         raise ValueError(f"denominator must be positive, got {d}")
-    return d
-
-
-def _pair_array(d: int, pairs) -> np.ndarray:
-    """The (a, b) pairs as an (n, 2) array, int64 while _endpoint_dtype
-    allows for d and every |value|, exact Python ints beyond."""
-    values = [_integer(v) for a, b in pairs for v in (a, b)]
+    values = [_integer(v, what) for a, b in pairs for v in (a, b)]
     dtype = _endpoint_dtype(max([d, *map(abs, values)]))
-    return np.array(values, dtype=dtype).reshape(-1, 2)
+    return d, np.array(values, dtype=dtype).reshape(-1, 2)
 
 
 def _merge(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +122,7 @@ class TorusIntervalSet:
     _ends: np.ndarray
 
     def __init__(self, denominator: int, intervals) -> None:
-        d = _denominator(denominator)
-        arr = _pair_array(d, intervals)
+        d, arr = _pair_array(denominator, intervals)
         starts, ends = arr[:, 0], arr[:, 1]
         prev_ends = np.concatenate((np.full(1, -1, arr.dtype), ends[:-1]))
         bad = np.flatnonzero((starts >= ends) | (ends > d) | (starts <= prev_ends))
@@ -184,8 +176,7 @@ class TorusIntervalSet:
         """Build from arbitrary integer pairs (a, b), reducing mod the
         denominator and splitting arcs that cross 0; pairs with b <= a are
         dropped."""
-        d = _denominator(denominator)
-        arr = _pair_array(d, raw_pairs)
+        d, arr = _pair_array(denominator, raw_pairs)
         return cls._trusted(d, *_normalize(d, arr[:, 0], arr[:, 1]))
 
     @classmethod
@@ -223,20 +214,9 @@ class TorusIntervalSet:
     @classmethod
     def parse(cls, text: str) -> "TorusIntervalSet":
         """Parse ``D=<D>;[a1,b1);[a2,b2);...``."""
-        parts = text.strip().split(";")
-        if not parts or not parts[0].startswith("D="):
-            raise ValueError(f"bad interval literal: {text!r}")
-        d = int(parts[0][2:])
-        pairs = []
-        for chunk in parts[1:]:
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("[") and chunk.endswith(")")):
-                raise ValueError(f"bad interval chunk: {chunk!r}")
-            a, b = chunk[1:-1].split(",")
-            pairs.append((int(a), int(b)))
-        return cls(d, tuple(pairs))
+        d, body = _fields(text, "interval", "D", "")
+        return cls(int(d), [_ints(chunk, "[)", "interval chunk")
+                            for chunk in body.split(";") if chunk.strip()])
 
     def format(self) -> str:
         body = ";".join(f"[{a},{b})" for a, b in self.intervals)

@@ -43,6 +43,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    n = _integer(n, "number tested for primality must be an integer")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -66,9 +67,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(n: int, what: str = "modulus") -> None:
+def require_prime(n: int) -> None:
     if not is_prime(n):
-        raise ValueError(f"{what} must be prime, got {n}")
+        raise ValueError(f"modulus must be prime, got {n}")
 
 
 class Kernel(enum.Enum):
@@ -98,13 +99,57 @@ _PAIR_RATIO = 8
 _PAIR_BLOCK = 1 << 14
 
 
-def _int_modulus(modulus) -> int:
-    """A modulus of another integer type (numpy, bool) as a plain int, so
-    1 << N and x % N run on Python ints; anything else raises TypeError."""
+def _integer(value, what: str) -> int:
+    """value as a plain int, so 1 << N and x % N run on Python ints: the one
+    integer rule of every value type.  A numpy integer or bool becomes its
+    int; anything else raises TypeError("<what>, got <type>").  Hot callers
+    test type(value) is int first."""
     try:
-        return operator.index(modulus)
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"modulus must be an integer, got {type(modulus).__name__}") from None
+        raise TypeError(f"{what}, got {type(value).__name__}") from None
+
+
+def _integer_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass obj through _integer,
+    so a TypeError reads "<name> must be an integer, got <type>"."""
+    for name in names:
+        value = _integer(getattr(obj, name), f"{name} must be an integer")
+        object.__setattr__(obj, name, value)
+
+
+def _fields(text: str, what: str, *keys: str) -> list[str]:
+    """The values of the literal text = k1=v1;k2=v2;..., one per key; a last
+    key "" takes the rest of the text, further ';' included, with no "k=".
+    The one reader of a literal's header; raises ValueError("bad <what>
+    literal: ...") on any other text."""
+    parts = text.strip().split(";", len(keys) - 1 if keys[-1] == "" else -1)
+    if len(parts) == len(keys):
+        for i, key in enumerate(filter(None, keys)):
+            if not parts[i].startswith(key + "="):
+                break
+            parts[i] = parts[i][len(key) + 1:]
+        else:
+            return parts
+    raise ValueError(f"bad {what} literal: {text!r}")
+
+
+def _ints(body: str, brackets: str, what: str) -> tuple:
+    """The integers of body = <o>i1,i2,...<c> for brackets "<o><c>", the one
+    reader of a literal's integer lists; for brackets "<o><o2><c2><c>" the
+    tuples of a list of such lists, as "[(1,2),(3,4)]" for "[()]".  Any
+    other text raises ValueError("bad <what>: ...")."""
+    body = body.strip()
+    if not (body.startswith(brackets[0]) and body.endswith(brackets[-1])):
+        raise ValueError(f"bad {what}: {body!r}")
+    inner = body[1:-1].strip()
+    if not inner:
+        return ()
+    if len(brackets) == 2:
+        return tuple(map(int, inner.split(",")))
+    o, c = brackets[1:3]
+    rows = inner.replace(" ", "").replace(f"{c},{o}", f"{c}\n{o}").split("\n")
+    return tuple(_ints(row, o + c, what) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -116,7 +161,7 @@ class ResidueSet:
 
     def __post_init__(self):
         if type(self.modulus) is not int:
-            object.__setattr__(self, "modulus", _int_modulus(self.modulus))
+            _integer_fields(self, "modulus")
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if not isinstance(self.bits, int):
@@ -134,7 +179,7 @@ class ResidueSet:
         converted once.  Members are Python or numpy integers, of any
         size; anything else raises TypeError on both sides of the gate."""
         if type(modulus) is not int:
-            modulus = _int_modulus(modulus)
+            modulus = _integer(modulus, "modulus must be an integer")
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         if not isinstance(elements, (list, tuple)):
@@ -155,19 +200,14 @@ class ResidueSet:
     @classmethod
     def full(cls, modulus: int) -> "ResidueSet":
         if type(modulus) is not int:
-            modulus = _int_modulus(modulus)
+            modulus = _integer(modulus, "modulus must be an integer")
         return cls(modulus, (1 << modulus) - 1)
 
     @classmethod
     def parse(cls, text: str) -> "ResidueSet":
         """Parse the set literal format ``p=<N>;{a1,a2,...}``."""
-        text = text.strip()
-        head, _, body = text.partition(";")
-        if not head.startswith("p=") or not body.startswith("{") or not body.endswith("}"):
-            raise ValueError(f"bad set literal: {text!r}")
-        modulus = int(head[2:])
-        inner = body[1:-1].strip()
-        elements = [int(tok) for tok in inner.split(",")] if inner else []
+        p, body = _fields(text, "set", "p", "")
+        modulus, elements = int(p), _ints(body, "{}", "set literal")
         for a, b in zip(elements, elements[1:]):
             if b <= a:
                 raise ValueError("set literal elements must be ascending and distinct")

@@ -31,7 +31,7 @@ from math import comb, gcd
 
 from .checks import _num
 from .errors import ScaleCapError
-from .residues import ResidueSet, canonical_form, dilate_sum, require_prime
+from .residues import ResidueSet, _integer_fields, canonical_form, dilate_sum, require_prime
 
 __all__ = [
     "SearchTask",
@@ -62,6 +62,9 @@ class SearchTask:
     budget: int = 0
 
     def __post_init__(self):
+        if not (type(self.p) is type(self.lam) is type(self.m) is type(self.seed)
+                is type(self.budget) is int):  # plain ints skip the call
+            _integer_fields(self, "p", "lam", "m", "seed", "budget")
         require_prime(self.p)
         if not 1 <= self.m <= self.p:
             raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")

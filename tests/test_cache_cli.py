@@ -357,6 +357,24 @@ def test_cli_construct_violated_chain_exit_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "cache" / "construct").exists()
 
 
+def test_cli_construct_out_of_memory_exit_4(tmp_path, monkeypatch, capsys):
+    # an allocation that fails in the chain, where no cap refused the work up
+    # front, exits 4 as a cap does: nothing written, no cache entry
+    import dilates.cli as cli_module
+
+    def out_of_memory(*stages):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr(cli_module, "_chain_report", out_of_memory)
+    assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "2",
+                   "--lambda", "9", "--gamma", "1/9", "--p", "10007", "--out", "out") == 4
+    captured = capsys.readouterr()
+    assert captured.err == "scale cap exceeded: out of memory: " \
+        "Unable to allocate 2.00 GiB for an array\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cli_construct_grid_file_matches_reference_format(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box", "--d", "3",
                    "--lambda", "64", "--gamma", "1/64", "--optimized", "--out", "out") == 0

@@ -2,7 +2,8 @@
 cannot linger in an export list; importing the package stays light; every
 library name the benchmark's tracer patches still exists, and the
 benchmark's tiny pipeline ops pass the benchmark's own checks.  Public
-entry points refuse out-of-range input with ValueError."""
+entry points refuse out-of-range input and malformed literals with
+ValueError, and a non-integer where an integer belongs with TypeError."""
 
 import importlib
 import importlib.util
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dilates
@@ -21,7 +23,8 @@ from dilates.grids import (DigitSumSet, GridSet, box_grid_set, equal_box_sides,
                            project_drop_last)
 from dilates.intervals import TorusIntervalSet, scale_intervals
 from dilates.residues import ResidueSet, is_prime
-from dilates.search import SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset
+from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
+                            sweep)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dilates.__path__, "dilates."))
 
@@ -96,6 +99,11 @@ GAP = Gap(7, 0, (1,), (3,))
     pytest.param(lambda: Gap(7, 0, (7,), (2,)), "generator 7 out of range", id="gap-generator"),
     pytest.param(lambda: Gap(7, 0, (1,), (0,)), "length 0 must be >= 1", id="gap-length"),
     pytest.param(lambda: Gap.parse("p=7;a=0;v=[1;k=[2]"), "bad list", id="gap-parse-list"),
+    pytest.param(lambda: Gap.parse("p=7;a=0;v=[1];k=2]"), "bad list", id="gap-parse-open"),
+    pytest.param(lambda: Gap.parse("p=7;a=0;v=[1]"), "bad gap literal", id="gap-parse-missing"),
+    pytest.param(lambda: Gap.parse("p=7;b=0;v=[1];k=[2]"), "bad gap literal", id="gap-parse-key"),
+    pytest.param(lambda: Gap.parse("p=7;a=0;v=[1];k=[2];x=1"), "bad gap literal",
+                 id="gap-parse-extra"),
     pytest.param(lambda: truncate_to_large_steps(GAP, 1), "need lam >= 2", id="truncate-lam"),
     pytest.param(lambda: lambda_span_check(GAP, 1, 1), "need lam >= 2", id="span-lam"),
     pytest.param(lambda: find_max_proper_gap(ResidueSet.from_elements(7, [1, 2]), 0),
@@ -110,16 +118,34 @@ GAP = Gap(7, 0, (1,), (3,))
     pytest.param(lambda: GridSet.parse("n=2;lambda=3"), "bad grid literal", id="grid-parse"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=(0,0)"), "bad grid cell list",
                  id="grid-parse-cells"),
+    pytest.param(lambda: GridSet.parse("n=2;lam=3;cells=[(0,0)]"), "bad grid literal",
+                 id="grid-parse-key"),
+    pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=[(0,0)"), "bad grid cell list",
+                 id="grid-parse-unclosed"),
+    pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=[(0,0),(1,2]"), "bad grid cell list",
+                 id="grid-parse-unclosed-cell"),
     pytest.param(lambda: DigitSumSet(0, 3, 1), "need dim >= 1", id="digit-sum-dim"),
     pytest.param(lambda: DigitSumSet(2, 1, 1), "lam >= 2", id="digit-sum-lam"),
     pytest.param(lambda: DigitSumSet.parse("m=2;lambda=3"), "bad digit-sum literal",
                  id="digit-sum-parse"),
+    pytest.param(lambda: DigitSumSet.parse("m=2;lambda=3;s=1"), "bad digit-sum literal",
+                 id="digit-sum-parse-key"),
     pytest.param(lambda: project_drop_last(GridSet(1, 3, [0])), "dimension >= 2",
                  id="project-dim"),
     pytest.param(lambda: scale_intervals(TorusIntervalSet.empty(9), 0), "need lam >= 1",
                  id="scale-lam"),
     pytest.param(lambda: TorusIntervalSet.parse("D=9;[1,2]"), "bad interval chunk",
                  id="intervals-parse-chunk"),
+    pytest.param(lambda: TorusIntervalSet.parse("[1,2)"), "bad interval literal",
+                 id="intervals-parse-missing"),
+    pytest.param(lambda: TorusIntervalSet.parse("d=9;[1,2)"), "bad interval literal",
+                 id="intervals-parse-key"),
+    pytest.param(lambda: TorusIntervalSet.parse("D=9;[1,2"), "bad interval chunk",
+                 id="intervals-parse-unclosed"),
+    pytest.param(lambda: ResidueSet.parse("p=7"), "bad set literal", id="set-parse-missing"),
+    pytest.param(lambda: ResidueSet.parse("q=7;{1}"), "bad set literal", id="set-parse-key"),
+    pytest.param(lambda: ResidueSet.parse("p=7;{1,2"), "bad set literal",
+                 id="set-parse-unclosed"),
     pytest.param(lambda: SearchTask(7, 2, 3, budget=-1), "budget must be >= 0",
                  id="task-budget"),
     pytest.param(lambda: exact_min_dilate_sumset(SearchTask(7, 2, 3, mode="heuristic")),
@@ -133,3 +159,50 @@ GAP = Gap(7, 0, (1,), (3,))
 def test_out_of_range_input_raises(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# each builds a value from x and reads back the field x went into
+INTEGER_FIELDS = [
+    pytest.param(lambda x: ResidueSet(x, 5).modulus, id="residue-set"),
+    pytest.param(lambda x: ResidueSet.from_elements(x, [3]).modulus, id="residue-set-elements"),
+    pytest.param(lambda x: ResidueSet.full(x).modulus, id="residue-set-full"),
+    pytest.param(lambda x: GridSet(x, 3, ()).dim, id="grid-dim"),
+    pytest.param(lambda x: GridSet(2, x, ()).lam, id="grid-lam"),
+    pytest.param(lambda x: DigitSumSet(2, 3, x).threshold, id="digit-sum"),
+    pytest.param(lambda x: TorusIntervalSet(x, ((0, 1),)).denominator, id="intervals"),
+    pytest.param(lambda x: TorusIntervalSet.from_raw(9, ((0, x),)).intervals[0][1],
+                 id="intervals-raw"),
+    pytest.param(lambda x: Gap(x, 0, (1,), (2,)).modulus, id="gap-modulus"),
+    pytest.param(lambda x: Gap(11, x, (1,), (2,)).base, id="gap-base"),
+    pytest.param(lambda x: Gap(11, 0, (x,), (2,)).generators[0], id="gap-generators"),
+    pytest.param(lambda x: Gap(11, 0, (1,), (x,)).lengths[0], id="gap-lengths"),
+    pytest.param(lambda x: SearchTask(x, 2, 3).p, id="task-p"),
+    pytest.param(lambda x: SearchTask(11, x, 3).lam, id="task-lam"),
+    pytest.param(lambda x: SearchTask(11, 2, x).m, id="task-m"),
+    pytest.param(lambda x: SearchTask(11, 2, 3, seed=x).seed, id="task-seed"),
+    pytest.param(lambda x: SearchTask(11, 2, 3, budget=x).budget, id="task-budget"),
+    pytest.param(lambda x: 7 * is_prime(x), id="is-prime"),
+]
+
+
+@pytest.mark.parametrize("build", INTEGER_FIELDS)
+def test_integer_fields_take_numpy_integers_and_refuse_floats(build):
+    for x in (7, np.int64(7), np.uint16(7)):
+        value = build(x)
+        assert value == 7 and type(value) is int
+    with pytest.raises(TypeError, match="must be (an integer|integers), got float"):
+        build(7.0)
+
+
+def test_numpy_task_shares_the_plain_tasks_key(tmp_path):
+    assert SearchTask(np.int64(7), 2, 3).digest() == SearchTask(7, 2, 3).digest()
+    # a sweep over numpy integers writes the entry a sweep over ints writes
+    entries = []
+    for p, lam, m in (([7], [2], [3]), ([np.int64(7)], [np.int32(2)], np.arange(3, 4))):
+        cache_dir = tmp_path / str(len(entries))
+        report = sweep(p, lam, m, cache_dir=cache_dir)
+        assert report.errors == [] and report.computed == 1
+        [entry] = [f for f in (cache_dir / "search").iterdir()
+                   if not f.name.endswith(".meta.json")]
+        entries.append((entry.name, entry.read_bytes()))
+    assert entries[0] == entries[1]

@@ -9,11 +9,10 @@ from .checks import (IneqReport, check_cauchy_davenport, check_dilate_chain,
 from .errors import MathAssertionError, ScaleCapError
 from .gaps import (Gap, expand, find_max_proper_gap, is_proper,
                    lambda_span_check, truncate_to_large_steps)
-from .grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
-                    equal_box_sides, grid_projection_sumset,
-                    irwin_hall_volume, optimized_box_sides_3d,
-                    project_drop_first, project_drop_last, simplex_construction,
-                    simplex_grid_set)
+from .grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
+                    grid_projection_sumset, irwin_hall_volume,
+                    optimized_box_sides_3d, project_drop_first,
+                    project_drop_last, simplex_construction, simplex_grid_set)
 from .intervals import (ChainReport, TorusIntervalSet, discretize_to_zp,
                         encode_grid_to_intervals, interval_dilate_sum,
                         pipeline_check, scale_intervals)

@@ -175,16 +175,17 @@ def check_dilate_chain(b: ResidueSet, lam: int, l: int) -> IneqReport:
         raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
 
     size = len(b)
-    k = Fraction(len(dilate_sum(b, lam)), size)
-    chain = b
-    for i in range(1, l + 1):
+    lam_b = dilate(b, lam)
+    chain = sumset(b, lam_b)  # B + lam*B, the numerator of K and the chain's first step
+    k = Fraction(len(chain), size)
+    for i in range(2, l + 1):
         chain = sumset(chain, dilate(b, lam**i))
     lhs = len(chain)
     rhs = k ** (7 * l - 6) * size
 
     double = sumset(b, b)
     bb = len(double)
-    bb_lam = len(sumset(double, dilate(b, lam)))
+    bb_lam = len(sumset(double, lam_b))
     details = (
         ("double_sum", str(bb)),
         ("double_sum_bound", _num(k**2 * size)),

@@ -42,8 +42,7 @@ EXIT_IO = 5
 # reads from the flags besides --cases and --seed, 0-defaults resolved)
 _SUITES = {
     "cd": ("run_cd_suite", lambda args: {"p": args.p}),
-    "ruzsa": ("run_ruzsa_suite",
-              lambda args: {"modulus": args.modulus or args.p or 1009}),
+    "ruzsa": ("run_ruzsa_suite", lambda args: {"modulus": args.p}),
     "plunnecke": ("run_plunnecke_suite", lambda args: {}),
     "dilate-chain": ("run_dilate_chain_suite",
                      lambda args: {"lambdas": [args.lam] if args.lam else [2, 3, 5],
@@ -66,10 +65,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_m_range(text: str) -> list[int]:
     """Accept '2..5' or a comma list '2,3,5'."""
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return _parse_int_list(text)
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    except ValueError:
+        raise ValueError(f"bad --m-range {text!r}: expected lo..hi "
+                         "or a comma list of integers") from None
 
 
 def _write(path: Path, data: bytes) -> None:
@@ -301,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("--cases", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--p", type=int, default=101)
-    p_verify.add_argument("--modulus", type=int, default=0,
-                          help="composite moduli allowed where the inequality permits "
-                               "(ruzsa; 0: the suite's default, --p or 1009)")
+    p_verify.add_argument("--p", type=int, default=101,
+                          help="modulus: prime, but ruzsa takes any modulus >= 1")
     p_verify.add_argument("--lambda", dest="lam", type=int, default=0,
                           help="dilate-chain dilation, >= 2 (0: the suite's default, 2, 3, 5)")
     p_verify.add_argument("--l", type=int, default=0,

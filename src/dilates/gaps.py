@@ -81,11 +81,6 @@ class Gap:
     def nominal_size(self) -> int:
         return prod(self.lengths)
 
-    @property
-    def is_degenerate(self) -> bool:
-        nontrivial = [v for v, k in zip(self.generators, self.lengths) if k >= 2]
-        return len(set(nontrivial)) < len(nontrivial) or any(k == 1 for k in self.lengths)
-
     @classmethod
     def parse(cls, text: str) -> "Gap":
         """Parse ``p=<p>;a=<a>;v=[v1,..];k=[k1,..]``."""

@@ -19,11 +19,10 @@ from math import comb, factorial, floor
 import numpy as np
 
 from .errors import ScaleCapError
-from .residues import _fields, _integer, _integer_fields, _ints, cyclic_support
+from .residues import _fields, _integer, _ints, cyclic_support
 
 __all__ = [
     "GridSet",
-    "DigitSumSet",
     "project_drop_first",
     "project_drop_last",
     "grid_projection_sumset",
@@ -259,7 +258,7 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
         if not 0 < s < 1:
             raise ValueError(f"box side {s} outside (0, 1)")
     # the largest x on axis i has x + 1 <= lam * sides[i]
-    return GridSet(d, lam, _cells(d, lam, 1, [floor(lam * s) - 1 for s in sides]))
+    return GridSet(d, lam, _cells(d, lam, [floor(lam * s) - 1 for s in sides]))
 
 
 def _root_side(value: Fraction, d: int, lam: int | None) -> Fraction:
@@ -295,28 +294,28 @@ def optimized_box_sides_3d(gamma, lam: int | None = None) -> tuple[Fraction, ...
     return (long, short, long)
 
 
-def _cells(dim: int, lam: int, lo: int, his, t: int | None = None) -> np.ndarray:
+def _cells(dim: int, lam: int, his, t: int | None = None) -> np.ndarray:
     """Ascending row-major flat indices of the cells x of (Z/lam Z)^dim with
-    lo <= x_i <= his[i] and, when t is given (every his[i] = lam - 1),
+    1 <= x_i <= his[i] and, when t is given (every his[i] = lam - 1),
     sum x_i <= t.  One axis at a time by broadcasting; a prefix stays while
-    its digit sum leaves lo for each axis to come.  The largest array is
+    its digit sum leaves 1 for each axis to come.  The largest array is
     capped before any is formed: for a box, the largest product of leading
     widths; with t, the last axis's, as kept prefixes never shrink (in
-    digits x_i - lo, each sums to <= t - lo * dim), or if none, the first's."""
+    digits x_i - 1, each sums to <= t - dim), or if none, the first's."""
     if t is None:
-        largest = max(accumulate((max(hi - lo + 1, 0) for hi in his), operator.mul))
+        largest = max(accumulate((max(hi, 0) for hi in his), operator.mul))
     else:
-        largest = max(digit_sum_count(dim - 1, lam - lo, t - lo * dim), 1) * (lam - lo)
+        largest = max(digit_sum_count(dim - 1, lam - 1, t - dim), 1) * (lam - 1)
     if largest > _BUILD_CAP:
         raise ScaleCapError(f"builder array of {largest} cells exceeds builder cap {_BUILD_CAP}")
     flat = np.zeros(1, _cell_dtype(dim, lam))
     total = np.zeros(1, np.int64)
     for i, hi in enumerate(his):
-        digits = np.arange(lo, hi + 1)
+        digits = np.arange(1, hi + 1)
         flat = (flat[:, None] * lam + digits.astype(flat.dtype, copy=False)).ravel()
         if t is not None:
             total = (total[:, None] + digits).ravel()
-            keep = total <= t - lo * (dim - 1 - i)
+            keep = total <= t - (dim - 1 - i)
             flat, total = flat[keep], total[keep]
     return flat
 
@@ -332,39 +331,7 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
         raise ValueError("need n >= 2")
     if lam < 2:
         raise ValueError(f"resolution must be >= 2, got {lam}")
-    return GridSet(n, lam, _cells(n, lam, 1, [lam - 1] * n, lam * (n - 2) // 2 - n))
-
-
-@dataclass(frozen=True)
-class DigitSumSet:
-    """Symbolic form of {x in [0, lam)^dim : sum x_i <= threshold}."""
-
-    dim: int
-    lam: int
-    threshold: int
-
-    def __post_init__(self):
-        _integer_fields(self, "dim", "lam", "threshold")
-        if self.dim < 1 or self.lam < 2:
-            raise ValueError("need dim >= 1 and lam >= 2")
-
-    def count(self) -> int:
-        return digit_sum_count(self.dim, self.lam, self.threshold)
-
-    def measure(self) -> Fraction:
-        return Fraction(self.count(), self.lam**self.dim)
-
-    def expand(self) -> GridSet:
-        return GridSet(self.dim, self.lam,
-                       _cells(self.dim, self.lam, 0, [self.lam - 1] * self.dim, self.threshold))
-
-    @classmethod
-    def parse(cls, text: str) -> "DigitSumSet":
-        """Parse ``m=<m>;lambda=<lam>;t=<t>``."""
-        return cls(*map(int, _fields(text, "digit-sum", "m", "lambda", "t")))
-
-    def format(self) -> str:
-        return f"m={self.dim};lambda={self.lam};t={self.threshold}"
+    return GridSet(n, lam, _cells(n, lam, [lam - 1] * n, lam * (n - 2) // 2 - n))
 
 
 def digit_sum_count(m: int, lam: int, t: int) -> int:

@@ -401,9 +401,10 @@ def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):
     (("construct", "box", "--d", "2", "--lambda", "9", "--gamma", "1/9", "--p", "0"),
      "must be prime"),
     (("construct", "simplex", "--n", "5", "--lambda", "0"), "resolution"),
-    (("verify", "ruzsa", "--modulus", "-5", "--cases", "3"), "modulus must be positive"),
+    (("verify", "ruzsa", "--p", "-5", "--cases", "3"), "modulus must be positive"),
     (("construct", "box", "--d", "0", "--lambda", "9", "--gamma", "1/9"),
      "dimension must be >= 1"),
+    (("verify", "ruzsa", "--p", "0", "--cases", "3"), "modulus must be positive, got 0"),
 ])
 def test_cli_zero_and_negative_values_exit_2(tmp_path, capsys, argv, message):
     # 0 is a value, not "absent": no traceback, no silently skipped step
@@ -427,6 +428,21 @@ def test_cli_verify_rejects_non_positive_cases(tmp_path, capsys):
                        "--cases", cases) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "cache").exists()
+
+
+def test_cli_verify_ruzsa_reads_p_as_its_modulus(tmp_path, capsys):
+    # --p is ruzsa's modulus, filed under the key the retired --modulus 1000
+    # had, so entries cached by that flag still hit
+    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "ruzsa",
+                   "--p", "1000", "--cases", "3") == 0
+    key = cache_mod.key({"suite": "ruzsa", "cases": 3, "seed": 0, "modulus": 1000})
+    assert [e.name for e in _entries(tmp_path / "cache", "verify")] == [f"{key}.json"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        run_cli(tmp_path, "--cache-dir", "cache", "verify", "ruzsa", "--modulus", "7")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modulus 7" in capsys.readouterr().err
+    assert len(_entries(tmp_path / "cache", "verify")) == 1
 
 
 def test_cli_verify_dilate_chain_rejects_small_lambda_and_length(tmp_path, capsys):
@@ -567,6 +583,15 @@ def test_cli_sweep_reports_cell_errors_and_exits_0(tmp_path, capsys):
     assert captured.err.startswith("cell error: {'p': 5, 'lambda': 2, 'm': 0, ")
     assert "2 cells (2 computed, 0 cached), 1 errors" in captured.out
     assert json.loads((tmp_path / "sw" / "sweep.json").read_text())["errors"][0]["m"] == 0
+
+
+@pytest.mark.parametrize("m_range", ["1..2..3", "2..", "..3", "2,x"])
+def test_cli_sweep_malformed_m_range_exit_2(tmp_path, capsys, m_range):
+    assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", "5",
+                   "--lambda", "2", "--m-range", m_range, "--out", "sw") == 2
+    assert capsys.readouterr().err == (f"error: bad --m-range {m_range!r}: "
+                                       "expected lo..hi or a comma list of integers\n")
+    assert not (tmp_path / "sw").exists() and not (tmp_path / "cache").exists()
 
 
 def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):

@@ -150,6 +150,51 @@ def test_dilate_chain_random_sweep():
                 assert check_dilate_chain(b, lam, l).holds
 
 
+def _chain_from_scratch(b, lam, l):
+    """check_dilate_chain's report, every sumset rebuilt from member sets:
+    K from its own B + lam*B, the chain from B up, B + B + lam*B from its
+    own dilate."""
+    n, members = b.modulus, set(b.elements())
+
+    def add(x, y):
+        return {(u + v) % n for u in x for v in y}
+
+    def dilated(c):
+        return {c * u % n for u in members}
+
+    size = len(members)
+    k = F(len(add(members, dilated(lam))), size)
+    chain = members
+    for i in range(1, l + 1):
+        chain = add(chain, dilated(lam**i))
+    double = add(members, members)
+    bb_lam = len(add(double, dilated(lam)))
+    bounds = (k ** (7 * l - 6) * size, k**2 * size, k**7 * size)
+    details = (
+        ("double_sum", str(len(double))),
+        ("double_sum_bound", f"{bounds[1].numerator}/{bounds[1].denominator}"),
+        ("double_sum_holds", str(len(double) <= bounds[1]).lower()),
+        ("double_plus_dilate", str(bb_lam)),
+        ("double_plus_dilate_bound", f"{bounds[2].numerator}/{bounds[2].denominator}"),
+        ("double_plus_dilate_holds", str(bb_lam <= bounds[2]).lower()),
+    )
+    holds = len(chain) <= bounds[0] and len(double) <= bounds[1] and bb_lam <= bounds[2]
+    return len(chain), bounds[0], k, holds, details
+
+
+def test_dilate_chain_matches_from_scratch_evaluation():
+    rng = random.Random(35)
+    modulus = 15901  # above max(1 + lam + ... + lam^l, lam + 2) * 100 for lam <= 5, l <= 3
+    for _ in range(12):
+        b = rs(modulus, rng.sample(range(101), rng.randint(1, 20)))
+        for lam in (2, 3, 5):
+            for l in (1, 2, 3):
+                r = check_dilate_chain(b, lam, l)
+                lhs, rhs, k, holds, details = _chain_from_scratch(b, lam, l)
+                assert (r.lhs, r.rhs, r.ratio_bound, r.slack) == (lhs, rhs, k, rhs - lhs)
+                assert (r.holds, r.details) == (holds, details)
+
+
 # ---------------------------------------------------------------- k-fold chain
 
 def test_kfold_examples():

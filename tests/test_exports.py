@@ -19,8 +19,7 @@ import pytest
 import dilates
 from dilates.checks import check_kfold_cd_chain
 from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
-from dilates.grids import (DigitSumSet, GridSet, box_grid_set, equal_box_sides,
-                           project_drop_last)
+from dilates.grids import GridSet, box_grid_set, equal_box_sides, project_drop_last
 from dilates.intervals import TorusIntervalSet, scale_intervals
 from dilates.residues import ResidueSet, is_prime
 from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
@@ -124,12 +123,6 @@ GAP = Gap(7, 0, (1,), (3,))
                  id="grid-parse-unclosed"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=[(0,0),(1,2]"), "bad grid cell list",
                  id="grid-parse-unclosed-cell"),
-    pytest.param(lambda: DigitSumSet(0, 3, 1), "need dim >= 1", id="digit-sum-dim"),
-    pytest.param(lambda: DigitSumSet(2, 1, 1), "lam >= 2", id="digit-sum-lam"),
-    pytest.param(lambda: DigitSumSet.parse("m=2;lambda=3"), "bad digit-sum literal",
-                 id="digit-sum-parse"),
-    pytest.param(lambda: DigitSumSet.parse("m=2;lambda=3;s=1"), "bad digit-sum literal",
-                 id="digit-sum-parse-key"),
     pytest.param(lambda: project_drop_last(GridSet(1, 3, [0])), "dimension >= 2",
                  id="project-dim"),
     pytest.param(lambda: scale_intervals(TorusIntervalSet.empty(9), 0), "need lam >= 1",
@@ -168,7 +161,6 @@ INTEGER_FIELDS = [
     pytest.param(lambda x: ResidueSet.full(x).modulus, id="residue-set-full"),
     pytest.param(lambda x: GridSet(x, 3, ()).dim, id="grid-dim"),
     pytest.param(lambda x: GridSet(2, x, ()).lam, id="grid-lam"),
-    pytest.param(lambda x: DigitSumSet(2, 3, x).threshold, id="digit-sum"),
     pytest.param(lambda x: TorusIntervalSet(x, ((0, 1),)).denominator, id="intervals"),
     pytest.param(lambda x: TorusIntervalSet.from_raw(9, ((0, x),)).intervals[0][1],
                  id="intervals-raw"),

@@ -102,8 +102,6 @@ def test_gap_validation_and_literals():
         Gap(11, 0, (1, 2), (2,))
     g = Gap(11, 3, (2, 5), (4, 1))
     assert Gap.parse(g.format()) == g
-    assert g.is_degenerate  # a k=1 term
-    assert not Gap(11, 0, (2,), (3,)).is_degenerate
     # 101^4 > 2^26: refused before any residue is enumerated
     with pytest.raises(ScaleCapError, match="exceeds cap"):
         expand(Gap(101, 0, (1, 2, 3, 4), (101,) * 4))

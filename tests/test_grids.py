@@ -12,12 +12,11 @@ from hypothesis import given, strategies as st
 
 from dilates import grids, residues
 from dilates.errors import ScaleCapError
-from dilates.grids import (DigitSumSet, GridSet, box_grid_set, digit_sum_count,
-                           equal_box_sides, grid_projection_sumset,
-                           irwin_hall_volume, nth_root_floor,
-                           optimized_box_sides_3d, project_drop_first,
-                           project_drop_last, simplex_construction,
-                           simplex_grid_set)
+from dilates.grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
+                           grid_projection_sumset, irwin_hall_volume,
+                           nth_root_floor, optimized_box_sides_3d,
+                           project_drop_first, project_drop_last,
+                           simplex_construction, simplex_grid_set)
 from dilates.intervals import pipeline_check
 from dilates.residues import (ResidueSet, cyclic_support, cyclic_support_fft,
                               cyclic_support_pairs, cyclic_support_shift, sumset)
@@ -121,16 +120,16 @@ def test_sorted_cells_is_one_readonly_ascending_array():
         assert repr(s) == "GridSet(dim=2, lam=3, cells=frozenset({1, 5, 6}))"
     # the builders, and grids past int64
     for s in (box_grid_set(3, 8, [F(1, 2), F(3, 8), F(7, 8)]), simplex_grid_set(5, 6),
-              DigitSumSet(3, 4, 5).expand(), GridSet.empty(2, 5),
+              predicate_grid(3, 4, lambda x: sum(x) <= 5), GridSet.empty(2, 5),
               box_grid_set(20, 11, [F(2, 11)] * 20),
               GridSet(20, 11, frozenset({0, 11**20 - 1, 5 * 11**17})),
               GridSet(2, 2**40, frozenset({2**79, 3}))):
         _check_sorted_cells(s)
-    # one grid built two ways: box and digit-sum builders, mask and tuples
+    # one grid built two ways: box builder and tuples, box and mask, predicate and range
     box = box_grid_set(2, 5, [F(3, 5), F(3, 5)])
     assert box == GridSet.from_tuples(2, 5, product([1, 2], repeat=2))
     assert hash(box) == hash(GridSet.from_mask(5, box.to_mask()))
-    full = DigitSumSet(2, 3, 4).expand()
+    full = predicate_grid(2, 3, lambda x: sum(x) <= 4)
     assert full == GridSet(2, 3, range(9)) and hash(full) == hash(GridSet(2, 3, range(9)))
 
 
@@ -540,31 +539,6 @@ def test_digit_sum_count_matches_enumeration():
         assert digit_sum_count(m, lam, t) == oracle_digit_count(m, lam, t)
 
 
-def test_digit_sum_set_expand_agrees():
-    rng = random.Random(15)
-    cases = [(1, 2, -1), (3, 4, -5), (2, 5, 0), (3, 4, 9), (3, 4, 10**30), (4, 3, 8)]
-    for _ in range(20):
-        m, lam = rng.randint(1, 4), rng.randint(2, 5)
-        cases.append((m, lam, rng.randint(-2, m * (lam - 1) + 2)))
-    for m, lam, t in cases:  # t < 0 and t >= m * (lam - 1) among them
-        d = DigitSumSet(m, lam, t)
-        grid = d.expand()
-        assert len(grid) == d.count()
-        assert grid == predicate_grid(m, lam, lambda x: sum(x) <= t)
-        assert DigitSumSet.parse(d.format()) == d
-    # dim, lam and threshold are read as integers at construction: a float
-    # or string is refused there, a bool or numpy integer is stored as an int
-    for args in ((2, 3, 1.5), (2.0, 3, 1), (2, 3.5, 1), (2, 3, "1")):
-        with pytest.raises(TypeError):
-            DigitSumSet(*args)
-    for d, text in ((DigitSumSet(2, 3, True), "m=2;lambda=3;t=1"),
-                    (DigitSumSet(np.int64(2), np.int64(3), np.int64(4)), "m=2;lambda=3;t=4")):
-        assert d.format() == text
-        assert DigitSumSet.parse(text) == d
-        assert {type(d.dim), type(d.lam), type(d.threshold)} == {int}
-    assert DigitSumSet.parse("m=3;lambda=4;t=5").format() == "m=3;lambda=4;t=5"
-
-
 # ---------------------------------------------------------------- volumes
 
 def test_irwin_hall_examples():
@@ -640,15 +614,15 @@ def test_simplex_grid_is_a_translated_digit_sum_set():
                     digit_sum_count(n, lam - 1, lam * (n - 2) // 2 - 2 * n)
 
 
-def _largest_builder_array(lo, his, t):
+def _largest_builder_array(his, t):
     """The builder's arrays by brute force: at each axis, the prefixes kept
-    so far times that axis's digits; a prefix stays while its digit sum
-    leaves lo for each axis to come.  Returns (largest, kept tuples)."""
+    so far times that axis's digits 1..hi; a prefix stays while its digit
+    sum leaves 1 for each axis to come.  Returns (largest, kept tuples)."""
     kept, largest = [()], 0
     for i, hi in enumerate(his):
-        digits = range(lo, hi + 1)
+        digits = range(1, hi + 1)
         largest = max(largest, len(kept) * len(digits))
-        left = lo * (len(his) - 1 - i)
+        left = len(his) - 1 - i
         kept = [k + (x,) for k in kept for x in digits if t is None or sum(k) + x + left <= t]
     return largest, kept
 
@@ -659,27 +633,27 @@ def test_mask_cap(monkeypatch):
     # the builder cap counts the largest array formed, before forming any:
     # simplex n = 6, lambda = 32 would form 1.2e8 cells, the d = 3 box of
     # sides 1/2 at lambda = 2000 about 1e9, a box with an empty last axis
-    # 1e8 before that axis, and the digit-sum set 4 kept prefixes times
-    # 2^22 + 1 digits
+    # 1e8 before that axis, and a digit-sum bound t = 5 at lambda = 2^22 + 2
+    # 4 kept prefixes times 2^22 + 1 digits
     for build in (lambda: simplex_grid_set(6, 32),
                   lambda: box_grid_set(3, 2000, [F(1, 2)] * 3),
                   lambda: box_grid_set(3, 20000, [F(1, 2), F(1, 2), F(1, 40000)]),
-                  lambda: DigitSumSet(2, (1 << 22) + 1, 3).expand()):
+                  lambda: grids._cells(2, (1 << 22) + 2, [(1 << 22) + 1] * 2, 5)):
         with pytest.raises(ScaleCapError, match="exceeds builder cap"):
             build()
     # the count is exact: a cap of the largest array builds, one less refuses
     rng = random.Random(29)
     for _ in range(200):
-        dim, lam, lo = rng.randint(1, 4), rng.randint(2, 6), rng.randint(0, 1)
+        dim, lam = rng.randint(1, 4), rng.randint(2, 6)
         if rng.random() < 0.5:
-            his, t = [rng.randint(lo - 2, lam - 1) for _ in range(dim)], None
+            his, t = [rng.randint(-1, lam - 1) for _ in range(dim)], None
         else:
             his, t = [lam - 1] * dim, rng.randint(-3, dim * (lam - 1) + 2)
-        largest, kept = _largest_builder_array(lo, his, t)
+        largest, kept = _largest_builder_array(his, t)
         monkeypatch.setattr(grids, "_BUILD_CAP", largest)
         flat = sorted(sum(x * lam ** (dim - 1 - j) for j, x in enumerate(k)) for k in kept)
-        assert grids._cells(dim, lam, lo, his, t).tolist() == flat
+        assert grids._cells(dim, lam, his, t).tolist() == flat
         if largest:
             monkeypatch.setattr(grids, "_BUILD_CAP", largest - 1)
             with pytest.raises(ScaleCapError):
-                grids._cells(dim, lam, lo, his, t)
+                grids._cells(dim, lam, his, t)

@@ -6,7 +6,9 @@ so the outputs themselves stay byte-identical across reruns.  The cache
 directory defaults to ./dilates_cache and is overridden by the
 DILATES_CACHE_DIR environment variable.  Every file goes through
 atomic_write, which leaves a target that already holds the same bytes
-untouched, so a rerun rewrites only what changed.
+untouched, so a rerun rewrites only what changed.  Paths are plain str
+and I/O is plain os calls, so a hit costs about its system calls: one
+open and read of its entry, whose task search hashes once.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def key(inputs) -> str:
     return sha256(_compact_json(inputs).encode()).hexdigest()
 
 
-def _holds(path: Path, data: bytes) -> bool:
+def _holds(path: str | Path, data: bytes) -> bool:
     """Whether path is a readable file holding exactly data.  The size
     from fstat settles most differing files without reading them."""
     try:
@@ -68,14 +70,15 @@ def _holds(path: Path, data: bytes) -> bool:
         os.close(fd)
 
 
-def _create_temp(path: Path) -> tuple[str, int]:
+def _create_temp(path: str | Path) -> tuple[str, int]:
     """A new temp file `.<name>.<pid>.<n>.tmp` beside path, opened for
     writing: its name and descriptor.  A name that exists already (left
     by a crashed writer) is skipped for the next n; the directory is made
     only when the open finds it missing."""
+    parent, name = os.path.split(path)
     made_dir = False
     while True:
-        tmp = os.path.join(path.parent, f".{path.name}.{os.getpid()}.{next(_tmp_numbers)}.tmp")
+        tmp = os.path.join(parent, f".{name}.{os.getpid()}.{next(_tmp_numbers)}.tmp")
         try:
             return tmp, os.open(tmp, _CREATE, 0o666)
         except FileExistsError:
@@ -83,11 +86,11 @@ def _create_temp(path: Path) -> tuple[str, int]:
         except FileNotFoundError:
             if made_dir:
                 raise
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(parent, exist_ok=True)
             made_dir = True
 
 
-def atomic_write(path: Path, data: bytes) -> None:
+def atomic_write(path: str | Path, data: bytes) -> None:
     """Make path hold data, so that readers see the old file or the new.
 
     A target that already holds exactly data is left untouched: no write,
@@ -103,8 +106,12 @@ def atomic_write(path: Path, data: bytes) -> None:
         return
     tmp, fd = _create_temp(path)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        try:
+            rest = memoryview(data)
+            while rest:  # a write may take only part of its bytes
+                rest = rest[os.write(fd, rest):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -126,13 +133,14 @@ def git_describe() -> str:
 
 def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
     """Write outputs (byte-stable) plus a metadata sidecar with timestamps
-    and versions; returns the outputs path."""
+    and versions; returns the outputs path.  outputs may also be given as
+    its canonical_json bytes, so a caller that has them encodes once."""
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     from . import __version__
-    root = Path(cache_dir) / kind
-    out_path = root / f"{inputs_digest}.json"
-    atomic_write(out_path, canonical_json(outputs))
+    root = os.path.join(cache_dir, kind)
+    out_path = os.path.join(root, inputs_digest + ".json")
+    atomic_write(out_path, outputs if isinstance(outputs, bytes) else canonical_json(outputs))
     meta = {
         "kind": kind,
         "inputs_digest": inputs_digest,
@@ -140,43 +148,48 @@ def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
         "tool_version": __version__,
         "git_describe": git_describe(),
     }
-    atomic_write(root / f"{inputs_digest}.meta.json", canonical_json(meta))
-    return out_path
+    atomic_write(os.path.join(root, inputs_digest + ".meta.json"), canonical_json(meta))
+    return Path(out_path)
 
 
-def _read_entry(path: Path, decode):
+def _read_entry(path: str, decode):
     """decode() of the JSON in path, or None: silently if no file is
     there (never written, or deleted since it was listed), and with a
     line on stderr if either step fails: a file truncated by a crash or a
     full disk, or an entry whose shape decode does not accept."""
     try:
-        text = path.read_text()
+        with open(path, "rb") as f:
+            data = f.read()
     except FileNotFoundError:
         return None
     try:
-        return decode(json.loads(text))
+        # strict UTF-8: json.loads of bytes would take UTF-16 or a BOM too
+        return decode(json.loads(data.decode()))
     except (AttributeError, ArithmeticError, LookupError, TypeError, ValueError):
-        print(f"cache: ignoring undecodable entry {path}", file=sys.stderr)
+        print(f"cache: ignoring undecodable entry {Path(path)}", file=sys.stderr)
         return None
 
 
 def load_outputs(cache_dir, kind: str, inputs_digest: str, decode):
     """decode(outputs) for a digest, or None on a miss.  An undecodable
     entry is a miss too; the caller's next store overwrites it."""
-    return _read_entry(Path(cache_dir) / kind / f"{inputs_digest}.json", decode)
+    return _read_entry(os.path.join(cache_dir, kind, inputs_digest + ".json"), decode)
 
 
 def list_outputs(cache_dir, kind: str, decode) -> list[tuple[str, object]]:
     """(digest, decode(outputs)) for every entry of one kind that decodes,
-    sorted by digest; an entry deleted after the listing is skipped."""
-    root = Path(cache_dir) / kind
-    if not root.is_dir():
+    sorted by digest; an entry deleted after the listing is skipped.  Every
+    name ending in .json is an entry, dot-prefixed ones too, but .meta.json."""
+    root = os.path.join(cache_dir, kind)
+    try:
+        names = sorted(os.listdir(root))
+    except OSError:
         return []
     pairs = []
-    for path in sorted(root.glob("*.json")):
-        if path.name.endswith(".meta.json"):
+    for name in names:
+        if not name.endswith(".json") or name.endswith(".meta.json"):
             continue
-        outputs = _read_entry(path, decode)
+        outputs = _read_entry(os.path.join(root, name), decode)
         if outputs is not None:
-            pairs.append((path.stem, outputs))
+            pairs.append((name[:-5] or name, outputs))  # Path(".json").stem is ".json"
     return pairs

@@ -28,7 +28,7 @@ from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import _chain_report, discretize_to_zp, encode_grid_to_intervals
 from .residues import ResidueSet, require_prime
-from .search import (SearchTask, SweepReport, decode_entry, solve_cell, sweep,
+from .search import (SearchTask, SweepReport, _rows_csv, decode_entry, solve_cell, sweep,
                      sweep_csv, sweep_rows)
 
 EXIT_OK = 0
@@ -59,20 +59,17 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _parse_m_range(text: str) -> list[int]:
-    """Accept '2..5' or a comma list '2,3,5'."""
+def _parse_ints(text: str, flag: str) -> list[int]:
+    """The integers of a comma list '2,3,5', or for --m-range also 'lo..hi'."""
+    ranged = flag == "--m-range"
     try:
-        if ".." not in text:
-            return _parse_int_list(text)
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        if ranged and ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise ValueError(f"bad --m-range {text!r}: expected lo..hi "
-                         "or a comma list of integers") from None
+        raise ValueError(f"bad {flag} {text!r}: expected {'lo..hi or ' if ranged else ''}"
+                         "a comma list of integers") from None
 
 
 def _write(path: Path, data: bytes) -> None:
@@ -180,15 +177,16 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    inputs = {"p": _parse_int_list(args.p), "lambda": _parse_int_list(args.lam),
-              "m": _parse_m_range(args.m_range), "mode": args.mode,
+    inputs = {"p": _parse_ints(args.p, "--p"), "lambda": _parse_ints(args.lam, "--lambda"),
+              "m": _parse_ints(args.m_range, "--m-range"), "mode": args.mode,
               "seed": args.seed, "budget": args.budget}
     report = sweep(inputs["p"], inputs["lambda"], inputs["m"], mode=args.mode,
                    seed=args.seed, budget=args.budget, cache_dir=args.cache_dir)
     out_dir = Path(args.out)
-    _write(out_dir / "sweep.csv", sweep_csv(report).encode())
-    payload = {"cells": sweep_rows(report), "errors": report.errors}
-    _write(out_dir / "sweep.json", cache_mod.canonical_json(payload))
+    rows = sweep_rows(report)
+    _write(out_dir / "sweep.csv", _rows_csv(rows).encode())
+    payload = cache_mod.canonical_json({"cells": rows, "errors": report.errors})
+    _write(out_dir / "sweep.json", payload)
     cache_mod.store_experiment(args.cache_dir, "sweep", cache_mod.key(inputs), payload)
     for err in report.errors:
         print(f"cell error: {err}", file=sys.stderr)

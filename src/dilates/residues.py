@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_FOUR_BASES_BELOW = 3_215_031_751  # least strong pseudoprime to 2, 3, 5 and 7
 
 
 def is_prime(n: int) -> bool:
@@ -54,7 +55,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES if n >= _MR_FOUR_BASES_BELOW else _MR_WITNESSES[:4]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

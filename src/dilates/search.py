@@ -126,12 +126,14 @@ class SearchResult:
         )
 
 
-def decode_entry(data: dict) -> tuple[SearchTask, SearchResult]:
+def decode_entry(data: dict, task: SearchTask | None = None) -> tuple[SearchTask, SearchResult]:
     """(task, result) of a search cache entry, as SearchResult.to_json_dict
     writes it; raises on any other shape, and on a task_digest that is not
     the task's key.  The one decoder of the "search" cache kind, so every
-    reader accepts and rejects the same entries."""
-    task = SearchTask.from_json_dict(data["task"])
+    reader accepts and rejects the same entries.  An entry of task, the
+    task it was looked up for, yields task, whose key is known already."""
+    entry_task = SearchTask.from_json_dict(data["task"])
+    task = task if entry_task == task else entry_task
     if data["task_digest"] != task.digest():
         raise ValueError(f"task_digest {data['task_digest']!r} is not the task's key")
     return task, SearchResult.from_json_dict(data)
@@ -309,7 +311,8 @@ def solve_cell(task: SearchTask, cache_dir=None) -> tuple[SearchResult, bool]:
     from . import cache as cache_mod
 
     if cache_dir is not None:
-        cached = cache_mod.load_outputs(cache_dir, "search", task.digest(), decode_entry)
+        cached = cache_mod.load_outputs(cache_dir, "search", task.digest(),
+                                        functools.partial(decode_entry, task=task))
         # an entry of another task filed under this key is a miss; the
         # store below overwrites it
         if cached is not None and cached[0] == task:
@@ -372,8 +375,13 @@ def sweep_rows(report: SweepReport) -> list[dict]:
 def sweep_csv(report: SweepReport) -> str:
     """Render a sweep as CSV: the fixed header, then one row per cell in
     sweep order with the values of its JSON row, LF newlines."""
+    return _rows_csv(sweep_rows(report))
+
+
+def _rows_csv(rows: list[dict]) -> str:
+    """sweep_csv of the report whose sweep_rows are rows."""
     lines = [CSV_HEADER]
-    for row in sweep_rows(report):
+    for row in rows:
         task = row["task"]
         lines.append(f'{task["p"]},{task["lambda"]},{task["m"]},{row["alpha"]},'
                      f'{row["min_size"]},{row["min_over_p"]},'

@@ -199,6 +199,34 @@ def test_list_outputs_skips_an_entry_deleted_while_listing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_list_outputs_lists_what_a_json_glob_lists(tmp_path):
+    # sidecars, temp files and other names are no entries; dot-prefixed
+    # .json names are, as a pathlib glob of "*.json" finds them
+    for digest in ("ff" * 32, "aa" * 32):
+        cache_mod.store_experiment(tmp_path, "search", digest, {"v": digest})
+    root = tmp_path / "search"
+    for name in (".x.json", ".json", "b.c.json", "z.JSON", "notes.txt",
+                 f".{'aa' * 32}.json.{os.getpid()}.0.tmp", ".meta.json"):
+        (root / name).write_bytes(b'{"v":0}\n')
+    old = [p.stem for p in sorted(root.glob("*.json")) if not p.name.endswith(".meta.json")]
+    assert old == [".json", ".x", "aa" * 32, "b.c", "ff" * 32]
+    assert [d for d, _ in cache_mod.list_outputs(tmp_path, "search", dict)] == old
+    assert cache_mod.list_outputs(str(tmp_path), "search", dict) == \
+        cache_mod.list_outputs(tmp_path, "search", dict)
+    (tmp_path / "gap").write_bytes(b"a file, not a directory")
+    assert cache_mod.list_outputs(tmp_path, "gap", dict) == []
+
+
+@pytest.mark.parametrize("as_str", [False, True])
+def test_atomic_write_takes_a_str_or_a_path(tmp_path, as_str):
+    target = tmp_path / "made" / "entry.json"
+    cache_mod.atomic_write(str(target) if as_str else target, b'{"v":1}\n')
+    assert target.read_bytes() == b'{"v":1}\n'
+    cache_mod.atomic_write(str(target) if as_str else target, b'{"v":22}\n')
+    assert target.read_bytes() == b'{"v":22}\n'
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
 def test_list_outputs_sorted(tmp_path):
     cache_mod.store_experiment(tmp_path, "search", "ff" * 32, {"v": 2})
     cache_mod.store_experiment(tmp_path, "search", "aa" * 32, {"v": 1})
@@ -592,6 +620,46 @@ def test_cli_sweep_malformed_m_range_exit_2(tmp_path, capsys, m_range):
     assert capsys.readouterr().err == (f"error: bad --m-range {m_range!r}: "
                                        "expected lo..hi or a comma list of integers\n")
     assert not (tmp_path / "sw").exists() and not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "5,x"), ("--lambda", "2,x"),
+                                         ("--lambda", "2.5"), ("--p", "2..3")])
+def test_cli_sweep_malformed_int_list_exit_2(tmp_path, capsys, flag, value):
+    lists = {"--p": "5", "--lambda": "2", flag: value}
+    assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", lists["--p"],
+                   "--lambda", lists["--lambda"], "--m-range", "2..3", "--out", "sw") == 2
+    assert capsys.readouterr().err == (f"error: bad {flag} {value!r}: "
+                                       "expected a comma list of integers\n")
+    assert not (tmp_path / "sw").exists() and not (tmp_path / "cache").exists()
+
+
+def test_cli_warm_sweep_reads_and_hashes_each_cell_once(tmp_path, monkeypatch, capsys):
+    argv = ("--cache-dir", "cache", "sweep", "--p", "5,7", "--lambda", "2",
+            "--m-range", "1..3", "--out", "sw")
+    assert run_cli(tmp_path, *argv) == 0
+    root = tmp_path / "cache" / "search"
+    entries = {p.name for p in root.glob("*.json") if not p.name.endswith(".meta.json")}
+    assert len(entries) == 6
+    keys, opened = [], []
+
+    def counting(calls, real):
+        def call(first, *args, **kwargs):
+            calls.append(first)
+            return real(first, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cache_mod, "key", counting(keys, cache_mod.key))
+    monkeypatch.setattr(cache_mod, "open", counting(opened, open), raising=False)
+    monkeypatch.setattr(os, "open", counting(opened, os.open))
+    capsys.readouterr()
+    assert run_cli(tmp_path, *argv) == 0
+    monkeypatch.undo()
+    assert "6 cells (0 computed, 6 cached)" in capsys.readouterr().out
+    # one key per cell, and one for the sweep's own entry
+    assert len(keys) == 6 + 1
+    in_search = [os.path.basename(p) for p in map(os.fspath, opened)
+                 if os.path.dirname(p).endswith("search")]
+    assert sorted(in_search) == sorted(entries)
 
 
 def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):

@@ -665,6 +665,25 @@ def test_is_prime():
     assert not any(is_prime(c) for c in composites)
 
 
+def test_is_prime_matches_a_sieve():
+    # below 3 215 031 751 the bases 2, 3, 5 and 7 decide; that number is
+    # the least strong pseudoprime to all four, so it needs the other bases
+    n = 2 * 10**5
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, int(n**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n + 1, q)))
+    assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
+    spsp = 3215031751
+    assert spsp == 151 * 751 * 28351 and not is_prime(spsp)
+    r = ((spsp - 1) & (1 - spsp)).bit_length() - 1
+    d = (spsp - 1) >> r
+    for a in (2, 3, 5, 7):  # passes the strong test to each of the four bases
+        assert pow(a, d, spsp) in (1, spsp - 1) or \
+            any(pow(a, d << i, spsp) == spsp - 1 for i in range(1, r))
+
+
 def test_residue_set_equality_and_validation():
     assert rs(7, [1, 8]) == rs(7, [1])  # reduction mod N
     assert rs(7, [1]) != rs(11, [1])

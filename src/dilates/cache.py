@@ -1,14 +1,16 @@
 """Content-addressed result cache.
 
 Layout: <cache_dir>/<kind>/<key>.json holds the canonical JSON outputs
-of one experiment; a .meta.json sidecar holds timestamps and tool version
-so the outputs themselves stay byte-identical across reruns.  The cache
+of one experiment, byte-identical across reruns; a .meta.json sidecar,
+written with its entry or when it is missing, records when (created_at)
+and by which checkout (git_describe) the entry was written.  The cache
 directory defaults to ./dilates_cache and is overridden by the
-DILATES_CACHE_DIR environment variable.  Every file goes through
-atomic_write, which leaves a target that already holds the same bytes
-untouched, so a rerun rewrites only what changed.  Paths are plain str
-and I/O is plain os calls, so a hit costs about its system calls: one
-open and read of its entry, whose task search hashes once.
+DILATES_CACHE_DIR environment variable.  atomic_write leaves a target
+that already holds the same bytes untouched, so a rerun that changes no
+entry writes no file.  A reader decodes an entry with the key it is
+filed under; an entry its decoder refuses is a miss, named on stderr.
+Paths are plain str and I/O is plain os calls, so a hit costs about its
+system calls: one open and read of its entry, whose task search hashes once.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ def _create_temp(path: str | Path) -> tuple[str, int]:
             made_dir = True
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Make path hold data, so that readers see the old file or the new.
+def atomic_write(path: str | Path, data: bytes) -> bool:
+    """Make path hold data, so that readers see the old file or the new;
+    returns whether it wrote.
 
     A target that already holds exactly data is left untouched: no write,
     and its mtime and inode stay.  Otherwise data goes to a fresh temp
@@ -103,7 +106,7 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     gets the mode a plain write would.
     """
     if _holds(path, data):
-        return
+        return False
     tmp, fd = _create_temp(path)
     try:
         try:
@@ -117,6 +120,7 @@ def atomic_write(path: str | Path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return True
 
 
 @functools.cache
@@ -132,31 +136,32 @@ def git_describe() -> str:
 
 
 def store_experiment(cache_dir, kind: str, inputs_digest: str, outputs) -> Path:
-    """Write outputs (byte-stable) plus a metadata sidecar with timestamps
-    and versions; returns the outputs path.  outputs may also be given as
-    its canonical_json bytes, so a caller that has them encodes once."""
+    """Write outputs (byte-stable), and a metadata sidecar with timestamps
+    and versions whenever the outputs are written or the sidecar is
+    missing; returns the outputs path.  outputs may also be given as its
+    canonical_json bytes, so a caller that has them encodes once."""
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     from . import __version__
-    root = os.path.join(cache_dir, kind)
-    out_path = os.path.join(root, inputs_digest + ".json")
-    atomic_write(out_path, outputs if isinstance(outputs, bytes) else canonical_json(outputs))
-    meta = {
-        "kind": kind,
-        "inputs_digest": inputs_digest,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "tool_version": __version__,
-        "git_describe": git_describe(),
-    }
-    atomic_write(os.path.join(root, inputs_digest + ".meta.json"), canonical_json(meta))
-    return Path(out_path)
+    stem = os.path.join(cache_dir, kind, inputs_digest)
+    data = outputs if isinstance(outputs, bytes) else canonical_json(outputs)
+    if atomic_write(stem + ".json", data) or not os.path.exists(stem + ".meta.json"):
+        meta = {
+            "kind": kind,
+            "inputs_digest": inputs_digest,
+            "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "tool_version": __version__,
+            "git_describe": git_describe(),
+        }
+        atomic_write(stem + ".meta.json", canonical_json(meta))
+    return Path(stem + ".json")
 
 
-def _read_entry(path: str, decode):
-    """decode() of the JSON in path, or None: silently if no file is
-    there (never written, or deleted since it was listed), and with a
-    line on stderr if either step fails: a file truncated by a crash or a
-    full disk, or an entry whose shape decode does not accept."""
+def _read_entry(path: str, key: str, decode):
+    """decode(JSON in path, key), or None: silently if no file is there
+    (never written, or deleted since it was listed), and with a line on
+    stderr if either step fails: a file truncated by a crash or a full
+    disk, or an entry decode does not accept, in its shape or under key."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -164,22 +169,23 @@ def _read_entry(path: str, decode):
         return None
     try:
         # strict UTF-8: json.loads of bytes would take UTF-16 or a BOM too
-        return decode(json.loads(data.decode()))
+        return decode(json.loads(data.decode()), key)
     except (AttributeError, ArithmeticError, LookupError, TypeError, ValueError):
         print(f"cache: ignoring undecodable entry {Path(path)}", file=sys.stderr)
         return None
 
 
 def load_outputs(cache_dir, kind: str, inputs_digest: str, decode):
-    """decode(outputs) for a digest, or None on a miss.  An undecodable
-    entry is a miss too; the caller's next store overwrites it."""
-    return _read_entry(os.path.join(cache_dir, kind, inputs_digest + ".json"), decode)
+    """decode(outputs, inputs_digest) for a digest, or None on a miss.  An
+    undecodable entry is a miss too; the caller's next store overwrites it."""
+    path = os.path.join(cache_dir, kind, inputs_digest + ".json")
+    return _read_entry(path, inputs_digest, decode)
 
 
 def list_outputs(cache_dir, kind: str, decode) -> list[tuple[str, object]]:
-    """(digest, decode(outputs)) for every entry of one kind that decodes,
-    sorted by digest; an entry deleted after the listing is skipped.  Every
-    name ending in .json is an entry, dot-prefixed ones too, but .meta.json."""
+    """(digest, decode(outputs, digest)) for every entry of one kind that
+    decodes, sorted by digest; an entry deleted after the listing is skipped.
+    Every name ending in .json is an entry, dot-prefixed ones too, but .meta.json."""
     root = os.path.join(cache_dir, kind)
     try:
         names = sorted(os.listdir(root))
@@ -189,7 +195,8 @@ def list_outputs(cache_dir, kind: str, decode) -> list[tuple[str, object]]:
     for name in names:
         if not name.endswith(".json") or name.endswith(".meta.json"):
             continue
-        outputs = _read_entry(os.path.join(root, name), decode)
+        digest = name[:-5] or name  # Path(".json").stem is ".json"
+        outputs = _read_entry(os.path.join(root, name), digest, decode)
         if outputs is not None:
-            pairs.append((name[:-5] or name, outputs))  # Path(".json").stem is ".json"
+            pairs.append((digest, outputs))
     return pairs

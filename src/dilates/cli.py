@@ -28,8 +28,7 @@ from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import _chain_report, discretize_to_zp, encode_grid_to_intervals
 from .residues import ResidueSet, require_prime
-from .search import (SearchTask, SweepReport, _rows_csv, decode_entry, solve_cell, sweep,
-                     sweep_csv, sweep_rows)
+from .search import SearchTask, _rows_csv, decode_entry, solve_cell, sweep, sweep_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,11 +64,15 @@ def _parse_ints(text: str, flag: str) -> list[int]:
     try:
         if ranged and ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
+        values = []
+    if not values:  # a list that holds no value sweeps nothing
         raise ValueError(f"bad {flag} {text!r}: expected {'lo..hi or ' if ranged else ''}"
-                         "a comma list of integers") from None
+                         "a comma list of integers")
+    return values
 
 
 def _write(path: Path, data: bytes) -> None:
@@ -79,8 +82,10 @@ def _write(path: Path, data: bytes) -> None:
 
 def _write_dat(path: Path, column: str, points) -> None:
     """Plot data: a `# alpha <column>` header, then one sorted point per line."""
+    # rounding to float keeps order: the floats decide, the exact values break ties
     lines = [f"# alpha {column}"]
-    lines += [f"{float(x):.12g} {float(y):.12g}" for x, y in sorted(points)]
+    lines += [f"{fx:.12g} {fy:.12g}"
+              for fx, _, fy, _ in sorted((float(x), x, float(y), y) for x, y in points)]
     _write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -230,20 +235,11 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cells = []
-    for key, cell in cache_mod.list_outputs(args.cache_dir, "search", decode_entry):
-        # search only ever reads an entry under its own task's key
-        if key == cell[0].digest():
-            cells.append(cell)
-        else:
-            print(f"cache: ignoring search entry {key} filed under another task's key",
-                  file=sys.stderr)
+    cells = [cell for _, cell in cache_mod.list_outputs(args.cache_dir, "search", decode_entry)]
     # by (p, lambda, m); the sort is stable, so ties stay in key order
     cells.sort(key=lambda cell: (cell[0].p, cell[0].lam, cell[0].m))
-    report = SweepReport(tasks=[t for t, _ in cells], results=[r for _, r in cells],
-                         errors=[])
     out_dir = Path(args.out)
-    _write(out_dir / "results.csv", sweep_csv(report).encode())
+    _write(out_dir / "results.csv", _rows_csv([r.to_json_dict(t) for t, r in cells]).encode())
     by_lam: dict[int, list[tuple[Fraction, Fraction]]] = {}
     by_cell: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for task, result in cells:

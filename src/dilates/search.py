@@ -126,16 +126,18 @@ class SearchResult:
         )
 
 
-def decode_entry(data: dict, task: SearchTask | None = None) -> tuple[SearchTask, SearchResult]:
-    """(task, result) of a search cache entry, as SearchResult.to_json_dict
-    writes it; raises on any other shape, and on a task_digest that is not
-    the task's key.  The one decoder of the "search" cache kind, so every
-    reader accepts and rejects the same entries.  An entry of task, the
-    task it was looked up for, yields task, whose key is known already."""
+def decode_entry(data: dict, key: str,
+                 task: SearchTask | None = None) -> tuple[SearchTask, SearchResult]:
+    """(task, result) of a search cache entry filed under key, as
+    SearchResult.to_json_dict writes it; raises on any other shape, and
+    unless its task_digest, key and its task's key agree.  The one decoder
+    of the "search" cache kind, so every reader accepts and rejects the
+    same entries.  An entry of task, the task it was looked up for, yields
+    task, whose key is known already."""
     entry_task = SearchTask.from_json_dict(data["task"])
     task = task if entry_task == task else entry_task
-    if data["task_digest"] != task.digest():
-        raise ValueError(f"task_digest {data['task_digest']!r} is not the task's key")
+    if not data["task_digest"] == key == task.digest():
+        raise ValueError(f"task_digest, key {key!r} and the task's key disagree")
     return task, SearchResult.from_json_dict(data)
 
 
@@ -306,16 +308,14 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
 
 def solve_cell(task: SearchTask, cache_dir=None) -> tuple[SearchResult, bool]:
     """(result, cached) for one cell: the cache entry under the task's key
-    if it decodes to this task's result, else the exact or heuristic
+    if it decodes, so holds this task's result, else the exact or heuristic
     search, whose result is then stored.  cache_dir None skips the cache."""
     from . import cache as cache_mod
 
     if cache_dir is not None:
         cached = cache_mod.load_outputs(cache_dir, "search", task.digest(),
                                         functools.partial(decode_entry, task=task))
-        # an entry of another task filed under this key is a miss; the
-        # store below overwrites it
-        if cached is not None and cached[0] == task:
+        if cached is not None:
             return cached[1], True
     if task.mode == "exact":
         result = exact_min_dilate_sumset(task)

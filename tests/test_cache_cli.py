@@ -34,6 +34,19 @@ def run_cli(tmp_path, *argv):
 
 # ---------------------------------------------------------------- cache
 
+def _raw(outputs, key):
+    """A decoder that takes every entry as it is, under any key."""
+    return outputs
+
+
+_GMTIME = time.gmtime
+
+
+def _clock_at(monkeypatch, seconds):
+    """Stop the clock that stamps created_at at `seconds` past the epoch."""
+    monkeypatch.setattr(time, "gmtime", lambda secs=None: _GMTIME(seconds))
+
+
 def test_canonical_json_is_stable():
     a = cache_mod.canonical_json({"b": 1, "a": [2, 3]})
     b = cache_mod.canonical_json({"a": [2, 3], "b": 1})
@@ -46,17 +59,44 @@ def test_store_and_load_outputs(tmp_path):
     payload = {"answer": 42, "ratio": "4/9"}
     path = cache_mod.store_experiment(tmp_path, "search", "ab" * 32, payload)
     assert path.read_bytes() == cache_mod.canonical_json(payload)
-    assert cache_mod.load_outputs(tmp_path, "search", "ab" * 32, dict) == payload
-    assert cache_mod.load_outputs(tmp_path, "search", "cd" * 32, dict) is None
+    assert cache_mod.load_outputs(tmp_path, "search", "ab" * 32, _raw) == payload
+    assert cache_mod.load_outputs(tmp_path, "search", "cd" * 32, _raw) is None
     meta = json.loads((tmp_path / "search" / ("ab" * 32 + ".meta.json")).read_text())
     assert meta["kind"] == "search" and "created_at" in meta
     assert set(meta) == {"kind", "inputs_digest", "created_at", "tool_version",
                          "git_describe"}
-    # byte-identical outputs on rerun even though metadata may differ
     again = cache_mod.store_experiment(tmp_path, "search", "ab" * 32, payload)
     assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError):
         cache_mod.store_experiment(tmp_path, "bogus", "x", {})
+
+
+def test_store_writes_the_sidecar_only_with_its_entry(tmp_path, monkeypatch):
+    # created_at is when the entry was written: a store that leaves the
+    # entry as it was writes no sidecar and runs no git describe, unless
+    # the sidecar is missing
+    digest = "ab" * 32
+    entry = tmp_path / "search" / f"{digest}.json"
+    sidecar = tmp_path / "search" / f"{digest}.meta.json"
+    described = []
+    monkeypatch.setattr(cache_mod, "git_describe", lambda: described.append(1) or "v1")
+
+    def store(seconds, payload):
+        _clock_at(monkeypatch, seconds)
+        cache_mod.store_experiment(tmp_path, "search", digest, payload)
+        meta = json.loads(sidecar.read_text())
+        return meta["created_at"], sidecar.stat().st_ino, entry.stat().st_ino
+
+    first = store(10**9, {"v": 1})
+    assert first[0] == "2001-09-09T01:46:40Z" and len(described) == 1
+    assert store(2 * 10**9, {"v": 1}) == first and len(described) == 1
+    changed = store(3 * 10**9, {"v": 2})
+    assert changed[0] == "2065-01-24T05:20:00Z" and len(described) == 2
+    assert changed[1] != first[1] and changed[2] != first[2]
+    sidecar.unlink()
+    restored = store(4 * 10**9, {"v": 2})
+    assert restored[0] == "2096-10-02T07:06:40Z" and restored[2] == changed[2]
+    assert json.loads(sidecar.read_text())["git_describe"] == "v1" and len(described) == 3
 
 
 def test_atomic_write_concurrent_writers(tmp_path):
@@ -95,10 +135,10 @@ def test_atomic_write_concurrent_writers(tmp_path):
 def test_atomic_write_leaves_identical_target_untouched(tmp_path):
     target = tmp_path / "a" / "b" / "entry.json"  # directories made on demand
     data = cache_mod.canonical_json({"v": 1})
-    cache_mod.atomic_write(target, data)
+    assert cache_mod.atomic_write(target, data) is True
     os.utime(target, ns=(10**9, 10**9))  # an old mtime, so any rewrite shows
     before = target.stat()
-    cache_mod.atomic_write(target, data)
+    assert cache_mod.atomic_write(target, data) is False
     after = target.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, 10**9)
     assert target.read_bytes() == data
@@ -189,7 +229,7 @@ def test_list_outputs_skips_an_entry_deleted_while_listing(tmp_path, capsys):
         cache_mod.store_experiment(tmp_path, "search", digest * 32, {"v": digest})
     victim = tmp_path / "search" / ("bb" * 32 + ".json")
 
-    def decode(outputs):
+    def decode(outputs, key):
         victim.unlink(missing_ok=True)  # gone after the glob, before its read
         return outputs
 
@@ -210,11 +250,13 @@ def test_list_outputs_lists_what_a_json_glob_lists(tmp_path):
         (root / name).write_bytes(b'{"v":0}\n')
     old = [p.stem for p in sorted(root.glob("*.json")) if not p.name.endswith(".meta.json")]
     assert old == [".json", ".x", "aa" * 32, "b.c", "ff" * 32]
-    assert [d for d, _ in cache_mod.list_outputs(tmp_path, "search", dict)] == old
-    assert cache_mod.list_outputs(str(tmp_path), "search", dict) == \
-        cache_mod.list_outputs(tmp_path, "search", dict)
+    # each entry is decoded with the key it is filed under
+    assert cache_mod.list_outputs(tmp_path, "search", lambda outputs, key: key) == \
+        [(d, d) for d in old]
+    assert cache_mod.list_outputs(str(tmp_path), "search", _raw) == \
+        cache_mod.list_outputs(tmp_path, "search", _raw)
     (tmp_path / "gap").write_bytes(b"a file, not a directory")
-    assert cache_mod.list_outputs(tmp_path, "gap", dict) == []
+    assert cache_mod.list_outputs(tmp_path, "gap", _raw) == []
 
 
 @pytest.mark.parametrize("as_str", [False, True])
@@ -230,9 +272,9 @@ def test_atomic_write_takes_a_str_or_a_path(tmp_path, as_str):
 def test_list_outputs_sorted(tmp_path):
     cache_mod.store_experiment(tmp_path, "search", "ff" * 32, {"v": 2})
     cache_mod.store_experiment(tmp_path, "search", "aa" * 32, {"v": 1})
-    listed = cache_mod.list_outputs(tmp_path, "search", dict)
+    listed = cache_mod.list_outputs(tmp_path, "search", _raw)
     assert [d for d, _ in listed] == ["aa" * 32, "ff" * 32]
-    assert cache_mod.list_outputs(tmp_path, "gap", dict) == []
+    assert cache_mod.list_outputs(tmp_path, "gap", _raw) == []
 
 
 def test_cache_dir_env_override(monkeypatch):
@@ -613,7 +655,7 @@ def test_cli_sweep_reports_cell_errors_and_exits_0(tmp_path, capsys):
     assert json.loads((tmp_path / "sw" / "sweep.json").read_text())["errors"][0]["m"] == 0
 
 
-@pytest.mark.parametrize("m_range", ["1..2..3", "2..", "..3", "2,x"])
+@pytest.mark.parametrize("m_range", ["1..2..3", "2..", "..3", "2,x", "3..2", ","])
 def test_cli_sweep_malformed_m_range_exit_2(tmp_path, capsys, m_range):
     assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", "5",
                    "--lambda", "2", "--m-range", m_range, "--out", "sw") == 2
@@ -623,7 +665,8 @@ def test_cli_sweep_malformed_m_range_exit_2(tmp_path, capsys, m_range):
 
 
 @pytest.mark.parametrize("flag, value", [("--p", "5,x"), ("--lambda", "2,x"),
-                                         ("--lambda", "2.5"), ("--p", "2..3")])
+                                         ("--lambda", "2.5"), ("--p", "2..3"),
+                                         ("--p", ","), ("--lambda", "")])
 def test_cli_sweep_malformed_int_list_exit_2(tmp_path, capsys, flag, value):
     lists = {"--p": "5", "--lambda": "2", flag: value}
     assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", lists["--p"],
@@ -705,7 +748,8 @@ def test_cli_sweep_recomputes_truncated_entry(tmp_path, capsys):
 
 def test_cli_entry_under_another_key_is_skipped(tmp_path, capsys):
     # a valid entry renamed to another task's key: report skips it, and
-    # search for that task misses, recomputes and overwrites it
+    # search for that task misses, recomputes and overwrites it; each names
+    # it in the one stderr line of an undecodable entry
     argv = ("--cache-dir", "cache", "sweep", "--p", "5,7", "--lambda", "2",
             "--m-range", "1..2", "--out", "sw")
     assert run_cli(tmp_path, *argv) == 0
@@ -713,17 +757,67 @@ def test_cli_entry_under_another_key_is_skipped(tmp_path, capsys):
     other = SearchTask(p=7, lam=2, m=3)
     moved = root / f"{other.digest()}.json"
     (root / f"{SearchTask(p=7, lam=2, m=2).digest()}.json").rename(moved)
+    line = f"cache: ignoring undecodable entry {Path('cache', 'search', moved.name)}\n"
     capsys.readouterr()
     assert run_cli(tmp_path, "--cache-dir", "cache", "report", "--out", "plots") == 0
     out, err = capsys.readouterr()
-    assert "rendered 3 cached results" in out
-    assert err.count("another task's key") == 1 and other.digest() in err
+    assert "rendered 3 cached results" in out and err == line
     assert run_cli(tmp_path, "--cache-dir", "cache", "search", "--p", "7",
                    "--lambda", "2", "--m", "3") == 0
-    assert json.loads(capsys.readouterr().out)["task"]["m"] == 3
-    assert decode_entry(json.loads(moved.read_text()))[0] == other
+    out, err = capsys.readouterr()
+    assert json.loads(out)["task"]["m"] == 3 and err == line
+    assert decode_entry(json.loads(moved.read_text()), other.digest())[0] == other
     assert run_cli(tmp_path, *argv) == 0
     assert "(1 computed, 3 cached)" in capsys.readouterr().out
+
+
+_STORING_COMMANDS = [
+    ("sweep", "--p", "5,7", "--lambda", "2", "--m-range", "1..2", "--out", "sw"),
+    ("construct", "box", "--d", "2", "--lambda", "9", "--gamma", "1/9", "--p", "10007",
+     "--out", "out"),
+    ("verify", "cd", "--p", "101", "--cases", "50"),
+    ("gap", "find", "--set", "p=11;{0,2,4,6}", "--d-max", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", _STORING_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_warm_rerun_writes_no_file(tmp_path, monkeypatch, argv):
+    # an hour later the rerun changes no entry: it renames no temp file
+    # over a target, runs no git describe, and every file, sidecars
+    # included, keeps its inode, mtime and bytes, so created_at too
+    _clock_at(monkeypatch, 10**9)
+    assert run_cli(tmp_path, "--cache-dir", "cache", *argv) == 0
+
+    def files():
+        return {p: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    sidecars = [json.loads(data) for p, (_, _, data) in before.items()
+                if p.name.endswith(".meta.json")]
+    assert sidecars and {m["created_at"] for m in sidecars} == {"2001-09-09T01:46:40Z"}
+    _clock_at(monkeypatch, 10**9 + 3600)
+    calls = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda *a: calls.append(a) or real_replace(*a))
+    monkeypatch.setattr(cache_mod, "git_describe", lambda: calls.append("git") or "x")
+    assert run_cli(tmp_path, "--cache-dir", "cache", *argv) == 0
+    assert calls == []
+    assert files() == before
+
+
+def test_write_dat_orders_points_by_their_exact_values(tmp_path):
+    # 1/3 and 1/3 + 10^-20 round to one float; the exact values order them
+    from dilates.cli import _write_dat
+
+    third, eps = Fraction(1, 3), Fraction(1, 10**20)
+    assert float(third) == float(third + eps)
+    points = [(third + eps, Fraction(1, 5)), (Fraction(1, 2), Fraction(1, 7)),
+              (third, Fraction(2, 5)), (third, Fraction(1, 5) + eps), (third, Fraction(1, 5))]
+    _write_dat(tmp_path / "p.dat", "min_over_p", points)
+    expected = [f"{float(x):.12g} {float(y):.12g}" for x, y in sorted(points)]
+    assert expected[2:4] == ["0.333333333333 0.4", "0.333333333333 0.2"]
+    assert (tmp_path / "p.dat").read_text().splitlines() == ["# alpha min_over_p", *expected]
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
@@ -734,7 +828,7 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
             "--m-range", "1..2")
     assert run_cli(tmp_path, *argv, "--out", "taken") == 5
     assert capsys.readouterr().err.startswith("I/O error: ")
-    assert len(cache_mod.list_outputs(tmp_path / "cache", "search", dict)) == 2
+    assert len(cache_mod.list_outputs(tmp_path / "cache", "search", _raw)) == 2
     assert run_cli(tmp_path, *argv, "--out", "sw") == 0
     assert "(0 computed, 2 cached)" in capsys.readouterr().out
 

@@ -1,10 +1,13 @@
 """Every name a module lists in __all__ exists, so a deleted helper
-cannot linger in an export list; importing the package stays light; every
-library name the benchmark's tracer patches still exists, and the
-benchmark's tiny pipeline ops pass the benchmark's own checks.  Public
-entry points refuse out-of-range input and malformed literals with
-ValueError, and a non-integer where an integer belongs with TypeError."""
+cannot linger in an export list, and every module-level private name is
+used somewhere in the package, so a helper cannot outlive its last
+caller; importing the package stays light; every library name the
+benchmark's tracer patches still exists, and the benchmark's tiny
+pipeline ops pass the benchmark's own checks.  Public entry points
+refuse out-of-range input and malformed literals with ValueError, and a
+non-integer where an integer belongs with TypeError."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,6 +40,39 @@ def test_all_names_resolve(name):
 
 def test_package_modules_found():
     assert {"dilates.search", "dilates.checks", "dilates.cli"} <= set(MODULES)
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private functions, classes and constants a module defines at its
+    top level, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    # a read, an attribute or an import anywhere in the package counts as
+    # a use; the definition itself and a plain rebinding do not
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(dilates.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{module}: {name}" for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in used]
+    assert unused == []
 
 
 def test_import_loads_no_cache_or_cli_code():

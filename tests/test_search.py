@@ -40,16 +40,19 @@ def test_task_and_result_json_forms():
     row = heuristic_min_dilate_sumset(t).to_json_dict(t)
     # alpha is m/p as written, min_over_p the reduced fraction
     assert (row["alpha"], row["min_over_p"]) == ("7/7", "1/1")
-    assert decode_entry(row) == (t, heuristic_min_dilate_sumset(t))
-    assert sweep_csv(SweepReport([t], [decode_entry(row)[1]], [])).splitlines()[1] == \
+    key = t.digest()
+    assert decode_entry(row, key) == (t, heuristic_min_dilate_sumset(t))
+    assert sweep_csv(SweepReport([t], [decode_entry(row, key)[1]], [])).splitlines()[1] == \
         '7,-3,7,7/7,7,1/1,false,"p=7;{0,1,2,3,4,5,6}"'
     with pytest.raises(ValueError, match="prime"):
-        decode_entry({**row, "task": {**row["task"], "p": 8}})
-    # an entry must carry its own task's key
-    for edited in ({**row, "task_digest": "0" * 64},
-                   {**row, "task": {**row["task"], "seed": 6}}):
+        decode_entry({**row, "task": {**row["task"], "p": 8}}, key)
+    # an entry must carry its own task's key and be filed under it
+    other = SearchTask(p=7, lam=-3, m=7, mode="heuristic", seed=6, budget=9)
+    for edited, filed_under in (({**row, "task_digest": "0" * 64}, key),
+                                ({**row, "task": other.to_json_dict()}, key),
+                                (row, other.digest()), (row, "0" * 64)):
         with pytest.raises(ValueError, match="task_digest"):
-            decode_entry(edited)
+            decode_entry(edited, filed_under)
 
 
 def test_exact_examples():

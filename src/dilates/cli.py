@@ -95,14 +95,16 @@ def _cmd_construct(args) -> int:
     if args.shape == "box":
         lam = args.lam
         if args.sides:
+            if args.gamma or args.optimized:
+                raise ValueError("--sides excludes --gamma and --optimized")
             sides = tuple(_parse_fraction(tok) for tok in args.sides.split(","))
+        elif not args.gamma:
+            raise ValueError("need --gamma or --sides")
         elif args.optimized:
             if args.d != 3:
                 raise ValueError("--optimized is the unequal-sides 3-d box")
             sides = optimized_box_sides_3d(_parse_fraction(args.gamma), lam)
         else:
-            if not args.gamma:
-                raise ValueError("need --gamma or --sides")
             sides = equal_box_sides(args.d, _parse_fraction(args.gamma), lam)
         grid = box_grid_set(args.d, lam, sides)
         label = "box"

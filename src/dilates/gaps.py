@@ -1,11 +1,11 @@
 """Generalized arithmetic progressions over Z/pZ.
 
 A progression P = {a + sum n_i v_i : 0 <= n_i < k_i} is proper when all
-nominal_size = prod k_i combinations land on distinct residues.  Besides
-expansion and properness this module provides the large-step truncation
-P' (keep only generators with k_i >= lam), the lambda-power span
-containment check, and a small-scale exhaustive finder for the largest
-proper progression inside a given set.
+nominal_size = prod k_i combinations land on distinct residues.  P expands
+as the sum {a} + v_1*{0..k_1-1} + ..., one residues.sumset per generator.
+The module also has the large-step truncation P' (keep only generators with
+k_i >= lam), the lambda-power span containment check, and a small-scale
+exhaustive finder for the largest proper progression inside a given set.
 
 The finder (p <= 101, dimension <= 2) works on numpy arrays.  One run
 table, runs[v][x] = the number of consecutive members x, x+v, ..., serves
@@ -94,21 +94,20 @@ class Gap:
 
 
 def expand(gap: Gap) -> ResidueSet:
-    """All residues the progression represents (with multiplicity collapsed)."""
+    """All residues the progression represents: {a} plus, per generator v,
+    one sumset with the run {0..min(k, p) - 1} dilated by v."""
     if gap.nominal_size > _EXPAND_CAP:
         raise ScaleCapError(f"nominal size {gap.nominal_size} exceeds cap {_EXPAND_CAP}")
     p = gap.modulus
-    values = {gap.base}
+    total = ResidueSet(p, 1 << gap.base)
     for v, k in zip(gap.generators, gap.lengths):
-        values = {(x + j * v) % p for x in values for j in range(k)}
-    return ResidueSet.from_elements(p, values)
+        total = sumset(total, dilate(ResidueSet(p, (1 << min(k, p)) - 1), v))
+    return total
 
 
 def is_proper(gap: Gap) -> bool:
     """True iff all nominal_size combinations are distinct residues."""
-    if gap.nominal_size > gap.modulus:
-        return False
-    return len(expand(gap)) == gap.nominal_size
+    return gap.nominal_size <= gap.modulus and len(expand(gap)) == gap.nominal_size
 
 
 def truncate_to_large_steps(gap: Gap, lam: int) -> Gap:

@@ -261,31 +261,29 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
     return GridSet(d, lam, _cells(d, lam, [floor(lam * s) - 1 for s in sides]))
 
 
-def _root_side(value: Fraction, d: int, lam: int | None) -> Fraction:
+def _root_side(value: Fraction, d: int, lam: int) -> Fraction:
     """value**(1/d) as an exact Fraction when possible, else the smallest
     multiple of 1/lam at or above it."""
-    if lam is not None and lam < 2:
+    if lam < 2:
         raise ValueError(f"resolution must be >= 2, got {lam}")
     num, den = value.numerator, value.denominator
     rn, rd = nth_root_floor(num, d), nth_root_floor(den, d)
     if rn**d == num and rd**d == den:
         return Fraction(rn, rd)
-    if lam is None:
-        raise ValueError(f"{value}^(1/{d}) is irrational; pass lam to snap to the grid")
     k = nth_root_floor(lam**d * num // den, d)
     while k**d * den < lam**d * num:
         k += 1
     return Fraction(k, lam)
 
 
-def equal_box_sides(d: int, gamma, lam: int | None = None) -> tuple[Fraction, ...]:
+def equal_box_sides(d: int, gamma, lam: int) -> tuple[Fraction, ...]:
     """Side lengths of the volume-gamma cube: gamma**(1/d) on every axis."""
     d = _require_dim(d)
     side = _root_side(_as_fraction(gamma), d, lam)
     return (side,) * d
 
 
-def optimized_box_sides_3d(gamma, lam: int | None = None) -> tuple[Fraction, ...]:
+def optimized_box_sides_3d(gamma, lam: int) -> tuple[Fraction, ...]:
     """Unequal 3-d box sides (2g)^(1/3), (g/4)^(1/3), (2g)^(1/3): same
     volume as the cube but a smaller projection sumset."""
     g = _as_fraction(gamma)

@@ -316,8 +316,8 @@ def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
     is smeared over l positions and shifted up by s.  The smear over l is
     its smear over the largest 2^k <= l, ORed with itself shifted by
     l - 2^k; those are built by doubling, one smear per distinct l.  A run
-    ends by N - 1, so every term is below 2^(2N) and one fold
-    (acc | acc >> N) & mask reduces the OR mod N.
+    ends by N - 1, so every term is below 2^(2N), and one fold of the bits
+    at N and above onto those below reduces the OR mod N, with no N-bit mask.
     """
     runs, bits = (a, b) if ra <= rb else (b, a)
     powers = [bits]  # powers[k] = bits smeared over 2^k positions
@@ -331,7 +331,7 @@ def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
                 powers.append(powers[-1] | powers[-1] << (1 << (len(powers) - 1)))
             smear = smears[l] = powers[k] | powers[k] << (l - (1 << k))
         acc |= smear << s
-    return (acc | acc >> n) & ((1 << n) - 1)
+    return acc ^ (high := acc >> n) << n | high
 
 
 def _fft_length(n: int) -> int:
@@ -506,13 +506,14 @@ def cyclic_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:
     """{u*x + v mod N : x in A}, the one member map under dilate and
-    affine_image.  Above |A|*N = _ARRAY_MIN_WORK, while N^2 < 2^63 keeps
-    u*x + v in int64 once u and v are reduced, the members are mapped as
-    one index array and scattered; otherwise from_elements builds the image."""
-    n = a.modulus
+    affine_image.  Over 32 members and |A|*N = _ARRAY_MIN_WORK, while
+    N^2 < 2^63 keeps u*x + v in int64 once u and v are reduced, the members
+    are mapped as one index array and scattered into an N-byte mask;
+    otherwise from_elements builds the image."""
+    n, count = a.modulus, a.bits.bit_count()
     u %= n
     v %= n
-    if a.bits.bit_count() * n > _ARRAY_MIN_WORK and n * n < 1 << 63:
+    if count > 32 and count * n > _ARRAY_MIN_WORK and n * n < 1 << 63:
         return ResidueSet(n, _members_to_bits(n, (_bits_to_members(a.bits) * u + v) % n))
     return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
 

@@ -335,6 +335,11 @@ def test_cli_construct_composite_modulus_exit_2(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (("--d", "2", "--gamma", "1/9", "--optimized"), "unequal-sides 3-d box"),
     (("--d", "2"), "need --gamma or --sides"),
+    (("--d", "3", "--optimized"), "need --gamma or --sides"),
+    (("--d", "3", "--optimized", "--sides", "1/2,1/2,1/2"),
+     "--sides excludes --gamma and --optimized"),
+    (("--d", "2", "--gamma", "1/9", "--sides", "1/3,1/3"),
+     "--sides excludes --gamma and --optimized"),
 ])
 def test_cli_construct_box_flag_errors_exit_2(tmp_path, capsys, flags, message):
     assert run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
@@ -864,6 +869,44 @@ def test_cli_gap_span_refuses_huge_exponent_at_once(tmp_path):
 def test_cli_usage_error_on_bad_literal(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "gap", "find",
                    "--set", "nonsense", "--d-max", "2") == 2
+
+
+# malformed or conflicting arguments, at least one row per subcommand and
+# verify suite, each with the documented exit code it must end with; rows
+# pick refusals no other test here makes, except sweep's, all of whose
+# refusals are made elsewhere
+_REFUSED = [
+    (("construct", "box", "--d", "3", "--lambda", "8", "--optimized"), 2),
+    (("construct", "box", "--d", "2", "--lambda", "9", "--sides", "a,b"), 2),
+    (("construct", "simplex", "--n", "0", "--lambda", "4"), 2),
+    (("verify", "cd", "--p", "1"), 2),
+    (("verify", "ruzsa", "--cases", "0"), 2),
+    (("verify", "plunnecke", "--cases", "0"), 2),
+    (("verify", "dilate-chain", "--cases", "0"), 2),
+    (("verify", "kfold-cd", "--p", "1"), 2),
+    (("verify", "affine", "--p", "4"), 2),
+    (("verify", "no-such-suite"), 2),
+    (("search", "--p", "7", "--lambda", "2", "--m", "9"), 2),
+    (("sweep", "--p", "7", "--lambda", "2", "--m-range", "3..2", "--out", "out"), 2),
+    (("gap", "find", "--set", "p=11;{}"), 2),
+    (("gap", "find", "--set", "p=11;{1}", "--d-max", "3"), 4),
+    (("gap", "expand", "--gap", "p=11;a=0;v=[0];k=[2]"), 2),
+    (("gap", "expand", "--gap", "p=11;a=0;v=[1];k=[99999999999]"), 4),
+    (("gap", "span", "--gap", "p=13;a=0;v=[1];k=[2]", "--lambda", "3"), 2),
+    (("report", "--out", "taken"), 5),
+    (("no-such-command",), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _REFUSED, ids=[" ".join(a) for a, _ in _REFUSED])
+def test_cli_refusals_end_in_a_documented_exit_code(tmp_path, argv, code):
+    # no exception escapes main: an argparse refusal's SystemExit(2) counts as 2
+    (tmp_path / "taken").write_text("a file, not a directory")
+    try:
+        got = run_cli(tmp_path, "--cache-dir", "cache", *argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
 
 
 _RERUN_COMMANDS = [

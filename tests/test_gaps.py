@@ -2,7 +2,9 @@
 span containment, and the exhaustive finder."""
 
 import random
+import tracemalloc
 from itertools import permutations, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -39,18 +41,52 @@ def test_expand_examples():
 
 def test_expand_matches_oracle():
     rng = random.Random(40)
-    for _ in range(100):
-        p = rng.choice([11, 13, 31])
-        d = rng.randint(1, 3)
+    for _ in range(400):
+        p = rng.choice([2, 3, 11, 101, 1009])
         gens, lens = [], []
-        for _ in range(d):
-            k = rng.randint(1, 4)
-            v = rng.randint(1, p - 1) if k >= 2 else rng.randrange(p)
-            gens.append(v)
+        for _ in range(rng.randint(0, 3)):
+            # lengths up to and past p, while the oracle's product stays small
+            k = rng.choice([1, 2, rng.randint(1, 6), p - 1 or 1, p, p + 1, p + 2])
+            if k * prod(lens) > 3000:
+                k = rng.randint(1, 3)
+            gens.append(rng.randint(1, p - 1) if k >= 2 else rng.randrange(p))
             lens.append(k)
+        if rng.random() < 0.2:  # a zero generator of length 1
+            at = rng.randint(0, len(gens))
+            gens.insert(at, 0)
+            lens.insert(at, 1)
         gap = Gap(p, rng.randrange(p), tuple(gens), tuple(lens))
         assert set(expand(gap).elements()) == oracle_expand(gap)
         assert len(expand(gap)) <= gap.nominal_size
+
+
+def test_expand_is_a_sum_not_an_enumeration():
+    # nominal size 2^22: a set of its residues would take hundreds of MiB
+    gap = Gap(10000019, 5, (1, 4096), (2048, 2048))
+    tracemalloc.start()
+    try:
+        total = expand(gap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert len(total) == gap.nominal_size
+    assert total.elements()[:3] == (5, 6, 7) and 5 + 2047 + 2047 * 4096 in total
+
+
+def test_expand_of_few_members_costs_their_bits_not_p():
+    # two to six residues at primes near 10^9 and 2^40 cost their bits: a
+    # p-byte mask or p-bit int here would take 125 MiB to 128 GiB
+    tracemalloc.start()
+    try:
+        for gap, want in ((Gap(1000000007, 5, (3,), (2,)), (5, 8)),
+                          (Gap(1000000007, 0, (3, 7), (2, 3)), (0, 3, 7, 10, 14, 17)),
+                          (Gap((1 << 40) + 15, 0, (1,), (2,)), (0, 1))):
+            assert expand(gap).elements() == want and is_proper(gap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_expand_translation():

@@ -489,20 +489,19 @@ def test_box_cells_match_predicate():
 
 
 def test_equal_box_sides():
-    assert equal_box_sides(2, F(1, 9)) == (F(1, 3), F(1, 3))
-    assert equal_box_sides(3, F(1, 64)) == (F(1, 4),) * 3
+    # an exact rational root comes back exact, on the 1/lam grid or not
+    assert equal_box_sides(2, F(1, 9), lam=10) == (F(1, 3), F(1, 3))
+    assert equal_box_sides(3, F(1, 64), lam=10) == (F(1, 4),) * 3
     # irrational root snaps up to the next 1/lam multiple
     (side,) = set(equal_box_sides(2, F(1, 2), lam=10))
     assert side == F(8, 10)  # sqrt(1/2)=0.7071 -> ceil to 0.8
-    with pytest.raises(ValueError, match="irrational"):
-        equal_box_sides(2, F(1, 2))
 
 
 def test_optimized_box_sides():
     sides = optimized_box_sides_3d(F(1, 64), lam=64)
     assert sides == (F(21, 64), F(11, 64), F(21, 64))
     # gamma = 1/16: both 2g = (1/2)^3 and g/4 = (1/4)^3 are exact cubes
-    assert optimized_box_sides_3d(F(1, 16)) == (F(1, 2), F(1, 4), F(1, 2))
+    assert optimized_box_sides_3d(F(1, 16), lam=3) == (F(1, 2), F(1, 4), F(1, 2))
 
 
 def test_nth_root_floor():

@@ -350,7 +350,7 @@ def oracle_runs(members):
 # Sets at the gates of the array paths, and one member over them, with
 # which reader takes the arrays as set: (N, members, elements(), _runs,
 # dilate and affine_image).  elements() weighs set bits by bit length, _runs
-# the same for bits ^ (bits << 1), the maps |A| by the modulus.
+# the same for bits ^ (bits << 1), the maps |A| (over 32) by the modulus.
 GATE_CASES = [
     # 32 members up to 1023: 32 * 1024 = _ARRAY_MIN_WORK for elements() and
     # the maps; 64 run edges up to 1024 are over it
@@ -464,7 +464,8 @@ def test_modulus_is_a_plain_int():
 
 def test_from_elements_ors_small_sets_at_large_n(monkeypatch):
     # at N = 10^6 + 3 up to 32 members are ORed into an integer (the
-    # scatter costs ~N bytes, the OR ~|A|*N/64 words); 33 take the scatter
+    # scatter costs ~N bytes, the OR ~|A|*N/64 words); 33 take the scatter.
+    # dilate keeps the same floor, so a few members never cost an N-byte mask
     n = 10**6 + 3
     scattered = []
 
@@ -478,7 +479,8 @@ def test_from_elements_ors_small_sets_at_large_n(monkeypatch):
     for size in (6, 32, 33):
         elems = rng.sample(range(n - 1), size - 1) + [n - 1]
         assert rs(n, elems).bits == sum(1 << x for x in elems)
-    assert scattered == [33]
+        assert dilate(rs(n, elems), 3).bits == oracle_bits(n, [3 * x for x in elems])
+    assert scattered == [33] * 3
 
 
 # ---------------------------------------------------------------- dilate sums

@@ -36,19 +36,26 @@ EXIT_MATH = 3
 EXIT_SCALE = 4
 EXIT_IO = 5
 
+def _p_or_101(p):
+    return 101 if p is None else p
+
+
 # verify suite -> (its run function in dilates.verify, looked up at each call
-# so a patched module attribute is the one called; the keyword arguments it
-# reads from the flags besides --cases and --seed, 0-defaults resolved)
+# so a patched module attribute is the one called; for each flag it reads
+# besides --cases and --seed, the keyword argument the flag fills and the
+# value it fills it with, from the flag's value, None when not given).
+# verify refuses a flag its suite does not read.
 _SUITES = {
-    "cd": ("run_cd_suite", lambda args: {"p": args.p}),
-    "ruzsa": ("run_ruzsa_suite", lambda args: {"modulus": args.p}),
-    "plunnecke": ("run_plunnecke_suite", lambda args: {}),
+    "cd": ("run_cd_suite", {"--p": ("p", _p_or_101)}),
+    "ruzsa": ("run_ruzsa_suite", {"--p": ("modulus", _p_or_101)}),
+    "plunnecke": ("run_plunnecke_suite", {}),
     "dilate-chain": ("run_dilate_chain_suite",
-                     lambda args: {"lambdas": [args.lam] if args.lam else [2, 3, 5],
-                                   "chain_lengths": [args.l] if args.l else [2, 3]}),
-    "kfold-cd": ("run_kfold_suite", lambda args: {"p": args.p}),
-    "affine": ("run_affine_suite", lambda args: {"p": args.p}),
+                     {"--lambda": ("lambdas", lambda lam: [lam] if lam else [2, 3, 5]),
+                      "--l": ("chain_lengths", lambda l: [l] if l else [2, 3])}),
+    "kfold-cd": ("run_kfold_suite", {"--p": ("p", _p_or_101)}),
+    "affine": ("run_affine_suite", {"--p": ("p", _p_or_101)}),
 }
+_SUITE_FLAGS = sorted({flag for _, reads in _SUITES.values() for flag in reads})
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -160,10 +167,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    run, reads = _SUITES[args.suite]
+    for flag in _SUITE_FLAGS:
+        if flag not in reads and getattr(args, flag[2:]) is not None:
+            raise ValueError(f"verify {args.suite} takes no {flag}")
     if args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
-    run, flags = _SUITES[args.suite]
-    kwargs = {"cases": args.cases, "seed": args.seed, **flags(args)}
+    kwargs = {"cases": args.cases, "seed": args.seed}
+    for flag, (name, value) in reads.items():
+        kwargs[name] = value(getattr(args, flag[2:]))
     summary = getattr(verify, run)(**kwargs)
     payload = summary.to_json_dict()
     cache_mod.store_experiment(args.cache_dir, "verify",
@@ -300,12 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("--cases", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--p", type=int, default=101,
-                          help="modulus: prime, but ruzsa takes any modulus >= 1")
-    p_verify.add_argument("--lambda", dest="lam", type=int, default=0,
-                          help="dilate-chain dilation, >= 2 (0: the suite's default, 2, 3, 5)")
-    p_verify.add_argument("--l", type=int, default=0,
-                          help="dilate-chain length, >= 1 (0: the suite's default, 2, 3)")
+    # each flag is stored under its own name, read as args.<flag>, and
+    # refused by a suite that does not read it (see _SUITES)
+    p_verify.add_argument("--p", type=int,
+                          help="cd, ruzsa, kfold-cd and affine: the modulus (default 101),"
+                               " prime, but ruzsa takes any modulus >= 1")
+    p_verify.add_argument("--lambda", type=int,
+                          help="dilate-chain dilation, >= 2 (0 or absent: 2, 3, 5)")
+    p_verify.add_argument("--l", type=int,
+                          help="dilate-chain length, >= 1 (0 or absent: 2, 3)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_search = sub.add_parser("search", help="minimize |A + lam*A| at one cell")

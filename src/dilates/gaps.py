@@ -144,7 +144,8 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
     # bit length: refuse that before building the power
     if (exponent >= _EXPAND_CAP.bit_length()
             or lam**exponent * gap.nominal_size > _EXPAND_CAP):
-        raise ScaleCapError("span check exceeds enumeration cap")
+        raise ScaleCapError("span check exceeds nominal-size cap: "
+                            "lambda^exponent * nominal size > 2^26")
     p = gap.modulus
     base = expand(gap)
     lhs_set = base

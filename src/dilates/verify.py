@@ -4,12 +4,20 @@ Each suite draws reproducible random instances, runs the corresponding
 check and reports a violation count.  The inequalities are theorems, so a
 single violation indicates a kernel bug; the CLI turns it into a nonzero
 exit and the acceptance tests assert zero across large case counts.
+
+One sampler, _random_subset, draws every suite's random sets, straight
+into their bitvectors.  It makes the getrandbits calls CPython's
+Random.sample makes to draw size members of range(n), so a seed gives the
+same instances as drawing with sample and building each set from its
+members did; that identity is with CPython's sample, pinned by
+tests/test_verify.py, which fails if a later CPython changes sample.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import ceil, log
 
 from .checks import (check_cauchy_davenport, check_dilate_chain,
                      check_kfold_cd_chain, check_plunnecke,
@@ -66,7 +74,52 @@ class SuiteSummary:
 
 
 def _random_subset(rng: random.Random, n: int, size: int) -> ResidueSet:
-    return ResidueSet.from_elements(n, rng.sample(range(n), size))
+    """The set of the size members of range(n) that rng's sample method
+    draws, drawn with the same getrandbits calls, so a seed gives the same
+    sets and leaves rng in the same state; a size outside 0..n raises
+    ValueError, as sample does.
+
+    While a pool of all n candidates is smaller than a set of size draws
+    (sample's own rule; n is then at most about 12 * size + 21), a partial
+    Fisher-Yates draws from the pool.  Each draw is ORed into the bitvector
+    while size * n <= 2^19, the gate of ResidueSet.from_elements: ORing
+    into a growing n-bit integer costs size * n / 64 word operations, so
+    above it the draws are swapped to the pool's end and built into one
+    bitvector.  Beyond the pool, draws are rejected against the set drawn
+    so far, and that set is built into one bitvector."""
+    if not 0 <= size <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    pool_max = 21  # sample's size of a small set minus that of an empty list
+    if size > 5:
+        pool_max += 4 ** ceil(log(size * 3, 4))
+    if n <= pool_max:
+        pool = list(range(n))  # pool[:m] holds the undrawn
+        if size * n <= 1 << 19:
+            bits = 0
+            for m in range(n, n - size, -1):
+                width = m.bit_length()
+                j = getrandbits(width)
+                while j >= m:
+                    j = getrandbits(width)
+                bits |= 1 << pool[j]
+                pool[j] = pool[m - 1]
+            return ResidueSet(n, bits)
+        for m in range(n, n - size, -1):
+            width = m.bit_length()
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
+            pool[j], pool[m - 1] = pool[m - 1], pool[j]
+        return ResidueSet.from_elements(n, pool[n - size:])
+    width = n.bit_length()
+    drawn: set[int] = set()
+    for _ in range(size):
+        j = getrandbits(width)
+        while j >= n or j in drawn:
+            j = getrandbits(width)
+        drawn.add(j)
+    return ResidueSet.from_elements(n, drawn)
 
 
 def _random_size(rng: random.Random, n: int, dense_cap: int = 128) -> int:
@@ -159,8 +212,8 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
     rng = random.Random(seed)
     summary = SuiteSummary("dilate-chain", 0, 0)
     for _ in range(cases):
-        base = rng.sample(range(max_element + 1), rng.randint(1, 40))
-        b = ResidueSet.from_elements(modulus, base)
+        base = _random_subset(rng, max_element + 1, rng.randint(1, 40))
+        b = ResidueSet(modulus, base.bits)
         for lam in lambdas:
             for l in chain_lengths:
                 summary.record(check_dilate_chain(b, lam, l))

@@ -537,6 +537,20 @@ def test_cli_verify_dilate_chain_modulus_cap_exit_4(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("scale cap exceeded: ")
 
 
+_SUITE_READS = {"cd": {"--p"}, "ruzsa": {"--p"}, "plunnecke": set(),
+                "dilate-chain": {"--lambda", "--l"}, "kfold-cd": {"--p"}, "affine": {"--p"}}
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for suite, reads in _SUITE_READS.items()
+    for flag in ("--p", "--lambda", "--l") if flag not in reads])
+def test_cli_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, suite, flag):
+    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", suite, flag, "2",
+                   "--cases", "3") == 2
+    assert capsys.readouterr().err == f"error: verify {suite} takes no {flag}\n"
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("suite", ["cd", "ruzsa", "kfold-cd", "affine"])
 def test_cli_verify_suites_at_small_primes(tmp_path, capsys, suite, p):
@@ -600,10 +614,14 @@ def _entries(cache_dir, kind):
 
 
 def test_cli_records_keyed_by_resolved_inputs(tmp_path, capsys):
-    # plunnecke reads no --p: one entry
-    for p in ("7", "11"):
-        assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "plunnecke",
-                       "--p", p, "--cases", "5") == 0
+    # cd's --p resolves to 101 when not given: one entry
+    for flags in ((), ("--p", "101")):
+        assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "cd",
+                       *flags, "--cases", "5") == 0
+    assert len(_entries(tmp_path / "cache", "verify")) == 1
+    # plunnecke reads no --p and refuses one: no second entry
+    assert run_cli(tmp_path, "--cache-dir", "cache", "verify", "plunnecke",
+                   "--p", "7", "--cases", "5") == 2
     assert len(_entries(tmp_path / "cache", "verify")) == 1
     # the box is discretized at each prime: one entry per prime
     for p in ("10007", "10009"):
@@ -866,6 +884,17 @@ def test_cli_gap_span_refuses_huge_exponent_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_cli_gap_span_names_the_nominal_size_cap(tmp_path, capsys):
+    # 3^16 * 4 > 2^26, with an exponent below the one refused outright
+    assert run_cli(tmp_path, "--cache-dir", "cache", "gap", "span",
+                   "--gap", "p=13;a=0;v=[1];k=[4]", "--lambda", "3",
+                   "--exponent", "16") == 4
+    assert capsys.readouterr().err == (
+        "scale cap exceeded: span check exceeds nominal-size cap: "
+        "lambda^exponent * nominal size > 2^26\n")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cli_usage_error_on_bad_literal(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "gap", "find",
                    "--set", "nonsense", "--d-max", "2") == 2
@@ -874,7 +903,8 @@ def test_cli_usage_error_on_bad_literal(tmp_path):
 # malformed or conflicting arguments, at least one row per subcommand and
 # verify suite, each with the documented exit code it must end with; rows
 # pick refusals no other test here makes, except sweep's, all of whose
-# refusals are made elsewhere
+# refusals are made elsewhere, and the two --p rows, whose messages
+# test_cli_verify_refuses_a_flag_its_suite_does_not_read checks
 _REFUSED = [
     (("construct", "box", "--d", "3", "--lambda", "8", "--optimized"), 2),
     (("construct", "box", "--d", "2", "--lambda", "9", "--sides", "a,b"), 2),
@@ -883,6 +913,8 @@ _REFUSED = [
     (("verify", "ruzsa", "--cases", "0"), 2),
     (("verify", "plunnecke", "--cases", "0"), 2),
     (("verify", "dilate-chain", "--cases", "0"), 2),
+    (("verify", "plunnecke", "--p", "0"), 2),
+    (("verify", "dilate-chain", "--p", "0"), 2),
     (("verify", "kfold-cd", "--p", "1"), 2),
     (("verify", "affine", "--p", "4"), 2),
     (("verify", "no-such-suite"), 2),

@@ -7,6 +7,12 @@ kept as exact Fractions (the minimal admissible value), never floored.
 
 Integer-set instances are emulated in Z/NZ; each operation derives the
 largest reachable element and rejects moduli that could wrap silently.
+
+A check forms each set once.  The dilate-chain reports of one base set
+come from one routine, _dilate_chain_reports, that forms B + B once and,
+for each lam, lam^i * B, B + B + lam*B and the chain's prefixes once;
+check_dilate_chain is that routine on one (lam, l) pair.
+check_kfold_cd_chain forms lam*A once, for both sides.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .residues import (ResidueSet, difference_set, dilate, dilate_sum, iterated_sumset,
-                       kfold_dilate_sum, require_prime, sumset)
+from .residues import (ResidueSet, difference_set, dilate, iterated_sumset,
+                       require_prime, sumset)
 
 __all__ = [
     "IneqReport",
@@ -150,7 +156,8 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int) -> IneqReport:
     if modulus <= needed:
         raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
     k = Fraction(len(sumset(a, b)), len(a))
-    lhs = len(difference_set(_fold(b, m), _fold(b, n)))
+    m_fold = _fold(b, m)
+    lhs = len(difference_set(m_fold, m_fold if m == n else _fold(b, n)))
     rhs = k ** (m + n) * len(a)
     return IneqReport(
         inequality="plunnecke-ruzsa",
@@ -165,42 +172,60 @@ def check_dilate_chain(b: ResidueSet, lam: int, l: int) -> IneqReport:
     Also evaluates the intermediate bounds |B+B| <= K^2 |B| and
     |B+B+lam*B| <= K^7 |B| used to derive the chain.  slack = rhs - lhs.
     """
-    if lam < 2 or l < 1:
-        raise ValueError("need lam >= 2 and l >= 1")
-    _require_nonempty(b)
-    modulus = b.modulus
-    chain_mult = sum(lam**i for i in range(l + 1))
-    needed = max(chain_mult, lam + 2) * _max_element(b)
-    if modulus <= needed:
-        raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
+    return _dilate_chain_reports(b, (lam,), (l,))[0]
+
+
+def _dilate_chain_reports(b: ResidueSet, lambdas, lengths) -> list[IneqReport]:
+    """check_dilate_chain(b, lam, l) for each lam in lambdas and, within
+    it, each l in lengths.  B + B is formed once; for each lam, so are
+    lam^i * B (i up to the longest l), B + B + lam*B and the chain's
+    prefixes, the prefix of length l giving that report's lhs.  Every pair
+    is validated in order before any set is formed, so a bad pair raises
+    the message its own check_dilate_chain call raises."""
+    top = _max_element(b)
+    for lam in lambdas:
+        for l in lengths:
+            if lam < 2 or l < 1:
+                raise ValueError("need lam >= 2 and l >= 1")
+            _require_nonempty(b)
+            needed = max(sum(lam**i for i in range(l + 1)), lam + 2) * top
+            if b.modulus <= needed:
+                raise ValueError(f"wraparound risk: need modulus > {needed}, "
+                                 f"got {b.modulus}")
 
     size = len(b)
-    lam_b = dilate(b, lam)
-    chain = sumset(b, lam_b)  # B + lam*B, the numerator of K and the chain's first step
-    k = Fraction(len(chain), size)
-    for i in range(2, l + 1):
-        chain = sumset(chain, dilate(b, lam**i))
-    lhs = len(chain)
-    rhs = k ** (7 * l - 6) * size
-
     double = sumset(b, b)
     bb = len(double)
-    bb_lam = len(sumset(double, lam_b))
-    details = (
-        ("double_sum", str(bb)),
-        ("double_sum_bound", _num(k**2 * size)),
-        ("double_sum_holds", str(bb <= k**2 * size).lower()),
-        ("double_plus_dilate", str(bb_lam)),
-        ("double_plus_dilate_bound", _num(k**7 * size)),
-        ("double_plus_dilate_holds", str(bb_lam <= k**7 * size).lower()),
-    )
-    holds = lhs <= rhs and bb <= k**2 * size and bb_lam <= k**7 * size
-    return IneqReport(
-        inequality="dilate-chain",
-        lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs, ratio_bound=k,
-        details=details,
-        inputs=(b, lam, l),
-    )
+    reports = []
+    for lam in lambdas:
+        lam_b = dilate(b, lam)
+        chain = sumset(b, lam_b)  # B + lam*B, the numerator of K and the chain's first step
+        k = Fraction(len(chain), size)
+        prefix = {1: len(chain)}  # i -> |B + lam*B + ... + lam^i * B|
+        for i in range(2, max(lengths) + 1):
+            chain = sumset(chain, dilate(b, lam**i))
+            prefix[i] = len(chain)
+        bb_lam = len(sumset(double, lam_b))
+        bb_bound, bb_lam_bound = k**2 * size, k**7 * size
+        details = (
+            ("double_sum", str(bb)),
+            ("double_sum_bound", _num(bb_bound)),
+            ("double_sum_holds", str(bb <= bb_bound).lower()),
+            ("double_plus_dilate", str(bb_lam)),
+            ("double_plus_dilate_bound", _num(bb_lam_bound)),
+            ("double_plus_dilate_holds", str(bb_lam <= bb_lam_bound).lower()),
+        )
+        bounds_hold = bb <= bb_bound and bb_lam <= bb_lam_bound
+        for l in lengths:
+            lhs = prefix[l]
+            rhs = k ** (7 * l - 6) * size
+            reports.append(IneqReport(
+                inequality="dilate-chain",
+                lhs=lhs, rhs=rhs, holds=lhs <= rhs and bounds_hold, slack=rhs - lhs,
+                ratio_bound=k, details=details,
+                inputs=(b, lam, l),
+            ))
+    return reports
 
 
 def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int) -> IneqReport:
@@ -211,9 +236,10 @@ def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int) -> IneqReport:
     if k < 2:
         raise ValueError("need k >= 2")
     _require_nonempty(a)
-    lhs = len(kfold_dilate_sum(a, k, lam))
-    rhs = min(a.modulus,
-              len(dilate_sum(a, lam)) + (k - 2) * (len(a) - 1))
+    lam_a = dilate(a, lam)
+    pair = sumset(a, lam_a)  # A + lam*A
+    lhs = len(pair if k == 2 else sumset(iterated_sumset(a, k - 1), lam_a))
+    rhs = min(a.modulus, len(pair) + (k - 2) * (len(a) - 1))
     return IneqReport(
         inequality="kfold-cd-chain",
         lhs=lhs, rhs=rhs, holds=lhs >= rhs, slack=lhs - rhs,

@@ -50,6 +50,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 1681:  # 41^2: a composite below it has a prime factor <= 37, found above
+        return True
     if n >= 1 << 64:
         raise ValueError(f"primality test limited to n < 2^64, got {n}")
     d = n - 1

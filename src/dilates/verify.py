@@ -11,6 +11,11 @@ Random.sample makes to draw size members of range(n), so a seed gives the
 same instances as drawing with sample and building each set from its
 members did; that identity is with CPython's sample, pinned by
 tests/test_verify.py, which fails if a later CPython changes sample.
+
+The dilate-chain suite hands each base set, with all its lambdas and chain
+lengths, to one call of checks._dilate_chain_reports, which forms B + B
+once per set and each lam's chain once; the k-fold suite's check forms
+lam*A once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from math import ceil, log
 
-from .checks import (check_cauchy_davenport, check_dilate_chain,
+from .checks import (_dilate_chain_reports, check_cauchy_davenport,
                      check_kfold_cd_chain, check_plunnecke,
                      check_ruzsa_triangle)
 from .errors import ScaleCapError
@@ -195,7 +200,8 @@ def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> Sui
 def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
                            lambdas=(2, 3, 5), chain_lengths=(2, 3)) -> SuiteSummary:
     """Random integer sets B in [0, max_element]; every (lam, l) combination
-    is checked for each set, including the intermediate bounds.
+    is checked for each set, including the intermediate bounds, in one
+    _dilate_chain_reports call per set.
 
     The emulation modulus grows as lam**(l + 1) / (lam - 1); one above
     _CHAIN_MODULUS_CAP is refused before any set is built."""
@@ -213,10 +219,9 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
     summary = SuiteSummary("dilate-chain", 0, 0)
     for _ in range(cases):
         base = _random_subset(rng, max_element + 1, rng.randint(1, 40))
-        b = ResidueSet(modulus, base.bits)
-        for lam in lambdas:
-            for l in chain_lengths:
-                summary.record(check_dilate_chain(b, lam, l))
+        for report in _dilate_chain_reports(ResidueSet(modulus, base.bits), lambdas,
+                                            chain_lengths):
+            summary.record(report)
     return summary
 
 

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from dilates.checks import (_digest, check_cauchy_davenport, check_dilate_chain,
-                            check_kfold_cd_chain, check_plunnecke,
+from dilates import checks
+from dilates.checks import (_digest, _dilate_chain_reports, check_cauchy_davenport,
+                            check_dilate_chain, check_kfold_cd_chain, check_plunnecke,
                             check_ruzsa_triangle)
 from dilates.gaps import Gap, lambda_span_check
-from dilates.residues import ResidueSet
+from dilates.residues import ResidueSet, dilate_sum, kfold_dilate_sum
+from dilates.verify import run_dilate_chain_suite
 
 F = Fraction
 
@@ -115,6 +117,29 @@ def test_plunnecke_random_sweep():
         assert check_plunnecke(a, b, m, n).holds
 
 
+def test_plunnecke_matches_from_scratch_evaluation():
+    # every m, n <= 3, m = n included (one fold serves as both mB and nB)
+    rng = random.Random(36)
+    modulus = 6 * 30 + 2
+    for _ in range(10):
+        a = rs(modulus, rng.sample(range(31), rng.randint(1, 31)))
+        b = rs(modulus, rng.sample(range(31), rng.randint(1, 12)))
+        members = set(b.elements())
+        folds = [{0}]
+        for _ in range(3):
+            folds.append({(x + y) % modulus for x in folds[-1] for y in members})
+        k = F(len({(x + y) % modulus for x in a.elements() for y in members}), len(a))
+        for m in range(4):
+            for n in range(4):
+                if m + n == 0:
+                    continue
+                r = check_plunnecke(a, b, m, n)
+                lhs = len({(x - y) % modulus for x in folds[m] for y in folds[n]})
+                rhs = k ** (m + n) * len(a)
+                assert (r.lhs, r.rhs, r.ratio_bound, r.slack, r.holds) == \
+                    (lhs, rhs, k, rhs - lhs, lhs <= rhs)
+
+
 # ---------------------------------------------------------------- dilate chain
 
 def test_dilate_chain_examples():
@@ -193,6 +218,76 @@ def test_dilate_chain_matches_from_scratch_evaluation():
                 lhs, rhs, k, holds, details = _chain_from_scratch(b, lam, l)
                 assert (r.lhs, r.rhs, r.ratio_bound, r.slack) == (lhs, rhs, k, rhs - lhs)
                 assert (r.holds, r.details) == (holds, details)
+
+
+@pytest.mark.parametrize("max_element, modulus", [(40, 6288), (80, 12568), (100, 15708)])
+def test_dilate_chain_reports_equal_the_single_checks(max_element, modulus):
+    # the suite's moduli; lengths unsorted, with a repeat
+    rng = random.Random(max_element)
+    lambdas, lengths = (2, 3, 5), (3, 1, 3, 2)
+    for _ in range(8):
+        b = rs(modulus, rng.sample(range(max_element + 1), rng.randint(1, 40)))
+        reports = _dilate_chain_reports(b, lambdas, lengths)
+        singles = [check_dilate_chain(b, lam, l) for lam in lambdas for l in lengths]
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in singles]
+        assert [r.inputs for r in reports] == [(b, lam, l) for lam in lambdas for l in lengths]
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls checks makes to each named residue function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(checks, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(checks, name, counted)
+    return calls
+
+
+def test_dilate_chain_reports_validate_every_pair_before_forming_a_set(monkeypatch):
+    calls = _counting(monkeypatch, "sumset", "dilate")
+    # max(B) = 200 at modulus 6288: (3, 3) is the first pair that can wrap
+    b = rs(6288, [0, 7, 200])
+    with pytest.raises(ValueError) as first:
+        check_dilate_chain(b, 3, 3)
+    assert str(first.value) == "wraparound risk: need modulus > 8000, got 6288"
+    with pytest.raises(ValueError) as shared:
+        _dilate_chain_reports(b, (2, 3, 5), (2, 3))
+    assert str(shared.value) == str(first.value)
+    with pytest.raises(ValueError, match="need lam >= 2 and l >= 1"):
+        _dilate_chain_reports(b, (2, 1), (2,))
+    with pytest.raises(ValueError, match="nonempty"):
+        _dilate_chain_reports(rs(6288, []), (2, 3), (2,))
+    assert calls == {"sumset": 0, "dilate": 0}
+
+
+def test_dilate_chain_suite_forms_each_set_once(monkeypatch):
+    # per base: B + B, then for each of the 3 lambdas B + lam*B, two chain
+    # steps and B + B + lam*B (13 sumsets), and lam*B, lam^2*B, lam^3*B
+    # (9 dilations); six separate checks formed 27 and 15
+    calls = _counting(monkeypatch, "sumset", "dilate")
+    summary = run_dilate_chain_suite(cases=4, seed=3, max_element=40)
+    assert summary.cases == 4 * 6 and summary.ok
+    assert calls == {"sumset": 4 * 13, "dilate": 4 * 9}
+
+
+@pytest.mark.parametrize("p", [2, 101, 1009])
+def test_kfold_chain_matches_its_oracle_and_dilates_once(monkeypatch, p):
+    calls = _counting(monkeypatch, "sumset", "dilate")
+    rng = random.Random(p)
+    for k in range(2, 6):
+        for _ in range(10):
+            a = rs(p, rng.sample(range(p), rng.randint(1, min(p, 60))))
+            lam = rng.randint(-p, 2 * p)
+            before = dict(calls)
+            r = check_kfold_cd_chain(a, k, lam)
+            assert calls["dilate"] - before["dilate"] == 1
+            assert calls["sumset"] - before["sumset"] == (1 if k == 2 else 2)
+            assert r.lhs == len(kfold_dilate_sum(a, k, lam))
+            assert r.rhs == min(p, len(dilate_sum(a, lam)) + (k - 2) * (len(a) - 1))
 
 
 # ---------------------------------------------------------------- k-fold chain

@@ -667,15 +667,21 @@ def test_is_prime():
     assert not any(is_prime(c) for c in composites)
 
 
-def test_is_prime_matches_a_sieve():
-    # below 3 215 031 751 the bases 2, 3, 5 and 7 decide; that number is
-    # the least strong pseudoprime to all four, so it needs the other bases
-    n = 2 * 10**5
+def _sieve(n):
+    """sieve[k] is 1 exactly when k <= n is prime."""
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\0\0"
     for q in range(2, int(n**0.5) + 1):
         if sieve[q]:
             sieve[q * q::q] = bytes(len(range(q * q, n + 1, q)))
+    return sieve
+
+
+def test_is_prime_matches_a_sieve():
+    # below 3 215 031 751 the bases 2, 3, 5 and 7 decide; that number is
+    # the least strong pseudoprime to all four, so it needs the other bases
+    n = 2 * 10**5
+    sieve = _sieve(n)
     assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
     spsp = 3215031751
     assert spsp == 151 * 751 * 28351 and not is_prime(spsp)
@@ -684,6 +690,29 @@ def test_is_prime_matches_a_sieve():
     for a in (2, 3, 5, 7):  # passes the strong test to each of the four bases
         assert pow(a, d, spsp) in (1, spsp - 1) or \
             any(pow(a, d << i, spsp) == spsp - 1 for i in range(1, r))
+
+
+def test_is_prime_decides_below_41_squared_by_trial_division(monkeypatch):
+    # a composite below 41^2 = 1681 has a prime factor <= 37, the largest
+    # trial divisor, so no Miller-Rabin power is taken there; the sieve
+    # test above compares every n up to 2 * 10^5
+    powers = []
+
+    def counting_pow(*args):
+        powers.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(residues, "pow", counting_pow, raising=False)
+    sieve = _sieve(1680)
+    assert [is_prime(k) for k in range(1681)] == [bool(sieve[k]) for k in range(1681)]
+    assert powers == []
+    named = {1369: False,  # 37^2, the square of the largest trial divisor
+             1680: False,  # the largest n below the bound
+             1681: False,  # 41^2, the least composite with no factor <= 37
+             1693: True,   # the least prime above the bound
+             1763: False}  # 41 * 43
+    assert {k: is_prime(k) for k in named} == named
+    assert powers  # from 1681 on the strong test runs
 
 
 def test_residue_set_equality_and_validation():

@@ -50,7 +50,9 @@ def test_random_subset_draws_the_stream_of_sample(n):
 #
 # Each suite runs with its checks patched to record their inputs; the
 # expected inputs are drawn below as each suite drew them before one
-# sampler did, with rng.sample and from_elements.
+# sampler did, with rng.sample and from_elements.  The dilate-chain suite
+# hands each base, with its lambdas and lengths, to one routine,
+# checks._dilate_chain_reports, which is what it records.
 
 def _record(monkeypatch, *names):
     seen = []
@@ -118,7 +120,7 @@ def _dilate_chain_expected(cases, seed, max_element):
     for _ in range(cases):
         base = rng.sample(range(max_element + 1), rng.randint(1, 40))
         b = ResidueSet.from_elements(_CHAIN_MODULI[max_element], base)
-        out += [("check_dilate_chain", b, lam, l) for lam in (2, 3, 5) for l in (2, 3)]
+        out.append(("_dilate_chain_reports", b, (2, 3, 5), (2, 3)))
     return out
 
 
@@ -158,7 +160,7 @@ _SUITE_CASES = [
      _plunnecke_expected)
     for e in (3, 50)
 ] + [
-    (verify.run_dilate_chain_suite, {"max_element": e}, ["check_dilate_chain"],
+    (verify.run_dilate_chain_suite, {"max_element": e}, ["_dilate_chain_reports"],
      _dilate_chain_expected)
     for e in _CHAIN_MODULI
 ] + [

@@ -87,8 +87,8 @@ class Kernel(enum.Enum):
 # possible pair count stays far below 2^53.  2^26 is the contract limit.
 _SAFE_COUNT_BITS = 26
 _FFT_COST = 45
-# Above |A| * N = 2^15 (a timed sweep's crossover) members are decoded,
-# mapped and re-encoded as numpy index arrays instead of strings and ints.
+# Above (set bits) * (bit length) = 2^15 (a timed sweep's crossover) the
+# scanner decodes members as a numpy index array instead of a string.
 _ARRAY_MIN_WORK = 1 << 15
 # Masks of two or more axes are summed pair by pair while |A| * |B| <=
 # _PAIR_RATIO * size.  In a timed sweep (2 CPUs; 15 shapes of 2-6 axes,
@@ -508,14 +508,14 @@ def cyclic_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:
     """{u*x + v mod N : x in A}, the one member map under dilate and
-    affine_image.  Over 32 members and |A|*N = _ARRAY_MIN_WORK, while
-    N^2 < 2^63 keeps u*x + v in int64 once u and v are reduced, the members
-    are mapped as one index array and scattered into an N-byte mask;
-    otherwise from_elements builds the image."""
-    n, count = a.modulus, a.bits.bit_count()
+    affine_image.  Over 32 members, while N^2 < 2^63 keeps u*x + v in
+    int64 once u and v are reduced, the members are mapped as one index
+    array and scattered into an N-byte mask; otherwise from_elements
+    builds the image."""
+    n = a.modulus
     u %= n
     v %= n
-    if count > 32 and count * n > _ARRAY_MIN_WORK and n * n < 1 << 63:
+    if a.bits.bit_count() > 32 and n * n < 1 << 63:
         return ResidueSet(n, _members_to_bits(n, (_bits_to_members(a.bits) * u + v) % n))
     return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
 

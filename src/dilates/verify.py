@@ -5,12 +5,11 @@ check and reports a violation count.  The inequalities are theorems, so a
 single violation indicates a kernel bug; the CLI turns it into a nonzero
 exit and the acceptance tests assert zero across large case counts.
 
-One sampler, _random_subset, draws every suite's random sets, straight
-into their bitvectors.  It makes the getrandbits calls CPython's
-Random.sample makes to draw size members of range(n), so a seed gives the
-same instances as drawing with sample and building each set from its
-members did; that identity is with CPython's sample, pinned by
-tests/test_verify.py, which fails if a later CPython changes sample.
+One sampler, _random_subset, draws every suite's random sets: it draws the
+smaller of a set and its complement by rejection on the generator's
+getrandbits and builds the bitvector once.  A seed fixes the instances for
+this sampler, not for CPython's random.sample; a passing suite's summary
+carries no per-instance data, so summaries do not depend on the sampler.
 
 The dilate-chain suite hands each base set, with all its lambdas and chain
 lengths, to one call of checks._dilate_chain_reports, which forms B + B
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import ceil, log
 
 from .checks import (_dilate_chain_reports, check_cauchy_davenport,
                      check_kfold_cd_chain, check_plunnecke,
@@ -79,52 +77,27 @@ class SuiteSummary:
 
 
 def _random_subset(rng: random.Random, n: int, size: int) -> ResidueSet:
-    """The set of the size members of range(n) that rng's sample method
-    draws, drawn with the same getrandbits calls, so a seed gives the same
-    sets and leaves rng in the same state; a size outside 0..n raises
-    ValueError, as sample does.
+    """A uniform random size-member subset of range(n); a size outside
+    0..n raises ValueError.
 
-    While a pool of all n candidates is smaller than a set of size draws
-    (sample's own rule; n is then at most about 12 * size + 21), a partial
-    Fisher-Yates draws from the pool.  Each draw is ORed into the bitvector
-    while size * n <= 2^19, the gate of ResidueSet.from_elements: ORing
-    into a growing n-bit integer costs size * n / 64 word operations, so
-    above it the draws are swapped to the pool's end and built into one
-    bitvector.  Beyond the pool, draws are rejected against the set drawn
-    so far, and that set is built into one bitvector."""
+    The smaller side, k = min(size, n - size) members, is drawn by
+    rejection: getrandbits(n.bit_length()) is drawn again while it is at
+    least n or already drawn, so each accepted member is uniform over the
+    undrawn and takes at most four tries on average (n - k >= n/2 and
+    2^bit_length(n) <= 2n).  Its bitvector is built once, and when
+    k < size its complement in range(n) is returned."""
     if not 0 <= size <= n:
-        raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
-    pool_max = 21  # sample's size of a small set minus that of an empty list
-    if size > 5:
-        pool_max += 4 ** ceil(log(size * 3, 4))
-    if n <= pool_max:
-        pool = list(range(n))  # pool[:m] holds the undrawn
-        if size * n <= 1 << 19:
-            bits = 0
-            for m in range(n, n - size, -1):
-                width = m.bit_length()
-                j = getrandbits(width)
-                while j >= m:
-                    j = getrandbits(width)
-                bits |= 1 << pool[j]
-                pool[j] = pool[m - 1]
-            return ResidueSet(n, bits)
-        for m in range(n, n - size, -1):
-            width = m.bit_length()
-            j = getrandbits(width)
-            while j >= m:
-                j = getrandbits(width)
-            pool[j], pool[m - 1] = pool[m - 1], pool[j]
-        return ResidueSet.from_elements(n, pool[n - size:])
-    width = n.bit_length()
+        raise ValueError(f"need 0 <= size <= n, got size {size} and n {n}")
+    k = min(size, n - size)
+    getrandbits, width = rng.getrandbits, n.bit_length()
     drawn: set[int] = set()
-    for _ in range(size):
+    for _ in range(k):
         j = getrandbits(width)
         while j >= n or j in drawn:
             j = getrandbits(width)
         drawn.add(j)
-    return ResidueSet.from_elements(n, drawn)
+    chosen = ResidueSet.from_elements(n, drawn)
+    return chosen if k == size else ResidueSet(n, chosen.bits ^ ((1 << n) - 1))
 
 
 def _random_size(rng: random.Random, n: int, dense_cap: int = 128) -> int:
@@ -182,6 +155,8 @@ def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
 def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> SuiteSummary:
     """Random integer sets A, B in [0, max_element], emulated with verified
     headroom; m, n <= 3."""
+    if max_element < 0:
+        raise ValueError(f"max_element must be >= 0, got {max_element}")
     rng = random.Random(seed)
     summary = SuiteSummary("plunnecke", 0, 0)
     modulus = 6 * max_element + 2
@@ -205,6 +180,8 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
 
     The emulation modulus grows as lam**(l + 1) / (lam - 1); one above
     _CHAIN_MODULUS_CAP is refused before any set is built."""
+    if max_element < 0:
+        raise ValueError(f"max_element must be >= 0, got {max_element}")
     if min(lambdas) < 2 or min(chain_lengths) < 1:
         raise ValueError("need every lambda >= 2 and every l >= 1")
     lam_max, l_max = max(lambdas), max(chain_lengths)
@@ -218,7 +195,8 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
     rng = random.Random(seed)
     summary = SuiteSummary("dilate-chain", 0, 0)
     for _ in range(cases):
-        base = _random_subset(rng, max_element + 1, rng.randint(1, 40))
+        base = _random_subset(rng, max_element + 1,
+                              rng.randint(1, min(40, max_element + 1)))
         for report in _dilate_chain_reports(ResidueSet(modulus, base.bits), lambdas,
                                             chain_lengths):
             summary.record(report)

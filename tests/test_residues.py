@@ -350,10 +350,10 @@ def oracle_runs(members):
 # Sets at the gates of the array paths, and one member over them, with
 # which reader takes the arrays as set: (N, members, elements(), _runs,
 # dilate and affine_image).  elements() weighs set bits by bit length, _runs
-# the same for bits ^ (bits << 1), the maps |A| (over 32) by the modulus.
+# the same for bits ^ (bits << 1); the maps count members (over 32).
 GATE_CASES = [
-    # 32 members up to 1023: 32 * 1024 = _ARRAY_MIN_WORK for elements() and
-    # the maps; 64 run edges up to 1024 are over it
+    # 32 members up to 1023: 32 * 1024 = _ARRAY_MIN_WORK for elements(), 32
+    # members for the maps; 64 run edges up to 1024 are over it
     (1024, list(range(31, 1024, 32)), False, True, False),
     (1024, [0] + list(range(31, 1024, 32)), True, True, True),
     # 16 isolated members up to 1022: 32 run edges up to 1023 at the gate
@@ -366,10 +366,11 @@ GATE_CASES = [
 
 @pytest.mark.parametrize("gate", ["strings", "arrays", "as set"])
 def test_array_paths_match_oracles(monkeypatch, gate):
-    # elements(), _runs, dilate and affine_image read numpy index arrays
-    # above |A|*N = _ARRAY_MIN_WORK and strings and ints below it.  Every
-    # case runs with the gate forced shut, forced open and as set; as set,
-    # the sizes below fall on both sides of it.
+    # elements() and _runs read numpy index arrays above (set bits) * (bit
+    # length) = _ARRAY_MIN_WORK and strings below it; dilate and
+    # affine_image map arrays over 32 members.  Every case runs with the
+    # scanner's gate forced shut, forced open and as set; as set, the sizes
+    # below fall on both sides of the gates.
     if gate != "as set":
         monkeypatch.setattr(residues, "_ARRAY_MIN_WORK", 1 << 62 if gate == "strings" else 0)
     rng = random.Random(31)
@@ -418,6 +419,19 @@ def test_array_paths_match_oracles(monkeypatch, gate):
     for n in (7, 16411):
         elems = [rng.randint(-2**80, 2**80) for _ in range(70)] + [2**64, -(2**63) - 1]
         assert rs(n, (x for x in elems)).elements() == tuple(sorted({x % n for x in elems}))
+
+
+@pytest.mark.parametrize("n", [37, 101, 509])
+def test_member_maps_route_by_member_count(n):
+    # 30-100 members straddle the maps' 32-member route, with |A|*N on
+    # both sides of 2^15
+    rng = random.Random(n)
+    for size in range(30, min(n, 100) + 1):
+        a = rs(n, rng.sample(range(n), size))
+        u, v = rng.randrange(1, n), rng.randrange(n)
+        for lam in (u, -u, n + u):
+            assert dilate(a, lam) == rs(n, [lam * x for x in a.elements()])
+        assert affine_image(a, u, v) == rs(n, [u * x + v for x in a.elements()])
 
 
 def test_from_elements_takes_exactly_integers():

@@ -1,11 +1,10 @@
-"""The suites' one sampler, `verify._random_subset`, draws each set with
-the getrandbits calls of CPython's `random.sample(range(n), size)`.  So a
-seed gives every suite the instances the former `rng.sample` +
-`ResidueSet.from_elements` draw gave.  These tests pin that identity: they
-fail if a later CPython changes `sample`."""
+"""The suites' one sampler, `verify._random_subset`: its contract (size,
+range, reproducibility, the size checks), its uniformity, and the
+instances each suite draws through it."""
 
 import random
-from math import ceil, log
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -15,43 +14,55 @@ from dilates.residues import ResidueSet, affine_image
 
 
 def _sample_set(rng, n, size):
-    """The suites' former draw."""
+    """The suites' former draw, through CPython's `random.sample`."""
     return ResidueSet.from_elements(n, rng.sample(range(n), size))
 
 
-def _pool_sizes(n):
-    """The sizes on either side of sample's switch from a set of draws to
-    a pool of all n candidates: the largest that still draws into a set
-    and the least that draws from the pool, or only 0 when every size
-    draws from the pool."""
-    k = 0
-    while n > 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0):
-        k += 1
-    return {k - 1, k} if k else {0}
-
-
-# 21, 22 and 85 sit on edges of the pool rule, for sizes 0-5, 5-6 and 6-21
+# the sizes take both branches of the sampler: the drawn side and its
+# complement
 @pytest.mark.parametrize("n", [1, 2, 3, 21, 22, 85, 101, 1009, 10**6 + 3])
 def test_random_subset_draws_the_stream_of_sample(n):
-    sizes = {0, 1, 5, 6} | _pool_sizes(n)
-    if n < 10**6:  # drawing 10^6 members takes about a second
-        sizes |= {n // 2, n}
-    for size in sorted(k for k in sizes if k <= n):
-        for seed in (0, 1, 7):
-            ours, theirs = random.Random(seed), random.Random(seed)
+    """A draw has exactly size members, all in range(n), and is fixed by
+    the generator's state: generators seeded alike give equal sets and
+    are left in equal states.  A size outside 0..n raises ValueError."""
+    for size in sorted({0, 1, n // 2, (n + 1) // 2, n - 1, n}):
+        # drawing 5 * 10^5 members takes about 0.4 s: one seed there
+        for seed in (0,) if min(size, n - size) > 10**5 else (0, 1, 7):
+            ours, again = random.Random(seed), random.Random(seed)
             drawn = verify._random_subset(ours, n, size)
-            assert drawn == _sample_set(theirs, n, size), (n, size, seed)
-            assert ours.random() == theirs.random(), (n, size, seed)
-    with pytest.raises(ValueError):
-        verify._random_subset(random.Random(0), n, n + 1)
+            assert drawn.modulus == n and len(drawn) == size, (n, size, seed)
+            assert all(0 <= x < n for x in drawn.elements()), (n, size, seed)
+            assert drawn == verify._random_subset(again, n, size), (n, size, seed)
+            assert ours.random() == again.random(), (n, size, seed)
+    for size in (-1, n + 1):
+        with pytest.raises(ValueError):
+            verify._random_subset(random.Random(0), n, size)
+
+
+# the 0.999 quantile of chi-square on C(n, k) - 1 degrees of freedom
+_CHI2_999 = {14: 36.123, 19: 43.820, 20: 45.315}
+
+
+@pytest.mark.parametrize("n, size", [(6, 2), (6, 3), (6, 4), (7, 5)])
+def test_random_subset_is_uniform(n, size):
+    """Every size-subset of range(n) is drawn about equally often; (7, 5)
+    draws two members and returns their complement."""
+    rng = random.Random(n * 10 + size)
+    draws = 20_000
+    counts = Counter(verify._random_subset(rng, n, size).elements() for _ in range(draws))
+    subsets = list(combinations(range(n), size))
+    assert set(counts) == set(subsets)
+    expected = draws / len(subsets)
+    chi2 = sum((counts[s] - expected) ** 2 / expected for s in subsets)
+    assert chi2 < _CHI2_999[len(subsets) - 1], chi2
 
 
 # ------------------------------------------------------------ suite instances
 #
 # Each suite runs with its checks patched to record their inputs; the
-# expected inputs are drawn below as each suite drew them before one
-# sampler did, with rng.sample and from_elements.  The dilate-chain suite
-# hands each base, with its lambdas and lengths, to one routine,
+# expected inputs are drawn below through verify._random_subset, in each
+# suite's order and with its sizes, k, lam, u and v.  The dilate-chain
+# suite hands each base, with its lambdas and lengths, to one routine,
 # checks._dilate_chain_reports, which is what it records.
 
 def _record(monkeypatch, *names):
@@ -79,8 +90,8 @@ def _cd_expected(p, cases, seed):
             a = ResidueSet.from_elements(p, [(a0 + j * d) % p for j in range(la)])
             b = ResidueSet.from_elements(p, [(b0 + j * d) % p for j in range(lb)])
         else:
-            a = _sample_set(rng, p, verify._random_size(rng, p))
-            b = _sample_set(rng, p, verify._random_size(rng, p))
+            a = verify._random_subset(rng, p, verify._random_size(rng, p))
+            b = verify._random_subset(rng, p, verify._random_size(rng, p))
         out.append(("check_cauchy_davenport", a, b))
     return out
 
@@ -88,7 +99,7 @@ def _cd_expected(p, cases, seed):
 def _ruzsa_expected(modulus, cases, seed):
     rng = random.Random(seed)
     return [("check_ruzsa_triangle",
-             *(_sample_set(rng, modulus, verify._random_size(rng, modulus, 64))
+             *(verify._random_subset(rng, modulus, verify._random_size(rng, modulus, 64))
                for _ in range(3)))
             for _ in range(cases)]
 
@@ -102,8 +113,8 @@ def _plunnecke_expected(cases, seed, max_element):
             m, n = rng.randint(0, 3), rng.randint(0, 3)
             if m + n >= 1:
                 break
-        a = _sample_set(rng, max_element + 1, rng.randint(1, max_element + 1))
-        b = _sample_set(rng, max_element + 1, rng.randint(1, max_element + 1))
+        a = verify._random_subset(rng, max_element + 1, rng.randint(1, max_element + 1))
+        b = verify._random_subset(rng, max_element + 1, rng.randint(1, max_element + 1))
         out.append(("check_plunnecke", ResidueSet(modulus, a.bits),
                     ResidueSet(modulus, b.bits), m, n))
     return out
@@ -118,8 +129,9 @@ def _dilate_chain_expected(cases, seed, max_element):
     rng = random.Random(seed)
     out = []
     for _ in range(cases):
-        base = rng.sample(range(max_element + 1), rng.randint(1, 40))
-        b = ResidueSet.from_elements(_CHAIN_MODULI[max_element], base)
+        base = verify._random_subset(rng, max_element + 1,
+                                     rng.randint(1, min(40, max_element + 1)))
+        b = ResidueSet(_CHAIN_MODULI[max_element], base.bits)
         out.append(("_dilate_chain_reports", b, (2, 3, 5), (2, 3)))
     return out
 
@@ -128,7 +140,7 @@ def _kfold_expected(p, cases, seed):
     rng = random.Random(seed)
     out = []
     for _ in range(cases):
-        a = _sample_set(rng, p, verify._random_size(rng, p))
+        a = verify._random_subset(rng, p, verify._random_size(rng, p))
         k = rng.randint(2, 5)
         lam = rng.randint(2, max(3, p - 1))
         out.append(("check_kfold_cd_chain", a, k, lam))
@@ -139,11 +151,11 @@ def _affine_expected(p, cases, seed, orbit_samples):
     rng = random.Random(seed)
     out = []
     for _ in range(cases):
-        a = _sample_set(rng, p, rng.randint(1, 128 if p > 128 else p))
+        a = verify._random_subset(rng, p, rng.randint(1, 128 if p > 128 else p))
         u, v, lam = rng.randint(1, p - 1), rng.randrange(p), rng.randint(-p, p)
         out += [("dilate_sum", affine_image(a, u, v), lam), ("dilate_sum", a, lam)]
     for _ in range(orbit_samples):
-        a = _sample_set(rng, p, rng.randint(1, min(10, p)))
+        a = verify._random_subset(rng, p, rng.randint(1, min(10, p)))
         u, v = rng.randint(1, p - 1), rng.randrange(p)
         out += [("canonical_form", a), ("canonical_form", affine_image(a, u, v))]
     return out
@@ -179,13 +191,30 @@ _SUITE_CASES = [
                               for r, kw, _, _ in _SUITE_CASES])
 def test_suites_draw_the_instances_of_the_former_draw(monkeypatch, seed, run, kwargs,
                                                       checks, expected):
+    """The spy pins every instance a suite checks.  The summary is then
+    compared, byte for byte, with the one the former draw (`rng.sample`
+    and `from_elements`) gives; a passing suite's summary holds no
+    per-instance data, so that half cannot tell instances apart; it shows
+    that the summary does not depend on the sampler."""
     cases = 3 if run is verify.run_dilate_chain_suite else 20
     with monkeypatch.context() as patch:
         seen = _record(patch, *checks)
         summary = cache_mod.canonical_json(run(cases=cases, seed=seed, **kwargs).to_json_dict())
     assert seen == expected(cases=cases, seed=seed, **kwargs)
-    # the summary the former draw gives, byte for byte; dilate-chain's
-    # re-wrap is then the one step both runs share, pinned by `seen` above
     monkeypatch.setattr(verify, "_random_subset", _sample_set)
     former = cache_mod.canonical_json(run(cases=cases, seed=seed, **kwargs).to_json_dict())
     assert summary == former
+
+
+@pytest.mark.parametrize("max_element", [0, 1, 10, 38])
+def test_dilate_chain_suite_runs_below_forty_members(max_element):
+    """A base draws at most max_element + 1 members, so a range smaller
+    than the 40-member cap runs."""
+    summary = verify.run_dilate_chain_suite(20, seed=0, max_element=max_element)
+    assert summary.cases == 20 * 6 and summary.violations == 0
+
+
+@pytest.mark.parametrize("run", [verify.run_dilate_chain_suite, verify.run_plunnecke_suite])
+def test_suites_refuse_a_negative_max_element(run):
+    with pytest.raises(ValueError, match="max_element"):
+        run(5, seed=0, max_element=-1)

@@ -117,6 +117,7 @@ def truncate_to_large_steps(gap: Gap, lam: int) -> Gap:
     original order).  For proper input the truncation keeps at least a
     1/lam^(d-m) fraction of the elements, m being the number of survivors.
     """
+    lam = _integer(lam, "lam must be an integer")
     if lam < 2:
         raise ValueError("need lam >= 2")
     order = sorted(range(gap.dimension), key=lambda i: (-gap.lengths[i], i))
@@ -136,6 +137,8 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
     Details report whether the right side already fills Z/pZ and the
     Cauchy-Davenport floor min(lam^d (|P'| - 1) + 1, p) that forces it.
     """
+    lam = _integer(lam, "lam must be an integer")
+    exponent = _integer(exponent, "exponent must be an integer")
     if lam < 2 or exponent < 0:
         raise ValueError("need lam >= 2 and exponent >= 0")
     if any(k < lam for k in gap.lengths):
@@ -250,7 +253,7 @@ def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
     area cannot beat the incumbent is skipped, as none of its candidates
     could win.
     """
-    p = s.modulus
+    p, d_max = s.modulus, _integer(d_max, "d_max must be an integer")
     require_prime(p)
     if p > _FINDER_MAX_P or d_max > _FINDER_MAX_DIM:
         raise ScaleCapError(f"finder limited to p <= {_FINDER_MAX_P}, d <= {_FINDER_MAX_DIM}")

@@ -264,6 +264,7 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
 def _root_side(value: Fraction, d: int, lam: int) -> Fraction:
     """value**(1/d) as an exact Fraction when possible, else the smallest
     multiple of 1/lam at or above it."""
+    lam = _integer(lam, "lam must be an integer")
     if lam < 2:
         raise ValueError(f"resolution must be >= 2, got {lam}")
     num, den = value.numerator, value.denominator

@@ -239,6 +239,7 @@ def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     """lam * A on the circle: each interval maps to arcs of total length
     min(lam * len, 1), by exact endpoint multiplication."""
+    lam = _integer(lam, "lam must be an integer")
     if lam < 1:
         raise ValueError("need lam >= 1")
     d = a.denominator
@@ -295,6 +296,7 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     scale_intervals(a, lam) by _minkowski.  The arcs it forms, counted
     before any is, may not exceed _PAIR_CAP (else ScaleCapError).
     """
+    lam = _integer(lam, "lam must be an integer")
     if lam < 2:
         raise ValueError("need lam >= 2")
     return _minkowski(a, scale_intervals(a, lam))

@@ -337,18 +337,10 @@ def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
 
 
 def _fft_length(n: int) -> int:
-    """FFT length for a one-dimensional cyclic axis of length n: n itself
-    unless its largest prime factor q has q^2 > n (the lengths numpy may
-    send to Bluestein's algorithm), then the power of two >= 2n - 1, which
-    holds the linear convolution that is folded back mod n."""
-    m, q = n, 2
-    while q * q <= m:
-        if m % q:
-            q += 1
-        else:
-            m //= q
-    # m is now the largest prime factor of n (1 for n = 1)
-    return n if m * m <= n else 1 << (2 * n - 2).bit_length()
+    """FFT length for a one-dimensional cyclic axis of length n: the power
+    of two >= 2n - 1, which holds the linear convolution that is folded
+    back mod n, so every 1-D transform runs power-of-two passes only."""
+    return 1 << (2 * n - 2).bit_length()
 
 
 def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
@@ -421,11 +413,10 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Works over any number of axes.  A one-dimensional array comes only
     from a residue sum (cyclic_support hands 1-D masks to sumset), and is
-    transformed at _fft_length and folded back mod its length: for
-    prime-heavy lengths from 257 up to 10^6 that measured 1.4-5x faster
-    than numpy's own transform on 2 CPUs.  Arrays of two or more axes
-    keep their shape, because padding every axis multiplies the array
-    (17^3 cells padded to 64^3 ran 30x slower).
+    transformed at _fft_length, a power of two, and folded back mod its
+    length.  Arrays of two or more axes keep their shape, because padding
+    every axis multiplies the array (17^3 cells padded to 64^3 ran 30x
+    slower).
     Always exact: when the counts cannot be trusted to round (a count could
     reach 2^26, or some folded count lies more than 0.25 from an integer)
     the answer comes from cyclic_support_shift instead.
@@ -457,10 +448,7 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
     # ca, cb count the operands' runs.  BITSHIFT costs one pass over the
     # bits per run of the operand with fewer runs, the FFT about L log2 L
-    # at its transform length L; _FFT_COST fits timed crossovers.
-    # L >= n, so small operands are settled without factoring n.
-    if min(ca, cb) <= _FFT_COST * n.bit_length():
-        return Kernel.BITSHIFT
+    # at its power-of-two length L; _FFT_COST fits timed crossovers.
     length = _fft_length(n)
     if min(ca, cb) * n > _FFT_COST * length * length.bit_length():
         return Kernel.CONVOLUTION

@@ -14,6 +14,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ import pytest
 import dilates
 from dilates.checks import check_kfold_cd_chain
 from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
-from dilates.grids import GridSet, box_grid_set, equal_box_sides, project_drop_last
-from dilates.intervals import TorusIntervalSet, scale_intervals
+from dilates.grids import (GridSet, box_grid_set, equal_box_sides, optimized_box_sides_3d,
+                           project_drop_last)
+from dilates.intervals import TorusIntervalSet, interval_dilate_sum, scale_intervals
 from dilates.residues import ResidueSet, is_prime
 from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
                             sweep)
@@ -220,6 +222,32 @@ def test_integer_fields_take_numpy_integers_and_refuse_floats(build):
         assert value == 7 and type(value) is int
     with pytest.raises(TypeError, match="must be (an integer|integers), got float"):
         build(7.0)
+
+
+ARCS = TorusIntervalSet(64, ((1, 3), (10, 20)))
+SPAN = Gap(11, 0, (1,), (3,))
+# each passes x as the integer argument of a function and returns its result
+INTEGER_ARGUMENTS = [
+    pytest.param(lambda x: scale_intervals(ARCS, x), id="scale-lam"),
+    pytest.param(lambda x: interval_dilate_sum(ARCS, x), id="interval-dilate-sum-lam"),
+    pytest.param(lambda x: equal_box_sides(2, Fraction(1, 3), 4 * x), id="equal-box-lam"),
+    pytest.param(lambda x: optimized_box_sides_3d(Fraction(1, 50), 20 * x), id="box-3d-lam"),
+    pytest.param(lambda x: truncate_to_large_steps(Gap(11, 0, (1, 2), (3, 1)), x),
+                 id="truncate-lam"),
+    pytest.param(lambda x: find_max_proper_gap(ResidueSet.from_elements(11, [0, 1, 5, 6]), x),
+                 id="finder-d-max"),
+    pytest.param(lambda x: lambda_span_check(SPAN, x, 1), id="span-lam"),
+    pytest.param(lambda x: lambda_span_check(SPAN, 2, x), id="span-exponent"),
+]
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_numpy_integers_and_refuse_floats(call):
+    expected = call(2)
+    for x in (np.int64(2), np.uint16(2)):
+        assert call(x) == expected
+    with pytest.raises(TypeError, match="must be an integer, got float"):
+        call(2.0)
 
 
 def test_numpy_task_shares_the_plain_tasks_key(tmp_path):

@@ -191,7 +191,7 @@ def test_convolution_large_modulus(monkeypatch):
 def test_auto_kernel_from_measured_crossover():
     auto = residues._auto_kernel
     # the switch points of min(runs(A), runs(B)) * N > 45 * L * bit_length(L)
-    for n, switch in ((16411, 3054), (10**5, 765), (1000003, 2076)):
+    for n, switch in ((16411, 3054), (10**5, 2241), (1000003, 2076)):
         assert auto(n, switch, n // 2) is Kernel.BITSHIFT
         assert auto(n, n // 2, switch + 1) is Kernel.CONVOLUTION
     # operands of 1274 runs each stay on BITSHIFT at p = 64007, of 2452 runs
@@ -221,18 +221,18 @@ def test_auto_kernel_from_measured_crossover():
     assert auto(36871, residues._run_count(a.bits), residues._run_count(d.bits)) is Kernel.BITSHIFT
 
 
-def test_fft_support_on_non_smooth_lengths(monkeypatch):
-    # a length whose largest prime factor q has q^2 > n is transformed at a
-    # power of two >= 2n - 1 and folded back mod n; others at their own length
+def test_fft_support_pads_every_1d_length(monkeypatch):
+    # every length, prime or composite, is transformed at the power of two
+    # >= 2n - 1 and folded back mod n
     assert [residues._fft_length(n) for n in (1, 64, 693, 13312, 13, 16411, 6 * 16411, 1000003)] == \
-        [1, 64, 693, 13312, 32, 1 << 16, 1 << 18, 1 << 21]
+        [1, 128, 2048, 1 << 15, 32, 1 << 16, 1 << 18, 1 << 21]
     # only one-dimensional arrays are padded: grid masks keep their shape;
     # equal operands (the same array, or equal copies) take one forward
     # transform, distinct ones two
     rfftn, sizes = residues.np.fft.rfftn, []
     with monkeypatch.context() as m:
         m.setattr(residues.np.fft, "rfftn", lambda x, s, axes: sizes.append(s) or rfftn(x, s, axes))
-        for shape in ((17, 17, 17), (67, 67), (4099,)):
+        for shape in ((17, 17, 17), (67, 67), (4099,), (4096,)):
             ones = np.ones(shape, bool)
             holed = ones.copy()
             holed.flat[0] = False
@@ -240,7 +240,7 @@ def test_fft_support_on_non_smooth_lengths(monkeypatch):
                                      (holed, holed.copy(), 1)):
                 sizes.clear()
                 assert residues.cyclic_support_fft(a, b).all()  # |A| + |B| > size
-                padded = (1 << 14,) if shape == (4099,) else shape
+                padded = {(4099,): (1 << 14,), (4096,): (1 << 13,)}.get(shape, shape)
                 assert sizes == [padded] * transforms
     rng = random.Random(11)
     cases = []

@@ -19,7 +19,7 @@ from math import comb, factorial, floor
 import numpy as np
 
 from .errors import ScaleCapError
-from .residues import _fields, _integer, _ints, cyclic_support
+from .residues import _exact_dtype, _fields, _integer, _ints, cyclic_support
 
 __all__ = [
     "GridSet",
@@ -69,17 +69,12 @@ def _require_dim(dim: int) -> int:
     return dim
 
 
-def _cell_dtype(dim: int, lam: int):
-    """int64 while every flat index of (Z/lam Z)^dim fits in it, exact
-    Python ints (dtype=object) beyond."""
-    return np.int64 if lam**dim < 1 << 63 else object
-
-
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class GridSet:
     """A subset of (Z/lam Z)^dim held as one ascending read-only array of
-    row-major flat cell indices (int64 while lam^dim < 2^63, Python ints
-    beyond), from an integer array, read whole, or any iterable of integers.
+    row-major flat cell indices, of dtype _exact_dtype(lam^dim) (the one
+    rule of residues, which also types its interval encoding), from an
+    integer array, read whole, or any iterable of integers.
     ==, hash and repr follow (dim, lam, cells); the frozenset cells is built on first read."""
 
     dim: int
@@ -90,7 +85,7 @@ class GridSet:
         dim, lam = _require_dim(dim), _integer(lam, "resolution must be an integer")
         if lam < 2:
             raise ValueError(f"resolution must be >= 2, got {lam}")
-        dtype = _cell_dtype(dim, lam)
+        dtype = _exact_dtype(lam**dim)
         if not (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"):
             try:
                 cells = np.fromiter(map(operator.index, cells), dtype=dtype)
@@ -213,35 +208,29 @@ def project_drop_last(s: GridSet) -> GridSet:
     return GridSet(s.dim - 1, s.lam, s.sorted_cells // s.lam)
 
 
-def _projection_mask(s: GridSet) -> np.ndarray:
-    """Mask of S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically
-    per axis: the cyclic Minkowski sum of the two projections by
-    residues.cyclic_support (from member pairs while |A| * |B| is at most
-    _PAIR_RATIO times the mask size, as for the 924-member 8^6
-    projections of simplex n = 7, lambda = 8; by FFT above), then the
-    {0,1} thickening that absorbs the carry between adjacent cells.  Both
-    projection masks are scattered from S's sorted_cells, as in
-    project_drop_first (c mod lam^(n-1)) and project_drop_last (c // lam);
-    below the mask cap every index is int64."""
-    out = cyclic_support(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % s.lam ** (s.dim - 1)),
-                         _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
-    for axis in range(out.ndim):
-        out = out | np.roll(out, 1, axis=axis)
-    return out
-
-
 def grid_projection_sumset(s: GridSet) -> GridSet:
     """S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically per axis.
 
     The cells of S' cover pi_first(B') + pi_last(B') exactly, where B' is
     the union of the cells of S; the {0,1} thickening absorbs the carry
-    between adjacent cells.
+    between adjacent cells.  Both projection masks are scattered from S's
+    sorted_cells, as in project_drop_first (c mod lam^(n-1)) and
+    project_drop_last (c // lam), once the mask cap is checked; below it
+    every index is int64.  Their cyclic Minkowski sum is
+    residues.cyclic_support (from member pairs while |A| * |B| is at most
+    _PAIR_RATIO times the mask size, as for the 924-member 8^6
+    projections of simplex n = 7, lambda = 8; by FFT above), thickened by
+    one roll per axis.
     """
     if s.dim < 2:
         raise ValueError("projection needs dimension >= 2")
     if not len(s):
         return GridSet.empty(s.dim - 1, s.lam)
-    return GridSet.from_mask(s.lam, _projection_mask(s))
+    out = cyclic_support(_cell_mask(s.dim - 1, s.lam, s.sorted_cells % s.lam ** (s.dim - 1)),
+                         _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
+    for axis in range(out.ndim):
+        out = out | np.roll(out, 1, axis=axis)
+    return GridSet.from_mask(s.lam, out)
 
 
 def box_grid_set(d: int, lam: int, sides) -> GridSet:
@@ -307,7 +296,7 @@ def _cells(dim: int, lam: int, his, t: int | None = None) -> np.ndarray:
         largest = max(digit_sum_count(dim - 1, lam - 1, t - dim), 1) * (lam - 1)
     if largest > _BUILD_CAP:
         raise ScaleCapError(f"builder array of {largest} cells exceeds builder cap {_BUILD_CAP}")
-    flat = np.zeros(1, _cell_dtype(dim, lam))
+    flat = np.zeros(1, _exact_dtype(lam**dim))
     total = np.zeros(1, np.int64)
     for i, hi in enumerate(his):
         digits = np.arange(1, hi + 1)
@@ -326,6 +315,7 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
     that is 2*sum(x_i + 1) <= lam*(n-2): a digit-sum set with every digit
     at least 1 and sum x_i <= floor(lam*(n-2)/2) - n.
     """
+    n, lam = _integer(n, "n must be an integer"), _integer(lam, "lam must be an integer")
     if n < 2:
         raise ValueError("need n >= 2")
     if lam < 2:
@@ -335,6 +325,8 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
 
 def digit_sum_count(m: int, lam: int, t: int) -> int:
     """#{x in [0, lam)^m : sum x_i <= t} by inclusion-exclusion."""
+    m, lam, t = (_integer(x, f"{name} must be an integer")
+                 for x, name in ((m, "m"), (lam, "lam"), (t, "t")))
     if m < 0 or lam < 1:
         raise ValueError("need m >= 0 and lam >= 1")
     if t < 0:
@@ -352,6 +344,7 @@ def irwin_hall_volume(m: int, s) -> Fraction:
 
     (1/m!) * sum_{j=0}^{floor(s)} (-1)^j C(m,j) (s-j)^m, clamped to [0, 1].
     """
+    m = _integer(m, "m must be an integer")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     s = _as_fraction(s)
@@ -373,6 +366,7 @@ def simplex_construction(n: int) -> tuple[Fraction, Fraction]:
     muCC the volume of the (n-1)-dimensional sum region {sum x_i < n - 2},
     which equals 1 - 1/(n-1)! and is strictly below 1.
     """
+    n = _integer(n, "n must be an integer")
     if n < 4:
         raise ValueError(f"construction needs n >= 4, got {n}")
     mu_b = irwin_hall_volume(n, Fraction(n, 2) - 1)

@@ -9,8 +9,8 @@ over a fixed denominator, so all comparisons in the claim chain
 
 are exact.  A violated link is an implementation bug, never a data issue.
 
-A set keeps its arcs as two ascending endpoint arrays, int64 while the
-denominator allows and exact Python ints beyond, and every operation reads
+A set keeps its arcs as two ascending endpoint arrays, typed by the one
+exact-integer rule, residues._exact_dtype, and every operation reads
 those arrays: sorted cells become arcs by their runs, scaling multiplies
 the endpoints, a Minkowski sum closes one operand per interval length of
 the other, packs each formed arc as the key (start << k) | end with
@@ -32,8 +32,8 @@ import numpy as np
 from .checks import _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .grids import GridSet, grid_projection_sumset
-from .residues import (ResidueSet, _fields, _integer, _ints, _members_to_bits, dilate_sum,
-                       require_prime)
+from .residues import (ResidueSet, _exact_dtype, _fields, _integer, _ints, _members_to_bits,
+                       dilate_sum, require_prime)
 
 __all__ = [
     "TorusIntervalSet",
@@ -48,22 +48,16 @@ __all__ = [
 _PAIR_CAP = 10**6       # arcs a Minkowski sum forms before merging
 
 
-def _endpoint_dtype(bound: int):
-    """int64 while every number the normalization forms (at most 2*bound in
-    magnitude) fits in it; exact Python ints (dtype=object) beyond that."""
-    return np.int64 if bound < 1 << 62 else object
-
-
 def _pair_array(denominator, pairs) -> tuple[int, np.ndarray]:
     """The denominator d, checked positive, and the (a, b) pairs as an (n, 2)
-    array, int64 while _endpoint_dtype allows for d and every |value|,
-    exact Python ints beyond."""
+    array of dtype _exact_dtype(max(d, every |value|)), so the
+    normalization, which forms numbers up to twice that, stays exact."""
     what = "interval endpoints and denominators must be integers"
     d = _integer(denominator, what)
     if d < 1:
         raise ValueError(f"denominator must be positive, got {d}")
     values = [_integer(v, what) for a, b in pairs for v in (a, b)]
-    dtype = _endpoint_dtype(max([d, *map(abs, values)]))
+    dtype = _exact_dtype(max([d, *map(abs, values)]))
     return d, np.array(values, dtype=dtype).reshape(-1, 2)
 
 
@@ -101,7 +95,7 @@ def _normalize(d: int, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray
     starts = np.concatenate((starts, np.zeros(np.count_nonzero(wrap), dtype=starts.dtype)))
     ends = np.concatenate((np.minimum(ends, d), ends[wrap] - d))
     k = d.bit_length()  # every end is <= d < 2^k
-    dtype = _endpoint_dtype(d << k)
+    dtype = _exact_dtype(d << k)
     return _merge((starts.astype(dtype, copy=False) << k) | ends.astype(dtype, copy=False), k)
 
 
@@ -111,7 +105,8 @@ class TorusIntervalSet:
 
     Intervals are sorted, pairwise disjoint and non-adjacent; an arc
     crossing 0 is stored split at 0.  The arcs live in two read-only
-    endpoint arrays of dtype _endpoint_dtype(D); ``intervals`` is their
+    endpoint arrays of dtype _exact_dtype(D), the one rule of residues,
+    which types a grid's cells alike; ``intervals`` is their
     tuple of (a, b) pairs of Python ints, built on first read.  ``==``
     and ``repr`` are those of (denominator, intervals), ``hash`` reads the
     endpoint arrays, and a pickle holds the arrays.
@@ -134,7 +129,7 @@ class TorusIntervalSet:
         self._set(d, starts, ends)
 
     def _set(self, d: int, starts: np.ndarray, ends: np.ndarray) -> None:
-        dtype = _endpoint_dtype(d)
+        dtype = _exact_dtype(d)
         starts, ends = (np.ascontiguousarray(x, dtype=dtype) for x in (starts, ends))
         starts.flags.writeable = ends.flags.writeable = False
         for name, value in (("denominator", d), ("_starts", starts), ("_ends", ends)):
@@ -202,7 +197,7 @@ class TorusIntervalSet:
         self's, all scaled to the lcm of the denominators.
         """
         d = lcm(self.denominator, other.denominator)
-        dtype = _endpoint_dtype(d)
+        dtype = _exact_dtype(d)
         qs, qo = d // self.denominator, d // other.denominator
         ends = self._ends.astype(dtype, copy=False) * qs
         at = np.searchsorted(ends, other._ends.astype(dtype, copy=False) * qo)
@@ -243,7 +238,7 @@ def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     if lam < 1:
         raise ValueError("need lam >= 1")
     d = a.denominator
-    dtype = _endpoint_dtype(lam * d)
+    dtype = _exact_dtype(lam * d)
     return TorusIntervalSet._trusted(d, *_normalize(d, a._starts.astype(dtype, copy=False) * lam,
                                                     a._ends.astype(dtype, copy=False) * lam))
 
@@ -275,7 +270,7 @@ def _minkowski(a: TorusIntervalSet, b: TorusIntervalSet) -> TorusIntervalSet:
     if formed > _PAIR_CAP:
         raise ScaleCapError("interval Minkowski sum exceeds pair cap")
     k = (2 * d).bit_length()
-    dtype = _endpoint_dtype(d << k)
+    dtype = _exact_dtype(d << k)
     xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
     packed_b = (b._starts.astype(dtype, copy=False) << k) | b._ends.astype(dtype, copy=False)
     keys = np.empty(formed, dtype=dtype)
@@ -307,9 +302,14 @@ def discretize_to_zp(a: TorusIntervalSet, p: int) -> ResidueSet:
     that need a field check p themselves).  Each arc [x, y) holds the run
     [lo, hi) = [ceil(x*p/D), floor(y*p/D)), found for all arcs at once; the
     arcs are disjoint and non-adjacent, so the nonempty runs are too, and the
-    bits are sum 2^hi - 2^lo over them."""
+    bits are sum 2^hi - 2^lo over them.  The runs are scattered as int64
+    residues, so a p that _exact_dtype puts beyond int64 raises
+    ScaleCapError before any array is formed."""
+    p = _integer(p, "p must be an integer")
+    if _exact_dtype(p) is object:
+        raise ScaleCapError(f"p = {p} is not below 2^62, the int64 bound of residues")
     d = a.denominator
-    dtype = _endpoint_dtype(d * p)
+    dtype = _exact_dtype(d * p)
     los = -((-p * a._starts.astype(dtype, copy=False)) // d)
     his = (p * a._ends.astype(dtype, copy=False)) // d
     keep = los < his

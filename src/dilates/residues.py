@@ -113,6 +113,13 @@ def _integer(value, what: str) -> int:
         raise TypeError(f"{what}, got {type(value).__name__}") from None
 
 
+def _exact_dtype(bound: int):
+    """The one exact-integer rule of integer arrays: int64 while bound < 2^62,
+    exact Python ints (dtype=object) beyond.  A caller passes the largest
+    magnitude it stores; the headroom of 2 lets it add two such in int64."""
+    return np.int64 if bound < 1 << 62 else object
+
+
 def _integer_fields(obj, *names: str) -> None:
     """Store each named field of the frozen dataclass obj through _integer,
     so a TypeError reads "<name> must be an integer, got <type>"."""
@@ -496,14 +503,14 @@ def cyclic_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:
     """{u*x + v mod N : x in A}, the one member map under dilate and
-    affine_image.  Over 32 members, while N^2 < 2^63 keeps u*x + v in
-    int64 once u and v are reduced, the members are mapped as one index
-    array and scattered into an N-byte mask; otherwise from_elements
-    builds the image."""
+    affine_image.  Over 32 members, while _exact_dtype(N^2) keeps u*x + v
+    in int64 once u and v are reduced, the members are mapped as one index
+    array and scattered into an N-byte mask; otherwise from_elements builds
+    the image."""
     n = a.modulus
     u %= n
     v %= n
-    if a.bits.bit_count() > 32 and n * n < 1 << 63:
+    if a.bits.bit_count() > 32 and _exact_dtype(n * n) is np.int64:
         return ResidueSet(n, _members_to_bits(n, (_bits_to_members(a.bits) * u + v) % n))
     return ResidueSet.from_elements(n, [u * x + v for x in a.elements()])
 

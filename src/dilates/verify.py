@@ -26,7 +26,7 @@ from .checks import (_dilate_chain_reports, check_cauchy_davenport,
                      check_kfold_cd_chain, check_plunnecke,
                      check_ruzsa_triangle)
 from .errors import ScaleCapError
-from .residues import (ResidueSet, affine_image, canonical_form, dilate_sum,
+from .residues import (ResidueSet, _integer, affine_image, canonical_form, dilate_sum,
                        require_prime)
 
 __all__ = [
@@ -140,6 +140,7 @@ def run_cd_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
 
 
 def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
+    modulus = _integer(modulus, "modulus must be an integer")
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     rng = random.Random(seed)
@@ -155,6 +156,7 @@ def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
 def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> SuiteSummary:
     """Random integer sets A, B in [0, max_element], emulated with verified
     headroom; m, n <= 3."""
+    max_element = _integer(max_element, "max_element must be an integer")
     if max_element < 0:
         raise ValueError(f"max_element must be >= 0, got {max_element}")
     rng = random.Random(seed)
@@ -180,6 +182,7 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
 
     The emulation modulus grows as lam**(l + 1) / (lam - 1); one above
     _CHAIN_MODULUS_CAP is refused before any set is built."""
+    max_element = _integer(max_element, "max_element must be an integer")
     if max_element < 0:
         raise ValueError(f"max_element must be >= 0, got {max_element}")
     if min(lambdas) < 2 or min(chain_lengths) < 1:

@@ -370,6 +370,11 @@ def test_cli_construct_simplex_builder_cap_exit_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("simplex", "--n", "6", "--lambda", "16", "--p", "100003"), "pair cap"),
+    # primes at and past 2^62 put residues beyond int64
+    (("box", "--d", "2", "--lambda", "3", "--gamma", "1/9", "--p", str(2**62 + 135)),
+     f"scale cap exceeded: p = {2**62 + 135} is not below 2^62"),
+    (("box", "--d", "2", "--lambda", "3", "--gamma", "1/9", "--p", str(2**63 + 29)),
+     f"scale cap exceeded: p = {2**63 + 29} is not below 2^62"),
 ])
 def test_cli_construct_scale_caps_refuse_before_writing(tmp_path, capsys, argv, message):
     # the chain runs before the first file: a cap leaves no output, no entry

@@ -1,7 +1,8 @@
 """Every name a module lists in __all__ exists, so a deleted helper
 cannot linger in an export list, and every module-level private name is
 used somewhere in the package, so a helper cannot outlive its last
-caller; importing the package stays light; every library name the
+caller, and every imported name is read in its module; importing the
+package stays light; every library name the
 benchmark's tracer patches still exists, and the benchmark's tiny
 pipeline ops pass the benchmark's own checks.  Public entry points
 refuse out-of-range input and malformed literals with ValueError, and a
@@ -23,12 +24,15 @@ import pytest
 import dilates
 from dilates.checks import check_kfold_cd_chain
 from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
-from dilates.grids import (GridSet, box_grid_set, equal_box_sides, optimized_box_sides_3d,
-                           project_drop_last)
-from dilates.intervals import TorusIntervalSet, interval_dilate_sum, scale_intervals
+from dilates.grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
+                           irwin_hall_volume, optimized_box_sides_3d, project_drop_last,
+                           simplex_construction, simplex_grid_set)
+from dilates.intervals import (TorusIntervalSet, discretize_to_zp, interval_dilate_sum,
+                               scale_intervals)
 from dilates.residues import ResidueSet, is_prime
 from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
                             sweep)
+from dilates.verify import run_dilate_chain_suite, run_plunnecke_suite, run_ruzsa_suite
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dilates.__path__, "dilates."))
 
@@ -74,6 +78,33 @@ def test_every_private_name_is_used():
                 used.add(node.name)
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
+    assert unused == []
+
+
+def test_every_import_is_read():
+    # a name a module imports, at its top or inside a function, is read
+    # somewhere in that module; __future__ features, the re-exports of
+    # __init__.py and the names a module lists in __all__ are exempt
+    unused = []
+    for path in sorted(Path(dilates.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in read | exported]
     assert unused == []
 
 
@@ -238,6 +269,18 @@ INTEGER_ARGUMENTS = [
                  id="finder-d-max"),
     pytest.param(lambda x: lambda_span_check(SPAN, x, 1), id="span-lam"),
     pytest.param(lambda x: lambda_span_check(SPAN, 2, x), id="span-exponent"),
+    pytest.param(lambda x: discretize_to_zp(ARCS, 5 * x + 1), id="discretize-p"),
+    pytest.param(lambda x: digit_sum_count(x, 3, 3), id="digit-sum-m"),
+    pytest.param(lambda x: digit_sum_count(2, x + 1, 4), id="digit-sum-lam"),
+    pytest.param(lambda x: digit_sum_count(2, 3, 2 * x), id="digit-sum-t"),
+    pytest.param(lambda x: irwin_hall_volume(x, 1), id="irwin-hall-m"),
+    pytest.param(lambda x: simplex_construction(2 * x + 1), id="simplex-construction-n"),
+    pytest.param(lambda x: simplex_grid_set(2 * x, 8), id="simplex-grid-n"),
+    pytest.param(lambda x: simplex_grid_set(4, 4 * x), id="simplex-grid-lam"),
+    pytest.param(lambda x: run_ruzsa_suite(50 * x, 2), id="ruzsa-modulus"),
+    pytest.param(lambda x: run_plunnecke_suite(2, max_element=x + 1), id="plunnecke-max-element"),
+    pytest.param(lambda x: run_dilate_chain_suite(2, max_element=x + 1),
+                 id="dilate-chain-max-element"),
 ]
 
 

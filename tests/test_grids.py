@@ -92,13 +92,13 @@ def test_gridset_reads_integers_only():
 
 def _check_sorted_cells(s):
     """sorted_cells is the ascending, read-only array of s.cells, in int64
-    while lam^dim < 2^63 and Python ints beyond; a pickle round trip
+    while lam^dim < 2^62 and Python ints beyond; a pickle round trip
     keeps all of that."""
     for g in (s, pickle.loads(pickle.dumps(s))):
         assert g == s and hash(g) == hash(s)
         cells = g.sorted_cells
         assert cells.tolist() == sorted(s.cells)
-        assert cells.dtype == (np.int64 if s.lam**s.dim < 1 << 63 else object)
+        assert cells.dtype == (np.int64 if s.lam**s.dim < 1 << 62 else object)
         assert all(type(c) is int for c in cells.tolist())
         assert not cells.flags.writeable
         with pytest.raises(ValueError):
@@ -280,9 +280,9 @@ def test_projection_sumset_factorizes_for_boxes():
 
 
 def test_projection_mask_matches_public_projections():
-    # _projection_mask scatters both projections from one array of cells;
-    # the oracle builds them with the public projections, sums them by the
-    # shift routine and thickens the sum by one roll per axis
+    # grid_projection_sumset scatters both projections from one array of
+    # cells; the oracle builds them with the public projections, sums them
+    # by the shift routine and thickens the sum by one roll per axis
     rng = random.Random(41)
     for _ in range(40):
         dim = rng.randint(2, 5)
@@ -293,13 +293,11 @@ def test_projection_mask_matches_public_projections():
                                         project_drop_last(s).to_mask())
         for axis in range(dim - 1):
             expected = expected | np.roll(expected, 1, axis=axis)
-        assert np.array_equal(grids._projection_mask(s), expected)
+        assert np.array_equal(grid_projection_sumset(s).to_mask(), expected)
     # the cap is checked before any array is built, even where a cell index
     # would not fit in int64
     for s in (GridSet(9, 11, frozenset([0])), GridSet(2, 2**27, frozenset([5])),
               GridSet(20, 11, frozenset([11**20 - 1]))):
-        with pytest.raises(ScaleCapError):
-            grids._projection_mask(s)
         with pytest.raises(ScaleCapError):
             grid_projection_sumset(s)
 

@@ -154,6 +154,27 @@ def test_encode_beyond_former_cap():
     assert a.measure() == F(5, d) == s.measure()
 
 
+def test_cells_and_endpoints_share_one_dtype_in_the_band():
+    # lam^n in [2^62, 2^63): the cells, like the endpoints of their encoding,
+    # are exact Python ints, so encoding converts no array
+    d = 2**62
+    band = [GridSet(2, 2**31, [0, 5, d - 1]),
+            GridSet(2, 2**31, np.array([d - 1, 0, 5, 0])),
+            box_grid_set(2, 2**31, [F(3, 2**31)] * 2),
+            GridSet(3, 2**21 - 1, [7, (2**21 - 1) ** 3 - 1])]
+    for g in band:
+        a = encode_grid_to_intervals(g)
+        assert g.sorted_cells.dtype == a._starts.dtype == a._ends.dtype == object
+        assert all(type(c) is int for c in g.sorted_cells.tolist())
+        assert a.measure() == g.measure()
+        assert GridSet.parse(g.format()) == g
+        assert hash(g) == hash(GridSet(g.dim, g.lam, g.sorted_cells.tolist()))
+    assert band[0] == band[1]
+    assert band[0].sorted_cells.tolist() == [0, 5, d - 1]
+    assert encode_grid_to_intervals(band[0]).intervals == ((0, 1), (5, 6), (d - 1, d))
+    assert band[2].sorted_cells.tolist() == [2**31 + 1, 2**31 + 2, 2**32 + 1, 2**32 + 2]
+
+
 def test_contains_set_across_denominators():
     big = tis(3, [(0, 2)])
     small = tis(9, [(1, 5)])
@@ -207,7 +228,7 @@ def test_contains_set_matches_brute_force_across_denominators():
     rng = random.Random(30)
     pairs = [(6, 4), (12, 18), (7, 1000), (2**40, 3**25), (2**32 - 5, 2**31 - 1),
              (2**70, 3**50)]
-    assert intervals._endpoint_dtype(lcm(2**32 - 5, 2**31 - 1)) is object
+    assert intervals._exact_dtype(lcm(2**32 - 5, 2**31 - 1)) is object
     for d1, d2 in pairs:
         seen = set()
         for _ in range(60):
@@ -390,8 +411,8 @@ def test_packed_keys_across_the_dtype_switch(d):
     # _normalize sorts (start << k) | end with k = d.bit_length(), and
     # _minkowski the formed arcs on the line with k = (2d).bit_length():
     # int64 keys up to d < 2^31 and d < 2^30, exact Python ints from there
-    assert (intervals._endpoint_dtype(d << d.bit_length()) is object) == (d >= 2**31)
-    assert (intervals._endpoint_dtype(d << (2 * d).bit_length()) is object) == (d >= 2**30)
+    assert (intervals._exact_dtype(d << d.bit_length()) is object) == (d >= 2**31)
+    assert (intervals._exact_dtype(d << (2 * d).bit_length()) is object) == (d >= 2**30)
     rng = random.Random(d)
     edges = [(d - 1, d), (0, 1), (d - 2, d + 3), (d // 2, d // 2 + 1), (d // 2, d)]
     for _ in range(30):
@@ -502,7 +523,7 @@ def test_discretize_matches_per_residue_definition():
     # D*p >= 2^62 (at p = 1009 for both, and every p for 10^30): the runs
     # are found on Python-int endpoints
     for d in (2**53, 10**30):
-        assert intervals._endpoint_dtype(d * 1009) is object
+        assert intervals._exact_dtype(d * 1009) is object
         big = [tis(d, [(0, d // 3), (d // 2, d // 2 + 1), (d - d // 5, d)]),
                tis(d, [(x, x + rng.randint(1, d // 3)) for x in
                        (rng.randrange(d) for _ in range(4))]),
@@ -515,6 +536,15 @@ def test_discretize_matches_per_residue_definition():
     got = discretize_to_zp(a, 100_003)
     assert set(got.elements()) == oracle(a, 100_003)
     assert len(got) == 22_222 + 11_111 + 11_111
+
+
+def test_discretize_refuses_p_past_int64():
+    # residues past 2^62 leave int64 by the one rule: a scale cap, raised
+    # before any p-sized array is asked for
+    a = TorusIntervalSet(4, [(3, 4)])
+    for p in (2**62 + 135, 2**63 + 29):
+        with pytest.raises(ScaleCapError, match="not below 2\\^62"):
+            discretize_to_zp(a, p)
 
 
 def test_discretize_density_below_measure_and_converges():

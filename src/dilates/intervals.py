@@ -298,14 +298,17 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
 
 
 def discretize_to_zp(a: TorusIntervalSet, p: int) -> ResidueSet:
-    """A' = {0 <= r < p : [r/p, (r+1)/p) is inside A}, for any p >= 1 (callers
-    that need a field check p themselves).  Each arc [x, y) holds the run
+    """A' = {0 <= r < p : [r/p, (r+1)/p) is inside A}, for any p >= 1 (a
+    smaller p raises ValueError; callers that need a field check p
+    themselves).  Each arc [x, y) holds the run
     [lo, hi) = [ceil(x*p/D), floor(y*p/D)), found for all arcs at once; the
     arcs are disjoint and non-adjacent, so the nonempty runs are too, and the
     bits are sum 2^hi - 2^lo over them.  The runs are scattered as int64
     residues, so a p that _exact_dtype puts beyond int64 raises
     ScaleCapError before any array is formed."""
     p = _integer(p, "p must be an integer")
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
     if _exact_dtype(p) is object:
         raise ScaleCapError(f"p = {p} is not below 2^62, the int64 bound of residues")
     d = a.denominator

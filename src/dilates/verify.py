@@ -5,11 +5,15 @@ check and reports a violation count.  The inequalities are theorems, so a
 single violation indicates a kernel bug; the CLI turns it into a nonzero
 exit and the acceptance tests assert zero across large case counts.
 
-One sampler, _random_subset, draws every suite's random sets: it draws the
-smaller of a set and its complement by rejection on the generator's
-getrandbits and builds the bitvector once.  A seed fixes the instances for
-this sampler, not for CPython's random.sample; a passing suite's summary
-carries no per-instance data, so summaries do not depend on the sampler.
+One sampler, _random_subset, draws every suite's random sets.  It draws
+the smaller of a set and its complement, k members of range(n): about
+k - sqrt(k) of them as a mask of independent bits formed from at most
+seven getrandbits(n) words, the rest by rejection with O(1) membership
+tests in a bytearray, so a dense draw costs a few n-bit words and about
+sqrt(k) + n/256 Python steps instead of k.  Its docstring proves the draw
+uniform.  A seed fixes the instances for this sampler, not for CPython's
+random.sample; a passing suite's summary carries no per-instance data, so
+summaries do not depend on the sampler.
 
 The dilate-chain suite hands each base set, with all its lambdas and chain
 lengths, to one call of checks._dilate_chain_reports, which forms B + B
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .checks import (_dilate_chain_reports, check_cauchy_davenport,
                      check_kfold_cd_chain, check_plunnecke,
@@ -80,24 +85,60 @@ def _random_subset(rng: random.Random, n: int, size: int) -> ResidueSet:
     """A uniform random size-member subset of range(n); a size outside
     0..n raises ValueError.
 
-    The smaller side, k = min(size, n - size) members, is drawn by
-    rejection: getrandbits(n.bit_length()) is drawn again while it is at
-    least n or already drawn, so each accepted member is uniform over the
-    undrawn and takes at most four tries on average (n - k >= n/2 and
-    2^bit_length(n) <= 2n).  Its bitvector is built once, and when
-    k < size its complement in range(n) is returned."""
+    The smaller side, k = min(size, n - size) members, is drawn, and when
+    k < size its complement in range(n) is returned.  With
+    num = floor(128 * (k - isqrt(k)) / n), most of it comes from a head
+    start: an n-bit mask whose bits are independent with probability
+    num/128, formed from at most seven getrandbits(n) words combined by OR
+    or AND, one per binary digit of num from the lowest set one up (x | w
+    takes a bit's probability q to (q + 1)/2, x & w to q/2).  The mask is
+    drawn again while it has more than k members; it then has about
+    k - sqrt(k).  The rest are added by rejection:
+    getrandbits(n.bit_length()) is drawn again while it is at least n or
+    already a member, tested in a bytearray of the mask at O(1) per test,
+    so each accepted member is uniform over the non-members and takes at
+    most four tries on average (n - k >= n/2 and 2^bit_length(n) <= 2n).
+    A draw costs a few words of n bits and about sqrt(k) + n/256 Python
+    steps, the n/256 from rounding num down.  When num = 0 there is no head
+    start: the k members are drawn into a set by the same rejection and
+    the bitvector is built once by from_elements, which for a few members
+    at large n is cheaper than a round trip through n/8 bytes.
+
+    The draw is uniform.  The mask's distribution, also when conditioned on
+    having at most k members, is unchanged by any permutation of range(n),
+    and each top-up step adds a uniformly chosen non-member, so the final
+    k-set's distribution is unchanged too; the permutations act
+    transitively on k-subsets, so every k-subset is equally likely."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got size {size} and n {n}")
     k = min(size, n - size)
     getrandbits, width = rng.getrandbits, n.bit_length()
-    drawn: set[int] = set()
-    for _ in range(k):
-        j = getrandbits(width)
-        while j >= n or j in drawn:
+    num = (k - isqrt(k)) * 128 // n
+    if not num:
+        drawn: set[int] = set()
+        for _ in range(k):
             j = getrandbits(width)
-        drawn.add(j)
-    chosen = ResidueSet.from_elements(n, drawn)
-    return chosen if k == size else ResidueSet(n, chosen.bits ^ ((1 << n) - 1))
+            while j >= n or j in drawn:
+                j = getrandbits(width)
+            drawn.add(j)
+        chosen = ResidueSet.from_elements(n, drawn)
+        return chosen if k == size else ResidueSet(n, chosen.bits ^ ((1 << n) - 1))
+    low = (num & -num).bit_length() - 1
+    while True:
+        bits = getrandbits(n)
+        for digit in range(low + 1, 7):
+            bits = bits | getrandbits(n) if num >> digit & 1 else bits & getrandbits(n)
+        short = k - bits.bit_count()
+        if short >= 0:
+            break
+    mask = bytearray(bits.to_bytes((n + 7) // 8, "little"))
+    for _ in range(short):
+        j = getrandbits(width)
+        while j >= n or mask[j >> 3] >> (j & 7) & 1:
+            j = getrandbits(width)
+        mask[j >> 3] |= 1 << (j & 7)
+    bits = int.from_bytes(mask, "little")
+    return ResidueSet(n, bits if k == size else bits ^ ((1 << n) - 1))
 
 
 def _random_size(rng: random.Random, n: int, dense_cap: int = 128) -> int:
@@ -112,6 +153,7 @@ def run_cd_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
     """Random Cauchy-Davenport instances plus constructed same-difference
     progression pairs, which must achieve slack exactly 0."""
     require_prime(p)
+    cases = _integer(cases, "cases must be an integer")
     rng = random.Random(seed)
     summary = SuiteSummary("cd", 0, 0)
     zero_slack = 0
@@ -143,6 +185,7 @@ def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
     modulus = _integer(modulus, "modulus must be an integer")
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
+    cases = _integer(cases, "cases must be an integer")
     rng = random.Random(seed)
     summary = SuiteSummary("ruzsa", 0, 0)
     for _ in range(cases):
@@ -159,6 +202,7 @@ def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> Sui
     max_element = _integer(max_element, "max_element must be an integer")
     if max_element < 0:
         raise ValueError(f"max_element must be >= 0, got {max_element}")
+    cases = _integer(cases, "cases must be an integer")
     rng = random.Random(seed)
     summary = SuiteSummary("plunnecke", 0, 0)
     modulus = 6 * max_element + 2
@@ -185,6 +229,11 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
     max_element = _integer(max_element, "max_element must be an integer")
     if max_element < 0:
         raise ValueError(f"max_element must be >= 0, got {max_element}")
+    cases = _integer(cases, "cases must be an integer")
+    lambdas = tuple(_integer(lam, "every entry of lambdas must be an integer")
+                    for lam in lambdas)
+    chain_lengths = tuple(_integer(length, "every entry of chain_lengths must be an integer")
+                          for length in chain_lengths)
     if min(lambdas) < 2 or min(chain_lengths) < 1:
         raise ValueError("need every lambda >= 2 and every l >= 1")
     lam_max, l_max = max(lambdas), max(chain_lengths)
@@ -208,6 +257,7 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
 
 def run_kfold_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
     require_prime(p)
+    cases = _integer(cases, "cases must be an integer")
     rng = random.Random(seed)
     summary = SuiteSummary("kfold-cd", 0, 0)
     for _ in range(cases):
@@ -223,6 +273,8 @@ def run_affine_suite(p: int, cases: int, seed: int = 0,
     """|dilate_sum(u*A + v, lam)| must equal |dilate_sum(A, lam)| for every
     unit u and shift v; canonical forms must agree across sampled orbits."""
     require_prime(p)
+    cases = _integer(cases, "cases must be an integer")
+    orbit_samples = _integer(orbit_samples, "orbit_samples must be an integer")
     rng = random.Random(seed)
     summary = SuiteSummary("affine", 0, 0)
     for _ in range(cases):

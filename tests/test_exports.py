@@ -32,7 +32,8 @@ from dilates.intervals import (TorusIntervalSet, discretize_to_zp, interval_dila
 from dilates.residues import ResidueSet, is_prime
 from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
                             sweep)
-from dilates.verify import run_dilate_chain_suite, run_plunnecke_suite, run_ruzsa_suite
+from dilates.verify import (run_affine_suite, run_cd_suite, run_dilate_chain_suite,
+                            run_kfold_suite, run_plunnecke_suite, run_ruzsa_suite)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dilates.__path__, "dilates."))
 
@@ -281,6 +282,18 @@ INTEGER_ARGUMENTS = [
     pytest.param(lambda x: run_plunnecke_suite(2, max_element=x + 1), id="plunnecke-max-element"),
     pytest.param(lambda x: run_dilate_chain_suite(2, max_element=x + 1),
                  id="dilate-chain-max-element"),
+    pytest.param(lambda x: run_cd_suite(11, x), id="cd-cases"),
+    pytest.param(lambda x: run_ruzsa_suite(50, x), id="ruzsa-cases"),
+    pytest.param(lambda x: run_plunnecke_suite(x, max_element=3), id="plunnecke-cases"),
+    pytest.param(lambda x: run_dilate_chain_suite(x, max_element=3), id="dilate-chain-cases"),
+    pytest.param(lambda x: run_dilate_chain_suite(2, max_element=3, lambdas=(2, x + 1)),
+                 id="dilate-chain-lambdas"),
+    pytest.param(lambda x: run_dilate_chain_suite(2, max_element=3, chain_lengths=(x,)),
+                 id="dilate-chain-chain-lengths"),
+    pytest.param(lambda x: run_kfold_suite(11, x), id="kfold-cases"),
+    pytest.param(lambda x: run_affine_suite(11, x, orbit_samples=2), id="affine-cases"),
+    pytest.param(lambda x: run_affine_suite(11, 2, orbit_samples=x),
+                 id="affine-orbit-samples"),
 ]
 
 

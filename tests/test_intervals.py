@@ -547,6 +547,14 @@ def test_discretize_refuses_p_past_int64():
             discretize_to_zp(a, p)
 
 
+def test_discretize_refuses_p_below_one():
+    # refused before any run array is formed, with a message naming p
+    a = TorusIntervalSet(4, [(3, 4)])
+    for p in (0, -5):
+        with pytest.raises(ValueError, match="need p >= 1"):
+            discretize_to_zp(a, p)
+
+
 def test_discretize_density_below_measure_and_converges():
     rng = random.Random(24)
     for _ in range(20):

@@ -5,6 +5,7 @@ instances each suite draws through it."""
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,7 +22,7 @@ def _sample_set(rng, n, size):
 # the sizes take both branches of the sampler: the drawn side and its
 # complement
 @pytest.mark.parametrize("n", [1, 2, 3, 21, 22, 85, 101, 1009, 10**6 + 3])
-def test_random_subset_draws_the_stream_of_sample(n):
+def test_random_subset_is_fixed_by_the_generator_state(n):
     """A draw has exactly size members, all in range(n), and is fixed by
     the generator's state: generators seeded alike give equal sets and
     are left in equal states.  A size outside 0..n raises ValueError."""
@@ -40,21 +41,51 @@ def test_random_subset_draws_the_stream_of_sample(n):
 
 
 # the 0.999 quantile of chi-square on C(n, k) - 1 degrees of freedom
-_CHI2_999 = {14: 36.123, 19: 43.820, 20: 45.315}
+_CHI2_999 = {14: 36.123, 19: 43.820, 20: 45.315, 251: 325.970}
 
 
-@pytest.mark.parametrize("n, size", [(6, 2), (6, 3), (6, 4), (7, 5)])
+# with k = min(size, n - size), the head start's num = 128 (k - isqrt(k)) // n
+# is 21, 42, 21, 18 and 38 in these cells, so every draw forms a mask and
+# tops it up; (10, 5) spreads its draws over 252 subsets
+@pytest.mark.parametrize("n, size", [(6, 2), (6, 3), (6, 4), (7, 5), (10, 5)])
 def test_random_subset_is_uniform(n, size):
     """Every size-subset of range(n) is drawn about equally often; (7, 5)
     draws two members and returns their complement."""
     rng = random.Random(n * 10 + size)
-    draws = 20_000
+    draws = max(20_000, 100 * comb(n, size))
     counts = Counter(verify._random_subset(rng, n, size).elements() for _ in range(draws))
     subsets = list(combinations(range(n), size))
     assert set(counts) == set(subsets)
     expected = draws / len(subsets)
     chi2 = sum((counts[s] - expected) ** 2 / expected for s in subsets)
     assert chi2 < _CHI2_999[len(subsets) - 1], chi2
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its getrandbits calls by bit width."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = Counter()
+
+    def getrandbits(self, k):
+        self.widths[k] += 1
+        return super().getrandbits(k)
+
+
+def test_random_subset_draws_a_dense_set_from_few_words():
+    """A dense draw takes most of its members from a handful of n-bit
+    words: far fewer than k draws of n's bit width, where a member-by-member
+    rejection sampler needs at least k."""
+    n, size = 10**6 + 3, 500_001
+    k = min(size, n - size)
+    rng = _CountingRandom(0)
+    drawn = verify._random_subset(rng, n, size)
+    assert len(drawn) == size
+    assert rng.widths[n.bit_length()] < k / 8, rng.widths
+    # num = 63 has seven binary digits, and a mask about 7800 members short
+    # of k is kept at once: one mask of seven words
+    assert rng.widths[n] == 7, rng.widths
 
 
 # ------------------------------------------------------------ suite instances
@@ -218,3 +249,13 @@ def test_dilate_chain_suite_runs_below_forty_members(max_element):
 def test_suites_refuse_a_negative_max_element(run):
     with pytest.raises(ValueError, match="max_element"):
         run(5, seed=0, max_element=-1)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"lambdas": (2.5,)}, "lambdas"),
+                                          ({"lambdas": (2, 3.0)}, "lambdas"),
+                                          ({"chain_lengths": (2.0,)}, "chain_lengths")])
+def test_dilate_chain_suite_names_a_non_integer_entry(kwargs, name):
+    """The TypeError names the tuple the entry came from, not the emulation
+    modulus it would have reached."""
+    with pytest.raises(TypeError, match=f"every entry of {name} must be an integer, got float"):
+        verify.run_dilate_chain_suite(2, **kwargs)

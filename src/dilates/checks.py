@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .residues import (ResidueSet, difference_set, dilate, iterated_sumset,
+from .residues import (ResidueSet, _integer, difference_set, dilate, iterated_sumset,
                        require_prime, sumset)
 
 __all__ = [
@@ -148,8 +148,9 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int) -> IneqReport:
     Z-emulation: requires modulus > (m+n)*max(B) and > max(A)+max(B) so no
     sum or difference wraps.  slack = rhs - lhs (exact rational).
     """
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("need m, n >= 0 with m + n >= 1")
+    m, n = _integer(m, "m", 0), _integer(n, "n", 0)
+    if m + n < 1:
+        raise ValueError(f"need m + n >= 1, got m={m}, n={n}")
     _require_nonempty(a, b)
     modulus = a.modulus
     needed = max((m + n) * _max_element(b), _max_element(a) + _max_element(b))
@@ -179,15 +180,15 @@ def _dilate_chain_reports(b: ResidueSet, lambdas, lengths) -> list[IneqReport]:
     """check_dilate_chain(b, lam, l) for each lam in lambdas and, within
     it, each l in lengths.  B + B is formed once; for each lam, so are
     lam^i * B (i up to the longest l), B + B + lam*B and the chain's
-    prefixes, the prefix of length l giving that report's lhs.  Every pair
-    is validated in order before any set is formed, so a bad pair raises
-    the message its own check_dilate_chain call raises."""
+    prefixes, the prefix of length l giving that report's lhs.  Every lam
+    and l, then b, then each pair's headroom in order, is checked before
+    any set is formed."""
+    lambdas = [_integer(lam, "lam", 2) for lam in lambdas]
+    lengths = [_integer(l, "l", 1) for l in lengths]
+    _require_nonempty(b)
     top = _max_element(b)
     for lam in lambdas:
         for l in lengths:
-            if lam < 2 or l < 1:
-                raise ValueError("need lam >= 2 and l >= 1")
-            _require_nonempty(b)
             needed = max(sum(lam**i for i in range(l + 1)), lam + 2) * top
             if b.modulus <= needed:
                 raise ValueError(f"wraparound risk: need modulus > {needed}, "
@@ -233,8 +234,7 @@ def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int) -> IneqReport:
     by chaining Cauchy-Davenport across the k-1 plain summands.
     slack = lhs - rhs."""
     require_prime(a.modulus)
-    if k < 2:
-        raise ValueError("need k >= 2")
+    k, lam = _integer(k, "k", 2), _integer(lam, "lam")
     _require_nonempty(a)
     lam_a = dilate(a, lam)
     pair = sumset(a, lam_a)  # A + lam*A

@@ -2,9 +2,9 @@
 
 Subcommands: construct (box/simplex pipelines), verify (property suites),
 search / sweep (minimization), gap (progression tools), report (render the
-cache into CSV and plot data).  Exit codes: 0 success, 2 usage error,
-3 mathematical assertion failure, 4 scale cap exceeded or out of memory,
-5 I/O error.
+cache into CSV and plot data).  Exit codes: 0 success, 2 usage error or a
+value the library refuses (ValueError, as for --cases 0), 3 mathematical
+assertion failure, 4 scale cap exceeded or out of memory, 5 I/O error.
 
 Output files are byte-identical across reruns with the same arguments and
 cache state; timestamps live only in .meta.json sidecars.
@@ -171,8 +171,6 @@ def _cmd_verify(args) -> int:
     for flag in _SUITE_FLAGS:
         if flag not in reads and getattr(args, flag[2:]) is not None:
             raise ValueError(f"verify {args.suite} takes no {flag}")
-    if args.cases < 1:
-        raise ValueError(f"--cases must be >= 1, got {args.cases}")
     kwargs = {"cases": args.cases, "seed": args.seed}
     for flag, (name, value) in reads.items():
         kwargs[name] = value(getattr(args, flag[2:]))

@@ -27,8 +27,8 @@ import numpy as np
 
 from .checks import IneqReport
 from .errors import ScaleCapError
-from .residues import (ResidueSet, _fields, _integer, _integer_fields, _ints, dilate,
-                       iterated_sumset, require_prime, sumset)
+from .residues import (ResidueSet, _bits_to_mask, _fields, _integer, _integer_fields, _ints,
+                       dilate, iterated_sumset, require_prime, sumset)
 
 __all__ = [
     "Gap",
@@ -57,9 +57,9 @@ class Gap:
 
     def __post_init__(self):
         _integer_fields(self, "modulus", "base")
-        for name in ("generators", "lengths"):
-            what = f"{name} must be integers"
-            object.__setattr__(self, name, tuple(_integer(x, what) for x in getattr(self, name)))
+        for name, low in (("generators", None), ("lengths", 1)):
+            object.__setattr__(self, name, tuple(_integer(x, f"every entry of {name}", low)
+                                                 for x in getattr(self, name)))
         require_prime(self.modulus)
         if len(self.generators) != len(self.lengths):
             raise ValueError("generators and lengths must have equal arity")
@@ -68,8 +68,6 @@ class Gap:
         for v, k in zip(self.generators, self.lengths):
             if not 0 <= v < self.modulus:
                 raise ValueError(f"generator {v} out of range")
-            if k < 1:
-                raise ValueError(f"length {k} must be >= 1")
             if v == 0 and k >= 2:
                 raise ValueError("zero generator with length >= 2")
 
@@ -117,9 +115,7 @@ def truncate_to_large_steps(gap: Gap, lam: int) -> Gap:
     original order).  For proper input the truncation keeps at least a
     1/lam^(d-m) fraction of the elements, m being the number of survivors.
     """
-    lam = _integer(lam, "lam must be an integer")
-    if lam < 2:
-        raise ValueError("need lam >= 2")
+    lam = _integer(lam, "lam", 2)
     order = sorted(range(gap.dimension), key=lambda i: (-gap.lengths[i], i))
     kept = [i for i in order if gap.lengths[i] >= lam]
     if not kept:
@@ -137,10 +133,7 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
     Details report whether the right side already fills Z/pZ and the
     Cauchy-Davenport floor min(lam^d (|P'| - 1) + 1, p) that forces it.
     """
-    lam = _integer(lam, "lam must be an integer")
-    exponent = _integer(exponent, "exponent must be an integer")
-    if lam < 2 or exponent < 0:
-        raise ValueError("need lam >= 2 and exponent >= 0")
+    lam, exponent = _integer(lam, "lam", 2), _integer(exponent, "exponent", 0)
     if any(k < lam for k in gap.lengths):
         raise ValueError("span check requires every length >= lam")
     # lam >= 2, so lam**exponent passes the cap once exponent reaches its
@@ -178,8 +171,7 @@ def _run_tables(s: ResidueSet, half: int) -> np.ndarray:
     p = s.modulus
     if len(s) == p:
         return np.full((half + 1, p), p, dtype=np.uint8)
-    inside = np.zeros(p, dtype=np.int16)
-    inside[list(s.elements())] = 1
+    inside = _bits_to_mask(p, s.bits)
     z = int(np.argmin(inside))
     walk = (z + np.arange(1, half + 1)[:, None] * np.arange(p - 1, -1, -1)) % p
     step_in = inside[walk]
@@ -253,12 +245,10 @@ def find_max_proper_gap(s: ResidueSet, d_max: int) -> Gap:
     area cannot beat the incumbent is skipped, as none of its candidates
     could win.
     """
-    p, d_max = s.modulus, _integer(d_max, "d_max must be an integer")
+    p, d_max = s.modulus, _integer(d_max, "d_max", 1)
     require_prime(p)
     if p > _FINDER_MAX_P or d_max > _FINDER_MAX_DIM:
         raise ScaleCapError(f"finder limited to p <= {_FINDER_MAX_P}, d <= {_FINDER_MAX_DIM}")
-    if d_max < 1:
-        raise ValueError("need d_max >= 1")
     if s.bits == 0:
         raise ValueError("empty set contains no progression")
     elements = s.elements()

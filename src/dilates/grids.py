@@ -50,8 +50,7 @@ def nth_root_floor(x: int, k: int) -> int:
 
     Newton's iteration from 2**ceil(bits/k), which is above the root,
     decreases strictly until it reaches the floor root."""
-    if x < 0 or k < 1:
-        raise ValueError("need x >= 0 and k >= 1")
+    x, k = _integer(x, "x", 0), _integer(k, "k", 1)
     if x < 2:
         return x
     r = 1 << -(-x.bit_length() // k)
@@ -60,13 +59,6 @@ def nth_root_floor(x: int, k: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-def _require_dim(dim: int) -> int:
-    dim = _integer(dim, "dimension must be an integer")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    return dim
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -82,9 +74,7 @@ class GridSet:
     sorted_cells: np.ndarray
 
     def __init__(self, dim: int, lam: int, cells) -> None:
-        dim, lam = _require_dim(dim), _integer(lam, "resolution must be an integer")
-        if lam < 2:
-            raise ValueError(f"resolution must be >= 2, got {lam}")
+        dim, lam = _integer(dim, "dim", 1), _integer(lam, "lam", 2)
         dtype = _exact_dtype(lam**dim)
         if not (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"):
             try:
@@ -239,7 +229,7 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
     A cell [x/lam, (x+1)/lam) lies in (0, s) iff x >= 1 and x+1 <= lam*s,
     decided by exact rational comparison.
     """
-    d = _require_dim(d)
+    d = _integer(d, "d", 1)
     sides = [_as_fraction(s) for s in sides]
     if len(sides) != d:
         raise ValueError(f"expected {d} sides, got {len(sides)}")
@@ -253,9 +243,7 @@ def box_grid_set(d: int, lam: int, sides) -> GridSet:
 def _root_side(value: Fraction, d: int, lam: int) -> Fraction:
     """value**(1/d) as an exact Fraction when possible, else the smallest
     multiple of 1/lam at or above it."""
-    lam = _integer(lam, "lam must be an integer")
-    if lam < 2:
-        raise ValueError(f"resolution must be >= 2, got {lam}")
+    lam = _integer(lam, "lam", 2)
     num, den = value.numerator, value.denominator
     rn, rd = nth_root_floor(num, d), nth_root_floor(den, d)
     if rn**d == num and rd**d == den:
@@ -268,7 +256,7 @@ def _root_side(value: Fraction, d: int, lam: int) -> Fraction:
 
 def equal_box_sides(d: int, gamma, lam: int) -> tuple[Fraction, ...]:
     """Side lengths of the volume-gamma cube: gamma**(1/d) on every axis."""
-    d = _require_dim(d)
+    d = _integer(d, "d", 1)
     side = _root_side(_as_fraction(gamma), d, lam)
     return (side,) * d
 
@@ -315,20 +303,13 @@ def simplex_grid_set(n: int, lam: int) -> GridSet:
     that is 2*sum(x_i + 1) <= lam*(n-2): a digit-sum set with every digit
     at least 1 and sum x_i <= floor(lam*(n-2)/2) - n.
     """
-    n, lam = _integer(n, "n must be an integer"), _integer(lam, "lam must be an integer")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if lam < 2:
-        raise ValueError(f"resolution must be >= 2, got {lam}")
+    n, lam = _integer(n, "n", 2), _integer(lam, "lam", 2)
     return GridSet(n, lam, _cells(n, lam, [lam - 1] * n, lam * (n - 2) // 2 - n))
 
 
 def digit_sum_count(m: int, lam: int, t: int) -> int:
     """#{x in [0, lam)^m : sum x_i <= t} by inclusion-exclusion."""
-    m, lam, t = (_integer(x, f"{name} must be an integer")
-                 for x, name in ((m, "m"), (lam, "lam"), (t, "t")))
-    if m < 0 or lam < 1:
-        raise ValueError("need m >= 0 and lam >= 1")
+    m, lam, t = _integer(m, "m", 0), _integer(lam, "lam", 1), _integer(t, "t")
     if t < 0:
         return 0
     if t >= m * (lam - 1):
@@ -344,9 +325,7 @@ def irwin_hall_volume(m: int, s) -> Fraction:
 
     (1/m!) * sum_{j=0}^{floor(s)} (-1)^j C(m,j) (s-j)^m, clamped to [0, 1].
     """
-    m = _integer(m, "m must be an integer")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = _integer(m, "m", 1)
     s = _as_fraction(s)
     if s <= 0:
         return Fraction(0)
@@ -366,9 +345,7 @@ def simplex_construction(n: int) -> tuple[Fraction, Fraction]:
     muCC the volume of the (n-1)-dimensional sum region {sum x_i < n - 2},
     which equals 1 - 1/(n-1)! and is strictly below 1.
     """
-    n = _integer(n, "n must be an integer")
-    if n < 4:
-        raise ValueError(f"construction needs n >= 4, got {n}")
+    n = _integer(n, "n", 4)
     mu_b = irwin_hall_volume(n, Fraction(n, 2) - 1)
     mu_cc = irwin_hall_volume(n - 1, n - 2)
     assert mu_cc == 1 - Fraction(1, factorial(n - 1))

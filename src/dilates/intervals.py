@@ -52,11 +52,8 @@ def _pair_array(denominator, pairs) -> tuple[int, np.ndarray]:
     """The denominator d, checked positive, and the (a, b) pairs as an (n, 2)
     array of dtype _exact_dtype(max(d, every |value|)), so the
     normalization, which forms numbers up to twice that, stays exact."""
-    what = "interval endpoints and denominators must be integers"
-    d = _integer(denominator, what)
-    if d < 1:
-        raise ValueError(f"denominator must be positive, got {d}")
-    values = [_integer(v, what) for a, b in pairs for v in (a, b)]
+    d = _integer(denominator, "denominator", 1)
+    values = [_integer(v, "every interval endpoint") for a, b in pairs for v in (a, b)]
     dtype = _exact_dtype(max([d, *map(abs, values)]))
     return d, np.array(values, dtype=dtype).reshape(-1, 2)
 
@@ -234,9 +231,7 @@ def encode_grid_to_intervals(s: GridSet) -> TorusIntervalSet:
 def scale_intervals(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     """lam * A on the circle: each interval maps to arcs of total length
     min(lam * len, 1), by exact endpoint multiplication."""
-    lam = _integer(lam, "lam must be an integer")
-    if lam < 1:
-        raise ValueError("need lam >= 1")
+    lam = _integer(lam, "lam", 1)
     d = a.denominator
     dtype = _exact_dtype(lam * d)
     return TorusIntervalSet._trusted(d, *_normalize(d, a._starts.astype(dtype, copy=False) * lam,
@@ -291,9 +286,7 @@ def interval_dilate_sum(a: TorusIntervalSet, lam: int) -> TorusIntervalSet:
     scale_intervals(a, lam) by _minkowski.  The arcs it forms, counted
     before any is, may not exceed _PAIR_CAP (else ScaleCapError).
     """
-    lam = _integer(lam, "lam must be an integer")
-    if lam < 2:
-        raise ValueError("need lam >= 2")
+    lam = _integer(lam, "lam", 2)
     return _minkowski(a, scale_intervals(a, lam))
 
 
@@ -306,9 +299,7 @@ def discretize_to_zp(a: TorusIntervalSet, p: int) -> ResidueSet:
     bits are sum 2^hi - 2^lo over them.  The runs are scattered as int64
     residues, so a p that _exact_dtype puts beyond int64 raises
     ScaleCapError before any array is formed."""
-    p = _integer(p, "p must be an integer")
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    p = _integer(p, "p", 1)
     if _exact_dtype(p) is object:
         raise ScaleCapError(f"p = {p} is not below 2^62, the int64 bound of residues")
     d = a.denominator

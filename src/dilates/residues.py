@@ -44,7 +44,7 @@ _MR_FOUR_BASES_BELOW = 3_215_031_751  # least strong pseudoprime to 2, 3, 5 and 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
-    n = _integer(n, "number tested for primality must be an integer")
+    n = _integer(n, "n")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -102,15 +102,20 @@ _PAIR_RATIO = 8
 _PAIR_BLOCK = 1 << 14
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, name: str, low: int | None = None) -> int:
     """value as a plain int, so 1 << N and x % N run on Python ints: the one
-    integer rule of every value type.  A numpy integer or bool becomes its
-    int; anything else raises TypeError("<what>, got <type>").  Hot callers
-    test type(value) is int first."""
+    rule of every public integer argument and field.  A numpy integer or
+    bool becomes its int; anything else raises TypeError("<name> must be
+    an integer, got <type>"), and a value below low raises
+    ValueError("<name> must be >= <low>, got <value>").  Hot callers test
+    type(value) is int (and value >= low) first."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"{what}, got {type(value).__name__}") from None
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _exact_dtype(bound: int):
@@ -121,11 +126,9 @@ def _exact_dtype(bound: int):
 
 
 def _integer_fields(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass obj through _integer,
-    so a TypeError reads "<name> must be an integer, got <type>"."""
+    """Store each named field of the frozen dataclass obj through _integer."""
     for name in names:
-        value = _integer(getattr(obj, name), f"{name} must be an integer")
-        object.__setattr__(obj, name, value)
+        object.__setattr__(obj, name, _integer(getattr(obj, name), name))
 
 
 def _fields(text: str, what: str, *keys: str) -> list[str]:
@@ -170,10 +173,8 @@ class ResidueSet:
     bits: int
 
     def __post_init__(self):
-        if type(self.modulus) is not int:
-            _integer_fields(self, "modulus")
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        if type(self.modulus) is not int or self.modulus < 1:
+            object.__setattr__(self, "modulus", _integer(self.modulus, "modulus", 1))
         if not isinstance(self.bits, int):
             raise TypeError(f"bitvector must be an int, got {type(self.bits).__name__}")
         if self.bits < 0 or self.bits >> self.modulus:
@@ -188,10 +189,8 @@ class ResidueSet:
         crossovers) the members, reduced mod N, are scattered into a mask
         converted once.  Members are Python or numpy integers, of any
         size; anything else raises TypeError on both sides of the gate."""
-        if type(modulus) is not int:
-            modulus = _integer(modulus, "modulus must be an integer")
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+        if type(modulus) is not int or modulus < 1:
+            modulus = _integer(modulus, "modulus", 1)
         if not isinstance(elements, (list, tuple)):
             elements = list(elements)
         if len(elements) <= 32 or len(elements) * modulus <= 1 << 19:
@@ -209,8 +208,7 @@ class ResidueSet:
 
     @classmethod
     def full(cls, modulus: int) -> "ResidueSet":
-        if type(modulus) is not int:
-            modulus = _integer(modulus, "modulus must be an integer")
+        modulus = _integer(modulus, "modulus", 1)
         return cls(modulus, (1 << modulus) - 1)
 
     @classmethod
@@ -517,6 +515,8 @@ def _affine(a: ResidueSet, u: int, v: int) -> ResidueSet:
 
 def dilate(a: ResidueSet, lam: int) -> ResidueSet:
     """lam*A = {lam*a mod N}.  |lam*A| = |A| whenever gcd(lam, N) = 1."""
+    if type(lam) is not int:
+        lam = _integer(lam, "lam")
     lam %= a.modulus
     if lam == 1:
         return a
@@ -530,15 +530,13 @@ def dilate_sum(a: ResidueSet, lam: int, kernel: Kernel | None = None) -> Residue
 
 def kfold_dilate_sum(a: ResidueSet, k: int, lam: int) -> ResidueSet:
     """A + ... + A + lam*A with k-1 plain summands; k=2 is dilate_sum."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    k = _integer(k, "k", 2)
     return sumset(iterated_sumset(a, k - 1), dilate(a, lam))
 
 
 def iterated_sumset(a: ResidueSet, m: int) -> ResidueSet:
     """The m-fold sumset A + ... + A, computed by repeated doubling."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = _integer(m, "m", 1)
     if a.bits == 0:
         return a
     full = (1 << a.modulus) - 1
@@ -562,7 +560,7 @@ def difference_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 
 def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:
     """{u*a + v mod N} for a unit u; a bijective relabelling of Z/NZ."""
-    n = a.modulus
+    n, u, v = a.modulus, _integer(u, "u"), _integer(v, "v")
     if gcd(u, n) != 1:
         raise ValueError(f"u={u} is not a unit mod {n}")
     return _affine(a, u, v)

@@ -31,7 +31,8 @@ from math import comb, gcd
 
 from .checks import _num
 from .errors import ScaleCapError
-from .residues import ResidueSet, _integer_fields, canonical_form, dilate_sum, require_prime
+from .residues import (ResidueSet, _integer, _integer_fields, canonical_form, dilate_sum,
+                       require_prime)
 
 __all__ = [
     "SearchTask",
@@ -63,15 +64,14 @@ class SearchTask:
 
     def __post_init__(self):
         if not (type(self.p) is type(self.lam) is type(self.m) is type(self.seed)
-                is type(self.budget) is int):  # plain ints skip the call
-            _integer_fields(self, "p", "lam", "m", "seed", "budget")
+                is type(self.budget) is int and self.budget >= 0):  # plain ints skip the calls
+            _integer_fields(self, "p", "lam", "m", "seed")
+            object.__setattr__(self, "budget", _integer(self.budget, "budget", 0))
         require_prime(self.p)
         if not 1 <= self.m <= self.p:
             raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
         if self.mode not in ("exact", "heuristic"):
             raise ValueError(f"mode must be exact|heuristic, got {self.mode!r}")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "lambda": self.lam, "m": self.m, "mode": self.mode,

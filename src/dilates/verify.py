@@ -153,7 +153,7 @@ def run_cd_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
     """Random Cauchy-Davenport instances plus constructed same-difference
     progression pairs, which must achieve slack exactly 0."""
     require_prime(p)
-    cases = _integer(cases, "cases must be an integer")
+    cases = _integer(cases, "cases", 1)
     rng = random.Random(seed)
     summary = SuiteSummary("cd", 0, 0)
     zero_slack = 0
@@ -182,10 +182,8 @@ def run_cd_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
 
 
 def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
-    modulus = _integer(modulus, "modulus must be an integer")
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    cases = _integer(cases, "cases must be an integer")
+    modulus = _integer(modulus, "modulus", 1)
+    cases = _integer(cases, "cases", 1)
     rng = random.Random(seed)
     summary = SuiteSummary("ruzsa", 0, 0)
     for _ in range(cases):
@@ -199,10 +197,8 @@ def run_ruzsa_suite(modulus: int, cases: int, seed: int = 0) -> SuiteSummary:
 def run_plunnecke_suite(cases: int, seed: int = 0, max_element: int = 50) -> SuiteSummary:
     """Random integer sets A, B in [0, max_element], emulated with verified
     headroom; m, n <= 3."""
-    max_element = _integer(max_element, "max_element must be an integer")
-    if max_element < 0:
-        raise ValueError(f"max_element must be >= 0, got {max_element}")
-    cases = _integer(cases, "cases must be an integer")
+    max_element = _integer(max_element, "max_element", 0)
+    cases = _integer(cases, "cases", 1)
     rng = random.Random(seed)
     summary = SuiteSummary("plunnecke", 0, 0)
     modulus = 6 * max_element + 2
@@ -226,16 +222,10 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
 
     The emulation modulus grows as lam**(l + 1) / (lam - 1); one above
     _CHAIN_MODULUS_CAP is refused before any set is built."""
-    max_element = _integer(max_element, "max_element must be an integer")
-    if max_element < 0:
-        raise ValueError(f"max_element must be >= 0, got {max_element}")
-    cases = _integer(cases, "cases must be an integer")
-    lambdas = tuple(_integer(lam, "every entry of lambdas must be an integer")
-                    for lam in lambdas)
-    chain_lengths = tuple(_integer(length, "every entry of chain_lengths must be an integer")
-                          for length in chain_lengths)
-    if min(lambdas) < 2 or min(chain_lengths) < 1:
-        raise ValueError("need every lambda >= 2 and every l >= 1")
+    max_element = _integer(max_element, "max_element", 0)
+    cases = _integer(cases, "cases", 1)
+    lambdas = tuple(_integer(lam, "every entry of lambdas", 2) for lam in lambdas)
+    chain_lengths = tuple(_integer(l, "every entry of chain_lengths", 1) for l in chain_lengths)
     lam_max, l_max = max(lambdas), max(chain_lengths)
     # lam_max**l_max >= 2**l_max: from l_max = 27 on the modulus exceeds
     # the cap (for max_element >= 1), so refuse before taking the power
@@ -257,7 +247,7 @@ def run_dilate_chain_suite(cases: int, seed: int = 0, max_element: int = 100,
 
 def run_kfold_suite(p: int, cases: int, seed: int = 0) -> SuiteSummary:
     require_prime(p)
-    cases = _integer(cases, "cases must be an integer")
+    cases = _integer(cases, "cases", 1)
     rng = random.Random(seed)
     summary = SuiteSummary("kfold-cd", 0, 0)
     for _ in range(cases):
@@ -273,8 +263,8 @@ def run_affine_suite(p: int, cases: int, seed: int = 0,
     """|dilate_sum(u*A + v, lam)| must equal |dilate_sum(A, lam)| for every
     unit u and shift v; canonical forms must agree across sampled orbits."""
     require_prime(p)
-    cases = _integer(cases, "cases must be an integer")
-    orbit_samples = _integer(orbit_samples, "orbit_samples must be an integer")
+    cases = _integer(cases, "cases", 1)
+    orbit_samples = _integer(orbit_samples, "orbit_samples", 0)
     rng = random.Random(seed)
     summary = SuiteSummary("affine", 0, 0)
     for _ in range(cases):

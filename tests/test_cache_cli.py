@@ -475,17 +475,21 @@ def test_cli_construct_simplex_p_without_lambda_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("construct", "box", "--d", "2", "--lambda", "0", "--gamma", "1/3"), "resolution"),
+    (("construct", "box", "--d", "2", "--lambda", "0", "--gamma", "1/3"),
+     "lam must be >= 2, got 0"),
     (("construct", "box", "--d", "3", "--lambda", "0", "--gamma", "1/3", "--optimized"),
-     "resolution"),
+     "lam must be >= 2, got 0"),
     (("construct", "box", "--d", "2", "--lambda", "9", "--gamma", "1/9", "--p", "0"),
      "must be prime"),
-    (("construct", "simplex", "--n", "5", "--lambda", "0"), "resolution"),
-    (("verify", "ruzsa", "--p", "-5", "--cases", "3"), "modulus must be positive"),
+    (("construct", "simplex", "--n", "5", "--lambda", "0"), "lam must be >= 2, got 0"),
+    (("verify", "ruzsa", "--p", "-5", "--cases", "3"), "modulus must be >= 1, got -5"),
     (("construct", "box", "--d", "0", "--lambda", "9", "--gamma", "1/9"),
-     "dimension must be >= 1"),
-    (("verify", "ruzsa", "--p", "0", "--cases", "3"), "modulus must be positive, got 0"),
-])
+     "d must be >= 1, got 0"),
+    (("verify", "ruzsa", "--p", "0", "--cases", "3"), "modulus must be >= 1, got 0"),
+], ids=[  # each id names the condition refused
+    "argv0-resolution", "argv1-resolution", "argv2-must be prime", "argv3-resolution",
+    "argv4-modulus must be positive", "argv5-dimension must be >= 1",
+    "argv6-modulus must be positive, got 0"])
 def test_cli_zero_and_negative_values_exit_2(tmp_path, capsys, argv, message):
     # 0 is a value, not "absent": no traceback, no silently skipped step
     out = ("--out", "out") if argv[0] == "construct" else ()
@@ -984,7 +988,7 @@ def test_cli_main_repeated_in_one_process(tmp_path, monkeypatch, capsys):
     assert "required: --d" in capsys.readouterr().err
     assert run_cli(tmp_path / "errors", "construct", "box", "--d", "0", "--lambda", "9",
                    "--gamma", "1/9") == 2
-    assert capsys.readouterr().err == "error: dimension must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
 
     rounds = []
     for name in ("round0", "round1"):

@@ -257,7 +257,7 @@ def test_dilate_chain_reports_validate_every_pair_before_forming_a_set(monkeypat
     with pytest.raises(ValueError) as shared:
         _dilate_chain_reports(b, (2, 3, 5), (2, 3))
     assert str(shared.value) == str(first.value)
-    with pytest.raises(ValueError, match="need lam >= 2 and l >= 1"):
+    with pytest.raises(ValueError, match="lam must be >= 2, got 1"):
         _dilate_chain_reports(b, (2, 1), (2,))
     with pytest.raises(ValueError, match="nonempty"):
         _dilate_chain_reports(rs(6288, []), (2, 3), (2,))

@@ -6,13 +6,15 @@ package stays light; every library name the
 benchmark's tracer patches still exists, and the benchmark's tiny
 pipeline ops pass the benchmark's own checks.  Public entry points
 refuse out-of-range input and malformed literals with ValueError, and a
-non-integer where an integer belongs with TypeError."""
+non-integer where an integer belongs with TypeError; no string in the
+package but residues._integer's spells a lower-bound refusal."""
 
 import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,14 +24,15 @@ import numpy as np
 import pytest
 
 import dilates
-from dilates.checks import check_kfold_cd_chain
+from dilates.checks import check_dilate_chain, check_kfold_cd_chain, check_plunnecke
 from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
 from dilates.grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
                            irwin_hall_volume, optimized_box_sides_3d, project_drop_last,
                            simplex_construction, simplex_grid_set)
 from dilates.intervals import (TorusIntervalSet, discretize_to_zp, interval_dilate_sum,
                                scale_intervals)
-from dilates.residues import ResidueSet, is_prime
+from dilates.residues import (ResidueSet, affine_image, dilate, dilate_sum, is_prime,
+                              iterated_sumset, kfold_dilate_sum)
 from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
                             sweep)
 from dilates.verify import (run_affine_suite, run_cd_suite, run_dilate_chain_suite,
@@ -109,6 +112,38 @@ def test_every_import_is_read():
     assert unused == []
 
 
+# an integer argument's lower bound is refused by residues._integer alone;
+# these conditions join two values, or bound a set's own dimension, so no
+# single argument's bound states them ("{}" stands for a formatted value)
+JOINT_CONDITIONS = {
+    "need m + n >= 1, got m={}, n={}",  # checks.check_plunnecke
+    "projection needs dimension >= 2",  # grids.project_drop_*, intervals.pipeline_check
+}
+_BOUND_REFUSAL = re.compile(r" must be >= | must be positive|\bneeds? .*>= ")
+
+
+def test_integer_bounds_are_refused_by_one_rule():
+    found = []
+    for path in sorted(Path(dilates.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = {id(part) for node in ast.walk(tree) for part in ast.walk(node)
+                if part is not node and (isinstance(node, ast.JoinedStr) or (
+                    isinstance(node, ast.FunctionDef) and node.name == "_integer"))}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                               for part in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            if _BOUND_REFUSAL.search(text) and text not in JOINT_CONDITIONS:
+                found.append(f"{path.name}:{node.lineno}: {text!r}")
+    assert found == []
+
+
 def test_import_loads_no_cache_or_cli_code():
     # the cache module pulls in subprocess; search reaches it lazily, so
     # `import dilates` pays for neither
@@ -161,28 +196,34 @@ def test_bench_tiny_pipeline_ops_pass_their_checks(monkeypatch, tmp_path):
 
 
 GAP = Gap(7, 0, (1,), (3,))
+SMALL = ResidueSet.from_elements(101, [0, 1, 3])
 
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: Gap(7, 7, (1,), (2,)), "base out of range", id="gap-base"),
     pytest.param(lambda: Gap(7, 0, (7,), (2,)), "generator 7 out of range", id="gap-generator"),
-    pytest.param(lambda: Gap(7, 0, (1,), (0,)), "length 0 must be >= 1", id="gap-length"),
+    pytest.param(lambda: Gap(7, 0, (1,), (0,)), "^every entry of lengths must be >= 1, got 0$",
+                 id="gap-length"),
     pytest.param(lambda: Gap.parse("p=7;a=0;v=[1;k=[2]"), "bad list", id="gap-parse-list"),
     pytest.param(lambda: Gap.parse("p=7;a=0;v=[1];k=2]"), "bad list", id="gap-parse-open"),
     pytest.param(lambda: Gap.parse("p=7;a=0;v=[1]"), "bad gap literal", id="gap-parse-missing"),
     pytest.param(lambda: Gap.parse("p=7;b=0;v=[1];k=[2]"), "bad gap literal", id="gap-parse-key"),
     pytest.param(lambda: Gap.parse("p=7;a=0;v=[1];k=[2];x=1"), "bad gap literal",
                  id="gap-parse-extra"),
-    pytest.param(lambda: truncate_to_large_steps(GAP, 1), "need lam >= 2", id="truncate-lam"),
-    pytest.param(lambda: lambda_span_check(GAP, 1, 1), "need lam >= 2", id="span-lam"),
+    pytest.param(lambda: truncate_to_large_steps(GAP, 1), "^lam must be >= 2, got 1$",
+                 id="truncate-lam"),
+    pytest.param(lambda: lambda_span_check(GAP, 1, 1), "^lam must be >= 2, got 1$",
+                 id="span-lam"),
+    pytest.param(lambda: lambda_span_check(GAP, 2, -1), "^exponent must be >= 0, got -1$",
+                 id="span-exponent"),
     pytest.param(lambda: find_max_proper_gap(ResidueSet.from_elements(7, [1, 2]), 0),
-                 "need d_max >= 1", id="finder-d-max"),
-    pytest.param(lambda: GridSet(0, 3, ()), "dimension must be >= 1", id="grid-dim"),
-    pytest.param(lambda: GridSet(2, 1, ()), "resolution must be >= 2", id="grid-lam"),
-    pytest.param(lambda: box_grid_set(0, 9, []), "dimension must be >= 1", id="box-dim"),
-    pytest.param(lambda: box_grid_set(0, 9, ["1/2"]), "dimension must be >= 1",
+                 "^d_max must be >= 1, got 0$", id="finder-d-max"),
+    pytest.param(lambda: GridSet(0, 3, ()), "^dim must be >= 1, got 0$", id="grid-dim"),
+    pytest.param(lambda: GridSet(2, 1, ()), "^lam must be >= 2, got 1$", id="grid-lam"),
+    pytest.param(lambda: box_grid_set(0, 9, []), "^d must be >= 1, got 0$", id="box-dim"),
+    pytest.param(lambda: box_grid_set(0, 9, ["1/2"]), "^d must be >= 1, got 0$",
                  id="box-dim-before-sides"),
-    pytest.param(lambda: equal_box_sides(0, "1/9", 9), "dimension must be >= 1",
+    pytest.param(lambda: equal_box_sides(0, "1/9", 9), "^d must be >= 1, got 0$",
                  id="box-sides-dim"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3"), "bad grid literal", id="grid-parse"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=(0,0)"), "bad grid cell list",
@@ -195,8 +236,8 @@ GAP = Gap(7, 0, (1,), (3,))
                  id="grid-parse-unclosed-cell"),
     pytest.param(lambda: project_drop_last(GridSet(1, 3, [0])), "dimension >= 2",
                  id="project-dim"),
-    pytest.param(lambda: scale_intervals(TorusIntervalSet.empty(9), 0), "need lam >= 1",
-                 id="scale-lam"),
+    pytest.param(lambda: scale_intervals(TorusIntervalSet.empty(9), 0),
+                 "^lam must be >= 1, got 0$", id="scale-lam"),
     pytest.param(lambda: TorusIntervalSet.parse("D=9;[1,2]"), "bad interval chunk",
                  id="intervals-parse-chunk"),
     pytest.param(lambda: TorusIntervalSet.parse("[1,2)"), "bad interval literal",
@@ -209,14 +250,29 @@ GAP = Gap(7, 0, (1,), (3,))
     pytest.param(lambda: ResidueSet.parse("q=7;{1}"), "bad set literal", id="set-parse-key"),
     pytest.param(lambda: ResidueSet.parse("p=7;{1,2"), "bad set literal",
                  id="set-parse-unclosed"),
-    pytest.param(lambda: SearchTask(7, 2, 3, budget=-1), "budget must be >= 0",
+    pytest.param(lambda: SearchTask(7, 2, 3, budget=-1), "^budget must be >= 0, got -1$",
                  id="task-budget"),
     pytest.param(lambda: exact_min_dilate_sumset(SearchTask(7, 2, 3, mode="heuristic")),
                  "must be 'exact'", id="exact-mode"),
     pytest.param(lambda: heuristic_min_dilate_sumset(SearchTask(7, 2, 3)),
                  "must be 'heuristic'", id="heuristic-mode"),
     pytest.param(lambda: check_kfold_cd_chain(ResidueSet.from_elements(7, [1]), 1, 2),
-                 "need k >= 2", id="kfold-k"),
+                 "^k must be >= 2, got 1$", id="kfold-k"),
+    pytest.param(lambda: check_plunnecke(SMALL, SMALL, -1, 2), "^m must be >= 0, got -1$",
+                 id="plunnecke-m"),
+    pytest.param(lambda: check_plunnecke(SMALL, SMALL, 0, 0),
+                 "^need m \\+ n >= 1, got m=0, n=0$", id="plunnecke-m-plus-n"),
+    pytest.param(lambda: check_dilate_chain(SMALL, 2, 0), "^l must be >= 1, got 0$",
+                 id="dilate-chain-l"),
+    pytest.param(lambda: iterated_sumset(SMALL, 0), "^m must be >= 1, got 0$",
+                 id="iterated-sumset-m"),
+    pytest.param(lambda: kfold_dilate_sum(SMALL, 1, 2), "^k must be >= 2, got 1$",
+                 id="kfold-dilate-sum-k"),
+    pytest.param(lambda: run_cd_suite(11, 0), "^cases must be >= 1, got 0$", id="cd-cases"),
+    pytest.param(lambda: run_cd_suite(11, -3), "^cases must be >= 1, got -3$",
+                 id="cd-cases-negative"),
+    pytest.param(lambda: run_affine_suite(11, 2, orbit_samples=-1),
+                 "^orbit_samples must be >= 0, got -1$", id="affine-orbit-samples"),
     pytest.param(lambda: is_prime(2**64 + 1), "limited to n < 2", id="is-prime-range"),
 ])
 def test_out_of_range_input_raises(call, message):
@@ -294,6 +350,19 @@ INTEGER_ARGUMENTS = [
     pytest.param(lambda x: run_affine_suite(11, x, orbit_samples=2), id="affine-cases"),
     pytest.param(lambda x: run_affine_suite(11, 2, orbit_samples=x),
                  id="affine-orbit-samples"),
+    pytest.param(lambda x: dilate(SMALL, x), id="dilate-lam"),
+    pytest.param(lambda x: dilate_sum(SMALL, x), id="dilate-sum-lam"),
+    pytest.param(lambda x: affine_image(SMALL, x, 1), id="affine-image-u"),
+    pytest.param(lambda x: affine_image(SMALL, 1, x), id="affine-image-v"),
+    pytest.param(lambda x: iterated_sumset(SMALL, x), id="iterated-sumset-m"),
+    pytest.param(lambda x: kfold_dilate_sum(SMALL, x, 3), id="kfold-dilate-sum-k"),
+    pytest.param(lambda x: kfold_dilate_sum(SMALL, 3, x), id="kfold-dilate-sum-lam"),
+    pytest.param(lambda x: check_plunnecke(SMALL, SMALL, x, 1), id="plunnecke-m"),
+    pytest.param(lambda x: check_plunnecke(SMALL, SMALL, 1, x), id="plunnecke-n"),
+    pytest.param(lambda x: check_dilate_chain(SMALL, x, 2), id="dilate-chain-lam"),
+    pytest.param(lambda x: check_dilate_chain(SMALL, 2, x), id="dilate-chain-l"),
+    pytest.param(lambda x: check_kfold_cd_chain(SMALL, x, 3), id="kfold-cd-k"),
+    pytest.param(lambda x: check_kfold_cd_chain(SMALL, 3, x), id="kfold-cd-lam"),
 ]
 
 

@@ -50,8 +50,8 @@ def test_wraparound_splits_at_zero():
 
 def test_validation_rejects_bad_lists():
     # the first bad pair decides the message; adjacent arcs must be merged
-    cases = [((0, ()), "denominator must be positive, got 0"),
-             ((-3, ((0, 1),)), "denominator must be positive, got -3"),
+    cases = [((0, ()), "denominator must be >= 1, got 0"),
+             ((-3, ((0, 1),)), "denominator must be >= 1, got -3"),
              ((10, ((3, 3),)), "bad interval [3, 3) over denominator 10"),
              ((10, ((-1, 2),)), "bad interval [-1, 2) over denominator 10"),
              ((10, ((0, 1), (5, 11))), "bad interval [5, 11) over denominator 10"),
@@ -63,16 +63,19 @@ def test_validation_rejects_bad_lists():
         with pytest.raises(ValueError) as err:
             TorusIntervalSet(*args)
         assert str(err.value) == message, args
-    with pytest.raises(ValueError, match="denominator must be positive"):
+    with pytest.raises(ValueError, match="denominator must be >= 1, got 0"):
         TorusIntervalSet.from_raw(0, [(0, 1)])
 
 
 def test_non_integer_endpoints_rejected():
-    for d, pairs in [(10, ((0.5, 2),)), (10, ((0, F(3, 2)),)), (10.0, ()), (F(10), ()),
-                     (10, (("0", "2"),))]:
-        with pytest.raises(TypeError, match="must be integers"):
+    endpoint, denominator = "every interval endpoint", "denominator"
+    for d, pairs, name in [(10, ((0.5, 2),), endpoint), (10, ((0, F(3, 2)),), endpoint),
+                           (10.0, (), denominator), (F(10), (), denominator),
+                           (10, (("0", "2"),), endpoint)]:
+        message = f"^{name} must be an integer, got "
+        with pytest.raises(TypeError, match=message):
             TorusIntervalSet(d, pairs)
-        with pytest.raises(TypeError, match="must be integers"):
+        with pytest.raises(TypeError, match=message):
             TorusIntervalSet.from_raw(d, pairs)
     s = TorusIntervalSet(np.int64(10), ((np.int64(1), np.int32(3)),))
     assert s == tis(10, [(1, 3)]) and type(s.denominator) is int
@@ -551,7 +554,7 @@ def test_discretize_refuses_p_below_one():
     # refused before any run array is formed, with a message naming p
     a = TorusIntervalSet(4, [(3, 4)])
     for p in (0, -5):
-        with pytest.raises(ValueError, match="need p >= 1"):
+        with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
             discretize_to_zp(a, p)
 
 

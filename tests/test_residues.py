@@ -331,7 +331,7 @@ def test_from_elements_matches_oracle():
             u = next(u for u in iter(lambda: rng.randint(-n, n), None) if gcd(u, n) == 1)
             assert affine_image(a, u, v).bits == oracle_bits(n, [u * x + v for x in elems])
     for modulus in (0, -3):
-        with pytest.raises(ValueError, match="modulus must be positive"):
+        with pytest.raises(ValueError, match=f"modulus must be >= 1, got {modulus}"):
             rs(modulus, [1])
 
 

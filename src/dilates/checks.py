@@ -12,7 +12,9 @@ A check forms each set once.  The dilate-chain reports of one base set
 come from one routine, _dilate_chain_reports, that forms B + B once and,
 for each lam, lam^i * B, B + B + lam*B and the chain's prefixes once;
 check_dilate_chain is that routine on one (lam, l) pair.
-check_kfold_cd_chain forms lam*A once, for both sides.
+check_kfold_cd_chain forms lam*A once, for both sides.  check_plunnecke
+forms mB - nB as the linear form m*(1*B) + n*(-1*B) of residues.linear_form;
+a zero multiplicity drops its term, and m = n shares one m-fold sum.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .residues import (ResidueSet, _integer, difference_set, dilate, iterated_sumset,
+from .residues import (ResidueSet, _integer, dilate, iterated_sumset, linear_form,
                        require_prime, sumset)
 
 __all__ = [
@@ -131,13 +133,6 @@ def check_ruzsa_triangle(x: ResidueSet, y: ResidueSet, z: ResidueSet) -> IneqRep
     )
 
 
-def _fold(b: ResidueSet, m: int) -> ResidueSet:
-    """m-fold sumset with the 0-fold convention {0}."""
-    if m == 0:
-        return ResidueSet.from_elements(b.modulus, [0])
-    return iterated_sumset(b, m)
-
-
 def _max_element(s: ResidueSet) -> int:
     return s.bits.bit_length() - 1
 
@@ -157,8 +152,7 @@ def check_plunnecke(a: ResidueSet, b: ResidueSet, m: int, n: int) -> IneqReport:
     if modulus <= needed:
         raise ValueError(f"wraparound risk: need modulus > {needed}, got {modulus}")
     k = Fraction(len(sumset(a, b)), len(a))
-    m_fold = _fold(b, m)
-    lhs = len(difference_set(m_fold, m_fold if m == n else _fold(b, n)))
+    lhs = len(linear_form(b, {1: m, -1: n}))
     rhs = k ** (m + n) * len(a)
     return IneqReport(
         inequality="plunnecke-ruzsa",
@@ -238,7 +232,8 @@ def check_kfold_cd_chain(a: ResidueSet, k: int, lam: int) -> IneqReport:
     _require_nonempty(a)
     lam_a = dilate(a, lam)
     pair = sumset(a, lam_a)  # A + lam*A
-    lhs = len(pair if k == 2 else sumset(iterated_sumset(a, k - 1), lam_a))
+    # (k - 2)A + (A + lam*A): the pair is reused, so lam*A is formed once
+    lhs = len(pair if k == 2 else sumset(iterated_sumset(a, k - 2), pair))
     rhs = min(a.modulus, len(pair) + (k - 2) * (len(a) - 1))
     return IneqReport(
         inequality="kfold-cd-chain",

@@ -28,7 +28,7 @@ import numpy as np
 from .checks import IneqReport
 from .errors import ScaleCapError
 from .residues import (ResidueSet, _bits_to_mask, _fields, _integer, _integer_fields, _ints,
-                       dilate, iterated_sumset, require_prime, sumset)
+                       dilate, iterated_sumset, linear_form, require_prime, sumset)
 
 __all__ = [
     "Gap",
@@ -144,10 +144,8 @@ def lambda_span_check(gap: Gap, lam: int, exponent: int) -> IneqReport:
                             "lambda^exponent * nominal size > 2^26")
     p = gap.modulus
     base = expand(gap)
-    lhs_set = base
-    for j in range(1, exponent + 1):
-        lhs_set = sumset(lhs_set, dilate(base, pow(lam, j, p)))
-    rhs_set = base if exponent == 0 else iterated_sumset(base, lam**exponent)
+    lhs_set = linear_form(base, {lam**j: 1 for j in range(exponent + 1)})
+    rhs_set = iterated_sumset(base, lam**exponent)
     holds = rhs_set.is_subset(lhs_set)
     floor = min(lam**exponent * (len(base) - 1) + 1, p)
     details = (

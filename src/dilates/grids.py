@@ -23,8 +23,6 @@ from .residues import _exact_dtype, _fields, _integer, _ints, cyclic_support
 
 __all__ = [
     "GridSet",
-    "project_drop_first",
-    "project_drop_last",
     "grid_projection_sumset",
     "box_grid_set",
     "equal_box_sides",
@@ -184,29 +182,16 @@ def _cell_mask(dim: int, lam: int, cells: np.ndarray) -> np.ndarray:
     return mask.reshape((lam,) * dim)
 
 
-def project_drop_first(s: GridSet) -> GridSet:
-    """Image under the projection forgetting the first coordinate."""
-    if s.dim < 2:
-        raise ValueError("projection needs dimension >= 2")
-    return GridSet(s.dim - 1, s.lam, s.sorted_cells % s.lam ** (s.dim - 1))
-
-
-def project_drop_last(s: GridSet) -> GridSet:
-    """Image under the projection forgetting the last coordinate."""
-    if s.dim < 2:
-        raise ValueError("projection needs dimension >= 2")
-    return GridSet(s.dim - 1, s.lam, s.sorted_cells // s.lam)
-
-
 def grid_projection_sumset(s: GridSet) -> GridSet:
-    """S' = drop_first(S) + drop_last(S) + {0,1}^(n-1), cyclically per axis.
+    """S' = pi_first(S) + pi_last(S) + {0,1}^(n-1), cyclically per axis,
+    where pi_first forgets the first coordinate and pi_last the last.
 
     The cells of S' cover pi_first(B') + pi_last(B') exactly, where B' is
     the union of the cells of S; the {0,1} thickening absorbs the carry
     between adjacent cells.  Both projection masks are scattered from S's
-    sorted_cells, as in project_drop_first (c mod lam^(n-1)) and
-    project_drop_last (c // lam), once the mask cap is checked; below it
-    every index is int64.  Their cyclic Minkowski sum is
+    sorted_cells once the mask cap is checked, below which every index is
+    int64: the row-major cell c projects to c mod lam^(n-1) under pi_first
+    and to c // lam under pi_last.  Their cyclic Minkowski sum is
     residues.cyclic_support (from member pairs while |A| * |B| is at most
     _PAIR_RATIO times the mask size, as for the 924-member 8^6
     projections of simplex n = 7, lambda = 8; by FFT above), thickened by

@@ -28,9 +28,8 @@ __all__ = [
     "sumset",
     "dilate",
     "dilate_sum",
-    "kfold_dilate_sum",
     "iterated_sumset",
-    "difference_set",
+    "linear_form",
     "affine_image",
     "canonical_form",
     "is_canonical",
@@ -528,12 +527,6 @@ def dilate_sum(a: ResidueSet, lam: int, kernel: Kernel | None = None) -> Residue
     return sumset(a, dilate(a, lam), kernel)
 
 
-def kfold_dilate_sum(a: ResidueSet, k: int, lam: int) -> ResidueSet:
-    """A + ... + A + lam*A with k-1 plain summands; k=2 is dilate_sum."""
-    k = _integer(k, "k", 2)
-    return sumset(iterated_sumset(a, k - 1), dilate(a, lam))
-
-
 def iterated_sumset(a: ResidueSet, m: int) -> ResidueSet:
     """The m-fold sumset A + ... + A, computed by repeated doubling."""
     m = _integer(m, "m", 1)
@@ -553,9 +546,26 @@ def iterated_sumset(a: ResidueSet, m: int) -> ResidueSet:
     return result
 
 
-def difference_set(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """A - B = {a - b mod N} = A + (-1)*B."""
-    return sumset(a, dilate(b, -1))
+def linear_form(a: ResidueSet, terms) -> ResidueSet:
+    """The linear form c1*A + ... + ck*A: terms maps each coefficient c to
+    its multiplicity k >= 0, the number of summands c*A.  Coefficients are
+    distinct as integers, so c and c + N are two terms.  As c*(kA) = k*(cA),
+    each distinct multiplicity is summed once by iterated_sumset and then
+    dilated by every coefficient that has it, so mB - mB takes one m-fold
+    sum.  Raises ValueError when every multiplicity is 0."""
+    by_count = {}
+    for c, k in terms.items():
+        c, k = _integer(c, "coefficient"), _integer(k, "multiplicity", 0)
+        if k:
+            by_count.setdefault(k, []).append(c)
+    if not by_count:
+        raise ValueError("linear form has no term: every multiplicity is 0")
+    out = None
+    for k, coefficients in by_count.items():
+        fold = iterated_sumset(a, k)
+        for c in coefficients:
+            out = dilate(fold, c) if out is None else sumset(out, dilate(fold, c))
+    return out
 
 
 def affine_image(a: ResidueSet, u: int, v: int) -> ResidueSet:

@@ -342,7 +342,9 @@ class SweepReport:
 def sweep(p_values, lam_values, m_values, mode: str = "exact", seed: int = 0,
           budget: int = 0, cache_dir=None) -> SweepReport:
     """One result per (p, lam, m) cell, deterministic order, cached by task
-    digest.  Per-cell errors are recorded and the sweep continues."""
+    digest.  Per-cell errors are recorded and the sweep continues; a bad
+    seed or budget, shared by every cell, raises before any cell runs."""
+    seed, budget = _integer(seed, "seed"), _integer(budget, "budget", 0)
     report = SweepReport(tasks=[], results=[], errors=[])
     m_values = list(m_values)
     for p in p_values:

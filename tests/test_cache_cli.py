@@ -708,6 +708,14 @@ def test_cli_sweep_malformed_int_list_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "sw").exists() and not (tmp_path / "cache").exists()
 
 
+def test_cli_sweep_bad_budget_exits_2_before_writing(tmp_path, capsys):
+    # every cell shares --budget, so it is refused once, not as an error per cell
+    assert run_cli(tmp_path, "--cache-dir", "cache", "sweep", "--p", "7", "--lambda", "2",
+                   "--m-range", "2..3", "--budget", "-1", "--out", "sw") == 2
+    assert capsys.readouterr().err == "error: budget must be >= 0, got -1\n"
+    assert not (tmp_path / "sw").exists() and not (tmp_path / "cache").exists()
+
+
 def test_cli_warm_sweep_reads_and_hashes_each_cell_once(tmp_path, monkeypatch, capsys):
     argv = ("--cache-dir", "cache", "sweep", "--p", "5,7", "--lambda", "2",
             "--m-range", "1..3", "--out", "sw")

@@ -11,7 +11,7 @@ from dilates.checks import (_digest, _dilate_chain_reports, check_cauchy_davenpo
                             check_dilate_chain, check_kfold_cd_chain, check_plunnecke,
                             check_ruzsa_triangle)
 from dilates.gaps import Gap, lambda_span_check
-from dilates.residues import ResidueSet, dilate_sum, kfold_dilate_sum
+from dilates.residues import ResidueSet, dilate_sum
 from dilates.verify import run_dilate_chain_suite
 
 F = Fraction
@@ -274,20 +274,30 @@ def test_dilate_chain_suite_forms_each_set_once(monkeypatch):
     assert calls == {"sumset": 4 * 13, "dilate": 4 * 9}
 
 
+def _naive_kfold(a: ResidueSet, k: int, lam: int) -> int:
+    """|A + ... + A + lam*A| with k - 1 plain summands, by pair enumeration."""
+    p, members = a.modulus, a.elements()
+    total = set(members)
+    for _ in range(k - 2):
+        total = {(s + x) % p for s in total for x in members}
+    return len({(s + lam * x) % p for s in total for x in members})
+
+
 @pytest.mark.parametrize("p", [2, 101, 1009])
 def test_kfold_chain_matches_its_oracle_and_dilates_once(monkeypatch, p):
+    # lam = 1 and lam = p + 1 make lam*A = A: the lhs is still the k-fold sum
     calls = _counting(monkeypatch, "sumset", "dilate")
     rng = random.Random(p)
     for k in range(2, 6):
-        for _ in range(10):
-            a = rs(p, rng.sample(range(p), rng.randint(1, min(p, 60))))
-            lam = rng.randint(-p, 2 * p)
-            before = dict(calls)
-            r = check_kfold_cd_chain(a, k, lam)
-            assert calls["dilate"] - before["dilate"] == 1
-            assert calls["sumset"] - before["sumset"] == (1 if k == 2 else 2)
-            assert r.lhs == len(kfold_dilate_sum(a, k, lam))
-            assert r.rhs == min(p, len(dilate_sum(a, lam)) + (k - 2) * (len(a) - 1))
+        for lam in (0, 1, -1, p + 1, rng.randint(-p, 2 * p)):
+            for _ in range(2):
+                a = rs(p, rng.sample(range(p), rng.randint(1, min(p, 60))))
+                before = dict(calls)
+                r = check_kfold_cd_chain(a, k, lam)
+                assert calls["dilate"] - before["dilate"] == 1
+                assert calls["sumset"] - before["sumset"] == (1 if k == 2 else 2)
+                assert r.lhs == _naive_kfold(a, k, lam)
+                assert r.rhs == min(p, len(dilate_sum(a, lam)) + (k - 2) * (len(a) - 1))
 
 
 # ---------------------------------------------------------------- k-fold chain

@@ -1,7 +1,8 @@
 """Every name a module lists in __all__ exists, so a deleted helper
-cannot linger in an export list, and every module-level private name is
-used somewhere in the package, so a helper cannot outlive its last
-caller, and every imported name is read in its module; importing the
+cannot linger in an export list, and is read by the package, the demos
+or the benchmark, and every module-level private name is used somewhere
+in the package, so a helper cannot outlive its last caller, and every
+imported name is read in its module; importing the
 package stays light; every library name the
 benchmark's tracer patches still exists, and the benchmark's tiny
 pipeline ops pass the benchmark's own checks.  Public entry points
@@ -27,12 +28,12 @@ import dilates
 from dilates.checks import check_dilate_chain, check_kfold_cd_chain, check_plunnecke
 from dilates.gaps import Gap, find_max_proper_gap, lambda_span_check, truncate_to_large_steps
 from dilates.grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
-                           irwin_hall_volume, optimized_box_sides_3d, project_drop_last,
+                           grid_projection_sumset, irwin_hall_volume, optimized_box_sides_3d,
                            simplex_construction, simplex_grid_set)
 from dilates.intervals import (TorusIntervalSet, discretize_to_zp, interval_dilate_sum,
                                scale_intervals)
 from dilates.residues import (ResidueSet, affine_image, dilate, dilate_sum, is_prime,
-                              iterated_sumset, kfold_dilate_sum)
+                              iterated_sumset, linear_form)
 from dilates.search import (SearchTask, exact_min_dilate_sumset, heuristic_min_dilate_sumset,
                             sweep)
 from dilates.verify import (run_affine_suite, run_cd_suite, run_dilate_chain_suite,
@@ -85,6 +86,28 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
+# public on purpose with no reader, as its docstring says
+UNREAD_PUBLIC_NAMES = {"is_canonical"}
+
+
+def test_every_public_name_is_read():
+    # the public twin of test_every_private_name_is_used: a read or an
+    # attribute in src/, demos/ or bench/ counts; an import, a re-export
+    # and the name's own __all__ entry do not, and tests are no callers
+    root = Path(__file__).parents[1]
+    read = set()
+    for path in sorted(p for d in ("src", "demos", "bench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{module}.{name}" for module in MODULES
+              for name in getattr(importlib.import_module(module), "__all__", ())
+              if name not in read | UNREAD_PUBLIC_NAMES]
+    assert unread == []
+
+
 def test_every_import_is_read():
     # a name a module imports, at its top or inside a function, is read
     # somewhere in that module; __future__ features, the re-exports of
@@ -117,7 +140,7 @@ def test_every_import_is_read():
 # single argument's bound states them ("{}" stands for a formatted value)
 JOINT_CONDITIONS = {
     "need m + n >= 1, got m={}, n={}",  # checks.check_plunnecke
-    "projection needs dimension >= 2",  # grids.project_drop_*, intervals.pipeline_check
+    "projection needs dimension >= 2",  # grids.grid_projection_sumset, intervals.pipeline_check
 }
 _BOUND_REFUSAL = re.compile(r" must be >= | must be positive|\bneeds? .*>= ")
 
@@ -234,7 +257,7 @@ SMALL = ResidueSet.from_elements(101, [0, 1, 3])
                  id="grid-parse-unclosed"),
     pytest.param(lambda: GridSet.parse("n=2;lambda=3;cells=[(0,0),(1,2]"), "bad grid cell list",
                  id="grid-parse-unclosed-cell"),
-    pytest.param(lambda: project_drop_last(GridSet(1, 3, [0])), "dimension >= 2",
+    pytest.param(lambda: grid_projection_sumset(GridSet(1, 3, [0])), "dimension >= 2",
                  id="project-dim"),
     pytest.param(lambda: scale_intervals(TorusIntervalSet.empty(9), 0),
                  "^lam must be >= 1, got 0$", id="scale-lam"),
@@ -266,8 +289,8 @@ SMALL = ResidueSet.from_elements(101, [0, 1, 3])
                  id="dilate-chain-l"),
     pytest.param(lambda: iterated_sumset(SMALL, 0), "^m must be >= 1, got 0$",
                  id="iterated-sumset-m"),
-    pytest.param(lambda: kfold_dilate_sum(SMALL, 1, 2), "^k must be >= 2, got 1$",
-                 id="kfold-dilate-sum-k"),
+    pytest.param(lambda: linear_form(SMALL, {1: 2, 3: -1}),
+                 "^multiplicity must be >= 0, got -1$", id="linear-form-multiplicity"),
     pytest.param(lambda: run_cd_suite(11, 0), "^cases must be >= 1, got 0$", id="cd-cases"),
     pytest.param(lambda: run_cd_suite(11, -3), "^cases must be >= 1, got -3$",
                  id="cd-cases-negative"),
@@ -355,8 +378,8 @@ INTEGER_ARGUMENTS = [
     pytest.param(lambda x: affine_image(SMALL, x, 1), id="affine-image-u"),
     pytest.param(lambda x: affine_image(SMALL, 1, x), id="affine-image-v"),
     pytest.param(lambda x: iterated_sumset(SMALL, x), id="iterated-sumset-m"),
-    pytest.param(lambda x: kfold_dilate_sum(SMALL, x, 3), id="kfold-dilate-sum-k"),
-    pytest.param(lambda x: kfold_dilate_sum(SMALL, 3, x), id="kfold-dilate-sum-lam"),
+    pytest.param(lambda x: linear_form(SMALL, {1: x, 3: 1}), id="linear-form-multiplicity"),
+    pytest.param(lambda x: linear_form(SMALL, {1: 2, x: 1}), id="linear-form-coefficient"),
     pytest.param(lambda x: check_plunnecke(SMALL, SMALL, x, 1), id="plunnecke-m"),
     pytest.param(lambda x: check_plunnecke(SMALL, SMALL, 1, x), id="plunnecke-n"),
     pytest.param(lambda x: check_dilate_chain(SMALL, x, 2), id="dilate-chain-lam"),

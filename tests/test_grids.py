@@ -15,7 +15,6 @@ from dilates.errors import ScaleCapError
 from dilates.grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
                            grid_projection_sumset, irwin_hall_volume,
                            nth_root_floor, optimized_box_sides_3d,
-                           project_drop_first, project_drop_last,
                            simplex_construction, simplex_grid_set)
 from dilates.intervals import pipeline_check
 from dilates.residues import (ResidueSet, cyclic_support, cyclic_support_fft,
@@ -198,23 +197,6 @@ def test_from_mask_matches_from_tuples():
             GridSet.from_mask(lam, np.ones(shape, dtype=bool))
 
 
-def test_projections_examples():
-    s = GridSet.from_tuples(2, 3, [(1, 2)])
-    assert project_drop_first(s).tuples() == ((2,),)
-    assert project_drop_last(s).tuples() == ((1,),)
-    collide = GridSet.from_tuples(2, 3, [(0, 1), (1, 1)])
-    assert project_drop_first(collide).tuples() == ((1,),)
-    with pytest.raises(ValueError):
-        project_drop_first(GridSet.from_tuples(1, 3, [(1,)]))
-
-
-def test_projections_of_products_are_products():
-    xs, ys, zs = [0, 2], [1, 3], [0, 1, 2]
-    s = GridSet.from_tuples(3, 4, product(xs, ys, zs))
-    assert project_drop_first(s) == GridSet.from_tuples(2, 4, product(ys, zs))
-    assert project_drop_last(s) == GridSet.from_tuples(2, 4, product(xs, ys))
-
-
 def oracle_projection_sumset(s: GridSet) -> set:
     """Direct definition: pairwise coordinate sums plus {0,1}^(n-1)."""
     lam = s.lam
@@ -258,10 +240,8 @@ def test_projection_sumset_bounds():
         lam = 5
         s = GridSet(3, lam, frozenset(rng.sample(range(lam**3), rng.randint(1, 40))))
         sp = grid_projection_sumset(s)
-        p1 = project_drop_first(s)
-        pn = project_drop_last(s)
-        plain = {tuple((x + y) % lam for x, y in zip(a, b))
-                 for a in p1.tuples() for b in pn.tuples()}
+        plain = {tuple((x + y) % lam for x, y in zip(a[1:], b[:-1]))
+                 for a in s.tuples() for b in s.tuples()}
         assert plain <= set(sp.tuples())
         assert len(sp) <= 2 ** (s.dim - 1) * len(plain)
 
@@ -281,7 +261,7 @@ def test_projection_sumset_factorizes_for_boxes():
 
 def test_projection_mask_matches_public_projections():
     # grid_projection_sumset scatters both projections from one array of
-    # cells; the oracle builds them with the public projections, sums them
+    # cells; the oracle builds them from the public cell tuples, sums them
     # by the shift routine and thickens the sum by one roll per axis
     rng = random.Random(41)
     for _ in range(40):
@@ -289,8 +269,9 @@ def test_projection_mask_matches_public_projections():
         lam = rng.randint(2, {2: 16, 3: 8, 4: 5, 5: 4}[dim])
         size = lam**dim
         s = GridSet(dim, lam, frozenset(rng.sample(range(size), rng.randint(0, size))))
-        expected = cyclic_support_shift(project_drop_first(s).to_mask(),
-                                        project_drop_last(s).to_mask())
+        expected = cyclic_support_shift(
+            GridSet.from_tuples(dim - 1, lam, {t[1:] for t in s.tuples()}).to_mask(),
+            GridSet.from_tuples(dim - 1, lam, {t[:-1] for t in s.tuples()}).to_mask())
         for axis in range(dim - 1):
             expected = expected | np.roll(expected, 1, axis=axis)
         assert np.array_equal(grid_projection_sumset(s).to_mask(), expected)

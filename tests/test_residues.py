@@ -15,9 +15,8 @@ from dilates import residues
 from dilates.grids import box_grid_set, equal_box_sides, optimized_box_sides_3d
 from dilates.intervals import discretize_to_zp, encode_grid_to_intervals
 from dilates.residues import (Kernel, ResidueSet, affine_image, canonical_form,
-                              difference_set, dilate, dilate_sum, is_canonical,
-                              is_prime, iterated_sumset, kfold_dilate_sum,
-                              sumset)
+                              dilate, dilate_sum, is_canonical, is_prime,
+                              iterated_sumset, linear_form, sumset)
 from dilates.search import SearchTask, exact_min_dilate_sumset
 
 KERNELS = [Kernel.NAIVE, Kernel.BITSHIFT, Kernel.CONVOLUTION]
@@ -519,17 +518,50 @@ def test_dilate_sum_cd_floor_prime():
 
 
 def test_kfold_examples():
+    # the k-fold dilate sum A + ... + A + lam*A is the linear form
+    # {1: k - 1, lam: 1}; for k = 2 it is dilate_sum, where lam = 1 is the
+    # one coefficient 1 of multiplicity 2
     rng = random.Random(3)
-    # k=2 reduces to dilate_sum
     for _ in range(30):
         p = rng.choice([7, 11])
         a = rs(p, rng.sample(range(p), rng.randint(0, p)))
         lam = rng.randint(0, p)
-        assert kfold_dilate_sum(a, 2, lam) == dilate_sum(a, lam)
-    assert kfold_dilate_sum(rs(11, [0, 1]), 3, 2) == rs(11, [0, 1, 2, 3, 4])
-    assert kfold_dilate_sum(rs(11, []), 4, 2) == rs(11, [])
-    with pytest.raises(ValueError):
-        kfold_dilate_sum(rs(11, [0]), 1, 2)
+        terms = {1: 1, lam: 1} if lam != 1 else {1: 2}
+        assert linear_form(a, terms) == dilate_sum(a, lam)
+    assert linear_form(rs(11, [0, 1]), {1: 2, 2: 1}) == rs(11, [0, 1, 2, 3, 4])
+    assert linear_form(rs(11, []), {1: 3, 2: 1}) == rs(11, [])
+
+
+def naive_linear_form(a: ResidueSet, terms: dict) -> ResidueSet:
+    """c1*A + ... + ck*A by pair enumeration, one summand c*A at a time."""
+    n, out = a.modulus, {0}
+    for c, k in terms.items():
+        for _ in range(k):
+            out = {(s + c * x) % n for s in out for x in a.elements()}
+    return rs(n, out)
+
+
+def test_linear_form_matches_naive_oracle():
+    # coefficients 0, -1 and two equal mod N, which stay two terms;
+    # multiplicities 0 to 3; the empty set among the random sets
+    rng = random.Random(51)
+    for _ in range(80):
+        n = rng.choice([7, 11, 12, 16])
+        a = rs(n, rng.sample(range(n), rng.randint(0, min(n, 6))))
+        c = rng.randint(-2 * n, 2 * n)
+        pool = [0, -1, 1, c, c + n, rng.randint(-2 * n, 2 * n)]
+        terms = {x: rng.randint(0, 3) for x in rng.sample(pool, rng.randint(1, 5))}
+        terms[rng.choice(pool)] = rng.randint(1, 3)
+        assert linear_form(a, terms) == naive_linear_form(a, terms)
+    a = rs(13, [0, 1, 5])
+    assert linear_form(a, {2: 1, 15: 1}) == naive_linear_form(a, {2: 2})
+    assert len(linear_form(a, {0: 3})) == 1
+
+
+@pytest.mark.parametrize("terms", [{}, {1: 0}, {1: 0, -1: 0, 5: 0}])
+def test_linear_form_refuses_a_form_with_no_term(terms):
+    with pytest.raises(ValueError, match="^linear form has no term: every multiplicity is 0$"):
+        linear_form(rs(11, [0, 1]), terms)
 
 
 def test_iterated_sumset_examples():
@@ -556,15 +588,14 @@ def test_iterated_sumset_matches_linear_fold():
 
 
 def test_difference_set_examples():
-    assert difference_set(rs(7, [0, 1]), rs(7, [0, 1])) == rs(7, [6, 0, 1])
-    assert difference_set(rs(7, []), rs(7, [1])) == rs(7, [])
+    # A - A is the linear form {1: 1, -1: 1}
+    assert linear_form(rs(7, [0, 1]), {1: 1, -1: 1}) == rs(7, [6, 0, 1])
+    assert linear_form(rs(7, []), {1: 1, -1: 1}) == rs(7, [])
     rng = random.Random(5)
     for _ in range(30):
         n = rng.choice([8, 13])
         a = rs(n, rng.sample(range(n), rng.randint(1, n)))
-        assert 0 in difference_set(a, a)
-    with pytest.raises(ValueError, match="modulus mismatch"):
-        difference_set(rs(7, [1]), rs(11, [1]))
+        assert 0 in linear_form(a, {1: 1, -1: 1})
 
 
 # ---------------------------------------------------------------- affine maps

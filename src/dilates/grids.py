@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import comb, factorial, floor
 
@@ -65,7 +64,7 @@ class GridSet:
     row-major flat cell indices, of dtype _exact_dtype(lam^dim) (the one
     rule of residues, which also types its interval encoding), from an
     integer array, read whole, or any iterable of integers.
-    ==, hash and repr follow (dim, lam, cells); the frozenset cells is built on first read."""
+    ==, hash and repr follow (dim, lam, sorted_cells)."""
 
     dim: int
     lam: int
@@ -90,10 +89,6 @@ class GridSet:
         for name, value in (("dim", dim), ("lam", lam), ("sorted_cells", array)):
             object.__setattr__(self, name, value)
 
-    @cached_property
-    def cells(self) -> frozenset[int]:
-        return frozenset(self.sorted_cells.tolist())
-
     def __eq__(self, other):
         return (isinstance(other, GridSet) and (self.dim, self.lam) == (other.dim, other.lam)
                 and np.array_equal(self.sorted_cells, other.sorted_cells))
@@ -103,7 +98,7 @@ class GridSet:
         return hash((self.dim, self.lam, tuple(c.tolist()) if c.dtype == object else c.tobytes()))
 
     def __repr__(self):
-        return f"GridSet(dim={self.dim!r}, lam={self.lam!r}, cells={self.cells!r})"
+        return f"GridSet(dim={self.dim!r}, lam={self.lam!r}, cells={self.sorted_cells.tolist()!r})"
 
     def __reduce__(self):
         return GridSet, (self.dim, self.lam, self.sorted_cells)
@@ -126,38 +121,19 @@ class GridSet:
     def empty(cls, dim: int, lam: int) -> "GridSet":
         return cls(dim, lam, ())
 
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.dim):
-            out.append(flat % self.lam)
-            flat //= self.lam
-        return tuple(reversed(out))
-
     def _digits(self) -> np.ndarray:
         """The (cells, dim) array of base-lam digits, one row per cell in
-        ascending order, most significant first: unflatten of every cell
-        at once, in either dtype of sorted_cells."""
+        ascending order, most significant first, in either dtype of
+        sorted_cells."""
         cells = self.sorted_cells
         powers = np.array([self.lam**k for k in reversed(range(self.dim))], dtype=cells.dtype)
         return cells[:, None] // powers % self.lam
-
-    def tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._digits().tolist()))
 
     def measure(self) -> Fraction:
         return Fraction(len(self), self.lam**self.dim)
 
     def __len__(self):
         return len(self.sorted_cells)
-
-    def to_mask(self) -> np.ndarray:
-        return _cell_mask(self.dim, self.lam, self.sorted_cells)
-
-    @classmethod
-    def from_mask(cls, lam: int, mask: np.ndarray) -> "GridSet":
-        if mask.shape != (lam,) * mask.ndim:
-            raise ValueError(f"mask shape {mask.shape} is not ({lam},) * {mask.ndim}")
-        return cls(mask.ndim, lam, np.flatnonzero(mask.reshape(-1)))
 
     @classmethod
     def parse(cls, text: str) -> "GridSet":
@@ -205,7 +181,7 @@ def grid_projection_sumset(s: GridSet) -> GridSet:
                          _cell_mask(s.dim - 1, s.lam, s.sorted_cells // s.lam))
     for axis in range(out.ndim):
         out = out | np.roll(out, 1, axis=axis)
-    return GridSet.from_mask(s.lam, out)
+    return GridSet(s.dim - 1, s.lam, np.flatnonzero(out))
 
 
 def box_grid_set(d: int, lam: int, sides) -> GridSet:

@@ -48,16 +48,6 @@ __all__ = [
 _PAIR_CAP = 10**6       # arcs a Minkowski sum forms before merging
 
 
-def _pair_array(denominator, pairs) -> tuple[int, np.ndarray]:
-    """The denominator d, checked positive, and the (a, b) pairs as an (n, 2)
-    array of dtype _exact_dtype(max(d, every |value|)), so the
-    normalization, which forms numbers up to twice that, stays exact."""
-    d = _integer(denominator, "denominator", 1)
-    values = [_integer(v, "every interval endpoint") for a, b in pairs for v in (a, b)]
-    dtype = _exact_dtype(max([d, *map(abs, values)]))
-    return d, np.array(values, dtype=dtype).reshape(-1, 2)
-
-
 def _merge(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end arrays of the union of the nonempty arcs packed as keys
     (start << k) | end, every end < 2^k: sorts keys in place, which orders
@@ -114,7 +104,9 @@ class TorusIntervalSet:
     _ends: np.ndarray
 
     def __init__(self, denominator: int, intervals) -> None:
-        d, arr = _pair_array(denominator, intervals)
+        d = _integer(denominator, "denominator", 1)
+        values = [_integer(v, "every interval endpoint") for a, b in intervals for v in (a, b)]
+        arr = np.array(values, dtype=_exact_dtype(max([d, *map(abs, values)]))).reshape(-1, 2)
         starts, ends = arr[:, 0], arr[:, 1]
         prev_ends = np.concatenate((np.full(1, -1, arr.dtype), ends[:-1]))
         bad = np.flatnonzero((starts >= ends) | (ends > d) | (starts <= prev_ends))
@@ -164,20 +156,8 @@ class TorusIntervalSet:
         return TorusIntervalSet._trusted, (self.denominator, self._starts, self._ends)
 
     @classmethod
-    def from_raw(cls, denominator: int, raw_pairs) -> "TorusIntervalSet":
-        """Build from arbitrary integer pairs (a, b), reducing mod the
-        denominator and splitting arcs that cross 0; pairs with b <= a are
-        dropped."""
-        d, arr = _pair_array(denominator, raw_pairs)
-        return cls._trusted(d, *_normalize(d, arr[:, 0], arr[:, 1]))
-
-    @classmethod
     def empty(cls, denominator: int) -> "TorusIntervalSet":
         return cls(denominator, ())
-
-    @classmethod
-    def full(cls, denominator: int) -> "TorusIntervalSet":
-        return cls(denominator, ((0, denominator),))
 
     def measure(self) -> Fraction:
         return Fraction(int((self._ends - self._starts).sum()), self.denominator)

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _SCAN_CAP = 10**8
+_FORCED_CAP = 1 << 17  # largest p of a forced cell answered past _SCAN_CAP
+_MODES = ("exact", "heuristic")
+_MODE_ERROR = f"mode must be {'|'.join(_MODES)}, got {{!r}}"
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ class SearchTask:
         require_prime(self.p)
         if not 1 <= self.m <= self.p:
             raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
-        if self.mode not in ("exact", "heuristic"):
-            raise ValueError(f"mode must be exact|heuristic, got {self.mode!r}")
+        if self.mode not in _MODES:
+            raise ValueError(_MODE_ERROR.format(self.mode))
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "lambda": self.lam, "m": self.m, "mode": self.mode,
@@ -152,12 +155,11 @@ def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
     only grows along a branch, so a child with |S| >= best is pruned:
     every set below it scores at least best and comes later in
     lexicographic order than the set that set best.  The walk stops once
-    best reaches the floor no set can beat, min(p, 2m - 1) by
-    Cauchy-Davenport when lam is a unit, m when p | lam.
+    best reaches _floor, the size no set can beat.
     """
     lam %= p
     full = (1 << p) - 1
-    floor = m if lam == 0 else min(p, 2 * m - 1)
+    floor = _floor(p, lam, m)
     top = [d if d < 2 else p - m + d for d in range(m)]  # last element at depth d
     elems = [0] * m
     P, L, S, nxt = [0] * m, [0] * m, [0] * m, [0] * m
@@ -185,6 +187,11 @@ def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
         depth += 1
         P[depth], L[depth], S[depth], nxt[depth] = p_x, L[depth - 1] | 1 << lx, s_x, x + 1
     return best, witness
+
+
+def _floor(p: int, lam: int, m: int) -> int:
+    """min(p, 2m - 1) by Cauchy-Davenport when lam is a unit, m when p | lam."""
+    return m if lam % p == 0 else min(p, 2 * m - 1)
 
 
 def _orbit_count(p: int, m: int) -> int:
@@ -216,8 +223,13 @@ def _orbit_count(p: int, m: int) -> int:
 def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
-    Refuses a cell with more than _SCAN_CAP sets through the anchor
-    {0, 1}[:k], k = min(m, 2), before any work, then returns the least
+    A cell with more than _SCAN_CAP sets through the anchor {0, 1}[:k],
+    k = min(m, 2), is refused before any work unless the walk's first leaf
+    {0, ..., m-1} attains _floor, where the walk would stop: when lam = 0
+    or +-1 mod p or the floor is p, and by Vosper's theorem in no other
+    cell past the cap (m >= 3, p odd).  Such a forced cell is refused too
+    if p > _FORCED_CAP, which bounds the orbit count's work, or if str,
+    and so JSON, cannot write the count.  Any other cell returns the least
     (size, sorted tuple) pair of _branch_and_bound.  That witness W is
     canonical: its canonical form C is anchored, no later than W in
     lexicographic order and of equal size (the objective is
@@ -229,15 +241,18 @@ def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     k = min(m, 2)
     sets = comb(p - k, m - k)
     if sets > _SCAN_CAP:
-        raise ScaleCapError(
-            f"{sets} anchored sets exceed cap {_SCAN_CAP}; use heuristic mode")
+        floor, lam = _floor(p, task.lam, m), task.lam % p
+        if p > _FORCED_CAP or not (lam in (0, 1, p - 1) or floor == p):
+            raise ScaleCapError(f"{sets} anchored sets exceed cap {_SCAN_CAP}; "
+                                "use heuristic mode")
+        try:
+            str(classes := _orbit_count(p, m))  # past sys.get_int_max_str_digits(), ValueError
+        except ValueError:
+            raise ScaleCapError(f"{classes.bit_length()}-bit orbit count unwritable") from None
+        return SearchResult(floor, ResidueSet(p, (1 << m) - 1), classes, exact=True)
     best_size, best_witness = _branch_and_bound(p, task.lam, m)
-    return SearchResult(
-        min_size=best_size,
-        witness=ResidueSet.from_elements(p, best_witness),
-        classes_enumerated=_orbit_count(p, m),
-        exact=True,
-    )
+    return SearchResult(best_size, ResidueSet.from_elements(p, best_witness),
+                        _orbit_count(p, m), exact=True)
 
 
 def exact_min_reference(p: int, lam: int, m: int) -> int:
@@ -297,13 +312,8 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
             current[i], outside[j] = outside[j], current[i]  # revert
         temperature *= 0.999
 
-    witness = ResidueSet.from_elements(p, best_members)
-    return SearchResult(
-        min_size=best_val,
-        witness=canonical_form(witness),
-        classes_enumerated=evaluations,
-        exact=False,
-    )
+    witness = canonical_form(ResidueSet.from_elements(p, best_members))
+    return SearchResult(best_val, witness, evaluations, exact=False)
 
 
 def solve_cell(task: SearchTask, cache_dir=None) -> tuple[SearchResult, bool]:
@@ -343,7 +353,9 @@ def sweep(p_values, lam_values, m_values, mode: str = "exact", seed: int = 0,
           budget: int = 0, cache_dir=None) -> SweepReport:
     """One result per (p, lam, m) cell, deterministic order, cached by task
     digest.  Per-cell errors are recorded and the sweep continues; a bad
-    seed or budget, shared by every cell, raises before any cell runs."""
+    mode, seed or budget, shared by every cell, raises before any cell runs."""
+    if mode not in _MODES:
+        raise ValueError(_MODE_ERROR.format(mode))
     seed, budget = _integer(seed, "seed"), _integer(budget, "budget", 0)
     report = SweepReport(tasks=[], results=[], errors=[])
     m_values = list(m_values)

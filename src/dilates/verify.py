@@ -8,12 +8,13 @@ exit and the acceptance tests assert zero across large case counts.
 One sampler, _random_subset, draws every suite's random sets.  It draws
 the smaller of a set and its complement, k members of range(n): about
 k - sqrt(k) of them as a mask of independent bits formed from at most
-seven getrandbits(n) words, the rest by rejection with O(1) membership
-tests in a bytearray, so a dense draw costs a few n-bit words and about
-sqrt(k) + n/256 Python steps instead of k.  Its docstring proves the draw
-uniform.  A seed fixes the instances for this sampler, not for CPython's
-random.sample; a passing suite's summary carries no per-instance data, so
-summaries do not depend on the sampler.
+seven getrandbits(n) words (no mask while k - sqrt(k) < n/128), the
+rest by rejection with O(1) membership tests in a bytearray, so a dense
+draw costs a few n-bit words and about sqrt(k) + n/256 Python steps
+instead of k.  Its docstring proves the draw uniform.  A seed fixes the
+instances for this sampler, not for CPython's random.sample; a passing
+suite's summary carries no per-instance data, so summaries do not depend
+on the sampler.
 
 The dilate-chain suite hands each base set, with all its lambdas and chain
 lengths, to one call of checks._dilate_chain_reports, which forms B + B
@@ -100,9 +101,7 @@ def _random_subset(rng: random.Random, n: int, size: int) -> ResidueSet:
     most four tries on average (n - k >= n/2 and 2^bit_length(n) <= 2n).
     A draw costs a few words of n bits and about sqrt(k) + n/256 Python
     steps, the n/256 from rounding num down.  When num = 0 there is no head
-    start: the k members are drawn into a set by the same rejection and
-    the bitvector is built once by from_elements, which for a few members
-    at large n is cheaper than a round trip through n/8 bytes.
+    start: the top-up starts from the empty mask and draws all k members.
 
     The draw is uniform.  The mask's distribution, also when conditioned on
     having at most k members, is unchanged by any permutation of range(n),
@@ -114,23 +113,16 @@ def _random_subset(rng: random.Random, n: int, size: int) -> ResidueSet:
     k = min(size, n - size)
     getrandbits, width = rng.getrandbits, n.bit_length()
     num = (k - isqrt(k)) * 128 // n
-    if not num:
-        drawn: set[int] = set()
-        for _ in range(k):
-            j = getrandbits(width)
-            while j >= n or j in drawn:
-                j = getrandbits(width)
-            drawn.add(j)
-        chosen = ResidueSet.from_elements(n, drawn)
-        return chosen if k == size else ResidueSet(n, chosen.bits ^ ((1 << n) - 1))
-    low = (num & -num).bit_length() - 1
-    while True:
-        bits = getrandbits(n)
-        for digit in range(low + 1, 7):
-            bits = bits | getrandbits(n) if num >> digit & 1 else bits & getrandbits(n)
-        short = k - bits.bit_count()
-        if short >= 0:
-            break
+    bits, short = 0, k
+    if num:
+        low = (num & -num).bit_length() - 1
+        while True:
+            bits = getrandbits(n)
+            for digit in range(low + 1, 7):
+                bits = bits | getrandbits(n) if num >> digit & 1 else bits & getrandbits(n)
+            short = k - bits.bit_count()
+            if short >= 0:
+                break
     mask = bytearray(bits.to_bytes((n + 7) // 8, "little"))
     for _ in range(short):
         j = getrandbits(width)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from dilates import cache as cache_mod
+from dilates import search
 from dilates.cli import main
 from dilates.grids import box_grid_set, optimized_box_sides_3d
 from dilates.residues import ResidueSet, affine_image, canonical_form
@@ -659,6 +660,35 @@ def test_cli_search_and_cache_hit(tmp_path, capsysbinary):
 def test_cli_search_scale_cap_exit(tmp_path):
     assert run_cli(tmp_path, "--cache-dir", "cache", "search", "--p", "1009",
                    "--lambda", "2", "--m", "200", "--mode", "exact") == 4
+
+
+# past the anchored-set cap, the walk's first leaf {0, ..., m-1} attains
+# its floor in these cells, so their minimum is forced and answered
+@pytest.mark.parametrize("p, lam, m, size", [(61, 3, 40, 61), (101, 1, 30, 59),
+                                             (101, 0, 30, 30), (1009, 3, 600, 1009)])
+def test_cli_search_answers_forced_cells(tmp_path, capsys, p, lam, m, size):
+    argv = ("search", "--p", str(p), "--lambda", str(lam), "--m", str(m))
+    assert run_cli(tmp_path, "--cache-dir", "cache", *argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["min_size"], out["exact"]) == (size, True)
+    assert out["witness"] == ResidueSet.from_elements(p, range(m)).format()
+    assert out["classes_enumerated"] == search._orbit_count(p, m) > 10**8
+    [entry] = _entries(tmp_path / "cache", "search")
+    assert json.loads(entry.read_text()) == out
+
+
+# 1009, 3, 200: the first leaf has 797 members against a floor of 399;
+# 100003, 0, 60000 is forced, but its orbit count has 29218 digits, more
+# than str(int) writes
+@pytest.mark.parametrize("argv, message", [
+    (("--p", "1009", "--lambda", "3", "--m", "200"), "anchored sets exceed cap"),
+    (("--p", "100003", "--lambda", "0", "--m", "60000"),
+     "97058-bit orbit count unwritable"),
+])
+def test_cli_search_refuses_cells_past_the_cap_exit_4(tmp_path, capsys, argv, message):
+    assert run_cli(tmp_path, "--cache-dir", "cache", "search", *argv) == 4
+    assert message in capsys.readouterr().err
+    assert _entries(tmp_path / "cache", "search") == []
 
 
 def test_cli_sweep_and_report(tmp_path):

@@ -1,6 +1,7 @@
 """Every name a module lists in __all__ exists, so a deleted helper
 cannot linger in an export list, and is read by the package, the demos
-or the benchmark, and every module-level private name is used somewhere
+or the benchmark, as is every public member of a class it lists, and
+every module-level private name is used somewhere
 in the package, so a helper cannot outlive its last caller, and every
 imported name is read in its module; importing the
 package stays light; every library name the
@@ -93,18 +94,28 @@ UNREAD_PUBLIC_NAMES = {"is_canonical"}
 def test_every_public_name_is_read():
     # the public twin of test_every_private_name_is_used: a read or an
     # attribute in src/, demos/ or bench/ counts; an import, a re-export
-    # and the name's own __all__ entry do not, and tests are no callers
+    # and the name's own __all__ entry do not, and tests are no callers.
+    # A public class's members count too: each def in its body not named
+    # with a leading underscore (a method, classmethod or property) must be
+    # read as an attribute, matched by name
     root = Path(__file__).parents[1]
-    read = set()
+    names, attributes = set(), set()
     for path in sorted(p for d in ("src", "demos", "bench") for p in (root / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    unread = [f"{module}.{name}" for module in MODULES
-              for name in getattr(importlib.import_module(module), "__all__", ())
-              if name not in read | UNREAD_PUBLIC_NAMES]
+                attributes.add(node.attr)
+    unread = []
+    for module in MODULES:
+        exported = getattr(importlib.import_module(module), "__all__", ())
+        unread += [f"{module}.{name}" for name in exported
+                   if name not in names | attributes | UNREAD_PUBLIC_NAMES]
+        tree = ast.parse(Path(importlib.util.find_spec(module).origin).read_text())
+        unread += [f"{module}.{cls.name}.{node.name}" for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name in exported
+                   for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_") and node.name not in attributes]
     assert unread == []
 
 
@@ -311,8 +322,7 @@ INTEGER_FIELDS = [
     pytest.param(lambda x: GridSet(x, 3, ()).dim, id="grid-dim"),
     pytest.param(lambda x: GridSet(2, x, ()).lam, id="grid-lam"),
     pytest.param(lambda x: TorusIntervalSet(x, ((0, 1),)).denominator, id="intervals"),
-    pytest.param(lambda x: TorusIntervalSet.from_raw(9, ((0, x),)).intervals[0][1],
-                 id="intervals-raw"),
+    pytest.param(lambda x: TorusIntervalSet(9, ((0, x),)).intervals[0][1], id="intervals-raw"),
     pytest.param(lambda x: Gap(x, 0, (1,), (2,)).modulus, id="gap-modulus"),
     pytest.param(lambda x: Gap(11, x, (1,), (2,)).base, id="gap-base"),
     pytest.param(lambda x: Gap(11, 0, (x,), (2,)).generators[0], id="gap-generators"),

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 
 from dilates import grids, residues
 from dilates.errors import ScaleCapError
-from dilates.grids import (GridSet, box_grid_set, digit_sum_count, equal_box_sides,
-                           grid_projection_sumset, irwin_hall_volume,
+from dilates.grids import (GridSet, _cell_mask, box_grid_set, digit_sum_count,
+                           equal_box_sides, grid_projection_sumset, irwin_hall_volume,
                            nth_root_floor, optimized_box_sides_3d,
                            simplex_construction, simplex_grid_set)
 from dilates.intervals import pipeline_check
@@ -24,14 +24,24 @@ from test_residues import PROPERTY, UNSAFE, make_fft_unsafe
 F = Fraction
 
 
+def digit_set(s):
+    """The cells of s as a set of digit tuples, read from s._digits()."""
+    return set(map(tuple, s._digits().tolist()))
+
+
+def mask(s):
+    """The boolean (lam,) * dim mask of s's cells."""
+    return _cell_mask(s.dim, s.lam, s.sorted_cells)
+
+
 # ---------------------------------------------------------------- grid sets
 
 def test_gridset_roundtrip_and_measure():
     s = GridSet.from_tuples(2, 3, [(1, 2), (0, 0)])
     assert s.measure() == F(2, 9)
-    assert s.tuples() == ((0, 0), (1, 2))
+    assert s._digits().tolist() == [[0, 0], [1, 2]]
     assert GridSet.parse(s.format()) == s
-    assert GridSet.parse("n=2;lambda=3;cells=[]").cells == frozenset()
+    assert GridSet.parse("n=2;lambda=3;cells=[]").sorted_cells.tolist() == []
     with pytest.raises(ValueError):
         GridSet.from_tuples(2, 3, [(1, 3)])
     with pytest.raises(ValueError):
@@ -49,8 +59,8 @@ def test_gridset_rejects_out_of_range_cells():
                   np.array([2**64 - 1], dtype=np.uint64)):
         with pytest.raises(ValueError, match="cell index out of range"):
             GridSet(2, 3, cells)
-    assert GridSet(2, 3, frozenset([0, 8])).cells == {0, 8}
-    assert GridSet(2, 3, frozenset()).cells == frozenset()
+    assert GridSet(2, 3, frozenset([0, 8])).sorted_cells.tolist() == [0, 8]
+    assert GridSet(2, 3, frozenset()).sorted_cells.tolist() == []
 
 
 def test_gridset_reads_integers_only():
@@ -61,10 +71,10 @@ def test_gridset_reads_integers_only():
             GridSet(*args)
     with pytest.raises(TypeError):
         GridSet.from_tuples(2, 3, [(0.5, 1)])
-    # numpy integers are integers; a set or list of cells is stored frozen
+    # numpy integers are integers; a set or list of cells is stored as one array
     s = GridSet(np.int64(2), np.int32(3), [np.int64(7), np.uint8(1), 7])
     assert s == GridSet(2, 3, frozenset({1, 7})) == GridSet(2, 3, {1, 7})
-    assert type(s.dim) is int and type(s.lam) is int and type(s.cells) is frozenset
+    assert type(s.dim) is int and type(s.lam) is int
     assert hash(GridSet(2, 3, {1, 2})) == hash(GridSet(2, 3, frozenset({1, 2})))
     assert s.sorted_cells.tolist() == [1, 7]
     # integer arrays of any width, unsorted or repeated, equal the sorted set;
@@ -90,13 +100,13 @@ def test_gridset_reads_integers_only():
 
 
 def _check_sorted_cells(s):
-    """sorted_cells is the ascending, read-only array of s.cells, in int64
+    """sorted_cells is a strictly ascending, read-only array, in int64
     while lam^dim < 2^62 and Python ints beyond; a pickle round trip
     keeps all of that."""
     for g in (s, pickle.loads(pickle.dumps(s))):
         assert g == s and hash(g) == hash(s)
         cells = g.sorted_cells
-        assert cells.tolist() == sorted(s.cells)
+        assert cells.tolist() == sorted(set(s.sorted_cells.tolist()))
         assert cells.dtype == (np.int64 if s.lam**s.dim < 1 << 62 else object)
         assert all(type(c) is int for c in cells.tolist())
         assert not cells.flags.writeable
@@ -107,16 +117,16 @@ def _check_sorted_cells(s):
 
 def test_sorted_cells_is_one_readonly_ascending_array():
     tuples = [(2, 0), (0, 1), (1, 2)]
-    mask = np.zeros((3, 3), dtype=bool)
-    mask[tuple(zip(*tuples))] = True
+    cells = np.zeros((3, 3), dtype=bool)
+    cells[tuple(zip(*tuples))] = True
     ways = [GridSet(2, 3, frozenset({6, 1, 5})), GridSet(2, 3, [5, 1, 6]),
             GridSet.from_tuples(2, 3, tuples),
             GridSet.parse("n=2;lambda=3;cells=[(2,0),(0,1),(1,2)]"),
-            GridSet.from_mask(3, mask)]
+            GridSet(2, 3, np.flatnonzero(cells))]
     for s in ways:
         _check_sorted_cells(s)
         assert s == ways[0] and hash(s) == hash(ways[0])
-        assert repr(s) == "GridSet(dim=2, lam=3, cells=frozenset({1, 5, 6}))"
+        assert repr(s) == "GridSet(dim=2, lam=3, cells=[1, 5, 6])"
     # the builders, and grids past int64
     for s in (box_grid_set(3, 8, [F(1, 2), F(3, 8), F(7, 8)]), simplex_grid_set(5, 6),
               predicate_grid(3, 4, lambda x: sum(x) <= 5), GridSet.empty(2, 5),
@@ -127,34 +137,29 @@ def test_sorted_cells_is_one_readonly_ascending_array():
     # one grid built two ways: box builder and tuples, box and mask, predicate and range
     box = box_grid_set(2, 5, [F(3, 5), F(3, 5)])
     assert box == GridSet.from_tuples(2, 5, product([1, 2], repeat=2))
-    assert hash(box) == hash(GridSet.from_mask(5, box.to_mask()))
+    assert hash(box) == hash(GridSet(2, 5, np.flatnonzero(mask(box))))
     full = predicate_grid(2, 3, lambda x: sum(x) <= 4)
     assert full == GridSet(2, 3, range(9)) and hash(full) == hash(GridSet(2, 3, range(9)))
 
 
 def test_hash_reads_the_array_not_cells():
-    # equal grids hash equal on either cell dtype, and hash() builds no
-    # frozenset of cells
+    # equal grids hash equal on either cell dtype
     for dim, lam, cells in ((2, 3, [1, 5, 6]), (3, 64, range(0, 64**3, 7)),
                             (2, 2**40, [3, 2**63, 2**80 - 1])):
         one = GridSet(dim, lam, cells)
         two = GridSet(dim, lam, np.array(list(cells)[::-1], dtype=object))
         assert one == two and hash(one) == hash(two)
-        assert "cells" not in one.__dict__ and "cells" not in two.__dict__
     grid = simplex_grid_set(4, 12)
-    hash(grid)
-    assert "cells" not in grid.__dict__
     assert hash(grid) == hash(GridSet(4, 12, grid.sorted_cells.tolist()))
 
 
 def _reference_format(s):
-    """The per-cell formatter: unflatten each sorted cell, one join per cell."""
-    cells = ",".join("(" + ",".join(map(str, s.unflatten(c))) + ")"
-                     for c in sorted(s.cells))
+    """The per-cell formatter: one join per row of digits."""
+    cells = ",".join("(" + ",".join(map(str, t)) + ")" for t in s._digits().tolist())
     return f"n={s.dim};lambda={s.lam};cells=[{cells}]"
 
 
-def test_bulk_decoder_matches_unflatten():
+def test_bulk_decoder_round_trips_through_from_tuples():
     rng = random.Random(23)
     grids = [GridSet.empty(1, 2), GridSet.empty(4, 7),
              # lam^dim >= 2^63: the object-dtype path
@@ -169,9 +174,10 @@ def test_bulk_decoder_matches_unflatten():
             cells = rng.sample(range(size), rng.randint(0, min(size, 300)))
             grids.append(GridSet(dim, lam, frozenset(cells)))
     for s in grids:
-        tuples = s.tuples()
-        assert tuples == tuple(s.unflatten(c) for c in sorted(s.cells))
-        assert all(type(x) is int for t in tuples for x in t)
+        # from_tuples encodes each row of digits cell by cell, in Python ints
+        rows = s._digits().tolist()
+        assert GridSet.from_tuples(s.dim, s.lam, map(tuple, rows)) == s
+        assert len(rows) == len(s) and all(type(x) is int for t in rows for x in t)
         text = s.format()
         assert text == _reference_format(s)
         assert GridSet.parse(text) == s
@@ -180,28 +186,25 @@ def test_bulk_decoder_matches_unflatten():
     assert GridSet.empty(3, 4).format() == "n=3;lambda=4;cells=[]"
 
 
-def test_from_mask_matches_from_tuples():
+def test_cell_mask_matches_from_tuples():
+    # a mask's flat nonzero indices, as grid_projection_sumset reads its
+    # sum, are the row-major cells; _cell_mask scatters them back
     rng = np.random.default_rng(7)
     for dim in range(1, 5):
         for lam in (2, 3, 5):
             for density in (0.0, 0.3, 1.0):
-                mask = rng.random((lam,) * dim) < density
-                s = GridSet.from_mask(lam, mask)
-                expected = GridSet.from_tuples(dim, lam, map(tuple, np.argwhere(mask).tolist()))
+                cells = rng.random((lam,) * dim) < density
+                s = GridSet(dim, lam, np.flatnonzero(cells))
+                expected = GridSet.from_tuples(dim, lam, map(tuple, np.argwhere(cells).tolist()))
                 assert s == expected
-                assert all(type(c) is int for c in s.cells)
-                assert np.array_equal(s.to_mask(), mask)
-    # a mask whose shape is not (lam,) * ndim is refused, not read as cells
-    for lam, shape in ((3, (2, 2)), (3, (3, 4)), (2, (3,)), (4, (4, 4, 2))):
-        with pytest.raises(ValueError, match="mask shape"):
-            GridSet.from_mask(lam, np.ones(shape, dtype=bool))
+                assert np.array_equal(mask(s), cells)
 
 
 def oracle_projection_sumset(s: GridSet) -> set:
     """Direct definition: pairwise coordinate sums plus {0,1}^(n-1)."""
     lam = s.lam
-    p1 = {t[1:] for t in s.tuples()}
-    pn = {t[:-1] for t in s.tuples()}
+    p1 = {t[1:] for t in digit_set(s)}
+    pn = {t[:-1] for t in digit_set(s)}
     out = set()
     for a in p1:
         for b in pn:
@@ -213,12 +216,12 @@ def oracle_projection_sumset(s: GridSet) -> set:
 def test_projection_sumset_examples():
     s = GridSet.from_tuples(2, 3, [(1, 2)])
     sp = grid_projection_sumset(s)
-    assert sp.tuples() == ((0,), (1,))
+    assert sp._digits().tolist() == [[0], [1]]
     assert sp.measure() == F(2, 3)
     assert grid_projection_sumset(GridSet.empty(2, 3)) == GridSet.empty(1, 3)
     box = GridSet.from_tuples(2, 9, product([1, 2], [1, 2]))
     spb = grid_projection_sumset(box)
-    assert spb.tuples() == ((2,), (3,), (4,), (5,))
+    assert spb._digits().tolist() == [[2], [3], [4], [5]]
     assert spb.measure() == F(4, 9)
 
 
@@ -230,7 +233,7 @@ def test_projection_sumset_matches_oracle_random():
         count = rng.randint(0, lam**dim)
         flat = rng.sample(range(lam**dim), count)
         s = GridSet(dim, lam, frozenset(flat))
-        got = set(grid_projection_sumset(s).tuples())
+        got = digit_set(grid_projection_sumset(s))
         assert got == oracle_projection_sumset(s)
 
 
@@ -241,8 +244,8 @@ def test_projection_sumset_bounds():
         s = GridSet(3, lam, frozenset(rng.sample(range(lam**3), rng.randint(1, 40))))
         sp = grid_projection_sumset(s)
         plain = {tuple((x + y) % lam for x, y in zip(a[1:], b[:-1]))
-                 for a in s.tuples() for b in s.tuples()}
-        assert plain <= set(sp.tuples())
+                 for a in digit_set(s) for b in digit_set(s)}
+        assert plain <= digit_set(sp)
         assert len(sp) <= 2 ** (s.dim - 1) * len(plain)
 
 
@@ -252,16 +255,16 @@ def test_projection_sumset_factorizes_for_boxes():
     sp = grid_projection_sumset(s)
     per_axis = []
     for i, j in ((1, 0), (2, 1)):  # (drop-first axis i) + (drop-last axis j)
-        ai = sorted({t[i] for t in s.tuples()})
-        aj = sorted({t[j] for t in s.tuples()})
+        ai = sorted({t[i] for t in digit_set(s)})
+        aj = sorted({t[j] for t in digit_set(s)})
         vals = {(x + y + e) % 8 for x in ai for y in aj for e in (0, 1)}
         per_axis.append(vals)
-    assert set(sp.tuples()) == set(product(*per_axis))
+    assert digit_set(sp) == set(product(*per_axis))
 
 
 def test_projection_mask_matches_public_projections():
     # grid_projection_sumset scatters both projections from one array of
-    # cells; the oracle builds them from the public cell tuples, sums them
+    # cells; the oracle builds them from the cells' digit tuples, sums them
     # by the shift routine and thickens the sum by one roll per axis
     rng = random.Random(41)
     for _ in range(40):
@@ -270,11 +273,11 @@ def test_projection_mask_matches_public_projections():
         size = lam**dim
         s = GridSet(dim, lam, frozenset(rng.sample(range(size), rng.randint(0, size))))
         expected = cyclic_support_shift(
-            GridSet.from_tuples(dim - 1, lam, {t[1:] for t in s.tuples()}).to_mask(),
-            GridSet.from_tuples(dim - 1, lam, {t[:-1] for t in s.tuples()}).to_mask())
+            mask(GridSet.from_tuples(dim - 1, lam, {t[1:] for t in digit_set(s)})),
+            mask(GridSet.from_tuples(dim - 1, lam, {t[:-1] for t in digit_set(s)})))
         for axis in range(dim - 1):
             expected = expected | np.roll(expected, 1, axis=axis)
-        assert np.array_equal(grid_projection_sumset(s).to_mask(), expected)
+        assert np.array_equal(mask(grid_projection_sumset(s)), expected)
     # the cap is checked before any array is built, even where a cell index
     # would not fit in int64
     for s in (GridSet(9, 11, frozenset([0])), GridSet(2, 2**27, frozenset([5])),
@@ -416,12 +419,12 @@ def test_minkowski_mask_gate(monkeypatch):
     st.just(lam), st.sets(st.integers(0, lam - 1)), st.sets(st.integers(0, lam - 1)))))
 def test_grid_minkowski_1d_is_residue_sumset(case):
     lam, xs, ys = case
-    a, b = (GridSet.from_tuples(1, lam, [(x,) for x in zs]).to_mask() for zs in (xs, ys))
+    a, b = (mask(GridSet.from_tuples(1, lam, [(x,) for x in zs])) for zs in (xs, ys))
     ra, rb = ResidueSet.from_elements(lam, xs), ResidueSet.from_elements(lam, ys)
     # unequal operands, then equal ones
     for x, y, expected in ((a, b, sumset(ra, rb)), (a, a.copy(), sumset(ra, ra))):
-        out = GridSet.from_mask(lam, cyclic_support(x, y))
-        assert sorted(out.cells) == list(expected.elements())
+        out = GridSet(1, lam, np.flatnonzero(cyclic_support(x, y)))
+        assert out.sorted_cells.tolist() == list(expected.elements())
 
 
 # ---------------------------------------------------------------- boxes
@@ -437,10 +440,10 @@ def box_predicate(lam, sides):
 
 
 def test_box_grid_set_examples():
-    assert box_grid_set(1, 9, [F(1, 3)]).tuples() == ((1,), (2,))
+    assert box_grid_set(1, 9, [F(1, 3)])._digits().tolist() == [[1], [2]]
     b = box_grid_set(2, 9, [F(1, 3), F(1, 3)])
     assert len(b) == 4 and b.measure() == F(4, 81)
-    assert set(b.tuples()) == set(product([1, 2], [1, 2]))
+    assert digit_set(b) == set(product([1, 2], [1, 2]))
     assert len(box_grid_set(1, 16, [F(1, 9)])) == 0  # side < 2/lam
     for d, lam, sides in ((1, 16, [F(1, 9)]),
                           (3, 7, [F(5, 7), F(1, 7), F(6, 7)]),  # empty middle axis
@@ -607,7 +610,7 @@ def _largest_builder_array(his, t):
 
 def test_mask_cap(monkeypatch):
     with pytest.raises(ScaleCapError):
-        GridSet(8, 11, frozenset()).to_mask()
+        mask(GridSet(8, 11, frozenset()))
     # the builder cap counts the largest array formed, before forming any:
     # simplex n = 6, lambda = 32 would form 1.2e8 cells, the d = 3 box of
     # sides 1/2 at lambda = 2000 about 1e9, a box with an empty last axis

@@ -26,7 +26,13 @@ F = Fraction
 
 
 def tis(d, pairs):
-    return TorusIntervalSet.from_raw(d, pairs)
+    """The union of the arcs [a, b) mod d, pairs with b <= a dropped: the
+    endpoints in the exact dtype of the largest, normalized by
+    intervals._normalize as scale_intervals and _minkowski normalize theirs."""
+    values = [v for pair in pairs for v in pair]
+    dtype = intervals._exact_dtype(max([d, *map(abs, values)]))
+    arcs = np.array(values, dtype=dtype).reshape(-1, 2)
+    return TorusIntervalSet._trusted(d, *intervals._normalize(d, arcs[:, 0], arcs[:, 1]))
 
 
 # ---------------------------------------------------------------- normalization
@@ -63,8 +69,6 @@ def test_validation_rejects_bad_lists():
         with pytest.raises(ValueError) as err:
             TorusIntervalSet(*args)
         assert str(err.value) == message, args
-    with pytest.raises(ValueError, match="denominator must be >= 1, got 0"):
-        TorusIntervalSet.from_raw(0, [(0, 1)])
 
 
 def test_non_integer_endpoints_rejected():
@@ -75,8 +79,6 @@ def test_non_integer_endpoints_rejected():
         message = f"^{name} must be an integer, got "
         with pytest.raises(TypeError, match=message):
             TorusIntervalSet(d, pairs)
-        with pytest.raises(TypeError, match=message):
-            TorusIntervalSet.from_raw(d, pairs)
     s = TorusIntervalSet(np.int64(10), ((np.int64(1), np.int32(3)),))
     assert s == tis(10, [(1, 3)]) and type(s.denominator) is int
     assert all(type(v) is int for pair in s.intervals for v in pair)
@@ -284,7 +286,7 @@ def test_encode_measure_preserved_random():
 def test_scale_intervals():
     a = tis(9, [(5, 6)])
     assert scale_intervals(a, 3).intervals == ((6, 9),)  # [15,18) mod 9
-    assert scale_intervals(tis(4, [(0, 1)]), 4) == TorusIntervalSet.full(4)
+    assert scale_intervals(tis(4, [(0, 1)]), 4) == TorusIntervalSet(4, ((0, 4),))
     rng = random.Random(22)
     for _ in range(30):
         d = rng.choice([12, 30])
@@ -296,7 +298,7 @@ def test_scale_intervals():
 
 
 def test_interval_dilate_sum_examples():
-    assert interval_dilate_sum(tis(9, [(0, 3)]), 3) == TorusIntervalSet.full(9)
+    assert interval_dilate_sum(tis(9, [(0, 3)]), 3) == TorusIntervalSet(9, ((0, 9),))
     a = tis(9, [(5, 6)])
     out = interval_dilate_sum(a, 3)
     assert out.intervals == ((2, 6),) and out.measure() == F(4, 9)
@@ -317,7 +319,7 @@ def test_interval_dilate_sum_examples():
     assert intervals._minkowski(two_apart, thousand) == tis(10**4, [(0, 4999)])
 
 
-def reference_from_raw(d, raw):
+def reference_normalize(d, raw):
     """The scalar reduce/split/sort/merge the library used before it
     normalized with arrays; kept as the oracle for the array path."""
     reduced = []
@@ -347,11 +349,11 @@ def reference_minkowski(a, b):
     d = a.denominator
     if a.is_empty() or b.is_empty():
         return ()
-    return reference_from_raw(d, [(x1 + x2, y1 + y2)
+    return reference_normalize(d, [(x1 + x2, y1 + y2)
                                   for x1, y1 in a.intervals for x2, y2 in b.intervals])
 
 
-def test_minkowski_and_from_raw_match_reference():
+def test_minkowski_and_normalize_match_reference():
     rng = random.Random(27)
     cases = [(9, [], []), (9, [(0, 9)], [(3, 4)]), (12, [(11, 12), (0, 1)], [(0, 12)])]
     for d in (1, 2, 7, 64, 1000, 3**40, 2**61 - 1, 2**62, 2**63 + 9, 2**70):
@@ -363,8 +365,8 @@ def test_minkowski_and_from_raw_match_reference():
                                for _ in range(2)]))
     for d, raw_a, raw_b in cases:
         for raw in (raw_a, raw_b, raw_a + [(y, x) for x, y in raw_b]):  # reversed: dropped
-            got = TorusIntervalSet.from_raw(d, raw).intervals
-            assert got == reference_from_raw(d, raw)
+            got = tis(d, raw).intervals
+            assert got == reference_normalize(d, raw)
             assert all(type(v) is int for pair in got for v in pair)
         a, b = tis(d, raw_a), tis(d, raw_b)
         got = intervals._minkowski(a, b)
@@ -372,7 +374,7 @@ def test_minkowski_and_from_raw_match_reference():
         assert all(type(v) is int for pair in got.intervals for v in pair)
         if not a.is_empty():
             lam = rng.randint(2, 9)
-            ref_scaled = TorusIntervalSet(d, reference_from_raw(
+            ref_scaled = TorusIntervalSet(d, reference_normalize(
                 d, [(lam * x, lam * y) for x, y in a.intervals]))
             assert scale_intervals(a, lam) == ref_scaled
             assert interval_dilate_sum(a, lam).intervals == reference_minkowski(a, ref_scaled)
@@ -425,8 +427,8 @@ def test_packed_keys_across_the_dtype_switch(d):
         raw_a += rng.sample(edges, 2)
         raw_b += rng.sample(edges, 1)
         for raw in (raw_a, raw_b):
-            got = TorusIntervalSet.from_raw(d, raw).intervals
-            assert got == reference_from_raw(d, raw)
+            got = tis(d, raw).intervals
+            assert got == reference_normalize(d, raw)
             assert all(type(v) is int for pair in got for v in pair)
         a, b = tis(d, raw_a), tis(d, raw_b)
         assert intervals._minkowski(a, b).intervals == reference_minkowski(a, b)
@@ -490,13 +492,13 @@ def test_interval_dilate_sum_against_residue_model():
         model = sumset(a_res, dilate(a_res, lam))
         # every modelled cell [r/d, (r+1)/d) must lie inside the interval sum
         for r in model.elements():
-            assert out.contains_set(TorusIntervalSet.from_raw(d, [(r, r + 1)]))
+            assert out.contains_set(TorusIntervalSet(d, ((r, r + 1),)))
 
 
 # ---------------------------------------------------------------- discretize
 
 def test_discretize_examples():
-    assert discretize_to_zp(TorusIntervalSet.full(9), 7).bits == (1 << 7) - 1
+    assert discretize_to_zp(TorusIntervalSet(9, ((0, 9),)), 7).bits == (1 << 7) - 1
     third = tis(3, [(1, 2)])
     assert discretize_to_zp(third, 9).elements() == (3, 4, 5)
     cell = tis(9, [(5, 6)])
@@ -514,7 +516,7 @@ def test_discretize_matches_per_residue_definition():
         tis(9, [(0, 1)]), tis(9, [(8, 9)]), tis(9, [(8, 10)]),  # touch 0 / p-1 / wrap
         tis(1000, [(0, 10), (990, 1000)]),
         tis(1000, [(5, 6), (500, 503), (700, 800)]),            # shorter than 1/p
-        TorusIntervalSet.full(7), TorusIntervalSet.empty(7),
+        TorusIntervalSet(7, ((0, 7),)), TorusIntervalSet.empty(7),
     ]
     for _ in range(20):
         d = rng.choice([9, 64, 1000])
@@ -530,7 +532,7 @@ def test_discretize_matches_per_residue_definition():
         big = [tis(d, [(0, d // 3), (d // 2, d // 2 + 1), (d - d // 5, d)]),
                tis(d, [(x, x + rng.randint(1, d // 3)) for x in
                        (rng.randrange(d) for _ in range(4))]),
-               TorusIntervalSet.full(d), TorusIntervalSet.empty(d)]
+               TorusIntervalSet(d, ((0, d),)), TorusIntervalSet.empty(d)]
         for a in big:
             for p in (2, 7, 1009):
                 assert set(discretize_to_zp(a, p).elements()) == oracle(a, p)
@@ -599,8 +601,7 @@ def test_interval_model_matches_residue_model():
         got = interval_dilate_sum(encode_grid_to_intervals(s), lam)
         residue_sum = sumset(dilate_sum(ResidueSet.from_elements(d, s.sorted_cells), lam),
                              ResidueSet.from_elements(d, range(lam + 1)))
-        assert got == TorusIntervalSet.from_raw(
-            d, [(t, t + 1) for t in residue_sum.elements()]), (dim, lam)
+        assert got == tis(d, [(t, t + 1) for t in residue_sum.elements()]), (dim, lam)
 
 
 # ---------------------------------------------------------------- pipeline

@@ -195,6 +195,44 @@ def test_exact_scan_cap_boundary(monkeypatch):
     assert exact_min_dilate_sumset(task).min_size == exact_min_reference(13, 2, 5)
 
 
+def test_forced_cells_past_the_cap_are_answered_by_the_first_leaf(monkeypatch):
+    # with no cap every cell is past it: a cell is answered exactly when
+    # the walk's first leaf {0, ..., m-1} attains the walk's floor, and then
+    # with the walk's own result; the walk is only run to compare
+    monkeypatch.setattr(search, "_SCAN_CAP", 0)
+    forced = refused = 0
+    for p in (q for q in range(2, 24) if is_prime(q)):
+        for lam in range(p):
+            for m in range(2, p + 1):
+                first = ResidueSet.from_elements(p, range(m))
+                task = SearchTask(p=p, lam=lam, m=m)
+                if len(dilate_sum(first, lam)) != search._floor(p, lam, m):
+                    with pytest.raises(ScaleCapError, match="anchored sets exceed cap"):
+                        exact_min_dilate_sumset(task)
+                    refused += 1
+                    continue
+                size, witness = search._branch_and_bound(p, lam, m)
+                result = exact_min_dilate_sumset(task)
+                assert (result.min_size, result.witness) == (size, first), (p, lam, m)
+                assert witness == tuple(range(m)) and is_canonical(first)
+                assert result.classes_enumerated == search._orbit_count(p, m)
+                assert result.exact
+                forced += 1
+    assert (forced, refused) == (938, 518)
+
+
+def test_forced_cells_keep_their_limits(monkeypatch):
+    # past _FORCED_CAP, and where the orbit count has more digits than
+    # str(int) writes, a forced cell is refused too
+    task = SearchTask(p=131101, lam=1, m=4)
+    with pytest.raises(ScaleCapError, match="anchored sets exceed cap"):
+        exact_min_dilate_sumset(task)
+    monkeypatch.setattr(search, "_FORCED_CAP", task.p)
+    assert exact_min_dilate_sumset(task).min_size == 7
+    with pytest.raises(ScaleCapError, match="97058-bit orbit count unwritable"):
+        exact_min_dilate_sumset(SearchTask(p=100003, lam=0, m=60000))
+
+
 def test_heuristic_budget_zero_returns_interval():
     t = SearchTask(p=11, lam=2, m=3, mode="heuristic", seed=9, budget=0)
     r = heuristic_min_dilate_sumset(t)
@@ -299,6 +337,13 @@ def test_sweep_heuristic_mode():
     assert result.min_size >= exact_min_dilate_sumset(
         SearchTask(p=11, lam=2, m=3)).min_size
     assert sweep_csv(report).splitlines()[1].split(",")[6] == "false"
+
+
+def test_sweep_refuses_a_bad_mode_once(tmp_path):
+    # the mode is shared by every cell, so it is refused before any cell runs
+    with pytest.raises(ValueError, match="^mode must be exact\\|heuristic, got 'bogus'$"):
+        sweep([7], [2], [2, 3], mode="bogus", cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_empty_inputs():

@@ -41,13 +41,15 @@ def test_random_subset_is_fixed_by_the_generator_state(n):
 
 
 # the 0.999 quantile of chi-square on C(n, k) - 1 degrees of freedom
-_CHI2_999 = {14: 36.123, 19: 43.820, 20: 45.315, 251: 325.970}
+_CHI2_999 = {9: 27.877, 14: 36.123, 19: 43.820, 20: 45.315, 251: 325.970}
 
 
 # with k = min(size, n - size), the head start's num = 128 (k - isqrt(k)) // n
-# is 21, 42, 21, 18 and 38 in these cells, so every draw forms a mask and
-# tops it up; (10, 5) spreads its draws over 252 subsets
-@pytest.mark.parametrize("n, size", [(6, 2), (6, 3), (6, 4), (7, 5), (10, 5)])
+# is 21, 42, 21, 18 and 38 in the first five cells, so every draw forms a
+# mask and tops it up; (10, 5) spreads its draws over 252 subsets.  In
+# (10, 1) and (10, 9) num is 0: no mask is drawn and the top-up draws the
+# one member from the empty mask
+@pytest.mark.parametrize("n, size", [(6, 2), (6, 3), (6, 4), (7, 5), (10, 5), (10, 1), (10, 9)])
 def test_random_subset_is_uniform(n, size):
     """Every size-subset of range(n) is drawn about equally often; (7, 5)
     draws two members and returns their complement."""

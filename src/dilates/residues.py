@@ -43,7 +43,14 @@ _MR_FOUR_BASES_BELOW = 3_215_031_751  # least strong pseudoprime to 2, 3, 5 and 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2^64."""
-    n = _integer(n, "n")
+    return _is_prime(_integer(n, "n"))
+
+
+@lru_cache(maxsize=256)
+def _is_prime(n: int) -> bool:
+    """is_prime of the int n, memoized: suites and searches ask about the
+    same few moduli on every call.  The cache sits behind _integer, so 3.0
+    still raises TypeError once 3 is cached."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -86,9 +93,10 @@ class Kernel(enum.Enum):
 # possible pair count stays far below 2^53.  2^26 is the contract limit.
 _SAFE_COUNT_BITS = 26
 _FFT_COST = 45
-# Above (set bits) * (bit length) = 2^15 (a timed sweep's crossover) the
-# scanner decodes members as a numpy index array instead of a string.
-_ARRAY_MIN_WORK = 1 << 15
+# Above (set bits) * (bit length) = 2^14 (a timed sweep's crossover for
+# reading every member) the scanner decodes members as a numpy index array
+# instead of a string.
+_ARRAY_MIN_WORK = 1 << 14
 # Masks of two or more axes are summed pair by pair while |A| * |B| <=
 # _PAIR_RATIO * size.  In a timed sweep (2 CPUs; 15 shapes of 2-6 axes,
 # 64-262144 cells; |A| * |B| / size 1-16) the FFT's crossover ran from
@@ -267,20 +275,24 @@ def _bits_to_members(bits: int) -> np.ndarray:
     return np.flatnonzero(_bits_to_mask(bits.bit_length(), bits).view(bool))
 
 
-def _positions(bits: int) -> list[int]:
-    """The set bits of bits, ascending: the one scanner under elements()
-    and _runs.  While (set bits) * (bit length) <= _ARRAY_MIN_WORK the
-    binary digits are scanned with str.find, least significant first;
-    above it _bits_to_members decodes them."""
+def _positions(bits: int) -> Iterator[int]:
+    """The set bits of bits, ascending, as an iterator: the one scanner
+    under elements() and _runs.  While (set bits) * (bit length) <=
+    _ARRAY_MIN_WORK the binary digits, least significant first, are
+    scanned by _find_ones only as far as the reader reads; above it
+    _bits_to_members decodes them all at once."""
     if bits.bit_count() * bits.bit_length() > _ARRAY_MIN_WORK:
-        return _bits_to_members(bits).tolist()
-    digits = bin(bits)[:1:-1]
-    out = []
+        return iter(_bits_to_members(bits).tolist())
+    return _find_ones(bin(bits)[:1:-1])
+
+
+def _find_ones(digits: str) -> Iterator[int]:
+    """The indices of the "1"s of digits, ascending, each found by str.find
+    when it is read."""
     i = digits.find("1")
     while i >= 0:
-        out.append(i)
+        yield i
         i = digits.find("1", i + 1)
-    return out
 
 
 def _members_to_bits(n: int, members: np.ndarray) -> int:
@@ -305,12 +317,18 @@ def _run_count(bits: int) -> int:
 
 
 def _runs(bits: int) -> Iterator[tuple[int, int]]:
-    """(start, length) of each run of members, in ascending order.  The set
-    bits of bits ^ (bits << 1) are the runs' starts (even indices) and
-    ends (odd indices)."""
+    """(start, end) of each run [start, end) of members, in ascending
+    order, read lazily.  The set bits of bits ^ (bits << 1) are the runs'
+    starts and ends, alternately, so the runs are consecutive pairs of
+    them."""
     edges = _positions(bits ^ (bits << 1))
-    starts = edges[::2]
-    return zip(starts, map(operator.sub, edges[1::2], starts))
+    return zip(edges, edges)
+
+
+def _fold(n: int, bits: int) -> int:
+    """bits < 2^(2N) reduced mod N: the bits at N and above ORed onto
+    those below, with no N-bit mask."""
+    return bits ^ (high := bits >> n) << n | high
 
 
 def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
@@ -322,14 +340,17 @@ def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
     is smeared over l positions and shifted up by s.  The smear over l is
     its smear over the largest 2^k <= l, ORed with itself shifted by
     l - 2^k; those are built by doubling, one smear per distinct l.  A run
-    ends by N - 1, so every term is below 2^(2N), and one fold of the bits
-    at N and above onto those below reduces the OR mod N, with no N-bit mask.
+    ends by N - 1, so every term is below 2^(2N), and one _fold reduces the
+    OR mod N.  Runs are read lazily, and after 4, 8, 16, ... of them a
+    partial OR with N or more members is folded: OR is monotone, so once
+    that fold is all of Z/NZ no later run changes it, and it is returned.
     """
     runs, bits = (a, b) if ra <= rb else (b, a)
     powers = [bits]  # powers[k] = bits smeared over 2^k positions
     smears = {}
-    acc = 0
-    for s, l in _runs(runs):
+    acc, left, gap = 0, 4, 4  # runs to the next checkpoint, and between the next two
+    for s, e in _runs(runs):
+        l = e - s
         smear = smears.get(l)
         if smear is None:
             k = l.bit_length() - 1
@@ -337,7 +358,12 @@ def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
                 powers.append(powers[-1] | powers[-1] << (1 << (len(powers) - 1)))
             smear = smears[l] = powers[k] | powers[k] << (l - (1 << k))
         acc |= smear << s
-    return acc ^ (high := acc >> n) << n | high
+        left -= 1
+        if not left:
+            left, gap = gap, 2 * gap
+            if acc.bit_count() >= n and (out := _fold(n, acc)).bit_count() == n:
+                return out
+    return _fold(n, acc)
 
 
 def _fft_length(n: int) -> int:

@@ -49,7 +49,11 @@ __all__ = [
 ]
 
 _SCAN_CAP = 10**8
-_FORCED_CAP = 1 << 17  # largest p of a forced cell answered past _SCAN_CAP
+# The walk keeps P, L and S, up to p bits each, at each of m depths: a cell
+# with 3*m*p over this many bits is refused unless it is forced, as past
+# _SCAN_CAP.  Only cells with m near p reach it, whose floor is p.
+_WALK_BITS = 1 << 30
+_FORCED_CAP = 1 << 17  # largest p of a forced cell answered past either cap
 _MODES = ("exact", "heuristic")
 _MODE_ERROR = f"mode must be {'|'.join(_MODES)}, got {{!r}}"
 
@@ -224,7 +228,8 @@ def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
     A cell with more than _SCAN_CAP sets through the anchor {0, 1}[:k],
-    k = min(m, 2), is refused before any work unless the walk's first leaf
+    k = min(m, 2), or whose walk would hold more than _WALK_BITS bits of
+    prefix bitvectors, is refused before any work unless the walk's first leaf
     {0, ..., m-1} attains _floor, where the walk would stop: when lam = 0
     or +-1 mod p or the floor is p, and by Vosper's theorem in no other
     cell past the cap (m >= 3, p odd).  Such a forced cell is refused too
@@ -240,11 +245,12 @@ def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     p, m = task.p, task.m
     k = min(m, 2)
     sets = comb(p - k, m - k)
-    if sets > _SCAN_CAP:
+    if sets > _SCAN_CAP or 3 * m * p > _WALK_BITS:
         floor, lam = _floor(p, task.lam, m), task.lam % p
         if p > _FORCED_CAP or not (lam in (0, 1, p - 1) or floor == p):
-            raise ScaleCapError(f"{sets} anchored sets exceed cap {_SCAN_CAP}; "
-                                "use heuristic mode")
+            what = (f"{sets} anchored sets exceed cap {_SCAN_CAP}" if sets > _SCAN_CAP else
+                    f"the walk's {3 * m * p} bits of prefixes exceed cap {_WALK_BITS}")
+            raise ScaleCapError(f"{what}; use heuristic mode")
         try:
             str(classes := _orbit_count(p, m))  # past sys.get_int_max_str_digits(), ValueError
         except ValueError:

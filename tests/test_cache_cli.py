@@ -679,11 +679,14 @@ def test_cli_search_answers_forced_cells(tmp_path, capsys, p, lam, m, size):
 
 # 1009, 3, 200: the first leaf has 797 members against a floor of 399;
 # 100003, 0, 60000 is forced, but its orbit count has 29218 digits, more
-# than str(int) writes
+# than str(int) writes; 1000003, 3, 1000003 is one anchored set, but its
+# walk would hold 3*m*p bits (about 350 GiB), and p is past _FORCED_CAP
 @pytest.mark.parametrize("argv, message", [
     (("--p", "1009", "--lambda", "3", "--m", "200"), "anchored sets exceed cap"),
     (("--p", "100003", "--lambda", "0", "--m", "60000"),
      "97058-bit orbit count unwritable"),
+    (("--p", "1000003", "--lambda", "3", "--m", "1000003"),
+     "the walk's 3000018000027 bits of prefixes exceed cap"),
 ])
 def test_cli_search_refuses_cells_past_the_cap_exit_4(tmp_path, capsys, argv, message):
     assert run_cli(tmp_path, "--cache-dir", "cache", "search", *argv) == 4

@@ -4,7 +4,8 @@ or the benchmark, as is every public member of a class it lists, and
 every module-level private name is used somewhere
 in the package, so a helper cannot outlive its last caller, and every
 imported name is read in its module; importing the
-package stays light; every library name the
+package stays light; only the one set-bit scanner writes binary
+digits; every library name the
 benchmark's tracer patches still exists, and the benchmark's tiny
 pipeline ops pass the benchmark's own checks.  Public entry points
 refuse out-of-range input and malformed literals with ValueError, and a
@@ -176,6 +177,27 @@ def test_integer_bounds_are_refused_by_one_rule():
             if _BOUND_REFUSAL.search(text) and text not in JOINT_CONDITIONS:
                 found.append(f"{path.name}:{node.lineno}: {text!r}")
     assert found == []
+
+
+# the one set-bit scanner: _positions writes a bitvector's binary digits,
+# which its lazy helper _find_ones reads
+SCANNER = {"residues.py:_positions", "residues.py:_find_ones"}
+
+
+def test_only_the_scanner_calls_bin():
+    # a kernel that wants members or runs reads them from _positions,
+    # instead of writing and scanning the digits itself
+    found = []
+    for path in sorted(Path(dilates.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # the innermost def around each node: outer defs are walked first
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner.update((id(part), node.name) for part in ast.walk(node))
+        found += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "bin"]
+    assert found and set(found) <= SCANNER, found
 
 
 def test_import_loads_no_cache_or_cli_code():

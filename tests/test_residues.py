@@ -335,14 +335,14 @@ def test_from_elements_matches_oracle():
 
 
 def oracle_runs(members):
-    """(start, length) of the maximal runs of consecutive integers in a
-    sorted list."""
+    """(start, end) of the maximal runs [start, end) of consecutive
+    integers in a sorted list."""
     runs = []
     for x in members:
-        if runs and sum(runs[-1]) == x:
+        if runs and runs[-1][1] == x:
             runs[-1][1] += 1
         else:
-            runs.append([x, 1])
+            runs.append([x, x + 1])
     return [tuple(r) for r in runs]
 
 
@@ -351,13 +351,13 @@ def oracle_runs(members):
 # dilate and affine_image).  elements() weighs set bits by bit length, _runs
 # the same for bits ^ (bits << 1); the maps count members (over 32).
 GATE_CASES = [
-    # 32 members up to 1023: 32 * 1024 = _ARRAY_MIN_WORK for elements(), 32
-    # members for the maps; 64 run edges up to 1024 are over it
-    (1024, list(range(31, 1024, 32)), False, True, False),
-    (1024, [0] + list(range(31, 1024, 32)), True, True, True),
-    # 16 isolated members up to 1022: 32 run edges up to 1023 at the gate
-    (1024, list(range(62, 1023, 64)), False, False, False),
-    (1024, [0] + list(range(62, 1023, 64)), False, True, False),
+    # 32 members up to 511: 32 * 512 = _ARRAY_MIN_WORK for elements(), 32
+    # members for the maps; 64 run edges up to 512 are over it
+    (512, list(range(15, 512, 16)), False, True, False),
+    (512, [0] + list(range(15, 512, 16)), True, True, True),
+    # 16 isolated members up to 510: 32 run edges up to 511 at the gate
+    (512, list(range(30, 511, 32)), False, False, False),
+    (512, [0] + list(range(30, 511, 32)), False, True, False),
     # one long run: its members over the gate, its two edges under it
     (2003, list(range(1000)), True, False, True),
 ]
@@ -420,10 +420,93 @@ def test_array_paths_match_oracles(monkeypatch, gate):
         assert rs(n, (x for x in elems)).elements() == tuple(sorted({x % n for x in elems}))
 
 
+def chained_holes(n, r, k):
+    """(R, O): R = {0, 2, ..., 2(k - 1)}, k runs of one member, and O =
+    Z/NZ minus r - 1 holes 2 apart, a chain, and k - r + 3 lone holes 3
+    apart above it, so O has k + 3 runs and BITSHIFT reads R.  The sum of
+    O and R's first j runs misses x exactly when x, x - 2, ..., x - 2(j - 1)
+    are all holes, so for k >= r it is first full at R's run r, and for
+    k = r - 1 it misses one residue for good."""
+    chain = [2 * k + 2 + 2 * i for i in range(r - 1)]
+    lone = [chain[-1] + 3 + 3 * i for i in range(k - r + 3)]
+    assert lone[-1] < n - 1
+    return rs(n, range(0, 2 * k, 2)), rs(n, set(range(n)) - set(chain + lone))
+
+
+def saturation_run(runs_operand, other):
+    """The number of runs of runs_operand after which their shifts of
+    other cover Z/NZ, from the members alone; None if they never do."""
+    n, covered = other.modulus, set()
+    for j, (s, e) in enumerate(oracle_runs(runs_operand.elements()), 1):
+        covered |= oracle_sumset(n, range(s, e), other.elements())
+        if len(covered) == n:
+            return j
+    return None
+
+
+@pytest.mark.parametrize("gate", ["strings", "arrays", "as set"])
+def test_bitshift_stops_at_saturation_with_the_oracles_answer(monkeypatch, gate):
+    # BITSHIFT returns once its partial sum covers Z/NZ, checked after 4, 8,
+    # 16, ... runs; these sums fill at runs 3, 4, 5, 8 and 9, on both
+    # sides of a checkpoint, miss one residue, have a full operand, or
+    # |A| + |B| = N or N + 1.  The scanner's gate is forced shut, forced
+    # open and left as set
+    if gate != "as set":
+        monkeypatch.setattr(residues, "_ARRAY_MIN_WORK", 1 << 62 if gate == "strings" else 0)
+    rng = random.Random(54)
+    for n in (1, 2, 3, 64, 101, 1009, 4099):
+        pairs = [(ResidueSet.full(n), rs(n, rng.sample(range(n), rng.randint(1, min(n, 40))))),
+                 (rs(n, range(n - 1)), rs(n, [0]))]
+        for total in (n, n + 1):
+            lopsided = min(40, total // 2)
+            for size in ({1, lopsided, total - lopsided, total - 1}
+                         & set(range(max(1, total - n), n + 1))):
+                pairs.append((rs(n, rng.sample(range(n), size)),
+                              rs(n, rng.sample(range(n), total - size))))
+        if n >= 64:
+            for r in (3, 4, 5, 8, 9):
+                runs_operand, other = chained_holes(n, r, r + 3)
+                assert saturation_run(runs_operand, other) == r
+                pairs += [(runs_operand, other), (other, runs_operand)]
+            runs_operand, other = chained_holes(n, 13, 12)  # misses one residue
+            assert saturation_run(runs_operand, other) is None
+            assert len(sumset(runs_operand, other, Kernel.NAIVE)) == n - 1
+            pairs.append((runs_operand, other))
+        for a, b in pairs:
+            expected = rs(n, oracle_sumset(n, a.elements(), b.elements()))
+            assert sumset(a, b, Kernel.BITSHIFT) == sumset(a, b, Kernel.NAIVE) == expected
+            if len(a) + len(b) > n:
+                assert expected == ResidueSet.full(n)
+
+
+def test_bitshift_reads_no_run_past_saturation(monkeypatch):
+    # a sum full after the 4th of R's 50 runs pulls those runs' 8 edges from
+    # the scanner and no more; one that never fills reads all 100 edges
+    n = 1009
+    for r, pulled_edges in ((4, 8), (51, 100)):
+        runs_operand, other = chained_holes(n, r, 50)
+        assert residues._run_count(runs_operand.bits) == 50
+        assert residues._run_count(other.bits) > 50
+        expected = sumset(runs_operand, other, Kernel.NAIVE)
+        pulled = []
+        scan = residues._positions
+
+        def counting(bits):
+            for i in scan(bits):
+                pulled.append(i)
+                yield i
+
+        monkeypatch.setattr(residues, "_positions", counting)
+        assert sumset(runs_operand, other, Kernel.BITSHIFT) == expected
+        monkeypatch.setattr(residues, "_positions", scan)
+        assert len(pulled) == pulled_edges
+        assert (expected == ResidueSet.full(n)) == (r == 4)
+
+
 @pytest.mark.parametrize("n", [37, 101, 509])
 def test_member_maps_route_by_member_count(n):
     # 30-100 members straddle the maps' 32-member route, with |A|*N on
-    # both sides of 2^15
+    # both sides of _ARRAY_MIN_WORK
     rng = random.Random(n)
     for size in range(30, min(n, 100) + 1):
         a = rs(n, rng.sample(range(n), size))
@@ -740,7 +823,9 @@ def test_is_prime_matches_a_sieve():
 def test_is_prime_decides_below_41_squared_by_trial_division(monkeypatch):
     # a composite below 41^2 = 1681 has a prime factor <= 37, the largest
     # trial divisor, so no Miller-Rabin power is taken there; the sieve
-    # test above compares every n up to 2 * 10^5
+    # test above compares every n up to 2 * 10^5.  The memo is emptied
+    # first, so every n below is decided here
+    residues._is_prime.cache_clear()
     powers = []
 
     def counting_pow(*args):
@@ -758,6 +843,22 @@ def test_is_prime_decides_below_41_squared_by_trial_division(monkeypatch):
              1763: False}  # 41 * 43
     assert {k: is_prime(k) for k in named} == named
     assert powers  # from 1681 on the strong test runs
+
+
+def test_is_prime_memo_keeps_the_argument_rule():
+    # the memo sits behind _integer: 3.0 is refused even once 3 is cached,
+    # a numpy integer is answered from its int's entry, and n >= 2^64 is
+    # refused on every call, as a raise is never cached
+    residues._is_prime.cache_clear()
+    assert is_prime(3) and is_prime(101)
+    with pytest.raises(TypeError, match="^n must be an integer, got float$"):
+        is_prime(3.0)
+    assert is_prime(np.int64(101)) is True
+    assert residues._is_prime.cache_info().hits == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="limited to n < 2"):
+            is_prime(2**64 + 13)
+    assert not is_prime(2**64 - 1)  # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
 
 
 def test_residue_set_equality_and_validation():

@@ -1,6 +1,7 @@
 """Exact and heuristic minimization of |A + lam*A|."""
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -231,6 +232,47 @@ def test_forced_cells_keep_their_limits(monkeypatch):
     assert exact_min_dilate_sumset(task).min_size == 7
     with pytest.raises(ScaleCapError, match="97058-bit orbit count unwritable"):
         exact_min_dilate_sumset(SearchTask(p=100003, lam=0, m=60000))
+
+
+def test_cells_near_p_are_answered_within_the_walk_budget():
+    # m near p passes _SCAN_CAP, as C(p - 2, m - 2) = p - 2 at m = p - 1,
+    # but the walk would hold P, L and S at m depths, 3*m*p bits (about 143
+    # MiB here); past _WALK_BITS the cell, whose floor is p, takes the
+    # forced answer, its first leaf, without the walk
+    p, m = 20011, 20010
+    assert comb(p - 2, m - 2) == p - 2 <= search._SCAN_CAP
+    assert 3 * m * p > search._WALK_BITS
+    tracemalloc.start()
+    try:
+        result = exact_min_dilate_sumset(SearchTask(p=p, lam=3, m=m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.min_size, result.exact, result.classes_enumerated) == (p, True, 1)
+    assert result.witness == ResidueSet(p, (1 << m) - 1)
+    assert peak < 1 << 20
+
+
+def test_walk_budget_boundary(monkeypatch):
+    # at the budget the walk runs; one bit below it a forced cell takes the
+    # first leaf without it, and any other cell is refused by its memory
+    forced, other = SearchTask(p=13, lam=2, m=12), SearchTask(p=13, lam=2, m=5)
+    walked = [exact_min_dilate_sumset(task) for task in (forced, other)]
+    walk = search._branch_and_bound
+    for task, result in zip((forced, other), walked):
+        monkeypatch.setattr(search, "_WALK_BITS", 3 * task.m * task.p)
+        assert exact_min_dilate_sumset(task) == result
+        monkeypatch.setattr(search, "_WALK_BITS", 3 * task.m * task.p - 1)
+        monkeypatch.setattr(search, "_branch_and_bound", None)  # not reached
+        if task is forced:
+            assert exact_min_dilate_sumset(task) == result
+        else:
+            with pytest.raises(ScaleCapError, match="^the walk's 195 bits of prefixes "
+                                                    "exceed cap 194; use heuristic mode$"):
+                exact_min_dilate_sumset(task)
+        monkeypatch.setattr(search, "_branch_and_bound", walk)
+    assert walked[0].min_size == 13
+    assert walked[1].min_size == exact_min_reference(13, 2, 5)
 
 
 def test_heuristic_budget_zero_returns_interval():

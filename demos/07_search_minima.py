@@ -4,12 +4,14 @@
 Exact search considers only the sets containing 0 and 1: the objective
 is invariant under A -> u*A + v, and an affine map sends any two members
 to 0 and 1, which shrinks the space by a factor p(p-1)/(m(m-1)).  A
-branch and bound walks those sets in lexicographic order, drops every
-prefix whose partial sum is already as large as the best set found, and
-stops at the Cauchy-Davenport floor.  The classes column counts the
-affine orbits.  For larger p the seeded annealer gives an upper-bound
-witness.  The table's min/p column is the finite-p density the torus
-constructions try to beat.
+forced cell (m <= 2, lam = 0 or +-1 mod p, or 2m - 1 >= p) is answered
+by {0, ..., m-1}: the only such set for m <= 2, and at the
+Cauchy-Davenport floor for m >= 3.  Any other cell is walked by a branch
+and bound over those sets in lexicographic order, which drops every
+prefix whose partial sum is already as large as the best set found.
+The classes column counts the affine orbits.  For larger p the seeded
+annealer gives an upper-bound witness.  The table's min/p column is the
+finite-p density the torus constructions try to beat.
 """
 
 import time

@@ -24,7 +24,7 @@ from . import verify
 from .checks import _num, _num_fields
 from .errors import MathAssertionError, ScaleCapError
 from .gaps import Gap, expand, find_max_proper_gap, is_proper, lambda_span_check
-from .grids import (box_grid_set, equal_box_sides, optimized_box_sides_3d,
+from .grids import (_as_fraction, box_grid_set, equal_box_sides, optimized_box_sides_3d,
                     simplex_construction, simplex_grid_set)
 from .intervals import _chain_report, discretize_to_zp, encode_grid_to_intervals
 from .residues import ResidueSet, require_prime
@@ -59,10 +59,7 @@ _SUITE_FLAGS = sorted({flag for _, reads in _SUITES.values() for flag in reads})
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.replace(" ", ""))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return _as_fraction(text.replace(" ", ""))
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:

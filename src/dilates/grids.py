@@ -39,7 +39,10 @@ _BUILD_CAP = 1 << 24  # largest array the grid builder forms
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("pass Fraction/int/'num/den' strings, not floats")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def nth_root_floor(x: int, k: int) -> int:

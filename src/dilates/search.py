@@ -3,14 +3,14 @@
 Exact mode needs one set per affine orbit {u*A + v}, as the objective is
 affine-invariant, and every orbit meets the sets through the anchor
 {0, 1}: for members x != y, z -> (z - x) / (y - x) sends A to such a set.
-So a serial branch and bound (_branch_and_bound) walks the C(p-2, m-2)
-sets {0, 1} + (an (m-2)-subset of 2..p-1), and {0} alone for m = 1, in
-lexicographic order.  Each new member adds two shifts, folded once
+So the least (size, sorted tuple) pair over those anchored sets answers
+a cell, and is canonical without a test.  A forced cell's answer is its
+first anchored set {0, ..., m-1}; every other cell is walked by a serial
+branch and bound (_branch_and_bound) over the C(p-2, m-2) sets
+{0, 1} + (an (m-2)-subset of 2..p-1) in lexicographic order (see
+exact_min_dilate_sumset).  Each new member adds two shifts, folded once
 mod p, to its prefix's partial sum.  The walk prunes every prefix whose
-partial sum already has as many members as the best set so far, and
-stops at the Cauchy-Davenport floor.  It keeps the least (size, sorted
-tuple) pair, which is canonical without a test (see
-exact_min_dilate_sumset).
+partial sum already has as many members as the best set so far.
 classes_enumerated, the orbit count, comes from Burnside's lemma
 (_orbit_count).
 
@@ -48,12 +48,8 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-_SCAN_CAP = 10**8
-# The walk keeps P, L and S, up to p bits each, at each of m depths: a cell
-# with 3*m*p over this many bits is refused unless it is forced, as past
-# _SCAN_CAP.  Only cells with m near p reach it, whose floor is p.
-_WALK_BITS = 1 << 30
-_FORCED_CAP = 1 << 17  # largest p of a forced cell answered past either cap
+_SCAN_CAP = 10**8  # most anchored sets of a walked cell
+_FORCED_CAP = 1 << 34  # largest m*p of a forced cell: bounds its orbit count and witness
 _MODES = ("exact", "heuristic")
 _MODE_ERROR = f"mode must be {'|'.join(_MODES)}, got {{!r}}"
 
@@ -158,12 +154,17 @@ def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
     mod p: each is below 2^(2p - 1).  |S|
     only grows along a branch, so a child with |S| >= best is pruned:
     every set below it scores at least best and comes later in
-    lexicographic order than the set that set best.  The walk stops once
-    best reaches _floor, the size no set can beat.
+    lexicographic order than the set that set best.
+
+    The walk has no floor stop.  exact_min_dilate_sumset walks only cells
+    with m >= 3, lam != 0, +-1 mod p and 2m - 1 <= p - 2, and there no set
+    attains the Cauchy-Davenport floor 2m - 1.  By Vosper's theorem such a
+    set would make A and lam*A progressions with one common difference d.
+    But lam*A has difference lam*d, and an m-term progression with
+    2 <= m <= p - 2 fixes its difference up to sign, so lam = +-1.
     """
     lam %= p
     full = (1 << p) - 1
-    floor = _floor(p, lam, m)
     top = [d if d < 2 else p - m + d for d in range(m)]  # last element at depth d
     elems = [0] * m
     P, L, S, nxt = [0] * m, [0] * m, [0] * m, [0] * m
@@ -185,8 +186,6 @@ def _branch_and_bound(p: int, lam: int, m: int) -> tuple[int, tuple[int, ...]]:
         elems[depth] = x
         if depth + 1 == m:
             best, witness = size, tuple(elems)
-            if best == floor:
-                break
             continue
         depth += 1
         P[depth], L[depth], S[depth], nxt[depth] = p_x, L[depth - 1] | 1 << lx, s_x, x + 1
@@ -227,36 +226,34 @@ def _orbit_count(p: int, m: int) -> int:
 def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     """Global minimum of |A + lam*A| over all m-subsets of Z/pZ.
 
-    A cell with more than _SCAN_CAP sets through the anchor {0, 1}[:k],
-    k = min(m, 2), or whose walk would hold more than _WALK_BITS bits of
-    prefix bitvectors, is refused before any work unless the walk's first leaf
-    {0, ..., m-1} attains _floor, where the walk would stop: when lam = 0
-    or +-1 mod p or the floor is p, and by Vosper's theorem in no other
-    cell past the cap (m >= 3, p odd).  Such a forced cell is refused too
-    if p > _FORCED_CAP, which bounds the orbit count's work, or if str,
-    and so JSON, cannot write the count.  Any other cell returns the least
-    (size, sorted tuple) pair of _branch_and_bound.  That witness W is
-    canonical: its canonical form C is anchored, no later than W in
+    A forced cell, with m <= 2 (one orbit), lam = 0 or +-1 mod p, or
+    2m - 1 >= p, is answered by its first anchored set {0, ..., m-1}: for
+    m >= 3 that set attains _floor, as an interval does, and no set can
+    beat it.  A forced cell with m*p over _FORCED_CAP, or whose orbit
+    count str, and so JSON, cannot write, is refused.  Any other cell with
+    more than _SCAN_CAP anchored sets is refused before any work, and the
+    rest return the least (size, sorted tuple) pair of _branch_and_bound.
+    Either way the witness W is the least such pair over the anchored sets,
+    so canonical: its canonical form C is anchored, no later than W in
     lexicographic order and of equal size (the objective is
-    affine-invariant), so the walk reached C first and C = W.
+    affine-invariant), so C = W.
     """
     if task.mode != "exact":
         raise ValueError("task.mode must be 'exact'")
-    p, m = task.p, task.m
-    k = min(m, 2)
-    sets = comb(p - k, m - k)
-    if sets > _SCAN_CAP or 3 * m * p > _WALK_BITS:
-        floor, lam = _floor(p, task.lam, m), task.lam % p
-        if p > _FORCED_CAP or not (lam in (0, 1, p - 1) or floor == p):
-            what = (f"{sets} anchored sets exceed cap {_SCAN_CAP}" if sets > _SCAN_CAP else
-                    f"the walk's {3 * m * p} bits of prefixes exceed cap {_WALK_BITS}")
-            raise ScaleCapError(f"{what}; use heuristic mode")
+    p, lam, m = task.p, task.lam % task.p, task.m
+    if m <= 2 or lam in (0, 1, p - 1) or 2 * m - 1 >= p:
+        if m * p > _FORCED_CAP:
+            raise ScaleCapError(f"m*p = {m * p} exceeds cap {_FORCED_CAP}; use heuristic mode")
         try:
             str(classes := _orbit_count(p, m))  # past sys.get_int_max_str_digits(), ValueError
         except ValueError:
             raise ScaleCapError(f"{classes.bit_length()}-bit orbit count unwritable") from None
-        return SearchResult(floor, ResidueSet(p, (1 << m) - 1), classes, exact=True)
-    best_size, best_witness = _branch_and_bound(p, task.lam, m)
+        size = (_floor(p, lam, m) if m >= 3 else
+                len({(x + lam * y) % p for x in range(m) for y in range(m)}))
+        return SearchResult(size, ResidueSet(p, (1 << m) - 1), classes, exact=True)
+    if (sets := comb(p - 2, m - 2)) > _SCAN_CAP:
+        raise ScaleCapError(f"{sets} anchored sets exceed cap {_SCAN_CAP}; use heuristic mode")
+    best_size, best_witness = _branch_and_bound(p, lam, m)
     return SearchResult(best_size, ResidueSet.from_elements(p, best_witness),
                         _orbit_count(p, m), exact=True)
 
@@ -293,19 +290,17 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
     rng = random.Random(task.seed)
 
     current = list(range(m))
-    outside = list(range(m, p))
+    moved = {}  # the members outside current: moved.get(j, m + j) for j < p - m
 
     cur_val = _dilate_sum_size(p, lam, current)
     best_members = tuple(current)
     best_val = cur_val
     evaluations = 1
     temperature = float(m)  # T_0 = m, geometric cooling by 0.999 per move
-    for _ in range(task.budget):
-        if not outside:
-            break
-        i = rng.randrange(len(current))
-        j = rng.randrange(len(outside))
-        current[i], outside[j] = outside[j], current[i]
+    for _ in range(task.budget if m < p else 0):
+        i = rng.randrange(m)
+        j = rng.randrange(p - m)
+        current[i], moved[j] = moved.get(j, m + j), current[i]
         val = _dilate_sum_size(p, lam, current)
         evaluations += 1
         delta = val - cur_val
@@ -315,7 +310,7 @@ def heuristic_min_dilate_sumset(task: SearchTask) -> SearchResult:
                 best_val = val
                 best_members = tuple(sorted(current))
         else:
-            current[i], outside[j] = outside[j], current[i]  # revert
+            current[i], moved[j] = moved[j], current[i]  # revert
         temperature *= 0.999
 
     witness = canonical_form(ResidueSet.from_elements(p, best_members))

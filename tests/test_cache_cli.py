@@ -317,12 +317,13 @@ def test_cli_construct_box_tiny_gamma_warns_exit_zero(tmp_path, capsys):
     assert "empty" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", [("--gamma", "1/0"), ("--sides", "1/3,1/0")])
+@pytest.mark.parametrize("flag", [("--gamma", "1/0"), ("--sides", "1/3,1/0"),
+                                  ("--gamma", "1 / 0"),
+                                  ("--optimized", "--d", "3", "--gamma", "1/0")])
 def test_cli_construct_zero_denominator_exit_2(tmp_path, capsys, flag):
-    code = run_cli(tmp_path, "--cache-dir", "cache", "construct", "box",
-                   "--d", "2", "--lambda", "9", *flag, "--out", "out")
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    argv = ("construct", "box", "--d", "2", "--lambda", "9", *flag, "--out", "out")
+    assert run_cli(tmp_path, "--cache-dir", "cache", *argv) == 2
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
 def test_cli_construct_composite_modulus_exit_2(tmp_path):
@@ -662,31 +663,34 @@ def test_cli_search_scale_cap_exit(tmp_path):
                    "--lambda", "2", "--m", "200", "--mode", "exact") == 4
 
 
-# past the anchored-set cap, the walk's first leaf {0, ..., m-1} attains
-# its floor in these cells, so their minimum is forced and answered
+# the walk's first leaf {0, ..., m-1} answers these forced cells: past the
+# anchored-set cap it attains the floor, and m <= 2 has no other anchored
+# set, at any p up to the m*p cap
 @pytest.mark.parametrize("p, lam, m, size", [(61, 3, 40, 61), (101, 1, 30, 59),
-                                             (101, 0, 30, 30), (1009, 3, 600, 1009)])
+                                             (101, 0, 30, 30), (1009, 3, 600, 1009),
+                                             (131101, 1, 4, 7), (1000003, 1, 5, 9),
+                                             (200000033, 3, 2, 4), (400000009, 3, 1, 1)])
 def test_cli_search_answers_forced_cells(tmp_path, capsys, p, lam, m, size):
     argv = ("search", "--p", str(p), "--lambda", str(lam), "--m", str(m))
     assert run_cli(tmp_path, "--cache-dir", "cache", *argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["min_size"], out["exact"]) == (size, True)
     assert out["witness"] == ResidueSet.from_elements(p, range(m)).format()
-    assert out["classes_enumerated"] == search._orbit_count(p, m) > 10**8
+    assert out["classes_enumerated"] == search._orbit_count(p, m)
     [entry] = _entries(tmp_path / "cache", "search")
     assert json.loads(entry.read_text()) == out
 
 
 # 1009, 3, 200: the first leaf has 797 members against a floor of 399;
 # 100003, 0, 60000 is forced, but its orbit count has 29218 digits, more
-# than str(int) writes; 1000003, 3, 1000003 is one anchored set, but its
-# walk would hold 3*m*p bits (about 350 GiB), and p is past _FORCED_CAP
+# than str(int) writes; 1000003, 3, 1000003 is forced, but past the m*p cap
+# (its walk would hold 3*m*p bits, about 350 GiB)
 @pytest.mark.parametrize("argv, message", [
     (("--p", "1009", "--lambda", "3", "--m", "200"), "anchored sets exceed cap"),
     (("--p", "100003", "--lambda", "0", "--m", "60000"),
      "97058-bit orbit count unwritable"),
     (("--p", "1000003", "--lambda", "3", "--m", "1000003"),
-     "the walk's 3000018000027 bits of prefixes exceed cap"),
+     "m*p = 1000006000009"),
 ])
 def test_cli_search_refuses_cells_past_the_cap_exit_4(tmp_path, capsys, argv, message):
     assert run_cli(tmp_path, "--cache-dir", "cache", "search", *argv) == 4

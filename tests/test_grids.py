@@ -486,6 +486,17 @@ def test_optimized_box_sides():
     assert optimized_box_sides_3d(F(1, 16), lam=3) == (F(1, 2), F(1, 4), F(1, 2))
 
 
+def test_zero_denominator_is_a_value_error():
+    # every fraction argument is read by one reader, which refuses a zero
+    # denominator as a bad argument
+    for call in (lambda: box_grid_set(2, 9, ["1/0", "1/3"]),
+                 lambda: equal_box_sides(2, "1/0", 9),
+                 lambda: optimized_box_sides_3d("1/0", 9),
+                 lambda: irwin_hall_volume(3, "1/0")):
+        with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+            call()
+
+
 def test_nth_root_floor():
     assert nth_root_floor(0, 3) == 0
     assert nth_root_floor(26, 3) == 2

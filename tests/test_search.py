@@ -1,5 +1,6 @@
 """Exact and heuristic minimization of |A + lam*A|."""
 
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -151,11 +152,13 @@ def test_exact_one_orbit_and_large_m_cells():
         assert r.classes_enumerated == 1
         assert r.witness == ResidueSet.from_elements(19, range(m))
         assert r.min_size == exact_min_reference(19, 3, m)
-    # 2m - 1 >= p: every set scores p, so the walk stops at its first set;
-    # m levels deep, past the default recursion limit
+    # 2m - 1 >= p: every set scores p, so the cell is forced, answered by
+    # its first set; the walk agrees, m levels deep, past the default
+    # recursion limit
     for m in (1007, 1008):
         r = exact_min_dilate_sumset(SearchTask(p=1009, lam=2, m=m))
         assert (r.min_size, r.witness.elements()) == (1009, tuple(range(m)))
+    assert search._branch_and_bound(1009, 2, 1008) == (1009, tuple(range(1008)))
 
 
 def test_orbit_count_matches_canonical_anchored_sets():
@@ -196,52 +199,87 @@ def test_exact_scan_cap_boundary(monkeypatch):
     assert exact_min_dilate_sumset(task).min_size == exact_min_reference(13, 2, 5)
 
 
+def forced(p, lam, m):
+    """The rule of exact_min_dilate_sumset: the cell's answer is its first
+    anchored set {0, ..., m-1}."""
+    return m <= 2 or lam % p in (0, 1, p - 1) or 2 * m - 1 >= p
+
+
 def test_forced_cells_past_the_cap_are_answered_by_the_first_leaf(monkeypatch):
-    # with no cap every cell is past it: a cell is answered exactly when
-    # the walk's first leaf {0, ..., m-1} attains the walk's floor, and then
-    # with the walk's own result; the walk is only run to compare
+    # with no cap every unforced cell is past it: a cell is answered exactly
+    # when it is forced, with its first leaf {0, ..., m-1}; for m >= 3 a
+    # cell is forced exactly when that leaf attains the floor, and the walk
+    # is not run
     monkeypatch.setattr(search, "_SCAN_CAP", 0)
-    forced = refused = 0
+    monkeypatch.setattr(search, "_branch_and_bound", None)
+    answered = refused = 0
     for p in (q for q in range(2, 24) if is_prime(q)):
         for lam in range(p):
             for m in range(2, p + 1):
                 first = ResidueSet.from_elements(p, range(m))
+                size = len(dilate_sum(first, lam))
                 task = SearchTask(p=p, lam=lam, m=m)
-                if len(dilate_sum(first, lam)) != search._floor(p, lam, m):
+                if m >= 3:
+                    assert forced(p, lam, m) == (size == search._floor(p, lam, m))
+                if not forced(p, lam, m):
                     with pytest.raises(ScaleCapError, match="anchored sets exceed cap"):
                         exact_min_dilate_sumset(task)
                     refused += 1
                     continue
-                size, witness = search._branch_and_bound(p, lam, m)
                 result = exact_min_dilate_sumset(task)
                 assert (result.min_size, result.witness) == (size, first), (p, lam, m)
-                assert witness == tuple(range(m)) and is_canonical(first)
                 assert result.classes_enumerated == search._orbit_count(p, m)
-                assert result.exact
-                forced += 1
-    assert (forced, refused) == (938, 518)
+                assert result.exact and is_canonical(first)
+                answered += 1
+    assert (answered, refused) == (1012, 444)
 
 
-def test_forced_cells_keep_their_limits(monkeypatch):
-    # past _FORCED_CAP, and where the orbit count has more digits than
-    # str(int) writes, a forced cell is refused too
-    task = SearchTask(p=131101, lam=1, m=4)
-    with pytest.raises(ScaleCapError, match="anchored sets exceed cap"):
-        exact_min_dilate_sumset(task)
-    monkeypatch.setattr(search, "_FORCED_CAP", task.p)
-    assert exact_min_dilate_sumset(task).min_size == 7
+def test_forced_answers_match_the_walk():
+    # every forced cell with p <= 13, and m = 1: the walk, which has no
+    # floor stop, also ends at its first leaf, so both give one result
+    cells = 0
+    for p in (q for q in range(2, 14) if is_prime(q)):
+        for lam in range(p):
+            for m in range(1, p + 1):
+                if forced(p, lam, m):
+                    r = exact_min_dilate_sumset(SearchTask(p=p, lam=lam, m=m))
+                    assert search._branch_and_bound(p, lam, m) == \
+                        (r.min_size, r.witness.elements()), (p, lam, m)
+                    cells += 1
+    assert cells == 309
+
+
+def test_walked_cells_never_reach_the_floor():
+    # Vosper's theorem: an unforced cell has no set at the Cauchy-Davenport
+    # floor 2m - 1, so the walk needs no floor stop; every unforced cell
+    # with p <= 31 and m <= 6
+    cells = 0
+    for p in (q for q in range(2, 32) if is_prime(q)):
+        for lam in range(p):
+            for m in range(3, 7):
+                if not forced(p, lam, m):
+                    size, _ = search._branch_and_bound(p, lam, m)
+                    assert size > search._floor(p, lam, m) == 2 * m - 1, (p, lam, m)
+                    cells += 1
+    assert cells == 484
+
+
+def test_forced_cells_keep_their_limits():
+    # a forced cell is answered at any p up to the m*p cap, but refused
+    # where its orbit count has more digits than str(int) writes
+    r = exact_min_dilate_sumset(SearchTask(p=131101, lam=1, m=4))
+    assert (r.min_size, r.witness.elements()) == (7, (0, 1, 2, 3))
     with pytest.raises(ScaleCapError, match="97058-bit orbit count unwritable"):
         exact_min_dilate_sumset(SearchTask(p=100003, lam=0, m=60000))
 
 
-def test_cells_near_p_are_answered_within_the_walk_budget():
+def test_cells_near_p_are_forced_and_skip_the_walk(monkeypatch):
     # m near p passes _SCAN_CAP, as C(p - 2, m - 2) = p - 2 at m = p - 1,
     # but the walk would hold P, L and S at m depths, 3*m*p bits (about 143
-    # MiB here); past _WALK_BITS the cell, whose floor is p, takes the
-    # forced answer, its first leaf, without the walk
+    # MiB here); 2m - 1 >= p makes the cell forced, with floor p, so its
+    # first leaf answers it without the walk
+    monkeypatch.setattr(search, "_branch_and_bound", None)
     p, m = 20011, 20010
-    assert comb(p - 2, m - 2) == p - 2 <= search._SCAN_CAP
-    assert 3 * m * p > search._WALK_BITS
     tracemalloc.start()
     try:
         result = exact_min_dilate_sumset(SearchTask(p=p, lam=3, m=m))
@@ -253,26 +291,22 @@ def test_cells_near_p_are_answered_within_the_walk_budget():
     assert peak < 1 << 20
 
 
-def test_walk_budget_boundary(monkeypatch):
-    # at the budget the walk runs; one bit below it a forced cell takes the
-    # first leaf without it, and any other cell is refused by its memory
-    forced, other = SearchTask(p=13, lam=2, m=12), SearchTask(p=13, lam=2, m=5)
-    walked = [exact_min_dilate_sumset(task) for task in (forced, other)]
-    walk = search._branch_and_bound
-    for task, result in zip((forced, other), walked):
-        monkeypatch.setattr(search, "_WALK_BITS", 3 * task.m * task.p)
-        assert exact_min_dilate_sumset(task) == result
-        monkeypatch.setattr(search, "_WALK_BITS", 3 * task.m * task.p - 1)
-        monkeypatch.setattr(search, "_branch_and_bound", None)  # not reached
-        if task is forced:
-            assert exact_min_dilate_sumset(task) == result
-        else:
-            with pytest.raises(ScaleCapError, match="^the walk's 195 bits of prefixes "
-                                                    "exceed cap 194; use heuristic mode$"):
-                exact_min_dilate_sumset(task)
-        monkeypatch.setattr(search, "_branch_and_bound", walk)
-    assert walked[0].min_size == 13
-    assert walked[1].min_size == exact_min_reference(13, 2, 5)
+def test_forced_cap_boundary(monkeypatch):
+    # at the cap a forced cell is answered, one below it refused before
+    # its orbit count; an unforced cell is walked whatever the cap
+    forced_task, other = SearchTask(p=13, lam=2, m=12), SearchTask(p=13, lam=2, m=5)
+    answers = [exact_min_dilate_sumset(task) for task in (forced_task, other)]
+    monkeypatch.setattr(search, "_FORCED_CAP", 13 * 12)
+    assert exact_min_dilate_sumset(forced_task) == answers[0]
+    monkeypatch.setattr(search, "_FORCED_CAP", 13 * 12 - 1)
+    monkeypatch.setattr(search, "_orbit_count", None)  # not reached
+    with pytest.raises(ScaleCapError, match="^m\\*p = 156 exceeds cap 155; use heuristic mode$"):
+        exact_min_dilate_sumset(forced_task)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "_FORCED_CAP", 0)
+    assert exact_min_dilate_sumset(other) == answers[1]
+    assert answers[0].min_size == 13
+    assert answers[1].min_size == exact_min_reference(13, 2, 5)
 
 
 def test_heuristic_budget_zero_returns_interval():
@@ -362,6 +396,61 @@ def test_annealing_outputs_pinned(cell, expected):
         SearchTask(p=p, lam=lam, m=m, mode="heuristic", seed=seed, budget=budget))
     assert (r.min_size, r.witness.format(), r.classes_enumerated) == expected
     assert r.min_size == len(dilate_sum(r.witness, lam, Kernel.NAIVE))
+
+
+def list_annealing(p, lam, m, seed, budget):
+    """The annealing loop with the members outside the set as one list of
+    p - m entries: heuristic_min_dilate_sumset's oracle."""
+    rng = random.Random(seed)
+    current, outside = list(range(m)), list(range(m, p))
+    cur_val = best_val = search._dilate_sum_size(p, lam, current)
+    best_members, evaluations, temperature = tuple(current), 1, float(m)
+    for _ in range(budget):
+        if not outside:
+            break
+        i = rng.randrange(len(current))
+        j = rng.randrange(len(outside))
+        current[i], outside[j] = outside[j], current[i]
+        val = search._dilate_sum_size(p, lam, current)
+        evaluations += 1
+        delta = val - cur_val
+        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
+            cur_val = val
+            if val < best_val:
+                best_val, best_members = val, tuple(sorted(current))
+        else:
+            current[i], outside[j] = outside[j], current[i]
+        temperature *= 0.999
+    witness = canonical_form(ResidueSet.from_elements(p, best_members))
+    return best_val, witness, evaluations
+
+
+def test_annealing_matches_the_list_oracle():
+    # small p often, so that m = p and few outside members are drawn too
+    rng = random.Random(55)
+    primes = [2, 3, 5, 7, 11, 13] + [q for q in range(17, 1010) if is_prime(q)][::10]
+    for _ in range(80):
+        p = rng.choice(primes)
+        m, lam = rng.randint(1, min(p, 12)), rng.randint(-p, 2 * p)
+        seed, budget = rng.randrange(2**32), rng.randint(0, 300)
+        r = heuristic_min_dilate_sumset(
+            SearchTask(p=p, lam=lam, m=m, mode="heuristic", seed=seed, budget=budget))
+        assert (r.min_size, r.witness, r.classes_enumerated) == \
+            list_annealing(p, lam, m, seed, budget), (p, lam, m, seed, budget)
+
+
+def test_annealing_holds_no_p_sized_list():
+    # the members outside the set are kept only where a swap moved them:
+    # a list of them would be about 390 MiB here
+    task = SearchTask(p=10000019, lam=3, m=5, mode="heuristic", seed=0, budget=10)
+    tracemalloc.start()
+    try:
+        result = heuristic_min_dilate_sumset(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.classes_enumerated == 11
+    assert peak < 32 << 20
 
 
 # ---------------------------------------------------------------- sweep

@@ -92,7 +92,6 @@ class Kernel(enum.Enum):
 # Convolution uses float64 FFTs; counts round safely only while the maximum
 # possible pair count stays far below 2^53.  2^26 is the contract limit.
 _SAFE_COUNT_BITS = 26
-_FFT_COST = 45
 # Above (set bits) * (bit length) = 2^14 (a timed sweep's crossover for
 # reading every member) the scanner decodes members as a numpy index array
 # instead of a string.
@@ -331,21 +330,21 @@ def _fold(n: int, bits: int) -> int:
     return bits ^ (high := bits >> n) << n | high
 
 
-def _sumset_bits_bitshift(n: int, a: int, b: int, ra: int, rb: int) -> int:
+def _sumset_bits_bitshift(n: int, a: int, b: int) -> int:
     """OR of the shifts of one bitvector by the runs of the other, folded
     once mod N.
 
-    The operand with fewer runs (ra, rb count them) is read as runs
-    [s, s + l), a lone member being a run of length 1: the other bitvector
-    is smeared over l positions and shifted up by s.  The smear over l is
-    its smear over the largest 2^k <= l, ORed with itself shifted by
-    l - 2^k; those are built by doubling, one smear per distinct l.  A run
-    ends by N - 1, so every term is below 2^(2N), and one _fold reduces the
-    OR mod N.  Runs are read lazily, and after 4, 8, 16, ... of them a
-    partial OR with N or more members is folded: OR is monotone, so once
-    that fold is all of Z/NZ no later run changes it, and it is returned.
+    The operand with fewer runs is read as runs [s, s + l), a lone member
+    being a run of length 1: the other bitvector is smeared over l
+    positions and shifted up by s.  The smear over l is its smear over the
+    largest 2^k <= l, ORed with itself shifted by l - 2^k; those are built
+    by doubling, one smear per distinct l.  A run ends by N - 1, so every
+    term is below 2^(2N), and one _fold reduces the OR mod N.  Runs are
+    read lazily, and after 4, 8, 16, ... of them a partial OR with N or
+    more members is folded: OR is monotone, so once that fold is all of
+    Z/NZ no later run changes it, and it is returned.
     """
-    runs, bits = (a, b) if ra <= rb else (b, a)
+    runs, bits = (a, b) if _run_count(a) <= _run_count(b) else (b, a)
     powers = [bits]  # powers[k] = bits smeared over 2^k positions
     smears = {}
     acc, left, gap = 0, 4, 4  # runs to the next checkpoint, and between the next two
@@ -442,11 +441,10 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Support of the cyclic convolution of two same-shape 0/1 arrays.
 
     Works over any number of axes.  A one-dimensional array comes only
-    from a residue sum (cyclic_support hands 1-D masks to sumset), and is
-    transformed at _fft_length, a power of two, and folded back mod its
-    length.  Arrays of two or more axes keep their shape, because padding
-    every axis multiplies the array (17^3 cells padded to 64^3 ran 30x
-    slower).
+    from a residue sum that names Kernel.CONVOLUTION, and is transformed
+    at _fft_length, a power of two, and folded back mod its length.
+    Arrays of two or more axes keep their shape, because padding every
+    axis multiplies the array (17^3 cells padded to 64^3 ran 30x slower).
     Always exact: when the counts cannot be trusted to round (a count could
     reach 2^26, or some folded count lies more than 0.25 from an integer)
     the answer comes from cyclic_support_shift instead.
@@ -475,31 +473,20 @@ def cyclic_support_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return counts > 0.5
 
 
-def _auto_kernel(n: int, ca: int, cb: int) -> Kernel:
-    # ca, cb count the operands' runs.  BITSHIFT costs one pass over the
-    # bits per run of the operand with fewer runs, the FFT about L log2 L
-    # at its power-of-two length L; _FFT_COST fits timed crossovers.
-    length = _fft_length(n)
-    if min(ca, cb) * n > _FFT_COST * length * length.bit_length():
-        return Kernel.CONVOLUTION
-    return Kernel.BITSHIFT
-
-
 def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> ResidueSet:
-    """A + B = {a + b mod N}.  Kernel choice never affects the result."""
+    """A + B = {a + b mod N}.  Kernel choice never affects the result; with
+    none named, BITSHIFT runs, in a few N-bit integers.  The FFT is faster
+    on far-from-full sums of two many-run operands (13x on Cauchy-Davenport
+    progression pairs at N = 10^6 + 3, 2 CPUs): such callers name it."""
     _check_same_modulus(a, b)
     n = a.modulus
     if a.bits == 0 or b.bits == 0:
         return ResidueSet.empty(n)
-    ra, rb = _run_count(a.bits), _run_count(b.bits)
-    if kernel is None:
-        kernel = _auto_kernel(n, ra, rb)
-    elif not isinstance(kernel, Kernel):
-        kernel = Kernel(kernel)
+    kernel = Kernel.BITSHIFT if kernel is None else Kernel(kernel)
     if kernel is Kernel.NAIVE:
         bits = _sumset_bits_naive(n, a.elements(), b.elements())
     elif kernel is Kernel.BITSHIFT:
-        bits = _sumset_bits_bitshift(n, a.bits, b.bits, ra, rb)
+        bits = _sumset_bits_bitshift(n, a.bits, b.bits)
     else:
         bits = _mask_to_bits(cyclic_support_fft(_bits_to_mask(n, a.bits),
                                                 _bits_to_mask(n, b.bits)))
@@ -509,11 +496,11 @@ def sumset(a: ResidueSet, b: ResidueSet, kernel: Kernel | None = None) -> Residu
 def cyclic_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact support of the cyclic convolution of two same-shape 0/1 masks:
     the one kernel choice made outside an explicit Kernel.  A 1-D mask is a
-    residue set mod its length, so the two are summed by sumset under
-    _auto_kernel's rule.  Masks of two or more axes are summed from the
-    pairs of their members (cyclic_support_pairs) while |A| * |B| is at
-    most _PAIR_RATIO times the mask size, and by FFT above, whose exact
-    fallback is the shift-OR."""
+    residue set mod its length, so the two are summed by sumset's BITSHIFT.
+    Masks of two or more axes are summed from the pairs of their members
+    (cyclic_support_pairs) while |A| * |B| is at most _PAIR_RATIO times
+    the mask size, and by FFT above, whose exact fallback is the
+    shift-OR."""
     _check_shapes(a, b)
     if a.ndim == 1:
         n = a.size

@@ -24,10 +24,11 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lgamma, log, log2
 
 from .checks import _num
 from .errors import ScaleCapError
@@ -244,10 +245,16 @@ def exact_min_dilate_sumset(task: SearchTask) -> SearchResult:
     if m <= 2 or lam in (0, 1, p - 1) or 2 * m - 1 >= p:
         if m * p > _FORCED_CAP:
             raise ScaleCapError(f"m*p = {m * p} exceeds cap {_FORCED_CAP}; use heuristic mode")
+        # log2 C(p, m)/(p(p - 1)) <= log2 of the count: a count a digit or
+        # more past str()'s limit is refused unbuilt, and nearer it str()
+        # decides, raising ValueError past the limit
+        bits = (lgamma(p + 1) - lgamma(m + 1) - lgamma(p - m + 1)) / log(2) - log2(p * (p - 1))
         try:
-            str(classes := _orbit_count(p, m))  # past sys.get_int_max_str_digits(), ValueError
+            if (limit := sys.get_int_max_str_digits()) and bits >= (limit + 1) * log2(10):
+                raise ValueError
+            str(classes := _orbit_count(p, m))
         except ValueError:
-            raise ScaleCapError(f"{classes.bit_length()}-bit orbit count unwritable") from None
+            raise ScaleCapError(f"~{math.floor(bits) + 1}-bit orbit count unwritable") from None
         size = (_floor(p, lam, m) if m >= 3 else
                 len({(x + lam * y) % p for x in range(m) for y in range(m)}))
         return SearchResult(size, ResidueSet(p, (1 << m) - 1), classes, exact=True)

@@ -16,7 +16,7 @@ from dilates.grids import (GridSet, _cell_mask, box_grid_set, digit_sum_count,
                            equal_box_sides, grid_projection_sumset, irwin_hall_volume,
                            nth_root_floor, optimized_box_sides_3d,
                            simplex_construction, simplex_grid_set)
-from dilates.intervals import pipeline_check
+from dilates.intervals import discretize_to_zp, encode_grid_to_intervals, pipeline_check
 from dilates.residues import (ResidueSet, cyclic_support, cyclic_support_fft,
                               cyclic_support_pairs, cyclic_support_shift, sumset)
 from test_residues import PROPERTY, UNSAFE, make_fft_unsafe
@@ -351,12 +351,21 @@ def test_minkowski_mask_roll_and_fft_agree(monkeypatch):
                     routine(u, v)
 
 
+def _dense_1d_masks(rng):
+    """Two pairs of 1-D masks of 8191 cells: every other cell (4096 runs)
+    with 4096 random cells, and those random cells with a copy."""
+    a = np.zeros(8191, bool)
+    a[::2] = True
+    b, _ = _random_masks(rng, a.shape, 4096, 0)
+    return (a, b), (b, b.copy())
+
+
 def test_minkowski_mask_gate(monkeypatch):
     # masks of two or more axes are summed pair by pair while
     # |A| * |B| <= _PAIR_RATIO * size, and by FFT above, equal operands
     # too; the shift-OR runs only as the FFT's fallback.  A 1-D mask is a
-    # pair of residue sets summed by sumset, whose run rule keeps these
-    # sparse masks on BITSHIFT, off every mask routine
+    # pair of residue sets summed by sumset's BITSHIFT, off every mask
+    # routine
     ran = []
     for name in ("sumset", "cyclic_support_fft", "cyclic_support_shift",
                  "cyclic_support_pairs"):
@@ -400,18 +409,34 @@ def test_minkowski_mask_gate(monkeypatch):
     for shape in ((8, 8, 8), (7,) * 4, (6,) * 5):
         a, _ = _random_masks(rng, shape, 1, 0)
         check(a, np.ones(shape, dtype=bool), "cyclic_support_pairs")
-    # dense 1-D masks of 8191 cells reach the FFT, through sumset's cost rule
-    a = np.zeros(8191, bool)
-    a[::2] = True  # 4096 runs
-    b, _ = _random_masks(rng, a.shape, 4096, 0)
-    for x, y in ((a, b), (b, b.copy())):
+    # dense 1-D masks of 8191 cells, 4096 runs and more, stay on sumset
+    for x, y in _dense_1d_masks(rng):
         ran.clear()
         assert np.array_equal(cyclic_support(x, y), cyclic_support_shift(x, y))
-        assert ran == ["sumset", "cyclic_support_fft"]
+        assert ran == ["sumset"]
     # the simplex n = 7, lambda = 8 chain, whose 8^6 projections have 924
     # members each (|A|^2 = 3.3 size), passes without the FFT's float path
     monkeypatch.setattr(residues, "cyclic_support_fft", lambda x, y: pytest.fail("FFT ran"))
     assert pipeline_check(simplex_grid_set(7, 8), 10007).continuous_within_grid
+
+
+def test_no_automatic_residue_sum_reaches_the_fft(monkeypatch):
+    # a residue sum that names no kernel runs BITSHIFT at every size, so no
+    # 1-D mask reaches the FFT: the dense 1-D masks above, the d = 2
+    # pipeline sum at p = 36871, and the simplex n = 4, lam = 32 chain at
+    # p = 1000003, whose A' has 2571 runs (14880 in lam*A'); its 32^3
+    # projections still take the FFT, by the mask gate
+    a = discretize_to_zp(encode_grid_to_intervals(
+        box_grid_set(2, 192, equal_box_sides(2, F(1, 9), 192))), 36871)
+    d = residues.dilate(a, 192)
+    expected = sumset(a, d, residues.Kernel.CONVOLUTION)
+    fft = residues.cyclic_support_fft
+    monkeypatch.setattr(residues, "cyclic_support_fft", lambda x, y: pytest.fail(
+        "a residue sum ran the FFT") if x.ndim == 1 else fft(x, y))
+    for x, y in _dense_1d_masks(random.Random(17)):
+        assert np.array_equal(cyclic_support(x, y), cyclic_support_shift(x, y))
+    assert sumset(a, d) == expected
+    assert pipeline_check(simplex_grid_set(4, 32), 1000003).continuous_within_grid
 
 
 @PROPERTY

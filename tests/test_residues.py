@@ -2,6 +2,7 @@
 seeded property loops."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -99,7 +100,7 @@ def test_kernel_agreement_random():
             expected = ResidueSet.from_elements(n, oracle_sumset(n, a.elements(), b.elements()))
             results = [sumset(a, b, k) for k in KERNELS]
             assert results[0] == results[1] == results[2] == expected
-            assert sumset(a, b) == expected  # auto kernel
+            assert sumset(a, b) == expected  # no kernel named
     # sparse operands with more runs, so BITSHIFT reads the structured ones as runs
     for n in (257, 1009):
         for kind in STRUCTURES[1:]:
@@ -120,16 +121,41 @@ def residue_set_pairs(draw):
 
 def test_kernels_agree_on_the_anchor_chain():
     # the benchmark's anchor chain: box d = 3, lam = 64 discretized at
-    # p = 1000003 is about 200 runs, so the automatic kernel is BITSHIFT
+    # p = 1000003 is about 200 runs, which BITSHIFT reads as runs
     grid = box_grid_set(3, 64, optimized_box_sides_3d(Fraction(1, 64), 64))
     p = 1000003
     a = discretize_to_zp(encode_grid_to_intervals(grid), p)
     d = dilate(a, 64)
     runs = (residues._run_count(a.bits), residues._run_count(d.bits))
-    assert residues._auto_kernel(p, *runs) is Kernel.BITSHIFT
     assert runs[0] < len(a) // 50
     shifted = sumset(a, d, Kernel.BITSHIFT)
     assert shifted == sumset(a, d, Kernel.CONVOLUTION) == sumset(a, d)
+    # the d = 2 pipeline sum at p = 36871: 3906 members in A' and lam*A',
+    # but 63 runs in A' (3410 in lam*A'); every kernel, NAIVE too
+    grid = box_grid_set(2, 192, equal_box_sides(2, Fraction(1, 9), 192))
+    a = discretize_to_zp(encode_grid_to_intervals(grid), 36871)
+    d = dilate(a, 192)
+    assert len(a) == len(d) == 3906
+    assert (residues._run_count(a.bits), residues._run_count(d.bits)) == (63, 3410)
+    assert [sumset(a, d, k) for k in KERNELS] == [sumset(a, d)] * 3
+
+
+def test_automatic_sum_holds_no_transform():
+    # 3000 random members below N/4 in each operand, about 3000 runs each,
+    # and a sum far from full: the sum that names no kernel runs BITSHIFT,
+    # a few N-bit integers (0.5 MiB traced), where an FFT at 2^21 points
+    # peaks at about 42 MiB
+    rng = random.Random(5)
+    n = 1000003
+    a, b = (rs(n, rng.sample(range(n // 4), 3000)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        total = sumset(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert total == sumset(a, b, Kernel.CONVOLUTION)
 
 
 @PROPERTY
@@ -185,39 +211,6 @@ def test_convolution_large_modulus(monkeypatch):
             make_fft_unsafe(m, how)
             assert sumset(a, b, Kernel.CONVOLUTION) == expected
     assert calls == [(n,)] * 2
-
-
-def test_auto_kernel_from_measured_crossover():
-    auto = residues._auto_kernel
-    # the switch points of min(runs(A), runs(B)) * N > 45 * L * bit_length(L)
-    for n, switch in ((16411, 3054), (10**5, 2241), (1000003, 2076)):
-        assert auto(n, switch, n // 2) is Kernel.BITSHIFT
-        assert auto(n, n // 2, switch + 1) is Kernel.CONVOLUTION
-    # operands of 1274 runs each stay on BITSHIFT at p = 64007, of 2452 runs
-    # each take the FFT at p = 23417: a shift per run costs what a shift per
-    # member did, so the crossovers timed on pipeline sums counted in members
-    # (2 CPUs: BITSHIFT 4.2 ms against FFT 10.3 ms, FFT 4.5 ms against
-    # 4.9 ms) still hold
-    assert auto(64007, 1274, 1274) is Kernel.BITSHIFT
-    assert auto(23417, 2452, 2452) is Kernel.CONVOLUTION
-    # the cost rule decides below 2^14 too, and sends there to the FFT
-    # only sums it won (2 CPUs, BITSHIFT against FFT): about 2000 runs
-    # each at N = 6007 1.57 vs 0.43 ms, at N = 8191 1.50 vs 0.55 ms;
-    # random half-density sets at N = 2003 and 4099 (about N / 4 runs)
-    # stay on BITSHIFT, 0.15 vs 0.16 ms and 0.40 vs 0.52 ms
-    assert auto(6007, 2003, 2003) is Kernel.CONVOLUTION
-    assert auto(8191, 2018, 2018) is Kernel.CONVOLUTION
-    assert auto(2003, 501, 501) is Kernel.BITSHIFT
-    assert auto(4099, 1025, 1025) is Kernel.BITSHIFT
-    # the d = 2 pipeline sum at p = 36871 has 3906 members but 63 runs in A'
-    # (3410 in lam*A'): counted in members it took the FFT at 11.1 ms against
-    # BITSHIFT's 9.6 ms; counted in runs it stays on BITSHIFT
-    grid = box_grid_set(2, 192, equal_box_sides(2, Fraction(1, 9), 192))
-    a = discretize_to_zp(encode_grid_to_intervals(grid), 36871)
-    d = dilate(a, 192)
-    assert len(a) == len(d) == 3906
-    assert auto(36871, len(a), len(d)) is Kernel.CONVOLUTION
-    assert auto(36871, residues._run_count(a.bits), residues._run_count(d.bits)) is Kernel.BITSHIFT
 
 
 def test_fft_support_pads_every_1d_length(monkeypatch):

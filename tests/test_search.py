@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -271,6 +272,30 @@ def test_forced_cells_keep_their_limits():
     assert (r.min_size, r.witness.elements()) == (7, (0, 1, 2, 3))
     with pytest.raises(ScaleCapError, match="97058-bit orbit count unwritable"):
         exact_min_dilate_sumset(SearchTask(p=100003, lam=0, m=60000))
+
+
+def test_unwritable_orbit_counts_are_refused_unbuilt(monkeypatch):
+    # a count a digit or more past str()'s limit is refused from its lgamma
+    # estimate, before _orbit_count runs (it took 0.78 s and 0.38 s on the
+    # first two cells); nearer the limit str() decides: at p = 14341,
+    # lam = 1 the count has 4300 digits at m = 6840 and 4301 at m = 6841
+    assert sys.get_int_max_str_digits() == 4300
+    orbit_count, built = search._orbit_count, []
+
+    def count(p, m):
+        assert p < 10**5, f"orbit count built at ({p}, {m})"
+        built.append(m)
+        return orbit_count(p, m)
+
+    monkeypatch.setattr(search, "_orbit_count", count)
+    for p, m, bits in ((180181, 90090, 180138), (131071, 65535, 131029)):
+        with pytest.raises(ScaleCapError, match=f"^~{bits}-bit orbit count unwritable$"):
+            exact_min_dilate_sumset(SearchTask(p=p, lam=1, m=m))
+    r = exact_min_dilate_sumset(SearchTask(p=14341, lam=1, m=6840))
+    assert (r.min_size, len(str(r.classes_enumerated))) == (2 * 6840 - 1, 4300)
+    with pytest.raises(ScaleCapError, match=f"^~{orbit_count(14341, 6841).bit_length()}-bit"):
+        exact_min_dilate_sumset(SearchTask(p=14341, lam=1, m=6841))
+    assert built == [6840, 6841]
 
 
 def test_cells_near_p_are_forced_and_skip_the_walk(monkeypatch):
